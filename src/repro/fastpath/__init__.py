@@ -17,6 +17,7 @@ Layout:
 * :mod:`~repro.fastpath.topk`    — O(n log k) ranking selection;
 * :mod:`~repro.fastpath.network` — the vectorized inference network;
 * :mod:`~repro.fastpath.daat`    — windowed document-at-a-time scoring;
+* :mod:`~repro.fastpath.prune`   — MaxScore top-k pruning (both drivers);
 * :mod:`~repro.fastpath.windows` — proximity/snippet position-window kernels;
 * :mod:`~repro.fastpath.build`   — whole-collection bulk record encoding.
 """

@@ -75,6 +75,23 @@ def term_beliefs(
     return ArrayBeliefs(doc_ids, beliefs)
 
 
+def sorted_union(runs: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted distinct ids of several runs that are each already sorted.
+
+    What ``np.unique(np.concatenate(runs))`` returns, without numpy's
+    hash-based ``unique``: a stable sort (which merges the presorted
+    runs) and a neighbour mask.
+    """
+    merged = np.concatenate(runs)
+    if merged.size < 2:
+        return merged
+    merged.sort(kind="stable")
+    distinct = np.empty(merged.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    return merged[distinct]
+
+
 def _union_and_spread(tables: Sequence[Table]) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Union the tables' documents; give every table a dense column.
 
@@ -88,7 +105,7 @@ def _union_and_spread(tables: Sequence[Table]) -> Tuple[np.ndarray, List[np.ndar
     elif len(populated) == 1:
         docs = populated[0]
     else:
-        docs = np.unique(np.concatenate(populated))
+        docs = sorted_union(populated)
     columns: List[np.ndarray] = []
     for array, (_scores, default) in zip(arrays, tables):
         column = np.full(docs.size, default, dtype=np.float64)

@@ -15,7 +15,6 @@ either handles it or raises the canonical error.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,19 +26,61 @@ from .vbyte import decode_stream, encode_stream
 Posting = Tuple[int, Tuple[int, ...]]
 
 
-@dataclass
 class RecordArrays:
     """A decoded record in columnar form.
 
     ``positions`` holds every within-document position, flattened;
     document ``i`` owns the slice ``positions[pos_starts[i]:
     pos_starts[i] + tf[i]]``.
+
+    Flat ``#sum``/``#wsum`` evaluation reads only ``doc_ids`` and
+    ``tf``, so :func:`decode_record_arrays` defers the position columns:
+    it hands over the record's gap values and they are turned into
+    ``positions``/``pos_starts`` on first access.
     """
 
-    doc_ids: np.ndarray    #: int64, strictly increasing
-    tf: np.ndarray         #: int64, per-document term frequency
-    positions: np.ndarray  #: int64, flattened position lists
-    pos_starts: np.ndarray  #: int64, exclusive prefix sum of ``tf``
+    __slots__ = ("doc_ids", "tf", "_positions", "_pos_starts", "_deferred", "_ctf")
+
+    def __init__(self, doc_ids, tf, positions, pos_starts):
+        self.doc_ids = doc_ids    #: int64, strictly increasing
+        self.tf = tf              #: int64, per-document term frequency
+        self._positions = positions    #: int64, flattened position lists
+        self._pos_starts = pos_starts  #: int64, exclusive prefix sum of ``tf``
+        self._deferred = None
+        self._ctf = int(positions.size)
+
+    @classmethod
+    def deferred(cls, doc_ids, tf, ctf: int, body, tf_slots) -> "RecordArrays":
+        """A record whose positions still sit, as gaps, in ``body``
+        (the record's integers after the header) behind each document's
+        slot in ``tf_slots``."""
+        arrays = cls.__new__(cls)
+        arrays.doc_ids = doc_ids
+        arrays.tf = tf
+        arrays._positions = arrays._pos_starts = None
+        arrays._deferred = (body, tf_slots)
+        arrays._ctf = ctf
+        return arrays
+
+    @property
+    def pos_starts(self) -> np.ndarray:
+        if self._pos_starts is None:
+            self._pos_starts = _exclusive_cumsum(self.tf)
+        return self._pos_starts
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self._positions is None:
+            deferred = self._deferred
+            # Cached arrays are shared between shard worker threads:
+            # whoever gets here first publishes the column *before*
+            # dropping the gaps, so a racing reader finds one or the other.
+            if deferred is not None:
+                self._positions = _positions_from_gaps(
+                    *deferred, self.tf, self.pos_starts
+                )
+                self._deferred = None
+        return self._positions
 
     @property
     def df(self) -> int:
@@ -47,7 +88,7 @@ class RecordArrays:
 
     @property
     def ctf(self) -> int:
-        return int(self.positions.size)
+        return self._ctf
 
     def to_postings(self) -> List[Posting]:
         """The reference representation (list of id/positions tuples)."""
@@ -61,6 +102,28 @@ class RecordArrays:
             out.append((doc_id, tuple(flat[start:end])))
             start = end
         return out
+
+
+def _exclusive_cumsum(tf: np.ndarray) -> np.ndarray:
+    starts = np.empty(tf.size, dtype=np.int64)
+    if tf.size:
+        starts[0] = 0
+        np.cumsum(tf[:-1], out=starts[1:])
+    return starts
+
+
+def _positions_from_gaps(body, tf_slots, tf, pos_starts) -> np.ndarray:
+    """Flattened positions from the gap runs behind each tf slot."""
+    ctf = body.size - 2 * tf.size
+    if not ctf:
+        return np.empty(0, dtype=np.int64)
+    gap_slots = (np.repeat(tf_slots + 1 - pos_starts, tf)
+                 + np.arange(ctf, dtype=np.int64))
+    running = np.cumsum(body[gap_slots])
+    bases = np.empty(tf.size, dtype=np.int64)
+    bases[0] = 0
+    bases[1:] = running[pos_starts[1:] - 1]
+    return running - np.repeat(bases, tf)
 
 
 def filter_record_arrays(arrays: "RecordArrays", dead: set) -> "RecordArrays":
@@ -78,13 +141,7 @@ def filter_record_arrays(arrays: "RecordArrays", dead: set) -> "RecordArrays":
     doc_ids = arrays.doc_ids[keep]
     tf = arrays.tf[keep]
     positions = arrays.positions[np.repeat(keep, arrays.tf)]
-    if tf.size:
-        pos_starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(tf[:-1], dtype=np.int64))
-        )
-    else:
-        pos_starts = np.empty(0, dtype=np.int64)
-    return RecordArrays(doc_ids, tf, positions, pos_starts)
+    return RecordArrays(doc_ids, tf, positions, _exclusive_cumsum(tf))
 
 
 class DecodeCache:
@@ -132,7 +189,13 @@ def _scalar():
 
 
 def decode_record_arrays(record: bytes) -> RecordArrays:
-    """Decode a record into columnar arrays (single bulk byte scan)."""
+    """Decode a record into columnar arrays, documents and tfs first.
+
+    One bulk byte scan recovers the record's integers and one scan over
+    documents finds each tf slot; ``doc_ids`` and ``tf`` are gathered
+    from those, and the position columns are left to
+    :class:`RecordArrays` to build if anyone asks.
+    """
     try:
         values, _clean = decode_stream(record)
     except IndexError_:
@@ -147,42 +210,43 @@ def decode_record_arrays(record: bytes) -> RecordArrays:
     if df == 0:
         empty = np.empty(0, dtype=np.int64)
         return RecordArrays(empty, empty.copy(), empty.copy(), empty.copy())
-    body = values[2:needed].astype(np.int64)
-    # Term frequencies sit at data-dependent offsets; a short scan over
-    # documents (not over bytes) recovers them.
-    flat = body.tolist()
-    tf = np.empty(df, dtype=np.int64)
-    offset = 1
-    try:
-        for i in range(df):
-            count = flat[offset]
-            tf[i] = count
-            offset += count + 2
-    except IndexError:
+    body = values[2:needed].view(np.int64)  # < 2**63 by MAX_GROUPS
+    tf_slots = _tf_slots(body, df)
+    if tf_slots is None:
+        # The per-document counts run off the record, or disagree with
+        # the header's ctf; the scalar decoder trusts the counts (and
+        # raises the canonical error), so defer to it.
         return _arrays_via_scalar(record)
-    if offset != len(flat) + 1:
-        # Header ctf disagrees with the per-document counts; the scalar
-        # decoder trusts the counts, so defer to it.
-        return _arrays_via_scalar(record)
-    pos_starts = np.empty(df, dtype=np.int64)
-    pos_starts[0] = 0
-    np.cumsum(tf[:-1], out=pos_starts[1:])
-    doc_slots = 2 * np.arange(df, dtype=np.int64) + pos_starts
-    doc_ids = np.cumsum(body[doc_slots])
-    if ctf:
-        gap_slots = (np.repeat(doc_slots + 2 - pos_starts, tf)
-                     + np.arange(ctf, dtype=np.int64))
-        gaps = body[gap_slots]
-        running = np.cumsum(gaps)
-        bases = np.empty(df, dtype=np.int64)
-        bases[0] = 0
-        bases[1:] = running[pos_starts[1:] - 1]
-        positions = running - np.repeat(bases, tf)
-    else:
-        positions = np.empty(0, dtype=np.int64)
-    if (doc_ids < 0).any() or (positions.size and (positions < 0).any()):
+    tf = body[tf_slots]
+    doc_ids = np.cumsum(body[tf_slots - 1])
+    arrays = RecordArrays.deferred(doc_ids, tf, ctf, body, tf_slots)
+    if int(body.max()) * body.size >= 1 << 63 and (
+        (doc_ids < 0).any() or (arrays.positions < 0).any()
+    ):
         return _arrays_via_scalar(record)  # int64 overflow — huge values
-    return RecordArrays(doc_ids, tf, positions, pos_starts)
+    return arrays
+
+
+def _tf_slots(body: np.ndarray, df: int):
+    """Body indices of the ``df`` term-frequency slots, or ``None``.
+
+    Document ``i + 1`` starts ``2 + tf[i]`` integers after document
+    ``i`` — a chain only a sequential walk can follow, so this is a
+    scan over documents (not over bytes).  ``None`` means the chain does
+    not take exactly ``df`` documents to land exactly on the body's end.
+    """
+    flat = body.tolist()
+    slots = []
+    slot = 1
+    try:
+        for _ in range(df):
+            slots.append(slot)
+            slot += flat[slot] + 2
+    except IndexError:
+        return None
+    if slot != len(flat) + 1:
+        return None
+    return np.array(slots, dtype=np.int64)
 
 
 def _arrays_via_scalar(record: bytes) -> RecordArrays:
@@ -199,11 +263,7 @@ def arrays_from_postings(postings: Sequence[Posting]) -> RecordArrays:
     positions = np.fromiter(
         (x for _d, ps in postings for x in ps), dtype=np.int64, count=ctf
     )
-    pos_starts = np.empty(df, dtype=np.int64)
-    if df:
-        pos_starts[0] = 0
-        np.cumsum(tf[:-1], out=pos_starts[1:])
-    return RecordArrays(doc_ids, tf, positions, pos_starts)
+    return RecordArrays(doc_ids, tf, positions, _exclusive_cumsum(tf))
 
 
 def decode_record_fast(record: bytes) -> List[Posting]:

@@ -37,25 +37,49 @@ import numpy as np
 
 from ..inquery.network import DEFAULT_BELIEF
 from ..inquery.streams import PostingStream
-from .beliefs import ArrayBeliefs, term_beliefs
+from .beliefs import ArrayBeliefs, sorted_union, term_beliefs
 
 
 def doc_length_lookup(doctable) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized ``doc_id -> length`` mapping over a document table.
 
     Dense (or nearly dense) id spaces get an O(1) array LUT;
-    pathologically sparse ids fall back to per-id dict lookups.
+    pathologically sparse ids fall back to per-id dict lookups.  The
+    table keeps the mapping until its next ``add``/``remove``, so a
+    query pays for the walk over every document only after a mutation.
     """
-    lengths = doctable.lengths
-    max_id = max(lengths) if lengths else 0
-    if max_id <= 2 * len(lengths) + 1024:
-        lut = np.zeros(max_id + 1, dtype=np.int64)
-        for doc_id, length in lengths.items():
-            lut[doc_id] = length
-        return lambda doc_ids: lut[doc_ids]
-    return lambda doc_ids: np.fromiter(
-        (lengths[int(d)] for d in doc_ids), dtype=np.int64, count=doc_ids.size
-    )
+    lookup = doctable.length_lookup
+    if lookup is None:
+        lengths = doctable.lengths
+        max_id = max(lengths) if lengths else 0
+        if max_id <= 2 * len(lengths) + 1024:
+            lut = np.zeros(max_id + 1, dtype=np.int64)
+            lut[np.fromiter(lengths, dtype=np.int64, count=len(lengths))] = (
+                np.fromiter(lengths.values(), dtype=np.int64, count=len(lengths))
+            )
+            lookup = lut.__getitem__
+        else:
+            def lookup(doc_ids):
+                return np.fromiter(
+                    (lengths[int(d)] for d in doc_ids),
+                    dtype=np.int64, count=doc_ids.size,
+                )
+        doctable.length_lookup = lookup
+    return lookup
+
+
+def charge_user_bulk(clock, charges: np.ndarray) -> None:
+    """Apply a vector of user-CPU charges in order.
+
+    ``np.add.accumulate`` is a strictly sequential left-to-right sum,
+    so ``user_ms`` ends at the identical IEEE-754 value a loop of
+    ``clock.charge_user`` over ``charges`` would leave.
+    """
+    if charges.size:
+        run = np.empty(charges.size + 1, dtype=np.float64)
+        run[0] = clock.time.user_ms
+        run[1:] = charges
+        clock.time.user_ms = float(np.add.accumulate(run)[-1])
 
 
 class _ArrayStream:
@@ -148,10 +172,10 @@ def score_streams(
     # charge(evidence) has only len(streams) possible values; precompute
     # them with the reference expression so each per-document charge is
     # the identical float.
-    charge = [
+    charge = np.array([
         cost.cpu_ms_per_posting * (evidence + 1)
         for evidence in range(len(streams) + 1)
-    ]
+    ])
     doc_parts: List[np.ndarray] = []
     score_parts: List[np.ndarray] = []
     peak_resident = 0
@@ -187,7 +211,7 @@ def score_streams(
         if len(window) == 1:
             docs = window[0][1]
         else:
-            docs = np.unique(np.concatenate([d for _p, d, _t in window]))
+            docs = sorted_union([d for _p, d, _t in window])
         scored += int(docs.size)
 
         evidence_counts = np.zeros(docs.size, dtype=np.int64)
@@ -233,8 +257,7 @@ def score_streams(
 
         # The reference loop charges once per document, in document
         # order; replay the identical float sequence.
-        for count in evidence_counts.tolist():
-            clock.charge_user(charge[count])
+        charge_user_bulk(clock, charge[evidence_counts])
 
     if not doc_parts:
         empty = np.empty(0, dtype=np.int64)

@@ -32,18 +32,49 @@ in *strides* of :data:`PRUNE_STRIDE` candidates.  The heap threshold
 and the essential/non-essential partition are frozen at each stride
 boundary.  Freezing costs a little pruning power (the threshold a
 candidate is tested against may be up to a stride stale, which is still
-admissible because the threshold only rises) and buys the fast path its
-speed: with the threshold fixed, a whole stride's ceilings and skip
-decisions become array expressions.
+admissible because the threshold only rises) and makes a stride a
+closed unit of work: which candidates are skipped, which blocks are
+fetched in which order, and what is charged to the clock in which order
+are functions of the stride's inputs alone.
 
-Two drivers implement the identical algorithm: a pure-Python reference
-loop and a vectorized loop used when the fast path is enabled.  As with
-every fast-path kernel, the two are *observationally identical* — same
-rankings, same skip/score counters, same block fetches in the same
-order, same simulated-clock charge sequence, same resident-byte
-trajectory — because stride boundaries, threshold snapshots, fetch
-decisions, and per-candidate charges are defined by the algorithm, not
-by the implementation.
+Two drivers
+-----------
+The pure-Python reference driver (:func:`_run_reference`, used when the
+fast path is off) *defines* a stride: one candidate at a time it tests
+the ceiling, looks up the non-essential terms, and offers the score to
+the heap.  The fast driver (:func:`_run_fast`) computes the same stride
+as array operations (:func:`_replay_stride`) and is bound to the
+reference by the **stride contract** — everything below is identical,
+bit for bit, between the two:
+
+* *skip decisions*: ceilings are folded column by column in the
+  reference fold's operation order and compared with the frozen
+  threshold, ties by document id;
+* *fetch order*: a non-essential block is fetched at the first kept
+  candidate that needs it, terms in non-essential order within one
+  candidate, through the same ``ensure_block`` (same one-block cache,
+  same term-cache tape, same bad-block handling).  A term that dies on
+  a bad block loses its ceiling from the very next candidate on, so the
+  fast driver settles the stride up to that candidate and re-decides
+  the rest without the term;
+* *charge sequence*: per candidate, one check charge (once a threshold
+  exists), then the decode charge of every fetch that candidate
+  triggered, then — if it was kept — its push charge.  The fast driver
+  assembles that sequence as one vector and sums it strictly left to
+  right, so ``user_ms`` is the identical IEEE-754 value.  The sum is
+  applied once, after the stride's last fetch, so nothing that runs
+  during a block fetch may read ``user_ms`` or ``wall_ms``;
+* *heap traffic*: scored documents reach the heap in candidate order.
+  The root only rises, so the fast driver first drops, with array
+  compares, every document that cannot displace the root as it stood
+  at the start of the stride, and runs the exact admission test on the
+  rest — the same replacements, the same ``prune_threshold_updates``.
+
+Rankings, the five pruning counters, ``peak_resident_bytes`` and the
+whole simulated clock therefore agree between the drivers
+(``tests/fastpath/test_prune_invariance.py`` checks it with the stride
+patched down to 2-4 candidates, under tombstones, a warm term-cache
+tape and injected bad blocks).
 
 Bit-identity contract
 ---------------------
@@ -67,7 +98,7 @@ property the test suite locks down.
 """
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -78,9 +109,10 @@ from ..inquery.postings import decode_record
 
 #: Candidates evaluated between threshold refreshes.  Both drivers
 #: honour the same boundaries, so their skip decisions are identical.
-#: Larger strides amortize the fast driver's array setup but test
-#: candidates against a staler (still admissible) threshold; 512 is
-#: the empirical balance point on the TIPSTER profiles.
+#: Larger strides amortize the fast driver's per-stride array setup but
+#: test candidates against a staler (still admissible) threshold.  The
+#: value is part of the observable algorithm: changing it moves the
+#: pruning counters and every simulated figure derived from them.
 PRUNE_STRIDE = 512
 
 
@@ -215,10 +247,12 @@ class _Evaluator:
     def fail(self) -> None:
         self._on_failure()
 
-    def fetch_decoded(self, cursor: _TermCursor, block: int):
+    def fetch_decoded(self, cursor: _TermCursor, block: int, charge=None):
         """Fetch + decode one block, charging decode CPU for the bytes
         actually transferred (exhaustive evaluation charges for whole
-        records; pruned evaluation pays only for what it reads).
+        records; pruned evaluation pays only for what it reads).  The
+        charge goes to ``charge`` when given (the fast driver places it
+        in the stride's charge sequence itself), else to the clock.
 
         With a term-cache tape attached the block may already be
         resident decoded: the store read and the decode charge are
@@ -236,7 +270,7 @@ class _Evaluator:
                 docs, tfs = cursor.dead_filter(docs, tfs)
             return (docs, tfs), nbytes
         raw = cursor.source.fetch_block(block)
-        self._clock.charge_user(
+        (charge or self._clock.charge_user)(
             self._clock.cost.cpu_ms_per_kb_decode * (len(raw) / 1024.0)
         )
         docs, tfs = self._decode(raw)
@@ -276,7 +310,7 @@ class _Evaluator:
             cursor.block += 1
             cursor.docs = cursor.tfs = None
 
-    def ensure_block(self, cursor: _TermCursor, block: int):
+    def ensure_block(self, cursor: _TermCursor, block: int, charge=None):
         """(docs, tfs) of ``block``, through the non-essential cache.
 
         The cursor's own resident chunk is reused when it is the one
@@ -290,7 +324,7 @@ class _Evaluator:
         if block == cursor.cache_block:
             return cursor.cache_docs, cursor.cache_tfs
         try:
-            (docs, tfs), nbytes = self.fetch_decoded(cursor, block)
+            (docs, tfs), nbytes = self.fetch_decoded(cursor, block, charge)
         except BadBlockError:
             cursor.dead = True
             self._on_failure()
@@ -508,12 +542,15 @@ def _run_reference(state: _PruneState) -> None:
             state.push(candidate, evaluator.fold(beliefs), evidence)
 
 
-def _ub_column(cursor: _TermCursor, chunk):
-    """Vectorized :meth:`_Evaluator.chunk_ub` over a candidate chunk."""
+def _stride_blocks(cursor: _TermCursor, chunk):
+    """Vectorized ``block_of_doc`` over a stride's candidates.
+
+    ``n_blocks`` stands for "beyond the fence" (no evidence), matching
+    the extra slot at the end of ``cursor.ub_table`` — the per-block
+    :meth:`_Evaluator.chunk_ub` column, built here on first use.
+    """
     import numpy as np
 
-    if cursor.dead:
-        return DEFAULT_BELIEF
     source = cursor.source
     n_blocks = source.n_blocks
     if cursor.ub_table is None:
@@ -524,174 +561,268 @@ def _ub_column(cursor: _TermCursor, chunk):
                 cursor.ub if last is None
                 else belief_bound(source.max_tfs[block], cursor.idf)
             )
-        table[n_blocks] = DEFAULT_BELIEF  # beyond the fence: no evidence
+        table[n_blocks] = DEFAULT_BELIEF
         cursor.ub_table = table
         if n_blocks > 1:
             cursor.last_arr = np.asarray(source.last_docs, dtype=np.int64)
     if n_blocks == 1:
-        return cursor.ub_table[np.zeros(chunk.size, dtype=np.int64)]
-    return cursor.ub_table[
-        np.minimum(
-            np.searchsorted(cursor.last_arr, chunk, side="left"), n_blocks
-        )
-    ]
-
-
-def _chunk_mask(state: _PruneState, columns, chunk, start, stop, theta):
-    """One stride's skip decisions as a boolean keep-mask.
-
-    Folds the per-candidate ceilings in the reference fold's exact
-    operation order (elementwise), so every ceiling — and therefore
-    every decision against the frozen threshold — is bit-identical to
-    the reference driver's.
-    """
-    import numpy as np
-
-    evaluator = state.evaluator
-    ne_columns = {
-        position: _ub_column(state.cursors[position], chunk)
-        for position in state.order[: state.ne_len]
-    }
-
-    def contrib(position):
-        column = columns.get(position)
-        if column is not None:
-            return column[start:stop]
-        return ne_columns.get(position, DEFAULT_BELIEF)
-
-    if evaluator.weighted:
-        acc = np.zeros(chunk.size, dtype=np.float64)
-        for position in range(state.n_positions):
-            acc = acc + evaluator.weights[position] * contrib(position)
-        ceiling = acc / evaluator.total_weight
-    elif state.n_positions == 1:
-        only = contrib(0)
-        ceiling = only if isinstance(only, np.ndarray) \
-            else np.full(chunk.size, only, dtype=np.float64)
-    else:
-        acc = np.zeros(chunk.size, dtype=np.float64)
-        for position in range(state.n_positions):
-            acc = acc + contrib(position)
-        ceiling = acc / state.n_positions
-    theta_score, theta_doc = theta
-    return (ceiling > theta_score) | (
-        (ceiling == theta_score) & (chunk <= theta_doc)
+        return np.zeros(chunk.size, dtype=np.int64)
+    return np.minimum(
+        np.searchsorted(cursor.last_arr, chunk, side="left"), n_blocks
     )
 
 
-class _ChunkNE:
-    """Batched non-essential lookups for one stride chunk.
+def _fold_columns(evaluator: _Evaluator, n_positions: int, size: int, columns):
+    """:meth:`_Evaluator.fold` over whole columns.
 
-    Replays exactly the reference ``lookup_tf`` sequence — the same
-    chunk is fetched at the same surviving candidate, with the same
-    cache transitions and decode charges — but when a chunk comes
-    resident it resolves the tf of *every* candidate in the stride that
-    falls in it with one array search instead of one bisect per
-    survivor.  The per-candidate hot loop then runs over plain Python
-    lists (the array scalars carry identical values, just slower
-    indexing).
+    ``columns`` maps positions to belief columns; a position without
+    one contributes the default belief.  Accumulating position by
+    position is the reference fold's operation order applied
+    elementwise, so every folded value is bit-identical to the scalar
+    fold of that row.
     """
+    import numpy as np
 
-    def __init__(self, state: _PruneState, chunk):
-        self.state = state
-        self.chunk = chunk
-        self._data = None
-
-    def _build(self):
-        import numpy as np
-
-        state = self.state
-        data = []
-        size = int(self.chunk.size)
-        for position in state.order[: state.ne_len]:
-            cursor = state.cursors[position]
-            source = cursor.source
-            if source.n_blocks == 1:
-                blocks = [0] * size
-            else:
-                if cursor.last_arr is None:
-                    cursor.last_arr = np.asarray(
-                        source.last_docs, dtype=np.int64
-                    )
-                blocks = np.searchsorted(
-                    cursor.last_arr, self.chunk, side="left"
-                ).tolist()
-            data.append(
-                (position, cursor, source.n_blocks, blocks, [0] * size, set())
+    if evaluator.weighted:
+        acc = np.zeros(size, dtype=np.float64)
+        for position in range(n_positions):
+            acc = acc + evaluator.weights[position] * columns.get(
+                position, DEFAULT_BELIEF
             )
-        self._data = data
-        return data
+        return acc / evaluator.total_weight
+    if n_positions == 1:
+        only = columns.get(0)
+        return only if only is not None \
+            else np.full(size, DEFAULT_BELIEF, dtype=np.float64)
+    acc = np.zeros(size, dtype=np.float64)
+    for position in range(n_positions):
+        acc = acc + columns.get(position, DEFAULT_BELIEF)
+    return acc / n_positions
 
-    def _resolve(self, cursor, block, blocks, tf_col) -> None:
-        """Make ``block`` resident (reference fetch path) and scatter
-        its tfs for every chunk candidate the block covers."""
-        import numpy as np
 
-        loaded = self.state.evaluator.ensure_block(cursor, block)
+def _fetch_non_essential(state: _PruneState, ne, docs):
+    """Issue non-essential fetches for kept candidates ``docs``.
+
+    ``ne`` is ``(position, cursor, blocks)`` per live non-essential
+    term, ``blocks`` already narrowed to ``docs``.  The reference loop
+    fetches a block at the first kept candidate that needs it, terms in
+    non-essential order within a candidate; blocks ascend with the
+    candidates, so that is one event per distinct block per term,
+    sorted by (first candidate, term).  Each event goes through
+    ``ensure_block`` — same cache transitions, same bad-block handling
+    — and scatters the block's tfs to every kept candidate it covers.
+    Decode charges are not applied but collected as ``(candidate
+    index, ms)`` for the caller's charge sequence.
+
+    Returns ``(tf columns by position, decodes, cut)``.  ``cut`` is ``None``
+    unless a term died on a bad block: the reference loop drops a dead
+    term's ceiling from the very next candidate on, so the skip
+    decisions past that candidate are void.  Fetching stops after the
+    candidate's remaining terms and ``cut`` counts the candidates (up
+    to and including it) whose columns are final.
+    """
+    import numpy as np
+
+    events = []
+    for rank, (_position, cursor, blocks) in enumerate(ne):
+        if blocks[0] == blocks[-1]:
+            bounds = (0, docs.size)
+        else:
+            bounds = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(),
+                      docs.size]
+        n_blocks = cursor.source.n_blocks
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = int(blocks[lo])
+            if block < n_blocks:
+                events.append((lo, rank, block, hi))
+    events.sort()
+
+    tf_columns = {}
+    decodes = []
+    cut = None
+    for lo, rank, block, hi in events:
+        if cut is not None and lo >= cut:
+            break
+        position, cursor, _blocks = ne[rank]
+        loaded = state.evaluator.ensure_block(
+            cursor, block, charge=lambda ms, at=lo: decodes.append((at, ms))
+        )
         if loaded is None:
+            cut = lo + 1
+            continue
+        block_docs, block_tfs = loaded
+        if not len(block_docs):
+            continue  # emptied by tombstone filtering
+        wanted = docs[lo:hi]
+        index = np.minimum(
+            np.searchsorted(block_docs, wanted), len(block_docs) - 1
+        )
+        column = tf_columns.get(position)
+        if column is None:
+            column = tf_columns[position] = np.zeros(docs.size, dtype=np.int64)
+        column[lo:hi] = np.where(block_docs[index] == wanted, block_tfs[index], 0)
+    return tf_columns, decodes, cut
+
+
+def _offer(state: _PruneState, docs, scores) -> None:
+    """Heap admission for one stride's scored documents, in order.
+
+    The root only rises, so a document that cannot displace the root as
+    it stands when the heap is full can never displace a later one:
+    filter against that frozen root with array compares and run the
+    exact ``push`` test only on the contenders.
+    """
+    import numpy as np
+
+    heap = state.heap
+    outcome = state.outcome
+    if len(heap) < state.top_k:
+        filled = min(state.top_k - len(heap), docs.size)
+        for score, doc in zip(scores[:filled].tolist(), docs[:filled].tolist()):
+            heapq.heappush(heap, (score, -doc))
+        if len(heap) == state.top_k:
+            outcome.prune_threshold_updates += 1
+        if filled == docs.size:
             return
-        docs, tfs = loaded
-        if not len(docs):
-            # A block left empty by tombstone filtering contributes no
-            # evidence (tf_col already defaults to 0 for its range).
-            return
-        lo = bisect_left(blocks, block)
-        hi = bisect_right(blocks, block)
-        sub = self.chunk[lo:hi]
-        index = np.minimum(np.searchsorted(docs, sub), len(docs) - 1)
-        tf_col[lo:hi] = np.where(docs[index] == sub, tfs[index], 0).tolist()
-
-    def apply(self, j: int, doc: int, beliefs: list, evidence: int) -> int:
-        """Fold candidate ``j``'s non-essential evidence into ``beliefs``."""
-        data = self._data
-        if data is None:
-            data = self._build()
-        state = self.state
-        avg_len = state.avg_len
-        doc_len = None
-        for position, cursor, n_blocks, blocks, tf_col, resolved in data:
-            if cursor.dead:
-                continue
-            block = blocks[j]
-            if block >= n_blocks:
-                continue
-            if block not in resolved:
-                resolved.add(block)
-                self._resolve(cursor, block, blocks, tf_col)
-                if cursor.dead:
-                    continue
-            tf = tf_col[j]
-            if tf:
-                if doc_len is None:
-                    doc_len = state.doctable.length_of(doc)
-                tf_w = tf / (tf + 0.5 + 1.5 * doc_len / avg_len)
-                beliefs[position] = (
-                    DEFAULT_BELIEF + (1.0 - DEFAULT_BELIEF) * tf_w * cursor.idf
-                )
-                evidence += 1
-        return evidence
+        docs, scores = docs[filled:], scores[filled:]
+    root_score, root_neg_doc = heap[0]
+    contenders = np.flatnonzero(
+        (scores > root_score) | ((scores == root_score) & (docs < -root_neg_doc))
+    )
+    for score, doc in zip(scores[contenders].tolist(), docs[contenders].tolist()):
+        item = (score, -doc)
+        if item > heap[0]:
+            heapq.heapreplace(heap, item)
+            outcome.prune_threshold_updates += 1
 
 
-def _run_fast(state: _PruneState) -> None:
-    """Vectorized driver: whole strides decided with array operations.
+def _replay_stride(state: _PruneState, chunk, columns, counts, theta, lengths_of):
+    """One stride — threshold and partition frozen — as array operations.
 
-    Everything observable happens at the same point as in the
-    reference driver — chunk loads in essential order at window starts,
-    the per-candidate check charge and non-essential fetches in
-    candidate order inside the replay loop below — only the *ceiling
-    arithmetic* and the *tf searches* are batched.
+    ``columns`` maps essential positions to exact belief columns over
+    ``chunk`` and ``counts`` is the essential evidence per candidate.
+    Nothing observable moves relative to the reference loop:
+
+    * skip decisions come from ceilings folded in the reference order;
+    * non-essential blocks are fetched in the reference order
+      (:func:`_fetch_non_essential`);
+    * the user clock receives the reference charge sequence — per
+      candidate a check (once a threshold exists), then the decode
+      charges of the fetches it triggered, then its push — as one
+      vector summed strictly left to right;
+    * the heap sees the scored documents in candidate order.
+
+    Returns how many candidates were settled: all of them, unless a
+    non-essential term died mid-stride, in which case the caller
+    replays the rest (same threshold, one live term fewer).
     """
     import numpy as np
 
     from .beliefs import term_beliefs
-    from .daat import doc_length_lookup
+    from .daat import charge_user_bulk
 
     evaluator = state.evaluator
-    cursors = state.cursors
-    clock = state.clock
     outcome = state.outcome
+    cost = state.cost
+    ne = []  # (position, cursor, block per candidate) per live non-essential term
+    for position in state.order[: state.ne_len]:
+        cursor = state.cursors[position]
+        if not cursor.dead:
+            ne.append((position, cursor, _stride_blocks(cursor, chunk)))
+
+    settled = chunk.size
+    kept = None  # indices of the candidates that survive the check; None = all
+    if theta is not None:
+        ceilings = {
+            position: cursor.ub_table[blocks] for position, cursor, blocks in ne
+        }
+        ceilings.update(columns)
+        ceiling = _fold_columns(
+            evaluator, state.n_positions, chunk.size, ceilings
+        )
+        theta_score, theta_doc = theta
+        kept = np.flatnonzero(
+            (ceiling > theta_score)
+            | ((ceiling == theta_score) & (chunk <= theta_doc))
+        )
+        if kept.size == chunk.size:
+            kept = None
+
+    def narrow(column):
+        return column[:settled] if kept is None else column[kept]
+
+    tf_columns, decodes = {}, []
+    if ne and (kept is None or kept.size):
+        tf_columns, decodes, cut = _fetch_non_essential(
+            state,
+            [(position, cursor, narrow(blocks)) for position, cursor, blocks in ne],
+            narrow(chunk),
+        )
+        if cut is not None:
+            tf_columns = {p: column[:cut] for p, column in tf_columns.items()}
+            if kept is None:
+                settled = cut
+            else:
+                kept = kept[:cut]
+                settled = int(kept[-1]) + 1
+
+    docs = narrow(chunk)
+    evidence = narrow(counts)
+    beliefs = {position: narrow(column) for position, column in columns.items()}
+    if tf_columns:
+        doc_lengths = lengths_of(docs)
+        for position, tf in tf_columns.items():
+            # tf == 0 (no posting) folds to exactly DEFAULT_BELIEF.
+            beliefs[position] = term_beliefs(
+                docs, tf, doc_lengths, state.cursors[position].idf,
+                state.avg_len, DEFAULT_BELIEF,
+            ).beliefs
+            evidence = evidence + (tf > 0)
+    scores = _fold_columns(evaluator, state.n_positions, docs.size, beliefs)
+
+    pushes = cost.cpu_ms_per_posting * (evidence + 1)
+    if theta is None and not decodes:
+        charges = pushes
+    else:
+        # Slot 3j is candidate j's check, 3j+1 its decodes, 3j+2 its push.
+        everyone = np.arange(settled)
+        where = everyone if kept is None else kept
+        keys = [3 * where + 2]
+        values = [pushes]
+        if decodes:
+            at, ms = zip(*decodes)
+            keys.append(3 * where[list(at)] + 1)
+            values.append(np.array(ms, dtype=np.float64))
+        if theta is not None:
+            keys.append(3 * everyone)
+            values.append(np.full(settled, cost.cpu_ms_per_posting))
+        charges = np.concatenate(values)[
+            np.argsort(np.concatenate(keys), kind="stable")
+        ]
+    charge_user_bulk(state.clock, charges)
+
+    outcome.documents_skipped += settled - int(docs.size)
+    outcome.documents_scored += int(docs.size)
+    if docs.size:
+        _offer(state, docs, scores)
+    return settled
+
+
+def _run_fast(state: _PruneState) -> None:
+    """Vectorized driver: windows batched, strides replayed as arrays.
+
+    Everything observable happens where the reference driver puts it —
+    chunk loads in essential order at window starts, then per stride
+    the fetch order, charge sequence and heap traffic that
+    :func:`_replay_stride` reproduces.
+    """
+    import numpy as np
+
+    from .beliefs import sorted_union, term_beliefs
+    from .daat import doc_length_lookup
+
+    cursors = state.cursors
     lengths_of = doc_length_lookup(state.doctable)
-    check_charge = state.cost.cpu_ms_per_posting
     while True:
         opened = state.begin_window()
         if opened is None:
@@ -712,9 +843,7 @@ def _run_fast(state: _PruneState) -> None:
         if len(parts) == 1:
             cand = parts[0][0].docs[parts[0][1]: parts[0][2]]
         else:
-            cand = np.unique(
-                np.concatenate([c.docs[lo:hi] for c, lo, hi in parts])
-            )
+            cand = sorted_union([c.docs[lo:hi] for c, lo, hi in parts])
         ev_counts = np.zeros(cand.size, dtype=np.int64)
         columns: Dict[int, np.ndarray] = {}
         for cursor, lo, hi in parts:
@@ -741,34 +870,14 @@ def _run_fast(state: _PruneState) -> None:
                     abandoned = True
                     break
             stop = min(start + PRUNE_STRIDE, cand.size)
-            chunk = cand[start:stop]
-            keep = None
-            if theta is not None:
-                keep = _chunk_mask(
-                    state, columns, chunk, start, stop, theta
-                ).tolist()
-            lookups = _ChunkNE(state, chunk) if state.ne_len else None
-            chunk_columns = [
-                (position, column[start:stop].tolist())
-                for position, column in columns.items()
-            ]
-
-            # Replay in candidate order: charges, fetches, and heap
-            # traffic land exactly where the reference driver puts them.
-            counts = ev_counts[start:stop].tolist()
-            for j, doc in enumerate(chunk.tolist()):
-                if keep is not None:
-                    clock.charge_user(check_charge)
-                    if not keep[j]:
-                        outcome.documents_skipped += 1
-                        continue
-                evidence = counts[j]
-                beliefs = [DEFAULT_BELIEF] * state.n_positions
-                for position, column in chunk_columns:
-                    beliefs[position] = column[j]
-                if lookups is not None:
-                    evidence = lookups.apply(j, doc, beliefs, evidence)
-                state.push(doc, evaluator.fold(beliefs), evidence)
+            at = start
+            while at < stop:
+                at += _replay_stride(
+                    state, cand[at:stop],
+                    {position: column[at:stop]
+                     for position, column in columns.items()},
+                    ev_counts[at:stop], theta, lengths_of,
+                )
             start = stop
 
         # Sync consumption: the reference loop advances offsets one

@@ -40,22 +40,34 @@ def decode_stream(data: bytes) -> Tuple[np.ndarray, bool]:
     raw = np.frombuffer(data, dtype=np.uint8)
     if raw.size == 0:
         return np.empty(0, dtype=np.uint64), True
-    ends = np.nonzero(raw < 0x80)[0]
-    clean = ends.size > 0 and int(ends[-1]) == raw.size - 1
+    ends = np.flatnonzero(raw < 0x80)
     if ends.size == 0:
         return np.empty(0, dtype=np.uint64), False
-    used = raw[: int(ends[-1]) + 1]
-    starts = np.empty(ends.size, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > MAX_GROUPS:
+    last = int(ends[-1])
+    clean = last == raw.size - 1
+    # Length classes: a one-byte integer *is* its terminator byte, and
+    # in postings records almost every integer is one byte.  Take those
+    # directly and fix up the multi-byte ones sparsely.
+    values = raw[ends].astype(np.uint64)
+    if ends.size == last + 1:
+        return values, clean
+    lengths = np.empty(ends.size, dtype=np.int64)
+    lengths[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    multi = np.flatnonzero(lengths > 1)
+    wide = lengths[multi]
+    widest = int(wide.max())
+    if widest > MAX_GROUPS:
         raise IndexError_("v-byte integer too wide for the vector decoder")
-    # Position of every byte within its integer, then the 7-bit payload
-    # shifted into place and summed per integer.
-    offsets = np.arange(used.size, dtype=np.int64) - np.repeat(starts, lengths)
-    contrib = (used & 0x7F).astype(np.uint64) << (7 * offsets).astype(np.uint64)
-    values = np.add.reduceat(contrib, starts)
+    starts = ends[multi] - wide + 1
+    fixed = values[multi] << (7 * (wide - 1)).astype(np.uint64)
+    fixed |= (raw[starts] & 0x7F).astype(np.uint64)  # byte 0: always a continuation
+    for k in range(1, widest - 1):
+        longer = np.flatnonzero(wide > k + 1)  # byte k is a continuation
+        fixed[longer] |= (
+            (raw[starts[longer] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+        )
+    values[multi] = fixed
     return values, clean
 
 

@@ -2,7 +2,7 @@
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import IndexError_
 from ..simdisk import SimFile
@@ -30,15 +30,33 @@ class Document:
 
 @dataclass
 class DocTable:
-    """Document lengths and names; needed for belief normalization."""
+    """Document lengths and names; needed for belief normalization.
+
+    ``lengths`` changes only through :meth:`add` and :meth:`remove`,
+    which also maintain what is derived from it: the running
+    ``total_length`` and the fast path's cached length lookup.
+    """
 
     lengths: Dict[int, int] = field(default_factory=dict)
     names: Dict[int, str] = field(default_factory=dict)
+    #: Sum of ``lengths``' values.
+    total_length: int = field(init=False, default=0)
+    #: ``doc ids -> lengths`` kernel built by
+    #: :func:`repro.fastpath.daat.doc_length_lookup`; dropped by every
+    #: mutation (never by ``len()``: one ingest batch adds and removes).
+    length_lookup: Optional[Callable] = field(
+        init=False, default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.total_length = sum(self.lengths.values())
 
     def add(self, doc_id: int, length: int, name: str = "") -> None:
         if doc_id in self.lengths:
             raise IndexError_(f"duplicate document id {doc_id}")
         self.lengths[doc_id] = length
+        self.total_length += length
+        self.length_lookup = None
         if name:
             self.names[doc_id] = name
 
@@ -52,10 +70,6 @@ class DocTable:
         return iter(self.lengths)
 
     @property
-    def total_length(self) -> int:
-        return sum(self.lengths.values())
-
-    @property
     def average_length(self) -> float:
         return self.total_length / len(self.lengths) if self.lengths else 0.0
 
@@ -66,7 +80,8 @@ class DocTable:
             raise IndexError_(f"unknown document id {doc_id}") from None
 
     def remove(self, doc_id: int) -> None:
-        self.lengths.pop(doc_id, None)
+        self.total_length -= self.lengths.pop(doc_id, 0)
+        self.length_lookup = None
         self.names.pop(doc_id, None)
 
     # -- persistence -----------------------------------------------------------

@@ -187,7 +187,6 @@ class _IndexProvider(TermProvider):
 class _FastIndexProvider(_IndexProvider):
     """Array-returning provider: same accesses and charges, no dicts."""
 
-    _doc_length_lut = None
     #: Optional decoded-record memo shared across queries (engine-owned).
     #: Keyed by record *content*, so an updated record never hits stale
     #: arrays.  The store fetch and the decode CPU charge still happen
@@ -245,11 +244,9 @@ class _FastIndexProvider(_IndexProvider):
         return arrays
 
     def doc_length_array(self, doc_ids):
-        if self._doc_length_lut is None:
-            from ..fastpath.daat import doc_length_lookup
+        from ..fastpath.daat import doc_length_lookup
 
-            self._doc_length_lut = doc_length_lookup(self._index.doctable)
-        return self._doc_length_lut(doc_ids)
+        return doc_length_lookup(self._index.doctable)(doc_ids)
 
 
 class RetrievalEngine:

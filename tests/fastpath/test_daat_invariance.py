@@ -11,11 +11,13 @@ over generated flat ``#sum``/``#wsum`` queries on both Mneme backends.
 
 import pytest
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings, strategies as st
 
 from repro.fastpath import use_fastpath
+from repro.fastpath.beliefs import sorted_union
+from repro.fastpath.daat import charge_user_bulk
 from repro.inquery import (
     Document,
     DocumentAtATimeEngine,
@@ -140,3 +142,42 @@ def test_daat_single_term_identical(corpus, term, linked):
 @settings(max_examples=10, deadline=None)
 def test_daat_all_missing_terms_identical(corpus, linked):
     assert_daat_invariant(corpus, "#sum( zzz yyy )", linked=linked)
+
+
+# -- the bulk user-clock charge -----------------------------------------------
+
+charge_st = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False) | st.just(0.0)
+
+
+@given(
+    start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    charges=st.lists(charge_st, max_size=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_charge_user_bulk_is_a_loop_of_charge_user(start, charges):
+    # Magnitudes nine and six orders apart in one sequence: any
+    # reordering or pairwise summation would round differently.
+    looped, bulk = SimClock(), SimClock()
+    looped.time.user_ms = bulk.time.user_ms = start
+    for ms in charges:
+        looped.charge_user(ms)
+    charge_user_bulk(bulk, np.array(charges, dtype=np.float64))
+    assert bulk.time.user_ms.hex() == looped.time.user_ms.hex()
+    assert type(bulk.time.user_ms) is float
+    assert (bulk.time.system_ms, bulk.time.io_ms) == (0.0, 0.0)
+
+
+# -- the shared union of sorted doc-id runs -----------------------------------
+
+run_st = st.lists(
+    st.integers(min_value=0, max_value=300), max_size=40, unique=True
+).map(lambda ids: np.array(sorted(ids), dtype=np.int64))
+
+
+@given(runs=st.lists(run_st, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_sorted_union_is_unique_of_concatenate(runs):
+    union = sorted_union(runs)
+    expected = np.unique(np.concatenate(runs))
+    assert union.dtype == expected.dtype
+    assert union.tolist() == expected.tolist()

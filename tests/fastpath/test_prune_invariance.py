@@ -12,6 +12,8 @@ corpora, plus the metadata's durability: per-term bounds survive
 reproduce the single-disk exhaustive rankings.
 """
 
+from unittest import mock
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.wallclock import _daat_queries
 from repro.core import config_by_name, materialize, prepare_collection
 from repro.core.metrics import cold_start
-from repro.fastpath import use_fastpath
+from repro.fastpath import prune, use_fastpath
+from repro.faults import FaultEvent, FaultPlan
 from repro.inquery import (
     Document,
     DocumentAtATimeEngine,
@@ -27,8 +30,10 @@ from repro.inquery import (
     LinkedMnemeInvertedFile,
     MnemeInvertedFile,
     RetrievalEngine,
+    tombstone_document_incremental,
 )
 from repro.mneme import RedoLog, compact, recover
+from repro.serve.termcache import TermCache
 from repro.shard import materialize_sharded, measure_sharded_run
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
 from repro.synth import (
@@ -148,6 +153,147 @@ def test_pruned_single_term_identical(corpus, term, k):
 @settings(max_examples=10, deadline=None)
 def test_pruned_all_missing_terms_identical(corpus, k, linked):
     assert_pruned_invariant(corpus, "#sum( zzz yyy )", k, linked, fast=True)
+
+
+# -- stride boundaries: both drivers, every observable ------------------------
+#
+# The corpora above hold at most 25 documents, so with the production
+# PRUNE_STRIDE (512) no property ever refreshes a threshold mid-window,
+# abandons a window because the partition grew, or meets a fault in the
+# middle of a stride.  Patching the stride down to 2-4 candidates makes
+# every one of those happen, and the comparison is widened from the
+# counters to the whole simulated clock.
+
+
+def drive(corpus, query, k, fast, stride, linked=True, dead=(), passes=1,
+          cached=False, fault_at=None):
+    """Run ``query`` ``passes`` times on a fresh, cold index; return every
+    observable the two pruned drivers must agree on, bit for bit."""
+    index = build(corpus, linked)
+    for doc_id in dead:
+        tombstone_document_incremental(
+            index, Document(doc_id, tokens=corpus[doc_id - 1])
+        )
+    index.store.mfile.drop_user_caches()
+    index.fs.chill()
+    clock = index.fs.disk.clock
+    clock.reset()
+    plan = FaultPlan(
+        [] if fault_at is None
+        else [FaultEvent("transient-read", at_op=fault_at, times=1 << 20)]
+    )
+    index.fs.disk.attach_fault_plan(plan)
+    rows = []
+    with use_fastpath(fast), mock.patch.object(prune, "PRUNE_STRIDE", stride):
+        engine = DocumentAtATimeEngine(
+            index, top_k=k, use_fastpath=fast, prune="require"
+        )
+        if cached:
+            engine.term_cache = TermCache(1 << 20)
+        for _ in range(passes):
+            result = engine.run_query(query)
+            rows.append((
+                result.ranking, counters(result), result.terms_attempted,
+                result.terms_failed, result.degraded,
+                (clock.time.user_ms, clock.time.system_ms, clock.time.io_ms),
+            ))
+    return rows, plan.ops["read"], plan.stats.transient_reads
+
+
+def assert_drivers_agree(corpus, query, k, stride, **shape):
+    reference = drive(corpus, query, k, False, stride, **shape)
+    fast = drive(corpus, query, k, True, stride, **shape)
+    assert fast == reference
+    return fast
+
+
+stride_st = st.integers(min_value=2, max_value=4)
+
+
+def flat_query(terms, weights):
+    if weights is None:
+        return "#sum( " + " ".join(terms) + " )"
+    return "#wsum( " + " ".join(f"{w} {t}" for w, t in zip(weights, terms)) + " )"
+
+
+weights_st = st.none() | st.lists(
+    st.integers(min_value=1, max_value=7), min_size=5, max_size=5
+)
+
+
+@given(corpus=corpus_st, terms=terms_st, weights=weights_st, k=k_st,
+       stride=stride_st, linked=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_small_stride_drivers_agree_on_clock(corpus, terms, weights, k, stride,
+                                             linked):
+    assert_drivers_agree(
+        corpus, flat_query(terms, weights), k, stride, linked=linked
+    )
+
+
+@given(corpus=corpus_st, terms=terms_st, k=k_st, stride=stride_st,
+       dead=st.sets(st.integers(min_value=1, max_value=25), max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_small_stride_with_tombstones(corpus, terms, k, stride, dead):
+    dead = sorted(d for d in dead if d <= len(corpus))
+    assert_drivers_agree(
+        corpus, flat_query(terms, None), k, stride, dead=dead
+    )
+
+
+@given(corpus=corpus_st, terms=terms_st, k=k_st, stride=stride_st,
+       dead=st.sets(st.integers(min_value=1, max_value=25), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_small_stride_with_warm_term_cache_tape(corpus, terms, k, stride, dead):
+    # Pass 1 records the block tapes, pass 2 replays them: the decode
+    # charges vanish from the charge sequence but nothing else moves.
+    dead = sorted(d for d in dead if d <= len(corpus))
+    cold, warm = assert_drivers_agree(
+        corpus, flat_query(terms, None), k, stride, dead=dead, passes=2,
+        cached=True,
+    )[0]
+    assert warm[:2] == cold[:2]
+
+
+@given(corpus=corpus_st, terms=terms_st, k=k_st, stride=stride_st,
+       fault_at=st.integers(min_value=0, max_value=30), cached=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_small_stride_with_bad_block(corpus, terms, k, stride, fault_at, cached):
+    assert_drivers_agree(
+        corpus, flat_query(terms, None), k, stride, fault_at=fault_at,
+        cached=cached,
+    )
+
+
+def test_bad_block_on_non_essential_term_mid_stride():
+    """Sweep a stuck read over every disk read of one query.  Somewhere
+    in the sweep it lands on a non-essential block in the middle of a
+    stride: the term's ceiling drops out of the very next candidate's
+    skip test, which the fast driver must honour by re-deciding the rest
+    of the stride."""
+    query, k, stride = "#sum( t1 t3 t5 t7 )", 3, 4
+    _rows, horizon, _fired = drive(DURABLE_CORPUS, query, k, True, stride)
+    assert horizon > 4
+    cuts = []
+    fetch = prune._fetch_non_essential
+
+    def spy(*args):
+        columns, decodes, cut = fetch(*args)
+        cuts.append(cut)
+        return columns, decodes, cut
+
+    degraded = 0
+    with mock.patch.object(prune, "_fetch_non_essential", spy):
+        for fault_at in range(horizon):
+            rows, _reads, fired = assert_drivers_agree(
+                DURABLE_CORPUS, query, k, stride, fault_at=fault_at
+            )
+            assert fired > 0
+            degraded += rows[0][4]
+    assert degraded > 0
+    # The mid-stride death path ran (and not only at a stride's last
+    # kept candidate, where there is nothing left to re-decide).
+    assert any(cut is not None for cut in cuts)
 
 
 # -- metadata durability ----------------------------------------------------

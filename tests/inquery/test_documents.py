@@ -1,6 +1,7 @@
 """Unit tests for documents and the document table."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.inquery import DocTable, Document, tokenize
@@ -46,6 +47,51 @@ def test_remove():
     table.remove(1)
     assert 1 not in table
     table.remove(1)  # idempotent
+
+
+@given(ops=st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=40),
+              st.integers(min_value=0, max_value=500)),
+    max_size=60,
+))
+@settings(max_examples=100, deadline=None)
+def test_derived_data_tracks_interleaved_add_and_remove(ops):
+    """``total_length`` and the cached length lookup after any mix of
+    ``add``/``remove`` equal a table built fresh from the survivors —
+    including sequences that leave ``len()`` where it was (one live-ingest
+    batch adds and removes), queried at every step so a stale cache shows."""
+    np = pytest.importorskip("numpy")
+    from repro.fastpath.daat import doc_length_lookup
+
+    table = DocTable()
+    for is_add, doc_id, length in ops:
+        if is_add and doc_id not in table:
+            table.add(doc_id, length)
+        elif not is_add:
+            table.remove(doc_id)  # absent ids included: must change nothing
+        fresh = DocTable()
+        for live_id, live_length in table.lengths.items():
+            fresh.add(live_id, live_length)
+        assert table.total_length == fresh.total_length
+        assert table.average_length == fresh.average_length
+        ids = np.array(sorted(table.lengths), dtype=np.int64)
+        assert doc_length_lookup(table)(ids).tolist() == \
+            doc_length_lookup(fresh)(ids).tolist() == \
+            [table.lengths[i] for i in ids.tolist()]
+
+
+def test_length_lookup_is_kept_until_the_next_mutation():
+    pytest.importorskip("numpy")
+    from repro.fastpath.daat import doc_length_lookup
+
+    table = DocTable()
+    table.add(1, 10)
+    table.add(2, 20)
+    lookup = doc_length_lookup(table)
+    assert doc_length_lookup(table) is lookup
+    table.remove(1)
+    table.add(3, 30)  # len() is back to 2
+    assert doc_length_lookup(table) is not lookup
 
 
 def test_empty_average():
