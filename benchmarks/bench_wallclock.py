@@ -18,14 +18,16 @@ import pytest
 
 from conftest import once
 
-from repro.bench.wallclock import run_benchmark
+from repro.bench.gate import run
+from repro.bench.wallclock import GATE
 
 
 @pytest.mark.tier2
 def test_wallclock_fastpath_speedup(benchmark, results_dir):
-    report = once(benchmark, lambda: run_benchmark(["legal-s"], repeats=1))
-    cell = report["profiles"]["legal-s"]
-    (results_dir / "wallclock.json").write_text(json.dumps(report, indent=2) + "\n")
+    out = results_dir / "wallclock.json"
+    argv = ["--profile", "legal-s", "--repeats", "1", "--out", str(out)]
+    assert once(benchmark, lambda: run(GATE, argv)) == 0
+    cell = json.loads(out.read_text())["profiles"]["legal-s"]
 
     # The fast path must be observationally identical to the reference.
     assert cell["invariant"], cell

@@ -1,52 +1,16 @@
 #!/bin/sh
-# Run the benchmark suite.
+# Run a regression gate or the paper benchmark suite.
 #
-#   scripts/bench.sh            # every benchmarks/bench_*.py (tables, figures,
-#                               # ablations, and the tier2 wall-clock bench)
-#   scripts/bench.sh wallclock  # just the fast-path wall-clock benchmark;
-#                               # also writes BENCH_wallclock.json at the root
-#   scripts/bench.sh --check    # regression gate: rerun the wall-clock bench
-#                               # over all four collections and fail if any
-#                               # phase's speedup fell out of the noise band
-#                               # of the committed BENCH_wallclock.json
-#   scripts/bench.sh shards     # document-partitioned scaling + invariance
-#                               # gate; writes BENCH_shards.json at the root.
-#                               # Extra args pass through, e.g.
-#                               #   scripts/bench.sh shards --shards 1 2 4 8
-#   scripts/bench.sh serve      # concurrent batch service traffic gate;
-#                               # writes BENCH_serve.json at the root.
-#                               # Extra args pass through, e.g.
-#                               #   scripts/bench.sh serve --profile cacm-s
-#   scripts/bench.sh saturate   # overload-control gate: deterministic
-#                               # shedding past capacity; writes
-#                               # BENCH_saturate.json at the root. Extra args
-#                               # pass through, e.g.
-#                               #   scripts/bench.sh saturate --check
-#   scripts/bench.sh failover   # replication gate: every single-replica
-#                               # kill invisible, re-replication
-#                               # byte-identical, mid-traffic 2->4 split;
-#                               # writes BENCH_failover.json at the root.
-#                               # Extra args pass through, e.g.
-#                               #   scripts/bench.sh failover --check
-#   scripts/bench.sh ingest     # live-ingest gate: mixed read/write traffic,
-#                               # every epoch bit-identical to a stop-the-world
-#                               # rebuild, compaction invisible; writes
-#                               # BENCH_ingest.json at the root. Extra args
-#                               # pass through, e.g.
-#                               #   scripts/bench.sh ingest --check
-#   scripts/bench.sh prune      # dynamic-pruning invariance + effect gate
-#                               # (pruned top-k bit-identical to exhaustive,
-#                               # documents_scored reduced); writes
-#                               # BENCH_prune.json at the root. Extra args
-#                               # pass through, e.g.
-#                               #   scripts/bench.sh prune --profile tipster1-s
-#   scripts/bench.sh termcache  # decoded-term cache gate: cache-on serving
-#                               # bit-identical to cache-off (flat, pruned,
-#                               # sharded), budget respected, zero stale
-#                               # rankings through mixed ingest/query traffic;
-#                               # writes BENCH_termcache.json at the root.
-#                               # Extra args pass through, e.g.
-#                               #   scripts/bench.sh termcache --check
+#   scripts/bench.sh <gate> [flags]   # python -m repro.bench <gate> [flags]:
+#                                     # wallclock shards serve saturate
+#                                     # failover prune ingest termcache chaos.
+#                                     # Flags, baseline files and exit status:
+#                                     # README "Regression gates".
+#   scripts/bench.sh --check [flags]  # the wall-clock regression gate
+#                                     # (= wallclock --check)
+#   scripts/bench.sh [all]            # every benchmarks/bench_*.py (tables,
+#                                     # figures, ablations, tier2 wall-clock)
+#   scripts/bench.sh <name>           # one benchmarks/bench_<name>.py
 #
 # Tier-1 tests (`python -m pytest`) never run these: pytest's testpaths
 # points at tests/, and the wall-clock bench is additionally marked tier2.
@@ -55,53 +19,21 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 case "${1:-all}" in
-    wallclock)
-        shift 2>/dev/null || true
-        python -m repro.bench.wallclock "$@"
-        ;;
-    shards)
-        shift 2>/dev/null || true
-        python -m repro.bench.shards "$@"
-        ;;
-    serve)
-        shift 2>/dev/null || true
-        python -m repro.bench.serve "$@"
-        ;;
-    saturate)
-        shift 2>/dev/null || true
-        python -m repro.bench.saturate "$@"
-        ;;
-    failover)
-        shift 2>/dev/null || true
-        python -m repro.bench.failover "$@"
-        ;;
-    prune)
-        shift 2>/dev/null || true
-        python -m repro.bench.prune "$@"
-        ;;
-    ingest)
-        shift 2>/dev/null || true
-        python -m repro.bench.ingest "$@"
-        ;;
-    termcache)
-        shift 2>/dev/null || true
-        python -m repro.bench.termcache "$@"
-        ;;
-    --check)
-        shift
-        python -m repro.bench.wallclock --check "$@"
-        ;;
     all)
         python -m pytest benchmarks -q
         ;;
+    --check)
+        shift
+        python -m repro.bench wallclock --check "$@"
+        ;;
     *)
-        if [ -f "benchmarks/bench_$1.py" ]; then
+        # A gate (a module of src/repro/bench) wins over a same-named
+        # benchmarks/bench_<name>.py — wallclock is both; anything else
+        # is the driver's to reject with its one-line error and exit 2.
+        if [ ! -f "src/repro/bench/$1.py" ] && [ -f "benchmarks/bench_$1.py" ]; then
             python -m pytest "benchmarks/bench_$1.py" -q
         else
-            echo "bench.sh: unknown gate '$1' (expected wallclock, shards," \
-                 "serve, saturate, failover, prune, ingest, termcache," \
-                 "--check, all, or a benchmarks/bench_<name>.py)" >&2
-            exit 2
+            python -m repro.bench "$@"
         fi
         ;;
 esac

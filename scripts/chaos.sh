@@ -1,20 +1,9 @@
 #!/bin/sh
-# Run the chaos harness: seeded fault injection over the four paper
-# collections, asserting fault-tolerant query serving end to end.
-#
-#   scripts/chaos.sh                       # fixed default seed, all profiles
-#   scripts/chaos.sh --seed 7              # one specific seed
-#   scripts/chaos.sh --sweep 5             # five consecutive seeds per profile
-#   scripts/chaos.sh --profile cacm-s      # one collection only
-#
-# Contracts enforced (exit non-zero on any violation):
-#   - no query raises under injected faults (degraded results instead);
-#   - a same-seed rerun is bit-identical (results and counters);
-#   - once the fault schedule clears, rankings match the fault-free
-#     baseline exactly (read-repair healed the damage);
-#   - a mid-build disk-full fault fails the build cleanly.
+# The chaos gate: scripts/chaos.sh [--seed N] [--sweep K] [--profile P]
+# is `python -m repro.bench chaos` with the same flags (README
+# "Regression gates" lists what it asserts).
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-python -m repro.bench.chaos "$@"
+python -m repro.bench chaos "$@"

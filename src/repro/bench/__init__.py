@@ -1,7 +1,9 @@
 """Benchmark drivers: regenerate every table and figure of the paper.
 
 ``benchmarks/bench_*.py`` are thin pytest-benchmark wrappers over this
-package; see DESIGN.md section 4 for the experiment index.
+package; see DESIGN.md section 4 for the experiment index.  The nine
+regression gates (``python -m repro.bench <gate>``) share the one driver
+in :mod:`repro.bench.gate`.
 """
 
 from .ablations import (

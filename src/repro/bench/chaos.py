@@ -27,32 +27,26 @@ A fifth, separate build schedules a mid-build ``disk-full`` allocation
 fault and asserts the build dies with a clean
 :class:`~repro.errors.DiskFullError` — not a corrupted half-index.
 
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.chaos --seed 1337
-    PYTHONPATH=src python -m repro.bench.chaos --sweep 5   # 5 seeds
-
-(or ``scripts/chaos.sh``).  Exit status is non-zero if any contract is
-violated; the per-run report (JSON with ``--out``) includes the fault
-and resilience counters so a run that injected nothing is visible.
+Run it with ``python -m repro.bench chaos [--seed N] [--sweep K]`` (or
+``scripts/chaos.sh``; see :mod:`repro.bench.gate` for the flags and exit
+status shared by every gate).  The nightly seed is randomised, so this
+gate commits no baseline and has no ``--check``; the per-run report
+(JSON with ``--out``) includes the fault and resilience counters so a
+run that injected nothing is visible.
 """
 
-import argparse
-import json
 import zlib
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import config_by_name
+from ..core.experiment import load_workload
 from ..core.metrics import cold_start
-from ..core.prepared import IRSystem, PreparedCollection, materialize, prepare_collection
+from ..core.prepared import IRSystem, PreparedCollection, materialize
 from ..errors import DiskFullError
 from ..faults import FaultEvent, FaultPlan
-from ..inquery.daat import DocumentAtATimeEngine
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
 
 DEFAULT_CONFIG = "mneme-linked"
 DEFAULT_SEED = 1337
@@ -96,7 +90,7 @@ def _phases(system: IRSystem, query_sets) -> List[Tuple[str, List[str], object]]
         )
         phases.append((f"taat:{query_set.name}", list(query_set.queries), engine))
     for query_set in query_sets:
-        flat = _daat_queries(query_set.queries)
+        flat = daat_queries(query_set.queries)
         if not flat:
             continue
         engine = DocumentAtATimeEngine(
@@ -278,89 +272,62 @@ def chaos_profile(
     return report
 
 
-def run_chaos(
-    profiles: Optional[List[str]] = None,
-    seed: int = DEFAULT_SEED,
+def _seeds(seed: int, sweep: int) -> List[int]:
+    return list(range(seed, seed + max(1, sweep)))
+
+
+def bench_profile(
+    profile_name: str,
     config_name: str = DEFAULT_CONFIG,
+    seed: int = DEFAULT_SEED,
     sweep: int = 1,
-    out_path: Optional[Path] = None,
-) -> dict:
-    """Chaos-test every requested profile over ``sweep`` seeds."""
-    report = {
-        "benchmark": "chaos",
-        "description": (
-            "Seeded deterministic fault injection: no uncaught exceptions, "
-            "same-seed determinism, bit-identical rankings after faults "
-            "clear, clean mid-build disk-full failure."
-        ),
-        "config": config_name,
-        "seeds": list(range(seed, seed + max(1, sweep))),
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        collection = SyntheticCollection(PROFILES[profile_name])
-        prepared = prepare_collection(collection)
-        query_sets = [
-            generate_query_set(collection, query_profile)
-            for query_profile in _query_profiles(profile_name)
-        ]
-        cells = []
-        for run_seed in report["seeds"]:
-            cell = chaos_profile(prepared, query_sets, run_seed, config_name)
-            cells.append(cell)
-            report["ok"] = report["ok"] and cell["ok"]
-        report["profiles"][profile_name] = cells
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
+) -> List[dict]:
+    """Chaos-test one collection profile over ``sweep`` consecutive seeds."""
+    workload = load_workload(profile_name, use_cache=False)
+    return [
+        chaos_profile(
+            workload.prepared, workload.query_sets, run_seed, config_name
+        )
+        for run_seed in _seeds(seed, sweep)
+    ]
 
 
-def _print_report(report: dict) -> None:
-    for name, cells in report["profiles"].items():
-        for cell in cells:
-            status = "ok" if cell["ok"] else "FAILED"
-            faulted = cell.get("faulted", {})
-            res = faulted.get("resilience", {})
-            print(
-                f"{name} seed={cell['seed']}: {status}  "
-                f"injected={sum(faulted.get('faults', {}).values())} "
-                f"degraded={faulted.get('degraded_queries', '?')}/"
-                f"{faulted.get('queries', '?')} "
-                f"retries={res.get('retries', '?')} "
-                f"repairs={res.get('read_repairs', '?')} "
-                f"disk-full={cell.get('disk_full', '?')}"
-            )
-            for violation in cell["violations"]:
-                print(f"  VIOLATION: {violation}")
+def print_cell(name: str, cells: List[dict]) -> None:
+    for cell in cells:
+        status = "ok" if cell["ok"] else "FAILED"
+        faulted = cell.get("faulted", {})
+        res = faulted.get("resilience", {})
+        print(
+            f"{name} seed={cell['seed']}: {status}  "
+            f"injected={sum(faulted.get('faults', {}).values())} "
+            f"degraded={faulted.get('degraded_queries', '?')}/"
+            f"{faulted.get('queries', '?')} "
+            f"retries={res.get('retries', '?')} "
+            f"repairs={res.get('read_repairs', '?')} "
+            f"disk-full={cell.get('disk_full', '?')}"
+        )
+        for violation in cell["violations"]:
+            print(f"  VIOLATION: {violation}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to chaos-test (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--sweep", type=int, default=1,
-        help="number of consecutive seeds to test per profile",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the JSON report here"
-    )
-    args = parser.parse_args(argv)
-    report = run_chaos(
-        args.profiles, args.seed, args.config, args.sweep, args.out
-    )
-    _print_report(report)
-    if not report["ok"]:
-        print("\nCHAOS GATE FAILED")
-        return 1
-    print("\nchaos gate passed (every contract held)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="chaos",
+    description=(
+        "Seeded deterministic fault injection: no uncaught exceptions, "
+        "same-seed determinism, bit-identical rankings after faults "
+        "clear, clean mid-build disk-full failure."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--seed", "seed", DEFAULT_SEED, "base fault-schedule seed"),
+        Option("--sweep", "sweep", 1,
+               "number of consecutive seeds to test per profile"),
+    ),
+    header=lambda config, seed, sweep: {
+        "config": config, "seeds": _seeds(seed, sweep),
+    },
+    cell_ok=lambda cells: all(cell["ok"] for cell in cells),
+    has_baseline=False,
+)

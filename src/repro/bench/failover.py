@@ -28,61 +28,31 @@ time:
   first post-split occurrence.
 
 Everything is simulated and seeded, so the whole report is a pure
-function of the code: ``--check`` gates every deterministic cell by
-exact equality against the committed baseline.
-
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.failover             # write baseline
-    PYTHONPATH=src python -m repro.bench.failover --check     # gate a change
-
-(or ``scripts/bench.sh failover``).  Writes ``BENCH_failover.json``;
-exit status 0 on pass, 1 on violation or drift, 2 on operator error
-(missing/unreadable baseline).
+function of the code: ``--check`` gates every cell by exact equality
+against the committed ``BENCH_failover.json``.  Run it with
+``python -m repro.bench failover`` (see :mod:`repro.bench.gate` for the
+flags and exit status shared by every gate).
 """
 
-import argparse
 import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from ..core.config import config_by_name
-from ..core.metrics import cold_start
-from ..core.prepared import materialize, prepare_collection
+from ..core.experiment import load_workload
+from ..core.prepared import materialize
 from ..faults.plan import FaultPlan
-from ..inquery.daat import DocumentAtATimeEngine
-from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
+from ..inquery.daat import daat_queries
 from ..serve import QueryService
-from ..shard import measure_sharded_run, split_shards
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
+from ..shard import measure_sharded_run
 from ..synth.traffic import TimedRequest
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
+from .reference import cold_reference
 
 DEFAULT_CONFIG = "mneme-cache"
 #: Queries per profile (keeps the 30-run kill matrix affordable).
 DEFAULT_QUERIES = 8
 SHARD_COUNTS = (2, 4)
 REPLICA_COUNTS = (1, 2)
-
-
-def _reference(prepared, config, pool: Sequence[str], engine: str = "taat"):
-    """Cold single-disk rankings: the identity target for every cell."""
-    system = materialize(prepared, config)
-    cold_start(system)
-    if engine == "daat":
-        runner = DocumentAtATimeEngine(
-            system.index, top_k=DEFAULT_TOP_K,
-            use_reservation=config.use_reservation,
-            use_fastpath=config.use_fastpath,
-        )
-    else:
-        runner = RetrievalEngine(
-            system.index, top_k=DEFAULT_TOP_K,
-            use_reservation=config.use_reservation,
-            use_fastpath=config.use_fastpath,
-        )
-    return {text: runner.run_query(text).ranking for text in dict.fromkeys(pool)}
 
 
 def _reset_victim(sharded, shard_id: int, replica_id: int) -> None:
@@ -117,16 +87,16 @@ def bench_profile(
 ) -> dict:
     """The full replication contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    prepared = prepare_collection(collection)
-    query_set = generate_query_set(
-        collection, _query_profiles(profile_name)[0]
-    )
+    workload = load_workload(profile_name, use_cache=False)
+    prepared = workload.prepared
+    query_set = workload.query_sets[0]
     queries = query_set.queries[:n_queries]
-    daat_pool = _daat_queries(query_set.queries)[: max(2, n_queries // 2)]
+    daat_pool = daat_queries(query_set.queries)[: max(2, n_queries // 2)]
     config = config_by_name(config_name)
-    reference = _reference(prepared, config, queries)
-    daat_reference = _reference(prepared, config, daat_pool, engine="daat")
+    reference, _ = cold_reference(prepared, config, queries)
+    daat_reference, _ = cold_reference(
+        prepared, config, daat_pool, engine="daat"
+    )
 
     def build(n_shards: int, replicas: int):
         return materialize(
@@ -316,203 +286,53 @@ def bench_profile(
     }
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    n_queries: int = DEFAULT_QUERIES,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "failover",
-        "description": (
-            "Replicated serving on simulated time: every single-replica "
-            "kill across N ∈ {2,4} × R ∈ {1,2} leaves rankings "
-            "bit-identical to the cold single-disk reference with zero "
-            "degraded queries (while the R=0 control degrades "
-            "deterministically), live re-replication rebuilds "
-            "byte-identical platters on the source's clock, failover "
-            "traces are byte-identical across same-seed runs, and a "
-            "mid-traffic 2 -> 4 split is observationally invisible with "
-            "exactly one cache-epoch invalidation."
-        ),
-        "config": config_name,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(profile_name, config_name, n_queries)
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-#: Per-profile report keys gated by exact equality in ``--check`` — all
-#: pure functions of the seeded, simulated run.
-DETERMINISTIC_KEYS = (
-    "queries",
-    "daat_queries",
-    "r0_control",
-    "kill_matrix",
-    "daat_failover_clean",
-    "rereplication",
-    "deterministic",
-    "split",
-)
-
-
-def compare_reports(current: dict, baseline: dict) -> List[str]:
-    """Drift of ``current`` against ``baseline`` (empty = pass).
-
-    Everything this gate measures is deterministic, so the comparison
-    is exact equality per cell — any drift at all is a behavior change.
-    """
-    failures: List[str] = []
-    for profile_name, base_cell in baseline.get("profiles", {}).items():
-        cell = current.get("profiles", {}).get(profile_name)
-        if cell is None:
-            failures.append(f"{profile_name}: missing from the current run")
-            continue
-        if not cell.get("ok", False):
-            for violation in cell.get("violations", ["violations recorded"]):
-                failures.append(f"{profile_name}: {violation}")
-        for key in DETERMINISTIC_KEYS:
-            if cell.get(key) != base_cell.get(key):
-                failures.append(
-                    f"{profile_name}: {key} drifted from "
-                    f"{base_cell.get(key)!r} to {cell.get(key)!r}"
-                )
-    return failures
-
-
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        print(f"{name} ({cell['config']}, {cell['queries']} queries):")
-        for grid, row in cell["kill_matrix"].items():
-            print(
-                f"  {grid}: {row['clean']}/{row['victims']} kills invisible, "
-                f"{row['failovers']} failovers absorbed"
-            )
-        control = cell["r0_control"]
+def print_cell(name: str, cell: dict) -> None:
+    print(f"{name} ({cell['config']}, {cell['queries']} queries):")
+    for grid, row in cell["kill_matrix"].items():
         print(
-            f"  R=0 control: {control['degraded_queries']} degraded "
-            f"(deterministic: {control['deterministic']})"
+            f"  {grid}: {row['clean']}/{row['victims']} kills invisible, "
+            f"{row['failovers']} failovers absorbed"
         )
-        heal = cell["rereplication"]
-        print(
-            f"  re-replication: {heal['blocks_scanned']} blocks from "
-            f"replica {heal['source_replica']}, byte-identical: "
-            f"{heal['byte_identical']}"
-        )
-        split = cell["split"]
-        print(
-            f"  split 2->4: {split['records_streamed']} records streamed, "
-            f"platters match fresh build: {split['platters_match_fresh']}, "
-            f"cache invalidations: {split['cache_invalidations']}"
-        )
-        print(f"  trace deterministic: {cell['deterministic']}")
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--queries", type=int, default=DEFAULT_QUERIES,
-        help="queries per profile run (default 8)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default ./BENCH_failover.json; "
-        "not written in --check mode unless given explicitly)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline instead of writing it; "
-        "exit non-zero on drift or violation",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=Path("BENCH_failover.json"),
-        help="baseline JSON to gate against (with --check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check:
-        try:
-            baseline = json.loads(args.baseline.read_text())
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run without --check first")
-            return 2
-        except OSError as error:
-            print(
-                f"cannot read baseline {args.baseline}: "
-                f"{error.strerror or error}"
-            )
-            return 2
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            print(
-                f"baseline {args.baseline} is not valid JSON ({error}); "
-                "regenerate it by running without --check"
-            )
-            return 2
-        if not isinstance(baseline, dict) or "profiles" not in baseline:
-            print(
-                f"baseline {args.baseline} is not a failover report "
-                "(no 'profiles' key); regenerate it by running without --check"
-            )
-            return 2
-        if args.profiles:
-            # A restricted run gates only the profiles it executed; the
-            # baseline must still know about every one of them.
-            missing = [
-                name for name in args.profiles
-                if name not in baseline["profiles"]
-            ]
-            if missing:
-                print(
-                    f"baseline {args.baseline} lacks profile(s) "
-                    f"{', '.join(missing)}; regenerate it by running "
-                    "without --check"
-                )
-                return 2
-            baseline = dict(
-                baseline,
-                profiles={
-                    name: baseline["profiles"][name]
-                    for name in args.profiles
-                },
-            )
-        report = run_benchmark(
-            args.profiles, args.config, args.queries, args.out
-        )
-        _print_report(report)
-        failures = compare_reports(report, baseline)
-        if failures:
-            print("\nFAILOVER GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("\nfailover gate passed (every cell equal to the baseline)")
-        return 0
-
-    out_path = args.out if args.out is not None else Path("BENCH_failover.json")
-    report = run_benchmark(args.profiles, args.config, args.queries, out_path)
-    _print_report(report)
-    if not report["ok"]:
-        print("\nFAILOVER GATE FAILED")
-        return 1
+    control = cell["r0_control"]
     print(
-        "\nfailover gate passed (every single-replica kill invisible; "
-        "re-replication byte-identical; mid-traffic split invisible)"
+        f"  R=0 control: {control['degraded_queries']} degraded "
+        f"(deterministic: {control['deterministic']})"
     )
-    return 0
+    heal = cell["rereplication"]
+    print(
+        f"  re-replication: {heal['blocks_scanned']} blocks from "
+        f"replica {heal['source_replica']}, byte-identical: "
+        f"{heal['byte_identical']}"
+    )
+    split = cell["split"]
+    print(
+        f"  split 2->4: {split['records_streamed']} records streamed, "
+        f"platters match fresh build: {split['platters_match_fresh']}, "
+        f"cache invalidations: {split['cache_invalidations']}"
+    )
+    print(f"  trace deterministic: {cell['deterministic']}")
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="failover",
+    description=(
+        "Replicated serving on simulated time: every single-replica "
+        "kill across N ∈ {2,4} × R ∈ {1,2} leaves rankings "
+        "bit-identical to the cold single-disk reference with zero "
+        "degraded queries (while the R=0 control degrades "
+        "deterministically), live re-replication rebuilds "
+        "byte-identical platters on the source's clock, failover "
+        "traces are byte-identical across same-seed runs, and a "
+        "mid-traffic 2 -> 4 split is observationally invisible with "
+        "exactly one cache-epoch invalidation."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--queries", "n_queries", DEFAULT_QUERIES,
+               "queries per profile run"),
+    ),
+)

@@ -32,34 +32,24 @@ time:
 
 Everything is simulated and seeded, so the whole report is a pure
 function of the code: ``--check`` gates every cell by exact equality
-against the committed baseline.
-
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.ingest             # write baseline
-    PYTHONPATH=src python -m repro.bench.ingest --check     # gate a change
-
-(or ``scripts/bench.sh ingest``).  Writes ``BENCH_ingest.json``; exit
-status 0 on pass, 1 on violation or drift, 2 on operator error
-(missing/unreadable baseline).
+against the committed ``BENCH_ingest.json``.  Run it with
+``python -m repro.bench ingest`` (see :mod:`repro.bench.gate` for the
+flags and exit status shared by every gate).
 """
 
-import argparse
 import json
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.config import config_by_name
-from ..core.prepared import materialize, prepare_collection
+from ..core.experiment import load_workload
+from ..core.prepared import materialize
 from ..core.stats import latency_summary
-from ..inquery.daat import DocumentAtATimeEngine
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K
 from ..live import LiveCorpus, reference_rankings
 from ..serve import QueryService
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
 from ..synth.traffic import TimedRequest
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
 
 DEFAULT_CONFIG = "mneme-linked"
 #: Queries per wave (every wave re-serves the same pool, so cache
@@ -262,12 +252,12 @@ def bench_profile(
 ) -> dict:
     """The full live-ingest contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    corpus = LiveCorpus(collection)
-    prepared = prepare_collection(collection)
-    query_set = generate_query_set(collection, _query_profiles(profile_name)[0])
+    workload = load_workload(profile_name, use_cache=False)
+    prepared = workload.prepared
+    corpus = LiveCorpus(prepared.collection)
+    query_set = workload.query_sets[0]
     queries = query_set.queries[:n_queries]
-    daat_pool = _daat_queries(query_set.queries)[: max(2, n_queries // 2)]
+    daat_pool = daat_queries(query_set.queries)[: max(2, n_queries // 2)]
     # WAL on: ingest batches must seal epoch-commit markers.
     config = config_by_name(config_name, use_wal=True)
 
@@ -322,191 +312,45 @@ def bench_profile(
     }
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    n_queries: int = DEFAULT_QUERIES,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "ingest",
-        "description": (
-            "Mixed read/write serving on simulated time: deterministic "
-            "ingest batches (adds + tombstone deletes) interleave with "
-            "query waves, every served ranking per epoch is bit-identical "
-            "to a stop-the-world rebuild of that epoch's corpus (flat and "
-            "N=2/R=1 sharded, TAAT and pruned DAAT), each batch "
-            "invalidates the result cache exactly once and seals a WAL "
-            "epoch-commit marker, replica mirrors verify byte-identical "
-            "after every epoch, and a mid-traffic compaction folds "
-            "tombstones out with zero observable drift."
-        ),
-        "config": config_name,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(profile_name, config_name, n_queries)
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
+def print_cell(name: str, cell: dict) -> None:
+    print(f"{name} ({cell['config']}, {cell['queries']} queries):")
+    for label in ("flat", "sharded"):
+        row = cell[label]
+        print(
+            f"  {label}: {row['epochs']} epochs, "
+            f"+{row['docs_added']}/-{row['docs_deleted']} docs, "
+            f"{row['ingest_docs_per_s']} docs/s ingest, "
+            f"query p50 {row['query_p50_ms']} ms"
+        )
+        compaction = row["compaction"]
+        print(
+            f"    compaction: {compaction['tombstones_folded']} "
+            f"tombstones folded, {compaction['bytes_reclaimed']} bytes "
+            f"reclaimed, post-compaction hit rate "
+            f"{compaction['post_compaction_hit_rate']}"
+        )
+    print(f"  trace deterministic: {cell['deterministic']}")
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-#: Per-profile report keys gated by exact equality in ``--check`` — all
-#: pure functions of the seeded, simulated run.
-DETERMINISTIC_KEYS = (
-    "queries",
-    "daat_queries",
-    "flat",
-    "sharded",
-    "deterministic",
+GATE = Gate(
+    name="ingest",
+    description=(
+        "Mixed read/write serving on simulated time: deterministic "
+        "ingest batches (adds + tombstone deletes) interleave with "
+        "query waves, every served ranking per epoch is bit-identical "
+        "to a stop-the-world rebuild of that epoch's corpus (flat and "
+        "N=2/R=1 sharded, TAAT and pruned DAAT), each batch "
+        "invalidates the result cache exactly once and seals a WAL "
+        "epoch-commit marker, replica mirrors verify byte-identical "
+        "after every epoch, and a mid-traffic compaction folds "
+        "tombstones out with zero observable drift."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--queries", "n_queries", DEFAULT_QUERIES, "queries per wave"),
+    ),
 )
-
-
-def compare_reports(current: dict, baseline: dict) -> List[str]:
-    """Drift of ``current`` against ``baseline`` (empty = pass).
-
-    Everything this gate measures is deterministic, so the comparison
-    is exact equality per cell — any drift at all is a behavior change.
-    """
-    failures: List[str] = []
-    for profile_name, base_cell in baseline.get("profiles", {}).items():
-        cell = current.get("profiles", {}).get(profile_name)
-        if cell is None:
-            failures.append(f"{profile_name}: missing from the current run")
-            continue
-        if not cell.get("ok", False):
-            for violation in cell.get("violations", ["violations recorded"]):
-                failures.append(f"{profile_name}: {violation}")
-        for key in DETERMINISTIC_KEYS:
-            if cell.get(key) != base_cell.get(key):
-                failures.append(
-                    f"{profile_name}: {key} drifted from "
-                    f"{base_cell.get(key)!r} to {cell.get(key)!r}"
-                )
-    return failures
-
-
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        print(f"{name} ({cell['config']}, {cell['queries']} queries):")
-        for label in ("flat", "sharded"):
-            row = cell[label]
-            print(
-                f"  {label}: {row['epochs']} epochs, "
-                f"+{row['docs_added']}/-{row['docs_deleted']} docs, "
-                f"{row['ingest_docs_per_s']} docs/s ingest, "
-                f"query p50 {row['query_p50_ms']} ms"
-            )
-            compaction = row["compaction"]
-            print(
-                f"    compaction: {compaction['tombstones_folded']} "
-                f"tombstones folded, {compaction['bytes_reclaimed']} bytes "
-                f"reclaimed, post-compaction hit rate "
-                f"{compaction['post_compaction_hit_rate']}"
-            )
-        print(f"  trace deterministic: {cell['deterministic']}")
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--queries", type=int, default=DEFAULT_QUERIES,
-        help="queries per wave (default 6)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default ./BENCH_ingest.json; "
-        "not written in --check mode unless given explicitly)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline instead of writing it; "
-        "exit non-zero on drift or violation",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=Path("BENCH_ingest.json"),
-        help="baseline JSON to gate against (with --check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check:
-        try:
-            baseline = json.loads(args.baseline.read_text())
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run without --check first")
-            return 2
-        except OSError as error:
-            print(
-                f"cannot read baseline {args.baseline}: "
-                f"{error.strerror or error}"
-            )
-            return 2
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            print(
-                f"baseline {args.baseline} is not valid JSON ({error}); "
-                "regenerate it by running without --check"
-            )
-            return 2
-        if not isinstance(baseline, dict) or "profiles" not in baseline:
-            print(
-                f"baseline {args.baseline} is not an ingest report "
-                "(no 'profiles' key); regenerate it by running without --check"
-            )
-            return 2
-        if args.profiles:
-            # A restricted run gates only the profiles it executed; the
-            # baseline must still know about every one of them.
-            missing = [
-                name for name in args.profiles
-                if name not in baseline["profiles"]
-            ]
-            if missing:
-                print(
-                    f"baseline {args.baseline} lacks profile(s) "
-                    f"{', '.join(missing)}; regenerate it by running "
-                    "without --check"
-                )
-                return 2
-            baseline = dict(
-                baseline,
-                profiles={
-                    name: baseline["profiles"][name]
-                    for name in args.profiles
-                },
-            )
-        report = run_benchmark(args.profiles, args.config, args.queries, args.out)
-        _print_report(report)
-        failures = compare_reports(report, baseline)
-        if failures:
-            print("\nINGEST GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("\ningest gate passed (every cell equal to the baseline)")
-        return 0
-
-    out_path = args.out if args.out is not None else Path("BENCH_ingest.json")
-    report = run_benchmark(args.profiles, args.config, args.queries, out_path)
-    _print_report(report)
-    if not report["ok"]:
-        print("\nINGEST GATE FAILED")
-        return 1
-    print(
-        "\ningest gate passed (every epoch bit-identical to its rebuild; "
-        "compaction invisible; mirrors byte-identical)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,30 +25,23 @@ reference-vs-fastpath speedup) lives in :mod:`repro.bench.wallclock`;
 this gate is about correctness and the work counters, so its verdicts
 are exact, not statistical.
 
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.prune                  # all four
-    PYTHONPATH=src python -m repro.bench.prune --profile tipster1-s
-
-(or ``scripts/bench.sh prune``, or ``repro prune``).  Writes
-``BENCH_prune.json``; exit status is non-zero on any violation.
+``--check`` gates every cell by exact equality against the committed
+``BENCH_prune.json``.  Run it with ``python -m repro.bench prune`` (see
+:mod:`repro.bench.gate` for the flags and exit status shared by every
+gate).
 """
 
-import argparse
-import json
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from ..core.config import config_by_name
+from ..core.experiment import load_workload
 from ..core.metrics import cold_start
-from ..core.prepared import materialize, prepare_collection
-from ..inquery.daat import DocumentAtATimeEngine
+from ..core.prepared import materialize
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K
 from ..serve import QueryService
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
 from ..synth.traffic import TimedRequest
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
 
 DEFAULT_CONFIG = "mneme-linked"
 DEFAULT_MIN_REDUCTION = 1.5
@@ -66,12 +59,8 @@ def bench_profile(
 ) -> dict:
     """Invariance + effect + serve composition for one collection."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    prepared = prepare_collection(collection)
-    query_sets = [
-        generate_query_set(collection, query_profile)
-        for query_profile in _query_profiles(profile_name)
-    ]
+    workload = load_workload(profile_name, use_cache=False)
+    prepared, query_sets = workload.prepared, workload.query_sets
     config = config_by_name(config_name)
     system = materialize(prepared, config)
 
@@ -81,7 +70,7 @@ def bench_profile(
     pruned_queries = 0
     flat_queries: List[str] = []
     for query_set in query_sets:
-        flat = _daat_queries(query_set.queries)
+        flat = daat_queries(query_set.queries)
         if not flat:
             continue
         flat_queries.extend(flat)
@@ -184,84 +173,41 @@ def bench_profile(
     return cell
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    top_k: int = DEFAULT_TOP_K,
-    min_reduction: float = DEFAULT_MIN_REDUCTION,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "prune",
-        "description": (
-            "Dynamic-pruning gate: pruned top-k bit-identical to "
-            "exhaustive DAAT on every query set, pruning actually "
-            "engaged with documents_scored reduced (floor gated on the "
-            "TIPSTER profiles), and a pruned cached service serving "
-            "results indistinguishable from fresh exhaustive evaluation."
-        ),
-        "config": config_name,
-        "top_k": top_k,
-        "min_reduction": min_reduction,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(profile_name, config_name, top_k, min_reduction)
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def _print_report(report: dict) -> None:
-    print(f"prune gate — config {report['config']}, top-k {report['top_k']}")
-    for name, cell in report["profiles"].items():
-        status = "ok" if cell["ok"] else "FAIL"
-        print(
-            f"  {name:<12} {status:<4} "
-            f"scored {cell['documents_scored']} vs "
-            f"{cell['documents_scored_exhaustive']} exhaustive "
-            f"({cell['documents_scored_reduction']}x)"
-            + (
-                f", serve hit rate {cell['serve']['hit_rate']}"
-                if "serve" in cell else ""
-            )
+def print_cell(name: str, cell: dict) -> None:
+    status = "ok" if cell["ok"] else "FAIL"
+    print(
+        f"{name} ({cell['config']}, top-{cell['top_k']}): {status}  "
+        f"scored {cell['documents_scored']} vs "
+        f"{cell['documents_scored_exhaustive']} exhaustive "
+        f"({cell['documents_scored_reduction']}x)"
+        + (
+            f", serve hit rate {cell['serve']['hit_rate']}"
+            if "serve" in cell else ""
         )
-        for violation in cell["violations"]:
-            print(f"    violation: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="dynamic-pruning invariance and effect gate"
     )
-    parser.add_argument(
-        "--profile", action="append", dest="profiles",
-        help="collection profile (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    parser.add_argument(
-        "--min-speedup", type=float, default=DEFAULT_MIN_REDUCTION,
-        dest="min_reduction",
-        help="documents-scored reduction floor on the TIPSTER profiles",
-    )
-    parser.add_argument("--out", default="BENCH_prune.json")
-    args = parser.parse_args(argv)
-    report = run_benchmark(
-        profiles=args.profiles,
-        config_name=args.config,
-        top_k=args.top_k,
-        min_reduction=args.min_reduction,
-        out_path=Path(args.out),
-    )
-    _print_report(report)
-    return 0 if report["ok"] else 1
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+GATE = Gate(
+    name="prune",
+    description=(
+        "Dynamic-pruning gate: pruned top-k bit-identical to "
+        "exhaustive DAAT on every query set, pruning actually "
+        "engaged with documents_scored reduced (floor gated on the "
+        "TIPSTER profiles), and a pruned cached service serving "
+        "results indistinguishable from fresh exhaustive evaluation."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--top-k", "top_k", DEFAULT_TOP_K, "ranking depth"),
+        Option("--min-speedup", "min_reduction", DEFAULT_MIN_REDUCTION,
+               "documents-scored reduction floor on the TIPSTER profiles",
+               type=float),
+    ),
+    header=lambda config, top_k, min_reduction: {
+        "config": config, "top_k": top_k, "min_reduction": min_reduction,
+    },
+)

@@ -24,34 +24,24 @@ and checks that overload is a *controlled*, deterministic state:
   the controlled p99, which is the whole argument for shedding.
 
 All timing is simulated, so every number — and the shed set itself —
-is a pure function of the seed and the knobs: the ``--check``
-comparator gates shed-fraction *drift* exactly and p99 within a band.
-
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.saturate             # write baseline
-    PYTHONPATH=src python -m repro.bench.saturate --check     # gate a change
-
-(or ``scripts/bench.sh saturate``).  Writes ``BENCH_saturate.json``;
-exit status 0 on pass, 1 on violation or regression, 2 on operator
-error (missing/unreadable baseline).
+is a pure function of the seed and the knobs: ``--check`` gates
+shed-fraction *drift* exactly and p99 within ``--p99-band`` of the
+committed ``BENCH_saturate.json``.  Run it with
+``python -m repro.bench saturate`` (see :mod:`repro.bench.gate` for the
+flags and exit status shared by every gate).
 """
 
-import argparse
 import json
 import math
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.config import config_by_name
-from ..core.metrics import cold_start
-from ..core.prepared import materialize, prepare_collection
-from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
+from ..core.experiment import load_workload
+from ..core.prepared import materialize
 from ..serve import QueryService, ServiceMetrics
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
 from ..synth.traffic import TrafficProfile, open_loop_requests
-from .runner import PROFILE_ORDER
-from .wallclock import _query_profiles
+from .gate import Gate, Option, recorded_violations
+from .reference import check_invariance, cold_reference
 
 DEFAULT_CONFIG = "mneme-cache"
 DEFAULT_SHARDS = 2
@@ -66,44 +56,6 @@ TRAFFIC_SEED = 41
 #: wave batching amortizes barriers, so the factor is set well past the
 #: naive 1.0 to keep every sweep point saturated — shedding never zero.
 OVERLOAD_FACTOR = 6.0
-
-
-def _reference(
-    prepared, config, pool: Sequence[str]
-) -> Tuple[Dict[str, list], float, float]:
-    """Cold single-disk rankings per distinct query; mean and max cost."""
-    system = materialize(prepared, config)
-    cold_start(system)
-    runner = RetrievalEngine(
-        system.index,
-        top_k=DEFAULT_TOP_K,
-        use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
-    )
-    rankings: Dict[str, list] = {}
-    costs: List[float] = []
-    for text in dict.fromkeys(pool):
-        start = system.clock.snapshot()
-        rankings[text] = runner.run_query(text).ranking
-        costs.append(system.clock.since(start).wall_ms)
-    return rankings, sum(costs) / len(costs), max(costs)
-
-
-def _check_invariance(report, reference, label: str, violations: List[str]):
-    """Every admitted ranking must equal the cold reference, bit for bit."""
-    bad = 0
-    for row in report.served:
-        if row.result.ranking != reference[row.text]:
-            bad += 1
-            if bad <= 3:
-                violations.append(
-                    f"{label}: admitted ranking for {row.text!r} "
-                    f"({row.outcome}) differs from the cold single-disk "
-                    "evaluation"
-                )
-    if bad > 3:
-        violations.append(f"{label}: {bad} admitted rankings diverged in total")
-    return bad
 
 
 def _saturation_traffic(
@@ -142,15 +94,15 @@ def bench_profile(
 ) -> dict:
     """The full overload contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    prepared = prepare_collection(collection)
-    query_sets = [
-        generate_query_set(collection, query_profile)
-        for query_profile in _query_profiles(profile_name)
+    workload = load_workload(profile_name, use_cache=False)
+    prepared = workload.prepared
+    pool = [
+        query for query_set in workload.query_sets
+        for query in query_set.queries
     ]
-    pool = [query for query_set in query_sets for query in query_set.queries]
     config = config_by_name(config_name)
-    reference, mean_cost, max_cost = _reference(prepared, config, pool)
+    reference, costs = cold_reference(prepared, config, pool)
+    mean_cost, max_cost = sum(costs) / len(costs), max(costs)
 
     traffic = _saturation_traffic(profile_name, n_requests, mean_cost, max_batch)
     requests = open_loop_requests(pool, traffic)
@@ -173,7 +125,9 @@ def bench_profile(
     shard_skew = 0.0
     for workers in worker_sweep:
         service, report = controlled_run(workers)
-        _check_invariance(report, reference, f"w{workers}", violations)
+        check_invariance(
+            report, reference, f"w{workers}", violations, noun="admitted"
+        )
         metrics = ServiceMetrics.from_report(report)
         if metrics.shed_fraction <= 0.0:
             violations.append(
@@ -275,204 +229,99 @@ def bench_profile(
     }
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    n_requests: int = DEFAULT_REQUESTS,
-    shards: int = DEFAULT_SHARDS,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "saturate",
-        "description": (
-            "Overload control on simulated time: open-loop traffic past "
-            "capacity with a bounded admission queue, per-class deadlines "
-            "(interactive beats batch), and deterministic shedding — "
-            "admitted p99 within the deadline-derived bound, shed set "
-            "byte-identical across same-seed runs, every admitted ranking "
-            "bit-identical to a cold single-disk evaluation, goodput "
-            "monotone in worker count, and p99 worse without control."
-        ),
-        "config": config_name,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(profile_name, config_name, n_requests, shards)
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def compare_reports(
-    current: dict, baseline: dict, p99_band: float = DEFAULT_P99_BAND
+def compare_cell(
+    profile_name: str, cell: dict, base_cell: dict,
+    p99_band: float = DEFAULT_P99_BAND,
 ) -> List[str]:
-    """Regressions of ``current`` against ``baseline`` (empty = pass).
+    """Regressions of one profile's cell against its baseline cell.
 
     Shedding is a pure function of the seeded trace, so any
     shed-fraction drift at all is a behavior change and fails exactly;
     p99 of admitted requests may grow by at most ``p99_band`` (fraction
-    of the baseline).  Missing profiles or worker points, and any
-    violation recorded in the current run, fail outright.
+    of the baseline).  Missing worker points, and any violation recorded
+    in the current run, fail outright.
     """
-    failures: List[str] = []
-    for profile_name, base_cell in baseline.get("profiles", {}).items():
-        cell = current.get("profiles", {}).get(profile_name)
-        if cell is None:
-            failures.append(f"{profile_name}: missing from the current run")
+    failures = recorded_violations(profile_name, cell)
+    for workers, base_run in base_cell.get("workers", {}).items():
+        run = cell.get("workers", {}).get(workers)
+        if run is None:
+            failures.append(
+                f"{profile_name}/w{workers}: worker point missing "
+                "from the current run"
+            )
             continue
-        if not cell.get("ok", False):
-            for violation in cell.get("violations", ["violations recorded"]):
-                failures.append(f"{profile_name}: {violation}")
-        for workers, base_run in base_cell.get("workers", {}).items():
-            run = cell.get("workers", {}).get(workers)
-            if run is None:
-                failures.append(
-                    f"{profile_name}/w{workers}: worker point missing "
-                    "from the current run"
-                )
-                continue
-            base_shed = base_run.get("shed_fraction", 0.0)
-            shed = run.get("shed_fraction", 0.0)
-            if shed != base_shed:
-                failures.append(
-                    f"{profile_name}/w{workers}: shed fraction drifted "
-                    f"from {base_shed} to {shed} (shedding is deterministic; "
-                    "any drift is a behavior change)"
-                )
-            base_p99 = base_run.get("latency", {}).get("p99_ms", 0.0)
-            p99 = run.get("latency", {}).get("p99_ms", 0.0)
-            ceiling = base_p99 * (1.0 + p99_band)
-            if base_p99 > 0 and p99 > ceiling:
-                failures.append(
-                    f"{profile_name}/w{workers}: admitted p99 {p99:.3f}ms "
-                    f"exceeds {ceiling:.3f}ms "
-                    f"(baseline {base_p99:.3f}ms, band {p99_band:.2f})"
-                )
+        base_shed = base_run.get("shed_fraction", 0.0)
+        shed = run.get("shed_fraction", 0.0)
+        if shed != base_shed:
+            failures.append(
+                f"{profile_name}/w{workers}: shed fraction drifted "
+                f"from {base_shed} to {shed} (shedding is deterministic; "
+                "any drift is a behavior change)"
+            )
+        base_p99 = base_run.get("latency", {}).get("p99_ms", 0.0)
+        p99 = run.get("latency", {}).get("p99_ms", 0.0)
+        ceiling = base_p99 * (1.0 + p99_band)
+        if base_p99 > 0 and p99 > ceiling:
+            failures.append(
+                f"{profile_name}/w{workers}: admitted p99 {p99:.3f}ms "
+                f"exceeds {ceiling:.3f}ms "
+                f"(baseline {base_p99:.3f}ms, band {p99_band:.2f})"
+            )
     return failures
 
 
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        print(
-            f"{name} ({cell['config']}, {cell['shards']} shards, "
-            f"mean query {cell['mean_service_ms']:.2f}ms, "
-            f"offered {cell['traffic']['rate_qps']:.0f} q/s):"
-        )
-        for workers, run in cell["workers"].items():
-            latency = run["latency"]
-            print(
-                f"  w={workers}  admitted {run['admitted']:4d}/"
-                f"{run['offered']:4d}  shed {run['shed_fraction']:6.2%} "
-                f"(queue {run['shed_queue_full']}, deadline "
-                f"{run['shed_deadline']})  p99 {latency.get('p99_ms', 0.0):9.3f}ms  "
-                f"goodput {run['goodput_qps']:7.1f} q/s"
-            )
-        uncontrolled = cell["uncontrolled"]
-        print(
-            f"  uncontrolled (w=2, no queue bound, no deadlines)  "
-            f"p99 {uncontrolled['p99_ms']:9.3f}ms"
-        )
-        print(
-            f"  deterministic: {cell['deterministic']}  "
-            f"shard skew {cell['shard_skew']:.2f}"
-        )
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--requests", type=int, default=DEFAULT_REQUESTS,
-        help="requests in each saturation stream (default 120)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=DEFAULT_SHARDS,
-        help="shard count behind the service (default 2)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default ./BENCH_saturate.json; "
-        "not written in --check mode unless given explicitly)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline instead of writing it; "
-        "exit non-zero on drift or regression",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=Path("BENCH_saturate.json"),
-        help="baseline JSON to gate against (with --check)",
-    )
-    parser.add_argument(
-        "--p99-band", type=float, default=DEFAULT_P99_BAND,
-        help="allowed fractional p99 increase over baseline (with --check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check:
-        # Fail fast with a one-line diagnosis — a missing or mangled
-        # baseline is an operator error, not a traceback-worthy crash.
-        try:
-            baseline = json.loads(args.baseline.read_text())
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run without --check first")
-            return 2
-        except OSError as error:
-            print(
-                f"cannot read baseline {args.baseline}: "
-                f"{error.strerror or error}"
-            )
-            return 2
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            print(
-                f"baseline {args.baseline} is not valid JSON ({error}); "
-                "regenerate it by running without --check"
-            )
-            return 2
-        if not isinstance(baseline, dict) or "profiles" not in baseline:
-            print(
-                f"baseline {args.baseline} is not a saturate report "
-                "(no 'profiles' key); regenerate it by running without --check"
-            )
-            return 2
-        report = run_benchmark(
-            args.profiles, args.config, args.requests, args.shards, args.out
-        )
-        _print_report(report)
-        failures = compare_reports(report, baseline, p99_band=args.p99_band)
-        if failures:
-            print("\nSATURATION GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            "\nsaturation gate passed (shed set unchanged; p99 within band)"
-        )
-        return 0
-
-    out_path = args.out if args.out is not None else Path("BENCH_saturate.json")
-    report = run_benchmark(
-        args.profiles, args.config, args.requests, args.shards, out_path
-    )
-    _print_report(report)
-    if not report["ok"]:
-        print("\nSATURATION GATE FAILED")
-        return 1
+def print_cell(name: str, cell: dict) -> None:
     print(
-        "\nsaturation gate passed (bounded admitted p99; deterministic "
-        "nonzero shedding; goodput monotone in workers)"
+        f"{name} ({cell['config']}, {cell['shards']} shards, "
+        f"mean query {cell['mean_service_ms']:.2f}ms, "
+        f"offered {cell['traffic']['rate_qps']:.0f} q/s):"
     )
-    return 0
+    for workers, run in cell["workers"].items():
+        latency = run["latency"]
+        print(
+            f"  w={workers}  admitted {run['admitted']:4d}/"
+            f"{run['offered']:4d}  shed {run['shed_fraction']:6.2%} "
+            f"(queue {run['shed_queue_full']}, deadline "
+            f"{run['shed_deadline']})  p99 {latency.get('p99_ms', 0.0):9.3f}ms  "
+            f"goodput {run['goodput_qps']:7.1f} q/s"
+        )
+    uncontrolled = cell["uncontrolled"]
+    print(
+        f"  uncontrolled (w=2, no queue bound, no deadlines)  "
+        f"p99 {uncontrolled['p99_ms']:9.3f}ms"
+    )
+    print(
+        f"  deterministic: {cell['deterministic']}  "
+        f"shard skew {cell['shard_skew']:.2f}"
+    )
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="saturate",
+    description=(
+        "Overload control on simulated time: open-loop traffic past "
+        "capacity with a bounded admission queue, per-class deadlines "
+        "(interactive beats batch), and deterministic shedding — "
+        "admitted p99 within the deadline-derived bound, shed set "
+        "byte-identical across same-seed runs, every admitted ranking "
+        "bit-identical to a cold single-disk evaluation, goodput "
+        "monotone in worker count, and p99 worse without control."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--requests", "n_requests", DEFAULT_REQUESTS,
+               "requests in each saturation stream"),
+        Option("--shards", "shards", DEFAULT_SHARDS,
+               "shard count behind the service"),
+    ),
+    check_options=(
+        Option("--p99-band", "p99_band", DEFAULT_P99_BAND,
+               "allowed fractional p99 increase over baseline (with --check)",
+               type=float),
+    ),
+    compare_cell=compare_cell,
+)

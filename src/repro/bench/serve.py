@@ -20,33 +20,23 @@ serving contract in one pass:
 
 All timing is on the repo's simulated clocks (the same machine model as
 every other gate), so the numbers — and the pass/fail verdict — are
-deterministic across machines.
-
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.serve                  # all four
-    PYTHONPATH=src python -m repro.bench.serve --profile cacm-s
-
-(or ``scripts/bench.sh serve``).  Writes ``BENCH_serve.json``; exit
-status is non-zero on any violation.
+deterministic across machines: ``--check`` gates every cell by exact
+equality against the committed ``BENCH_serve.json``.  Run it with
+``python -m repro.bench serve`` (see :mod:`repro.bench.gate` for the
+flags and exit status shared by every gate).
 """
 
-import argparse
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.config import config_by_name
-from ..core.metrics import cold_start
-from ..core.prepared import materialize, prepare_collection
+from ..core.experiment import load_workload
+from ..core.prepared import materialize
 from ..faults.plan import FaultPlan
-from ..inquery.daat import DocumentAtATimeEngine
-from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
+from ..inquery.daat import daat_queries
 from ..serve import QueryService
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
 from ..synth.traffic import TrafficProfile, open_loop_requests
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
+from .reference import check_invariance, cold_reference
 
 DEFAULT_CONFIG = "mneme-cache"
 DEFAULT_SHARDS = 2
@@ -59,43 +49,6 @@ SCALING_PROFILES = ("tipster1-s", "tipster-s")
 TRAFFIC_SEED = 29
 
 
-def _reference_rankings(prepared, config, pool: Sequence[str], engine: str):
-    """Cold single-disk rankings per distinct query, plus mean cost."""
-    system = materialize(prepared, config)
-    cold_start(system)
-    engine_cls = DocumentAtATimeEngine if engine == "daat" else RetrievalEngine
-    runner = engine_cls(
-        system.index,
-        top_k=DEFAULT_TOP_K,
-        use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
-    )
-    rankings: Dict[str, list] = {}
-    costs: List[float] = []
-    for text in dict.fromkeys(pool):
-        start = system.clock.snapshot()
-        rankings[text] = runner.run_query(text).ranking
-        costs.append(system.clock.since(start).wall_ms)
-    return rankings, sum(costs) / len(costs)
-
-
-def _check_invariance(report, reference, label: str, violations: List[str]):
-    """Every served ranking must equal the cold reference, bit for bit."""
-    bad = 0
-    for row in report.served:
-        if row.result.ranking != reference[row.text]:
-            bad += 1
-            if bad <= 3:
-                violations.append(
-                    f"{label}: served ranking for {row.text!r} "
-                    f"({row.outcome}) differs from the cold single-disk "
-                    "evaluation"
-                )
-    if bad > 3:
-        violations.append(f"{label}: {bad} served rankings diverged in total")
-    return bad
-
-
 def bench_profile(
     profile_name: str,
     config_name: str = DEFAULT_CONFIG,
@@ -106,16 +59,16 @@ def bench_profile(
 ) -> dict:
     """The full serving contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    prepared = prepare_collection(collection)
-    query_sets = [
-        generate_query_set(collection, query_profile)
-        for query_profile in _query_profiles(profile_name)
+    workload = load_workload(profile_name, use_cache=False)
+    prepared = workload.prepared
+    pool = [
+        query for query_set in workload.query_sets
+        for query in query_set.queries
     ]
-    pool = [query for query_set in query_sets for query in query_set.queries]
     config = config_by_name(config_name)
 
-    taat_ref, mean_cost = _reference_rankings(prepared, config, pool, "taat")
+    taat_ref, costs = cold_reference(prepared, config, pool)
+    mean_cost = sum(costs) / len(costs)
 
     # -- repeat-heavy traffic, cache on vs. off over identical requests --
     traffic = TrafficProfile(
@@ -136,7 +89,7 @@ def bench_profile(
             backend, engine="taat", workers=2, max_batch=8, use_cache=use_cache
         )
         report = service.process(requests, name=label)
-        _check_invariance(report, taat_ref, f"taat/{label}", violations)
+        check_invariance(report, taat_ref, f"taat/{label}", violations)
         cell = report.summary()
         if service.cache is not None:
             cell["cache"] = service.cache.stats.as_dict()
@@ -153,9 +106,9 @@ def bench_profile(
 
     # -- document-at-a-time invariance on the flat subset ----------------
     daat_cell: Optional[dict] = None
-    flat_pool = _daat_queries(pool)
+    flat_pool = daat_queries(pool)
     if flat_pool:
-        daat_ref, _ = _reference_rankings(prepared, config, flat_pool, "daat")
+        daat_ref, _ = cold_reference(prepared, config, flat_pool, "daat")
         daat_traffic = TrafficProfile(
             name=f"{profile_name}-daat",
             mode="open",
@@ -169,7 +122,7 @@ def bench_profile(
             materialize(prepared, config), engine="daat", workers=2, max_batch=8
         )
         report = service.process(daat_requests, name="daat")
-        _check_invariance(report, daat_ref, "daat", violations)
+        check_invariance(report, daat_ref, "daat", violations)
         daat_cell = report.summary()
 
     # -- worker scaling under burst (overload) traffic -------------------
@@ -191,7 +144,7 @@ def bench_profile(
                 max_batch=16, use_cache=False,
             )
             report = service.process(burst_requests, name=f"w{workers}")
-            _check_invariance(
+            check_invariance(
                 report, taat_ref, f"burst/workers={workers}", violations
             )
             scaling[str(workers)] = round(report.throughput_qps, 2)
@@ -263,115 +216,64 @@ def bench_profile(
     return cell
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    n_requests: int = DEFAULT_REQUESTS,
-    shards: int = DEFAULT_SHARDS,
-    min_p50_speedup: float = DEFAULT_MIN_P50_SPEEDUP,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "serve",
-        "description": (
-            "Concurrent batch query service with a normalized-query "
-            "result cache, on simulated time: every served ranking "
-            "(cached, shared, or evaluated; sharded TAAT and flat DAAT) "
-            "bit-identical to a cold single-disk evaluation; p50 latency "
-            "on repeat-heavy Poisson traffic at least the floor times "
-            "better with the cache than without on identical requests; "
-            "burst throughput monotone in worker count on the TIPSTER "
-            "profiles; degraded results served but never cached with a "
-            "dead shard."
-        ),
-        "config": config_name,
-        "min_p50_speedup": min_p50_speedup,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(
-            profile_name, config_name, n_requests, shards, min_p50_speedup
-        )
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        on, off = cell["cache_on"], cell["cache_off"]
-        print(
-            f"{name} ({cell['config']}, {cell['shards']} shards, "
-            f"mean query {cell['mean_service_ms']:.2f}ms):"
-        )
-        print(
-            f"  cache on   p50 {on['p50_ms']:8.3f}ms  p95 {on['p95_ms']:8.3f}ms  "
-            f"p99 {on['p99_ms']:8.3f}ms  {on['throughput_qps']:7.1f} q/s  "
-            f"hit rate {on['hit_rate']:.2f}"
-        )
-        print(
-            f"  cache off  p50 {off['p50_ms']:8.3f}ms  p95 {off['p95_ms']:8.3f}ms  "
-            f"p99 {off['p99_ms']:8.3f}ms  {off['throughput_qps']:7.1f} q/s"
-        )
-        print(f"  p50 speedup {cell['p50_speedup']:.2f}x")
-        if "burst_throughput_qps_by_workers" in cell:
-            sweep = ", ".join(
-                f"{w}w: {qps} q/s"
-                for w, qps in cell["burst_throughput_qps_by_workers"].items()
-            )
-            print(f"  burst scaling  {sweep}")
-        dead = cell["dead_shard"]
-        if not dead.get("raised"):
-            print(
-                f"  dead shard  {dead['degraded_served']}/{dead['requests']} "
-                f"degraded, {dead['cache_entries']} cached, "
-                f"{dead['rejected_degraded']} admissions refused"
-            )
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--requests", type=int, default=DEFAULT_REQUESTS,
-        help="requests in the repeat-heavy traffic run (default 160)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=DEFAULT_SHARDS,
-        help="shard count behind the cached service (default 2)",
-    )
-    parser.add_argument(
-        "--min-p50-speedup", type=float, default=DEFAULT_MIN_P50_SPEEDUP,
-        help="cache-on p50 latency improvement floor (default 5x)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_serve.json"),
-        help="output JSON path (default ./BENCH_serve.json)",
-    )
-    args = parser.parse_args(argv)
-    report = run_benchmark(
-        args.profiles, args.config, args.requests, args.shards,
-        args.min_p50_speedup, args.out,
-    )
-    _print_report(report)
-    if not report["ok"]:
-        print("\nSERVE GATE FAILED")
-        return 1
+def print_cell(name: str, cell: dict) -> None:
+    on, off = cell["cache_on"], cell["cache_off"]
     print(
-        "\nserve gate passed (bit-identical serving; cache and scaling "
-        "floors met)"
+        f"{name} ({cell['config']}, {cell['shards']} shards, "
+        f"mean query {cell['mean_service_ms']:.2f}ms):"
     )
-    return 0
+    print(
+        f"  cache on   p50 {on['p50_ms']:8.3f}ms  p95 {on['p95_ms']:8.3f}ms  "
+        f"p99 {on['p99_ms']:8.3f}ms  {on['throughput_qps']:7.1f} q/s  "
+        f"hit rate {on['hit_rate']:.2f}"
+    )
+    print(
+        f"  cache off  p50 {off['p50_ms']:8.3f}ms  p95 {off['p95_ms']:8.3f}ms  "
+        f"p99 {off['p99_ms']:8.3f}ms  {off['throughput_qps']:7.1f} q/s"
+    )
+    print(f"  p50 speedup {cell['p50_speedup']:.2f}x")
+    if "burst_throughput_qps_by_workers" in cell:
+        sweep = ", ".join(
+            f"{w}w: {qps} q/s"
+            for w, qps in cell["burst_throughput_qps_by_workers"].items()
+        )
+        print(f"  burst scaling  {sweep}")
+    dead = cell["dead_shard"]
+    if not dead.get("raised"):
+        print(
+            f"  dead shard  {dead['degraded_served']}/{dead['requests']} "
+            f"degraded, {dead['cache_entries']} cached, "
+            f"{dead['rejected_degraded']} admissions refused"
+        )
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="serve",
+    description=(
+        "Concurrent batch query service with a normalized-query "
+        "result cache, on simulated time: every served ranking "
+        "(cached, shared, or evaluated; sharded TAAT and flat DAAT) "
+        "bit-identical to a cold single-disk evaluation; p50 latency "
+        "on repeat-heavy Poisson traffic at least the floor times "
+        "better with the cache than without on identical requests; "
+        "burst throughput monotone in worker count on the TIPSTER "
+        "profiles; degraded results served but never cached with a "
+        "dead shard."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--requests", "n_requests", DEFAULT_REQUESTS,
+               "requests in the repeat-heavy traffic run"),
+        Option("--shards", "shards", DEFAULT_SHARDS,
+               "shard count behind the cached service"),
+        Option("--min-p50-speedup", "min_p50_speedup", DEFAULT_MIN_P50_SPEEDUP,
+               "cache-on p50 latency improvement floor", type=float),
+    ),
+    header=lambda config, min_p50_speedup, **_: {
+        "config": config, "min_p50_speedup": min_p50_speedup,
+    },
+)

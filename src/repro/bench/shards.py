@@ -24,31 +24,24 @@ one pass:
   complete degraded (``completeness < 1``) without raising, and a
   same-plan rerun must be bit-identical.
 
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.shards                 # all four
-    PYTHONPATH=src python -m repro.bench.shards --profile cacm-s --shards 1 2 4
-
-(or ``scripts/bench.sh shards``).  Writes ``BENCH_shards.json``; exit
-status is non-zero on any invariance violation, chaos violation, or
-missed speedup floor.
+Everything is on simulated time, so ``--check`` gates every cell by
+exact equality against the committed ``BENCH_shards.json``.  Run it with
+``python -m repro.bench shards [--shards 1 2 4]`` (see
+:mod:`repro.bench.gate` for the flags and exit status shared by every
+gate).
 """
 
-import argparse
-import json
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.config import config_by_name
+from ..core.experiment import load_workload
 from ..core.metrics import cold_start, measure_run
-from ..core.prepared import materialize, prepare_collection
+from ..core.prepared import materialize
 from ..faults.plan import FaultPlan
-from ..inquery.daat import DocumentAtATimeEngine
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K
 from ..shard import measure_sharded_run
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
+from .gate import Gate, Option
 
 DEFAULT_CONFIG = "mneme-cache"
 DEFAULT_SHARDS = (1, 2, 4)
@@ -68,12 +61,8 @@ def bench_profile(
 ) -> dict:
     """The full sharding contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    prepared = prepare_collection(collection)
-    query_sets = [
-        generate_query_set(collection, query_profile)
-        for query_profile in _query_profiles(profile_name)
-    ]
+    workload = load_workload(profile_name, use_cache=False)
+    prepared, query_sets = workload.prepared, workload.query_sets
     config = config_by_name(config_name)
 
     # -- single-disk baseline: the rankings every shard count must hit ----
@@ -88,7 +77,7 @@ def bench_profile(
         taat_ref[query_set.name] = _rankings(metrics.results)
         baseline_wall += metrics.wall_s
     for query_set in query_sets:
-        flat = _daat_queries(query_set.queries)
+        flat = daat_queries(query_set.queries)
         if not flat:
             continue
         cold_start(baseline)
@@ -143,7 +132,7 @@ def bench_profile(
                 depth = max(depth, metrics.max_queue_depth)
             pruned_docs_skipped = 0
             for query_set in query_sets:
-                flat = _daat_queries(query_set.queries)
+                flat = daat_queries(query_set.queries)
                 if not flat:
                     continue
                 metrics = measure_sharded_run(
@@ -245,95 +234,54 @@ def bench_profile(
     return cell
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    shard_counts=DEFAULT_SHARDS,
-    min_speedup: float = DEFAULT_MIN_SPEEDUP,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "shards",
-        "description": (
-            "Document-partitioned scaling: sharded rankings bit-identical "
-            "to the single-disk engine for every query set (TAAT all "
-            "shapes, DAAT flat subset exhaustive and with dynamic "
-            "pruning, hash and range partitioners), N=1 "
-            "platter byte-identical to the unsharded build, critical-path "
-            "wall-clock speedup over one disk, and degraded-not-failed "
-            "serving with one shard's disk dead."
-        ),
-        "config": config_name,
+def print_cell(name: str, cell: dict) -> None:
+    print(f"{name} ({cell['config']}, baseline {cell['baseline_wall_s']:.3f}s):")
+    for n_shards, row in cell["shards"].items():
+        for scheme, stats in row["partitioner"].items():
+            print(
+                f"  N={n_shards} {scheme:<6} wall {stats['taat_wall_s']:8.3f}s "
+                f"(sum {stats['taat_wall_sum_s']:8.3f}s, "
+                f"{stats['speedup_vs_1disk']:.2f}x vs 1 disk, "
+                f"skew {stats['shard_skew']:.3f}, "
+                f"queue {stats['max_queue_depth']})"
+            )
+    if "dead_shard" in cell:
+        dead = cell["dead_shard"]
+        print(
+            f"  dead shard 0/{dead['shards']}: "
+            f"degraded {dead['degraded_queries']} queries, "
+            f"min completeness {dead['min_completeness']:.3f}, "
+            f"deterministic {dead['deterministic']}"
+        )
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
+
+
+GATE = Gate(
+    name="shards",
+    description=(
+        "Document-partitioned scaling: sharded rankings bit-identical "
+        "to the single-disk engine for every query set (TAAT all "
+        "shapes, DAAT flat subset exhaustive and with dynamic "
+        "pruning, hash and range partitioners), N=1 "
+        "platter byte-identical to the unsharded build, critical-path "
+        "wall-clock speedup over one disk, and degraded-not-failed "
+        "serving with one shard's disk dead."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--shards", "shard_counts", list(DEFAULT_SHARDS),
+               "shard counts to build and compare (default: 1 2 4)",
+               nargs="+"),
+        Option("--min-speedup", "min_speedup", DEFAULT_MIN_SPEEDUP,
+               "critical-path speedup floor at the largest shard count",
+               type=float),
+    ),
+    header=lambda config, shard_counts, min_speedup: {
+        "config": config,
         "shard_counts": list(shard_counts),
         "min_speedup": min_speedup,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(
-            profile_name, config_name, shard_counts, min_speedup
-        )
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        print(f"{name} ({cell['config']}, baseline {cell['baseline_wall_s']:.3f}s):")
-        for n_shards, row in cell["shards"].items():
-            for scheme, stats in row["partitioner"].items():
-                print(
-                    f"  N={n_shards} {scheme:<6} wall {stats['taat_wall_s']:8.3f}s "
-                    f"(sum {stats['taat_wall_sum_s']:8.3f}s, "
-                    f"{stats['speedup_vs_1disk']:.2f}x vs 1 disk, "
-                    f"skew {stats['shard_skew']:.3f}, "
-                    f"queue {stats['max_queue_depth']})"
-                )
-        if "dead_shard" in cell:
-            dead = cell["dead_shard"]
-            print(
-                f"  dead shard 0/{dead['shards']}: "
-                f"degraded {dead['degraded_queries']} queries, "
-                f"min completeness {dead['min_completeness']:.3f}, "
-                f"deterministic {dead['deterministic']}"
-            )
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=list(DEFAULT_SHARDS),
-        help="shard counts to build and compare (default: 1 2 4)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
-        help="critical-path speedup floor at the largest shard count",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_shards.json"),
-        help="output JSON path (default ./BENCH_shards.json)",
-    )
-    args = parser.parse_args(argv)
-    report = run_benchmark(
-        args.profiles, args.config, args.shards, args.min_speedup, args.out
-    )
-    _print_report(report)
-    if not report["ok"]:
-        print("\nSHARD GATE FAILED")
-        return 1
-    print("\nshard gate passed (bit-identical at every N; scaling floor met)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    },
+)

@@ -26,38 +26,28 @@ profile, on simulated time:
 
 Everything is seeded and simulated, so the whole report is a pure
 function of the code: ``--check`` gates every cell by exact equality
-against the committed baseline.
-
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.termcache             # write baseline
-    PYTHONPATH=src python -m repro.bench.termcache --check     # gate a change
-
-(or ``scripts/bench.sh termcache``).  Writes ``BENCH_termcache.json``;
-exit status 0 on pass, 1 on violation or drift, 2 on operator error
-(missing/unreadable baseline).
+against the committed ``BENCH_termcache.json``.  Run it with
+``python -m repro.bench termcache`` (see :mod:`repro.bench.gate` for the
+flags and exit status shared by every gate).
 """
 
-import argparse
 import hashlib
 import json
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.config import config_by_name
+from ..core.experiment import load_workload
 from ..core.metrics import cold_start
-from ..core.prepared import materialize, prepare_collection
+from ..core.prepared import materialize
 from ..core.stats import latency_summary
-from ..inquery.daat import DocumentAtATimeEngine
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
 from ..live import LiveCorpus, reference_rankings
 from ..serve import QueryService
 from ..serve.termcache import TermCache
 from ..shard.metrics import measure_sharded_run
-from ..synth import PROFILES, SyntheticCollection, generate_query_set
+from .gate import Gate, Option
 from .ingest import _schedule
-from .runner import PROFILE_ORDER
-from .wallclock import _daat_queries, _query_profiles
 
 DEFAULT_CONFIG = "mneme-linked"
 #: Distinct queries in the pool; the stream repeats the pool.
@@ -254,13 +244,13 @@ def bench_profile(
 ) -> dict:
     """The full term-cache contract for one collection profile."""
     violations: List[str] = []
-    collection = SyntheticCollection(PROFILES[profile_name])
-    corpus = LiveCorpus(collection)
-    prepared = prepare_collection(collection)
-    query_set = generate_query_set(collection, _query_profiles(profile_name)[0])
+    workload = load_workload(profile_name, use_cache=False)
+    prepared = workload.prepared
+    corpus = LiveCorpus(prepared.collection)
+    query_set = workload.query_sets[0]
     pool = query_set.queries[:n_queries]
     stream = pool * passes
-    daat_pool = _daat_queries(query_set.queries)[: max(2, n_queries // 2)]
+    daat_pool = daat_queries(query_set.queries)[: max(2, n_queries // 2)]
     daat_stream = daat_pool * passes
     config = config_by_name(config_name)
 
@@ -426,201 +416,54 @@ def bench_profile(
     }
 
 
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    n_queries: int = DEFAULT_QUERIES,
-    out_path: Optional[Path] = None,
-) -> dict:
-    report = {
-        "benchmark": "termcache",
-        "description": (
-            "Decoded-postings term cache across the serving stack: on a "
-            "repeat-heavy stream the cache-on run is bit-identical to "
-            "cache-off (flat term-at-a-time, pruned document-at-a-time, "
-            "N=2/R=1 sharded, and under eviction pressure), hits above "
-            "50% and elides record lookups, cuts simulated p50 on the "
-            "TIPSTER profiles, never exceeds its byte budget, serves "
-            "zero stale rankings through a mixed ingest/query schedule "
-            "(every post-batch wave equal to a stop-the-world rebuild, "
-            "post-compaction probe included), and produces byte-identical "
-            "traces across fresh runs."
-        ),
-        "config": config_name,
-        "profiles": {},
-        "ok": True,
-    }
-    for profile_name in profiles or list(PROFILE_ORDER):
-        cell = bench_profile(profile_name, config_name, n_queries)
-        report["profiles"][profile_name] = cell
-        report["ok"] = report["ok"] and cell["ok"]
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-#: Per-profile report keys gated by exact equality in ``--check`` — all
-#: pure functions of the seeded, simulated run.
-DETERMINISTIC_KEYS = (
-    "budget_bytes",
-    "queries",
-    "stream_len",
-    "flat",
-    "pruned",
-    "sharded",
-    "small_budget",
-    "mixed",
-    "deterministic",
-)
-
-
-def compare_reports(current: dict, baseline: dict) -> List[str]:
-    """Drift of ``current`` against ``baseline`` (empty = pass).
-
-    Everything this gate measures is deterministic, so the comparison
-    is exact equality per cell — any drift at all is a behavior change.
-    """
-    failures: List[str] = []
-    for profile_name, base_cell in baseline.get("profiles", {}).items():
-        cell = current.get("profiles", {}).get(profile_name)
-        if cell is None:
-            failures.append(f"{profile_name}: missing from the current run")
-            continue
-        if not cell.get("ok", False):
-            for violation in cell.get("violations", ["violations recorded"]):
-                failures.append(f"{profile_name}: {violation}")
-        for key in DETERMINISTIC_KEYS:
-            if cell.get(key) != base_cell.get(key):
-                failures.append(
-                    f"{profile_name}: {key} drifted from "
-                    f"{base_cell.get(key)!r} to {cell.get(key)!r}"
-                )
-    return failures
-
-
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        flat = cell["flat"]
-        print(f"{name} ({cell['config']}, {cell['stream_len']}-query stream):")
-        print(
-            f"  flat: p50 {flat['p50_off_ms']} -> {flat['p50_on_ms']} ms "
-            f"({flat['p50_ratio']}x), hit rate {flat['hit_rate']}, "
-            f"lookups {flat['record_lookups_off']} -> "
-            f"{flat['record_lookups_on']}"
-        )
-        print(
-            f"  pruned: identical={cell['pruned']['identical']} "
-            f"hits={cell['pruned']['hits']}; "
-            f"sharded: identical={cell['sharded']['identical']} "
-            f"hits={cell['sharded']['hits']}; "
-            f"evictions under pressure: {cell['small_budget']['evictions']}"
-        )
-        mixed = cell["mixed"]
-        print(
-            f"  mixed: {mixed['epochs']} epochs, "
-            f"{mixed['stale_rankings']} stale, "
-            f"{mixed['invalidated_terms']} terms invalidated, "
-            f"post-compaction identical: "
-            f"{mixed['post_compaction_identical']}"
-        )
-        print(f"  trace deterministic: {cell['deterministic']}")
-        for violation in cell["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--queries", type=int, default=DEFAULT_QUERIES,
-        help="distinct queries in the repeated pool (default 6)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default ./BENCH_termcache.json; "
-        "not written in --check mode unless given explicitly)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline instead of writing it; "
-        "exit non-zero on drift or violation",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=Path("BENCH_termcache.json"),
-        help="baseline JSON to gate against (with --check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check:
-        try:
-            baseline = json.loads(args.baseline.read_text())
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run without --check first")
-            return 2
-        except OSError as error:
-            print(
-                f"cannot read baseline {args.baseline}: "
-                f"{error.strerror or error}"
-            )
-            return 2
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            print(
-                f"baseline {args.baseline} is not valid JSON ({error}); "
-                "regenerate it by running without --check"
-            )
-            return 2
-        if not isinstance(baseline, dict) or "profiles" not in baseline:
-            print(
-                f"baseline {args.baseline} is not a termcache report "
-                "(no 'profiles' key); regenerate it by running without --check"
-            )
-            return 2
-        if args.profiles:
-            missing = [
-                name for name in args.profiles
-                if name not in baseline["profiles"]
-            ]
-            if missing:
-                print(
-                    f"baseline {args.baseline} lacks profile(s) "
-                    f"{', '.join(missing)}; regenerate it by running "
-                    "without --check"
-                )
-                return 2
-            baseline = dict(
-                baseline,
-                profiles={
-                    name: baseline["profiles"][name]
-                    for name in args.profiles
-                },
-            )
-        report = run_benchmark(args.profiles, args.config, args.queries, args.out)
-        _print_report(report)
-        failures = compare_reports(report, baseline)
-        if failures:
-            print("\nTERM-CACHE GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("\nterm-cache gate passed (every cell equal to the baseline)")
-        return 0
-
-    out_path = args.out if args.out is not None else Path("BENCH_termcache.json")
-    report = run_benchmark(args.profiles, args.config, args.queries, out_path)
-    _print_report(report)
-    if not report["ok"]:
-        print("\nTERM-CACHE GATE FAILED")
-        return 1
+def print_cell(name: str, cell: dict) -> None:
+    flat = cell["flat"]
+    print(f"{name} ({cell['config']}, {cell['stream_len']}-query stream):")
     print(
-        "\nterm-cache gate passed (bit-identical with the cache on, "
-        "budget respected, zero stale rankings)"
+        f"  flat: p50 {flat['p50_off_ms']} -> {flat['p50_on_ms']} ms "
+        f"({flat['p50_ratio']}x), hit rate {flat['hit_rate']}, "
+        f"lookups {flat['record_lookups_off']} -> "
+        f"{flat['record_lookups_on']}"
     )
-    return 0
+    print(
+        f"  pruned: identical={cell['pruned']['identical']} "
+        f"hits={cell['pruned']['hits']}; "
+        f"sharded: identical={cell['sharded']['identical']} "
+        f"hits={cell['sharded']['hits']}; "
+        f"evictions under pressure: {cell['small_budget']['evictions']}"
+    )
+    mixed = cell["mixed"]
+    print(
+        f"  mixed: {mixed['epochs']} epochs, "
+        f"{mixed['stale_rankings']} stale, "
+        f"{mixed['invalidated_terms']} terms invalidated, "
+        f"post-compaction identical: "
+        f"{mixed['post_compaction_identical']}"
+    )
+    print(f"  trace deterministic: {cell['deterministic']}")
+    for violation in cell["violations"]:
+        print(f"  VIOLATION: {violation}")
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="termcache",
+    description=(
+        "Decoded-postings term cache across the serving stack: on a "
+        "repeat-heavy stream the cache-on run is bit-identical to "
+        "cache-off (flat term-at-a-time, pruned document-at-a-time, "
+        "N=2/R=1 sharded, and under eviction pressure), hits above "
+        "50% and elides record lookups, cuts simulated p50 on the "
+        "TIPSTER profiles, never exceeds its byte budget, serves "
+        "zero stale rankings through a mixed ingest/query schedule "
+        "(every post-batch wave equal to a stop-the-world rebuild, "
+        "post-compaction probe included), and produces byte-identical "
+        "traces across fresh runs."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--queries", "n_queries", DEFAULT_QUERIES,
+               "distinct queries in the repeated pool"),
+    ),
+)

@@ -19,37 +19,27 @@ drops out of the noise band.  Speedups (reference seconds over
 fast-path seconds) are compared rather than absolute seconds so the
 gate is meaningful across machines of different speeds.
 
-Run it directly::
-
-    PYTHONPATH=src python -m repro.bench.wallclock            # write baseline
-    PYTHONPATH=src python -m repro.bench.wallclock --check    # gate a change
-
-(or ``scripts/bench.sh wallclock`` / ``scripts/bench.sh --check``).
+Run it with ``python -m repro.bench wallclock [--repeats N]`` (or
+``scripts/bench.sh --check`` for the gate; see :mod:`repro.bench.gate`
+for the flags and exit status shared by every gate).
 """
 
-import argparse
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.config import config_by_name
+from ..core.experiment import QUERY_SET_PROFILES
 from ..core.metrics import RunMetrics, cold_start, measure_run
 from ..core.prepared import materialize, prepare_collection
 from ..core.stats import median_of, relative_spread
-from ..errors import QueryError
 from ..fastpath import state as _fastpath
-from ..inquery.daat import DocumentAtATimeEngine
-from ..inquery.daat import _flatten as _daat_flatten
+from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
-from ..inquery.query import parse_query, query_terms
 from ..serve.termcache import TermCache
 from ..synth import PROFILES, SyntheticCollection, generate_query_set
-from .runner import PROFILE_ORDER
+from .gate import Gate, Option
 
-#: Default workload: all four paper collections, every query set.
-DEFAULT_PROFILES = tuple(PROFILE_ORDER)
 DEFAULT_CONFIG = "mneme-cache"
 #: Timing repetitions per path (median reported).
 DEFAULT_REPEATS = 3
@@ -75,30 +65,6 @@ class PathRun:
     @property
     def end_to_end_s(self) -> float:
         return sum(self.phase_s.values())
-
-
-def _daat_queries(queries: List[str]) -> List[str]:
-    """The flat #sum/#wsum subset document-at-a-time evaluates.
-
-    Query sets with only structured queries (CACM's boolean/phrase
-    styles) are flattened to ``#sum`` over their terms so every
-    collection still exercises the document-at-a-time engine.
-    """
-    flat = []
-    for query in queries:
-        try:
-            _daat_flatten(parse_query(query))
-        except QueryError:
-            continue
-        flat.append(query)
-    if flat:
-        return flat
-    derived = []
-    for query in queries:
-        terms = query_terms(parse_query(query))
-        if terms:
-            derived.append("#sum( " + " ".join(terms) + " )")
-    return derived
 
 
 def _run_path(
@@ -161,7 +127,7 @@ def _run_path(
                 "clock": (elapsed.wall_ms, elapsed.user_ms, elapsed.system_io_ms),
             }
         for query_set in query_sets:
-            flat = _daat_queries(query_set.queries)
+            flat = daat_queries(query_set.queries)
             if not flat:
                 continue
             cold_start(system)
@@ -187,7 +153,7 @@ def _run_path(
             prepared, config_by_name("mneme-linked", use_fastpath=fast)
         )
         for query_set in query_sets:
-            flat = _daat_queries(query_set.queries)
+            flat = daat_queries(query_set.queries)
             if not flat:
                 continue
             cold_start(linked)
@@ -296,7 +262,7 @@ def bench_profile(
     collection.flat_postings()  # synthesize outside the timed region
     query_sets = [
         generate_query_set(collection, query_profile)
-        for query_profile in _query_profiles(profile_name)
+        for query_profile in QUERY_SET_PROFILES[profile_name]
     ]
 
     reference = [
@@ -407,204 +373,114 @@ def bench_profile(
     }
 
 
-def _query_profiles(profile_name: str):
-    from ..core.experiment import QUERY_SET_PROFILES
-
-    return QUERY_SET_PROFILES.get(profile_name, [])
-
-
-def run_benchmark(
-    profiles: Optional[List[str]] = None,
-    config_name: str = DEFAULT_CONFIG,
-    out_path: Optional[Path] = None,
-    repeats: int = DEFAULT_REPEATS,
-) -> dict:
-    """Benchmark every requested profile and write the JSON report."""
-    report = {
-        "benchmark": "wallclock",
-        "description": (
-            "Real seconds for index build, term-at-a-time and "
-            "document-at-a-time query evaluation, pure-Python reference "
-            "vs. vectorized fast path.  Medians over repeated runs with "
-            "a run-to-run noise bound; the two paths are asserted "
-            "observationally identical (rankings, simulated clock, "
-            "I/A/B, buffer hits).  The prune: phases additionally time "
-            "dynamic top-k pruning against exhaustive document-at-a-time "
-            "evaluation on the linked-record backend, asserting the "
-            "pruned rankings bit-identical to exhaustive."
-        ),
-        "numpy": _fastpath.HAVE_NUMPY,
-        "repeats": repeats,
-        "profiles": {},
-    }
-    for profile_name in profiles or list(DEFAULT_PROFILES):
-        report["profiles"][profile_name] = bench_profile(
-            profile_name, config_name, repeats=repeats
-        )
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def compare_reports(
-    current: dict,
-    baseline: dict,
+def compare_cell(
+    profile_name: str,
+    cell: dict,
+    base_cell: dict,
     min_band: float = DEFAULT_MIN_BAND,
     noise_factor: float = DEFAULT_NOISE_FACTOR,
 ) -> List[str]:
-    """Regressions of ``current`` against ``baseline`` (empty = pass).
+    """Regressions of one profile's cell against its baseline cell.
 
     A phase regresses when its fast-path speedup falls below the
     baseline speedup by more than the noise band — ``max(min_band,
     noise_factor * (baseline noise + current noise))``, as a fraction.
-    Any invariance violation or missing profile/phase is a failure
-    outright.
+    Any invariance violation or missing phase is a failure outright.
     """
     failures: List[str] = []
-    for profile_name, base_cell in baseline.get("profiles", {}).items():
-        cell = current.get("profiles", {}).get(profile_name)
-        if cell is None:
-            failures.append(f"{profile_name}: missing from the current run")
+    if not cell.get("invariant", False):
+        failures.append(
+            f"{profile_name}: fast path diverged from the reference"
+        )
+    for phase_name, base_row in base_cell.get("phases", {}).items():
+        row = cell.get("phases", {}).get(phase_name)
+        if row is None:
+            failures.append(f"{profile_name}/{phase_name}: phase missing")
             continue
-        if not cell.get("invariant", False):
+        identical = row.get("identical")
+        if identical is not None and not all(identical.values()):
+            broken = [k for k, ok in identical.items() if not ok]
             failures.append(
-                f"{profile_name}: fast path diverged from the reference"
+                f"{profile_name}/{phase_name}: not identical ({', '.join(broken)})"
             )
-        for phase_name, base_row in base_cell.get("phases", {}).items():
-            row = cell.get("phases", {}).get(phase_name)
-            if row is None:
-                failures.append(f"{profile_name}/{phase_name}: phase missing")
-                continue
-            identical = row.get("identical")
-            if identical is not None and not all(identical.values()):
-                broken = [k for k, ok in identical.items() if not ok]
-                failures.append(
-                    f"{profile_name}/{phase_name}: not identical ({', '.join(broken)})"
-                )
-            band = max(
-                min_band,
-                noise_factor
-                * (base_row.get("noise", 0.0) + row.get("noise", 0.0)),
+        band = max(
+            min_band,
+            noise_factor
+            * (base_row.get("noise", 0.0) + row.get("noise", 0.0)),
+        )
+        floor = base_row["speedup"] / (1.0 + band)
+        if base_row["speedup"] > 0 and row["speedup"] < floor:
+            failures.append(
+                f"{profile_name}/{phase_name}: speedup {row['speedup']:.2f}x "
+                f"fell below {floor:.2f}x "
+                f"(baseline {base_row['speedup']:.2f}x, band {band:.2f})"
             )
-            floor = base_row["speedup"] / (1.0 + band)
-            if base_row["speedup"] > 0 and row["speedup"] < floor:
-                failures.append(
-                    f"{profile_name}/{phase_name}: speedup {row['speedup']:.2f}x "
-                    f"fell below {floor:.2f}x "
-                    f"(baseline {base_row['speedup']:.2f}x, band {band:.2f})"
-                )
     return failures
 
 
-def _print_report(report: dict) -> None:
-    for name, cell in report["profiles"].items():
-        total = cell["end_to_end"]
-        print(f"{name} ({cell['config']}):")
-        for phase_name, row in cell["phases"].items():
-            ok = ""
-            if "identical" in row:
-                ok = (
-                    ", identical"
-                    if all(row["identical"].values())
-                    else ", MISMATCH"
-                )
-            print(
-                f"  {phase_name:<16}{row['reference_s']:8.3f}s -> "
-                f"{row['fastpath_s']:8.3f}s  ({row['speedup']:.2f}x"
-                f"{ok}, noise {row['noise']:.3f})"
+def print_cell(name: str, cell: dict) -> None:
+    total = cell["end_to_end"]
+    print(f"{name} ({cell['config']}):")
+    for phase_name, row in cell["phases"].items():
+        ok = ""
+        if "identical" in row:
+            ok = (
+                ", identical"
+                if all(row["identical"].values())
+                else ", MISMATCH"
             )
-            pruning = row.get("pruning")
-            if pruning:
-                print(
-                    f"  {'':<16}pruned {pruning['speedup_vs_exhaustive']:.2f}x "
-                    f"vs exhaustive {pruning['exhaustive_s']:.3f}s; scored "
-                    f"{pruning['documents_scored']}/"
-                    f"{pruning['documents_scored_exhaustive']} docs, skipped "
-                    f"{pruning['documents_skipped']} docs / "
-                    f"{pruning['blocks_skipped']} blocks"
-                )
         print(
-            f"  {'total':<16}{total['reference_s']:8.3f}s -> "
-            f"{total['fastpath_s']:8.3f}s  ({total['speedup']:.2f}x)"
+            f"  {phase_name:<16}{row['reference_s']:8.3f}s -> "
+            f"{row['fastpath_s']:8.3f}s  ({row['speedup']:.2f}x"
+            f"{ok}, noise {row['noise']:.3f})"
         )
-        if not cell["invariant"]:
-            print("  INVARIANCE VIOLATION — fast path diverged from reference")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--profile", action="append", dest="profiles", choices=PROFILE_ORDER,
-        help="collection profile to benchmark (repeatable; default: all four)",
-    )
-    parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS,
-        help="timing repetitions per path (median reported)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default ./BENCH_wallclock.json; "
-        "not written in --check mode unless given explicitly)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline instead of writing it; "
-        "exit non-zero on out-of-band regression",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=Path("BENCH_wallclock.json"),
-        help="baseline JSON to gate against (with --check)",
-    )
-    parser.add_argument(
-        "--min-band", type=float, default=DEFAULT_MIN_BAND,
-        help="minimum allowed fractional speedup drop (with --check)",
-    )
-    args = parser.parse_args(argv)
-    profiles = args.profiles or list(DEFAULT_PROFILES)
-
-    if args.check:
-        # Fail fast with a one-line diagnosis — a missing or mangled
-        # baseline is an operator error, not a traceback-worthy crash.
-        try:
-            baseline = json.loads(args.baseline.read_text())
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run without --check first")
-            return 2
-        except OSError as error:
-            print(f"cannot read baseline {args.baseline}: {error.strerror or error}")
-            return 2
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        pruning = row.get("pruning")
+        if pruning:
             print(
-                f"baseline {args.baseline} is not valid JSON ({error}); "
-                "regenerate it by running without --check"
+                f"  {'':<16}pruned {pruning['speedup_vs_exhaustive']:.2f}x "
+                f"vs exhaustive {pruning['exhaustive_s']:.3f}s; scored "
+                f"{pruning['documents_scored']}/"
+                f"{pruning['documents_scored_exhaustive']} docs, skipped "
+                f"{pruning['documents_skipped']} docs / "
+                f"{pruning['blocks_skipped']} blocks"
             )
-            return 2
-        if not isinstance(baseline, dict) or "profiles" not in baseline:
-            print(
-                f"baseline {args.baseline} is not a wallclock report "
-                "(no 'profiles' key); regenerate it by running without --check"
-            )
-            return 2
-        report = run_benchmark(profiles, args.config, args.out, args.repeats)
-        _print_report(report)
-        failures = compare_reports(report, baseline, min_band=args.min_band)
-        if failures:
-            print("\nREGRESSION GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("\nregression gate passed (all phases within the noise band)")
-        return 0
-
-    out_path = args.out if args.out is not None else Path("BENCH_wallclock.json")
-    report = run_benchmark(profiles, args.config, out_path, args.repeats)
-    _print_report(report)
-    for cell in report["profiles"].values():
-        if not cell["invariant"]:
-            return 1
-    return 0
+    print(
+        f"  {'total':<16}{total['reference_s']:8.3f}s -> "
+        f"{total['fastpath_s']:8.3f}s  ({total['speedup']:.2f}x)"
+    )
+    if not cell["invariant"]:
+        print("  INVARIANCE VIOLATION — fast path diverged from reference")
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+GATE = Gate(
+    name="wallclock",
+    description=(
+        "Real seconds for index build, term-at-a-time and "
+        "document-at-a-time query evaluation, pure-Python reference "
+        "vs. vectorized fast path.  Medians over repeated runs with "
+        "a run-to-run noise bound; the two paths are asserted "
+        "observationally identical (rankings, simulated clock, "
+        "I/A/B, buffer hits).  The prune: phases additionally time "
+        "dynamic top-k pruning against exhaustive document-at-a-time "
+        "evaluation on the linked-record backend, asserting the "
+        "pruned rankings bit-identical to exhaustive."
+    ),
+    default_config=DEFAULT_CONFIG,
+    bench_profile=bench_profile,
+    print_cell=print_cell,
+    options=(
+        Option("--repeats", "repeats", DEFAULT_REPEATS,
+               "timing repetitions per path (median reported)"),
+    ),
+    check_options=(
+        Option("--min-band", "min_band", DEFAULT_MIN_BAND,
+               "minimum allowed fractional speedup drop (with --check)",
+               type=float),
+    ),
+    compare_cell=compare_cell,
+    header=lambda config, repeats: {
+        "numpy": _fastpath.HAVE_NUMPY, "repeats": repeats,
+    },
+    cell_ok=lambda cell: cell["invariant"],
+    summary_ok=False,
+)

@@ -13,17 +13,10 @@ self-contained and deterministic):
 * ``informetrics`` — Zipf/Heaps profile + pool-partition audit;
 * ``evaluate`` — recall/precision of a query set against synthetic judgments;
 * ``validate`` — integrity-check a freshly built system;
-* ``chaos``    — fault-tolerant serving under seeded fault injection;
-* ``shards``   — document-partitioned scaling and invariance benchmark;
-* ``serve``    — concurrent batch query service traffic benchmark;
-* ``saturate`` — overload-control gate: deterministic shedding past capacity;
-* ``prune``    — dynamic-pruning invariance and speedup benchmark;
-* ``failover`` — replication gate: single-replica kills invisible, live
-  re-replication byte-identical, mid-traffic 2→4 shard split;
-* ``ingest``   — live-ingest gate: mixed read/write traffic, every epoch
-  bit-identical to a stop-the-world rebuild, compaction invisible;
-* ``termcache`` — decoded-term cache gate: cache-on serving bit-identical
-  to cache-off, budget respected, zero stale rankings.
+* ``wallclock`` ``shards`` ``serve`` ``saturate`` ``failover`` ``prune``
+  ``ingest`` ``termcache`` ``chaos`` — the regression gates; everything
+  after the gate name goes unchanged to the one driver in
+  :mod:`repro.bench.gate` (shared flags, ``--check``, exit status).
 
 ``demo`` additionally accepts ``--shards N`` (with ``--partitioner``) to
 serve the queries from an N-machine document-partitioned build instead
@@ -59,6 +52,7 @@ from .bench import (
     table5_io_stats,
     table6_hit_rates,
 )
+from .bench.gate import GATES, main as gate_main
 from .core import (
     check_system,
     config_by_name,
@@ -180,117 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--config", default="mneme-cache", choices=ALL_CONFIGS)
     validate.add_argument("--sample-every", type=int, default=1)
 
-    chaos = commands.add_parser(
-        "chaos", help="fault-tolerant query serving under seeded fault injection"
-    )
-    chaos.add_argument("--profile", action="append", dest="profiles",
-                       help="collection profile (repeatable; default: all four)")
-    chaos.add_argument("--config", default="mneme-linked")
-    chaos.add_argument("--seed", type=int, default=1337)
-    chaos.add_argument("--sweep", type=int, default=1,
-                       help="consecutive seeds to test per profile")
-    chaos.add_argument("--out", default=None, help="write the JSON report here")
-
-    shards = commands.add_parser(
-        "shards", help="document-partitioned scaling and invariance benchmark"
-    )
-    shards.add_argument("--profile", action="append", dest="profiles",
-                        help="collection profile (repeatable; default: all four)")
-    shards.add_argument("--config", default="mneme-cache")
-    shards.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
-                        dest="shard_counts", help="shard counts to compare")
-    shards.add_argument("--min-speedup", type=float, default=1.5,
-                        help="critical-path speedup floor at the largest N")
-    shards.add_argument("--out", default=None, help="write the JSON report here")
-
-    serve = commands.add_parser(
-        "serve", help="concurrent batch query service traffic benchmark"
-    )
-    serve.add_argument("--profile", action="append", dest="profiles",
-                       help="collection profile (repeatable; default: all four)")
-    serve.add_argument("--config", default="mneme-cache")
-    serve.add_argument("--requests", type=int, default=160,
-                       help="requests in the repeat-heavy traffic run")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="shard count behind the cached service")
-    serve.add_argument("--min-p50-speedup", type=float, default=5.0,
-                       help="cache-on p50 latency improvement floor")
-    serve.add_argument("--out", default=None, help="write the JSON report here")
-
-    saturate = commands.add_parser(
-        "saturate", help="overload-control gate: deterministic shedding "
-                         "past capacity"
-    )
-    saturate.add_argument("--profile", action="append", dest="profiles",
-                          help="collection profile (repeatable; default: "
-                               "all four)")
-    saturate.add_argument("--config", default="mneme-cache")
-    saturate.add_argument("--requests", type=int, default=120,
-                          help="requests in each saturation stream")
-    saturate.add_argument("--shards", type=int, default=2,
-                          help="shard count behind the service")
-    saturate.add_argument("--check", action="store_true",
-                          help="gate against the committed BENCH_saturate.json")
-    saturate.add_argument("--out", default=None,
-                          help="write the JSON report here")
-
-    prune = commands.add_parser(
-        "prune", help="dynamic-pruning invariance and speedup benchmark"
-    )
-    prune.add_argument("--profile", action="append", dest="profiles",
-                       help="collection profile (repeatable; default: all four)")
-    prune.add_argument("--config", default="mneme-linked")
-    prune.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    prune.add_argument("--min-speedup", type=float, default=1.5,
-                       help="documents-scored reduction floor on the "
-                            "TIPSTER profiles")
-    prune.add_argument("--out", default=None, help="write the JSON report here")
-
-    failover = commands.add_parser(
-        "failover", help="replication gate: kills invisible, re-replication "
-                         "byte-identical, mid-traffic 2->4 split"
-    )
-    failover.add_argument("--profile", action="append", dest="profiles",
-                          help="collection profile (repeatable; default: "
-                               "all four)")
-    failover.add_argument("--config", default="mneme-cache")
-    failover.add_argument("--queries", type=int, default=8,
-                          help="queries per profile run")
-    failover.add_argument("--check", action="store_true",
-                          help="gate against the committed BENCH_failover.json")
-    failover.add_argument("--out", default=None,
-                          help="write the JSON report here")
-
-    ingest = commands.add_parser(
-        "ingest", help="live-ingest gate: mixed read/write traffic, every "
-                       "epoch bit-identical to a stop-the-world rebuild"
-    )
-    ingest.add_argument("--profile", action="append", dest="profiles",
-                        help="collection profile (repeatable; default: "
-                             "all four)")
-    ingest.add_argument("--config", default="mneme-linked")
-    ingest.add_argument("--queries", type=int, default=6,
-                        help="queries per wave")
-    ingest.add_argument("--check", action="store_true",
-                        help="gate against the committed BENCH_ingest.json")
-    ingest.add_argument("--out", default=None,
-                        help="write the JSON report here")
-
-    termcache = commands.add_parser(
-        "termcache", help="decoded-term cache gate: cache-on serving "
-                          "bit-identical to cache-off, zero stale rankings"
-    )
-    termcache.add_argument("--profile", action="append", dest="profiles",
-                           help="collection profile (repeatable; default: "
-                                "all four)")
-    termcache.add_argument("--config", default="mneme-linked")
-    termcache.add_argument("--queries", type=int, default=6,
-                           help="distinct queries in the repeated pool")
-    termcache.add_argument("--check", action="store_true",
-                           help="gate against the committed "
-                                "BENCH_termcache.json")
-    termcache.add_argument("--out", default=None,
-                           help="write the JSON report here")
+    # Listed for --help only: main() hands a gate's argv to the driver.
+    for name, summary in GATES.items():
+        commands.add_parser(name, help=f"gate: {summary}", add_help=False)
 
     return parser
 
@@ -724,6 +610,9 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in GATES:
+        return gate_main(argv)
     args = build_parser().parse_args(argv)
     if args.command == "profiles":
         return cmd_profiles()
@@ -751,109 +640,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_evaluate(args)
     if args.command == "validate":
         return cmd_validate(args)
-    if args.command == "chaos":
-        from pathlib import Path
-
-        from .bench.chaos import main as chaos_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config, "--seed", str(args.seed),
-                  "--sweep", str(args.sweep)]
-        if args.out:
-            argv2 += ["--out", str(Path(args.out))]
-        return chaos_main(argv2)
-    if args.command == "shards":
-        from .bench.shards import main as shards_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--shards"] + [str(n) for n in args.shard_counts]
-        argv2 += ["--min-speedup", str(args.min_speedup)]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return shards_main(argv2)
-    if args.command == "serve":
-        from .bench.serve import main as serve_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--requests", str(args.requests)]
-        argv2 += ["--shards", str(args.shards)]
-        argv2 += ["--min-p50-speedup", str(args.min_p50_speedup)]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return serve_main(argv2)
-    if args.command == "saturate":
-        from .bench.saturate import main as saturate_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--requests", str(args.requests)]
-        argv2 += ["--shards", str(args.shards)]
-        if args.check:
-            argv2 += ["--check"]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return saturate_main(argv2)
-    if args.command == "prune":
-        from .bench.prune import main as prune_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--top-k", str(args.top_k)]
-        argv2 += ["--min-speedup", str(args.min_speedup)]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return prune_main(argv2)
-    if args.command == "failover":
-        from .bench.failover import main as failover_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--queries", str(args.queries)]
-        if args.check:
-            argv2 += ["--check"]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return failover_main(argv2)
-    if args.command == "ingest":
-        from .bench.ingest import main as ingest_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--queries", str(args.queries)]
-        if args.check:
-            argv2 += ["--check"]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return ingest_main(argv2)
-    if args.command == "termcache":
-        from .bench.termcache import main as termcache_main
-
-        argv2 = []
-        for profile in args.profiles or []:
-            argv2 += ["--profile", profile]
-        argv2 += ["--config", args.config]
-        argv2 += ["--queries", str(args.queries)]
-        if args.check:
-            argv2 += ["--check"]
-        if args.out:
-            argv2 += ["--out", args.out]
-        return termcache_main(argv2)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -28,7 +28,14 @@ from ..simdisk import SimClock
 from .engine import DEFAULT_TOP_K, QueryResult
 from .indexer import CollectionIndex
 from .network import DEFAULT_BELIEF, inquery_idf
-from .query import OpNode, QueryNode, TermNode, count_nodes, parse_query
+from .query import (
+    OpNode,
+    QueryNode,
+    TermNode,
+    count_nodes,
+    parse_query,
+    query_terms,
+)
 from .streams import (
     FaultTolerantStream,
     PostingStream,
@@ -90,6 +97,28 @@ def _flatten(tree: QueryNode) -> Tuple[List[str], List[float]]:
         "document-at-a-time evaluation covers flat #sum/#wsum queries; "
         f"found #{tree.op}"
     )
+
+
+def daat_queries(queries: List[str]) -> List[str]:
+    """The flat #sum/#wsum subset document-at-a-time evaluates.
+
+    Query sets with only structured queries (CACM's boolean/phrase
+    styles) are flattened to ``#sum`` over their terms so every
+    collection still exercises the document-at-a-time engine.
+    """
+    flat = []
+    for query in queries:
+        try:
+            _flatten(parse_query(query))
+        except QueryError:
+            continue
+        flat.append(query)
+    if flat:
+        return flat
+    return [
+        "#sum( " + " ".join(query_terms(parse_query(query))) + " )"
+        for query in queries
+    ]
 
 
 class DocumentAtATimeEngine:

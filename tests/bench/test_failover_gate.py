@@ -1,16 +1,18 @@
-"""The failover gate's verdict machinery, without running the bench.
+"""The failover gate's own verdict machinery, without running the bench.
 
-The four-collection replication benchmark itself is tier-2
-(``scripts/bench.sh failover``); here we pin down the checking logic —
-the exact-equality ``--check`` comparator, the baseline error handling
-and exit codes, and the report printer — against fabricated reports,
-mirroring the saturate-gate self-tests.
+The four-collection replication benchmark itself is nightly CI
+(``scripts/bench.sh failover --check``); the driver contract every gate
+shares is pinned in ``test_gate_driver.py``.  Here: the exact-equality
+comparator on this gate's cell shape, its printer, and the driver's exit
+status when fed this gate's fabricated cells.
 """
 
 import json
 
-import repro.bench.failover as failover_bench
-from repro.bench.failover import _print_report, compare_reports
+from repro.bench.failover import GATE, print_cell
+from repro.bench.gate import compare_reports, run
+
+from .conftest import run_check, with_cells, write_report
 
 
 def make_cell(ok=True, failovers=2, post_split_miss=True):
@@ -60,13 +62,13 @@ def make_report(ok=True, **cell_kwargs):
 # -- the --check comparator -----------------------------------------------
 
 def test_compare_identical_reports_pass():
-    assert compare_reports(make_report(), make_report()) == []
+    assert compare_reports(GATE, make_report(), make_report()) == []
 
 
 def test_compare_rejects_any_cell_drift():
     baseline = make_report(failovers=2)
     current = make_report(failovers=3)
-    failures = compare_reports(current, baseline)
+    failures = compare_reports(GATE, current, baseline)
     assert len(failures) == 1
     assert "kill_matrix drifted" in failures[0]
 
@@ -74,27 +76,27 @@ def test_compare_rejects_any_cell_drift():
 def test_compare_rejects_split_drift():
     baseline = make_report()
     current = make_report(post_split_miss=False)
-    failures = compare_reports(current, baseline)
+    failures = compare_reports(GATE, current, baseline)
     assert any("split drifted" in failure for failure in failures)
 
 
 def test_compare_fails_on_missing_profile():
     baseline = make_report()
     empty = {"benchmark": "failover", "profiles": {}, "ok": True}
-    assert compare_reports(empty, baseline) == [
+    assert compare_reports(GATE, empty, baseline) == [
         "cacm-s: missing from the current run"
     ]
 
 
 def test_compare_surfaces_current_violations():
-    failures = compare_reports(make_report(ok=False), make_report())
+    failures = compare_reports(GATE, make_report(ok=False), make_report())
     assert any("observable" in failure for failure in failures)
 
 
 # -- printer --------------------------------------------------------------
 
 def test_print_report_smoke(capsys):
-    _print_report(make_report())
+    print_cell("cacm-s", make_cell())
     out = capsys.readouterr().out
     assert "cacm-s" in out
     assert "N2xR1" in out and "N4xR2" in out
@@ -102,93 +104,57 @@ def test_print_report_smoke(capsys):
     assert "split 2->4" in out
     assert "trace deterministic: True" in out
 
-    _print_report(make_report(ok=False))
+    print_cell("cacm-s", make_cell(ok=False))
     assert "VIOLATION" in capsys.readouterr().out
 
 
-# -- exit codes -----------------------------------------------------------
+# -- exit status through the driver, on this gate's cells ------------------
 
-def _patch_run(monkeypatch, report):
-    def fake_run(profiles, config_name, n_queries, out_path=None):
-        if out_path is not None:
-            out_path.write_text(json.dumps(report) + "\n")
-        return report
-
-    monkeypatch.setattr(failover_bench, "run_benchmark", fake_run)
-
-
-def test_main_exit_codes_without_check(tmp_path, monkeypatch):
+def test_main_exit_codes_without_check(tmp_path):
     out = tmp_path / "BENCH_failover.json"
-    _patch_run(monkeypatch, make_report(ok=True))
-    assert failover_bench.main(["--out", str(out)]) == 0
+    argv = ["--profile", "cacm-s", "--out", str(out)]
+    assert run(with_cells(GATE, make_cell()), argv) == 0
     assert json.loads(out.read_text())["ok"] is True
 
-    _patch_run(monkeypatch, make_report(ok=False))
-    assert failover_bench.main(["--out", str(out)]) == 1
+    assert run(with_cells(GATE, make_cell(ok=False)), argv) == 1
+    assert json.loads(out.read_text())["ok"] is False
 
 
-def test_check_passes_and_fails_against_baseline(tmp_path, monkeypatch):
-    baseline_path = tmp_path / "BENCH_failover.json"
-    baseline_path.write_text(json.dumps(make_report()) + "\n")
-
-    _patch_run(monkeypatch, make_report())
-    assert failover_bench.main(
-        ["--check", "--baseline", str(baseline_path)]
-    ) == 0
-
-    _patch_run(monkeypatch, make_report(failovers=5))
-    assert failover_bench.main(
-        ["--check", "--baseline", str(baseline_path)]
-    ) == 1
+def test_check_passes_and_fails_against_baseline(tmp_path):
+    baseline = write_report(tmp_path / "base.json", GATE, {"cacm-s": make_cell()})
+    assert run_check(GATE, make_cell(), baseline) == 0
+    assert run_check(GATE, make_cell(failovers=5), baseline) == 1
 
 
-def test_check_restricted_profiles_gate_only_that_subset(
-    tmp_path, monkeypatch
-):
+def test_check_restricted_profiles_gate_only_that_subset(tmp_path):
     # The nightly job checks two of the four baseline collections; the
     # untested profiles must not count as "missing from the current run".
-    baseline = make_report()
-    baseline["profiles"]["legal-s"] = make_cell()
-    baseline_path = tmp_path / "BENCH_failover.json"
-    baseline_path.write_text(json.dumps(baseline) + "\n")
-
-    _patch_run(monkeypatch, make_report())
-    assert failover_bench.main(
-        ["--profile", "cacm-s", "--check", "--baseline", str(baseline_path)]
-    ) == 0
+    baseline = write_report(
+        tmp_path / "base.json", GATE,
+        {"cacm-s": make_cell(), "legal-s": make_cell(failovers=9)},
+    )
+    assert run_check(GATE, make_cell(), baseline) == 0
 
 
-def test_check_profile_absent_from_baseline_is_operator_error(
-    tmp_path, monkeypatch, capsys
-):
-    baseline_path = tmp_path / "BENCH_failover.json"
-    baseline_path.write_text(json.dumps(make_report()) + "\n")
-
-    _patch_run(monkeypatch, make_report())
-    assert failover_bench.main(
-        ["--profile", "legal-s", "--check", "--baseline", str(baseline_path)]
-    ) == 2
-    assert "lacks profile" in capsys.readouterr().out
+def test_check_profile_absent_from_baseline_is_operator_error(tmp_path, capsys):
+    baseline = write_report(tmp_path / "base.json", GATE, {"legal-s": make_cell()})
+    assert run_check(GATE, make_cell(), baseline) == 2
+    assert "lacks profile" in capsys.readouterr().err
 
 
-def test_check_missing_baseline_is_operator_error(tmp_path, monkeypatch, capsys):
-    _patch_run(monkeypatch, make_report())
-    missing = tmp_path / "nope.json"
-    assert failover_bench.main(["--check", "--baseline", str(missing)]) == 2
-    out = capsys.readouterr().out
-    assert "no baseline" in out
-    assert "\n" not in out.strip()  # a one-line diagnosis, not a traceback
+def test_check_missing_baseline_is_operator_error(tmp_path, capsys):
+    assert run_check(GATE, make_cell(), tmp_path / "nope.json") == 2
+    err = capsys.readouterr().err
+    assert "no baseline" in err
+    assert "\n" not in err.strip()  # a one-line diagnosis, not a traceback
 
 
-def test_check_unparsable_baseline_is_operator_error(
-    tmp_path, monkeypatch, capsys
-):
-    _patch_run(monkeypatch, make_report())
+def test_check_unparsable_baseline_is_operator_error(tmp_path, capsys):
     mangled = tmp_path / "BENCH_failover.json"
     mangled.write_text("{not json")
-    assert failover_bench.main(["--check", "--baseline", str(mangled)]) == 2
-    assert "not valid JSON" in capsys.readouterr().out
+    assert run_check(GATE, make_cell(), mangled) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
     mangled.write_text(json.dumps({"benchmark": "failover"}))
-    assert failover_bench.main(["--check", "--baseline", str(mangled)]) == 2
-    assert "not a failover report" in capsys.readouterr().out
+    assert run_check(GATE, make_cell(), mangled) == 2
+    assert "not a failover report" in capsys.readouterr().err

@@ -1,19 +1,21 @@
-"""The ingest gate's verdict machinery, without running the bench.
+"""The ingest gate's own verdict machinery, without running the bench.
 
 The four-collection mixed read/write benchmark itself is nightly CI
-(``scripts/bench.sh ingest --check``); here we pin down the checking
-logic — the ``--check`` comparator (exact per-cell equality), the
-baseline error handling and exit codes, and the report printer —
-against fabricated reports, mirroring the failover-gate self-tests.
-The single-profile end-to-end run rides along as a tier-2 test.
+(``scripts/bench.sh ingest --check``); the driver contract every gate
+shares is pinned in ``test_gate_driver.py``.  Here: the exact-equality
+comparator on this gate's cell shape, the mutation schedule, the
+printer, and the driver's exit status when fed this gate's fabricated
+cells.  The single-profile end-to-end run rides along as a tier-2 test.
 """
 
 import json
 
 import pytest
 
-import repro.bench.ingest as ingest_bench
-from repro.bench.ingest import _print_report, _schedule, compare_reports, main
+from repro.bench.gate import compare_reports, run
+from repro.bench.ingest import GATE, _schedule, print_cell
+
+from .conftest import run_check, write_report
 
 
 def make_cell(ok=True):
@@ -59,25 +61,25 @@ def make_report(ok=True):
 # -- comparator -----------------------------------------------------------
 
 def test_identical_reports_pass():
-    assert compare_reports(make_report(), make_report()) == []
+    assert compare_reports(GATE, make_report(), make_report()) == []
 
 
 def test_any_cell_drift_fails():
     current = make_report()
     current["profiles"]["cacm-s"]["flat"]["query_p50_ms"] = 13.0
-    failures = compare_reports(current, make_report())
+    failures = compare_reports(GATE, current, make_report())
     assert len(failures) == 1 and "flat" in failures[0]
 
 
 def test_violations_surface_in_check():
-    failures = compare_reports(make_report(ok=False), make_report())
+    failures = compare_reports(GATE, make_report(ok=False), make_report())
     assert any("reclaimed nothing" in f for f in failures)
 
 
 def test_missing_profile_fails():
     current = make_report()
     current["profiles"] = {}
-    failures = compare_reports(current, make_report())
+    failures = compare_reports(GATE, current, make_report())
     assert failures == ["cacm-s: missing from the current run"]
 
 
@@ -85,7 +87,7 @@ def test_deterministic_flag_is_gated():
     current = make_report()
     current["profiles"]["cacm-s"]["deterministic"] = False
     # The flag flip alone drifts, independent of the ok bit.
-    failures = compare_reports(current, make_report())
+    failures = compare_reports(GATE, current, make_report())
     assert any("deterministic" in f for f in failures)
 
 
@@ -109,71 +111,49 @@ def test_schedule_is_a_pure_function_of_the_corpus(corpus_stub=None):
         assert sorted(live) == live_ids
 
 
-# -- exit codes and operator errors ---------------------------------------
+# -- exit status through the driver, on this gate's cells ------------------
 
 def test_check_without_baseline_is_an_operator_error(tmp_path, capsys):
-    code = main(["--check", "--baseline", str(tmp_path / "missing.json")])
-    assert code == 2
-    assert "no baseline" in capsys.readouterr().out
+    assert run_check(GATE, make_cell(), tmp_path / "missing.json") == 2
+    assert "no baseline" in capsys.readouterr().err
 
 
 def test_check_with_invalid_json_is_an_operator_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code = main(["--check", "--baseline", str(bad)])
-    assert code == 2
-    assert "not valid JSON" in capsys.readouterr().out
+    assert run_check(GATE, make_cell(), bad) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_check_with_wrong_shape_is_an_operator_error(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"benchmark": "ingest"}))
-    code = main(["--check", "--baseline", str(wrong)])
-    assert code == 2
-    assert "no 'profiles' key" in capsys.readouterr().out
+    assert run_check(GATE, make_cell(), wrong) == 2
+    assert "no 'profiles' key" in capsys.readouterr().err
 
 
 def test_restricted_check_requires_profile_in_baseline(tmp_path, capsys):
-    baseline = tmp_path / "base.json"
-    report = make_report()
-    del report["profiles"]["cacm-s"]
-    report["profiles"]["legal-s"] = make_cell()
-    baseline.write_text(json.dumps(report))
-    code = main([
-        "--check", "--baseline", str(baseline), "--profile", "cacm-s",
-    ])
-    assert code == 2
-    assert "lacks profile" in capsys.readouterr().out
+    baseline = write_report(tmp_path / "base.json", GATE, {"legal-s": make_cell()})
+    assert run_check(GATE, make_cell(), baseline) == 2
+    assert "lacks profile" in capsys.readouterr().err
 
 
-def test_check_compares_and_exits_one_on_drift(tmp_path, capsys, monkeypatch):
-    baseline = tmp_path / "base.json"
-    drifted = make_report()
-    drifted["profiles"]["cacm-s"]["flat"]["docs_added"] = 999
-    baseline.write_text(json.dumps(drifted))
-    monkeypatch.setattr(
-        ingest_bench, "run_benchmark",
-        lambda profiles, config, queries, out: make_report(),
-    )
-    code = main(["--check", "--baseline", str(baseline)])
-    assert code == 1
+def test_check_compares_and_exits_one_on_drift(tmp_path, capsys):
+    drifted = make_cell()
+    drifted["flat"]["docs_added"] = 999
+    baseline = write_report(tmp_path / "base.json", GATE, {"cacm-s": drifted})
+    assert run_check(GATE, make_cell(), baseline) == 1
     assert "INGEST GATE FAILED" in capsys.readouterr().out
 
 
-def test_check_passes_on_equal_reports(tmp_path, capsys, monkeypatch):
-    baseline = tmp_path / "base.json"
-    baseline.write_text(json.dumps(make_report()))
-    monkeypatch.setattr(
-        ingest_bench, "run_benchmark",
-        lambda profiles, config, queries, out: make_report(),
-    )
-    code = main(["--check", "--baseline", str(baseline)])
-    assert code == 0
+def test_check_passes_on_equal_reports(tmp_path, capsys):
+    baseline = write_report(tmp_path / "base.json", GATE, {"cacm-s": make_cell()})
+    assert run_check(GATE, make_cell(), baseline) == 0
     assert "ingest gate passed" in capsys.readouterr().out
 
 
 def test_printer_handles_every_cell_shape(capsys):
-    _print_report(make_report(ok=False))
+    print_cell("cacm-s", make_cell(ok=False))
     out = capsys.readouterr().out
     assert "VIOLATION" in out and "compaction" in out
 
@@ -183,12 +163,11 @@ def test_printer_handles_every_cell_shape(capsys):
 @pytest.mark.tier2
 def test_single_profile_gate_end_to_end(tmp_path):
     out = tmp_path / "BENCH_ingest.json"
-    code = main(["--profile", "cacm-s", "--out", str(out)])
-    assert code == 0
+    assert run(GATE, ["--profile", "cacm-s", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     cell = report["profiles"]["cacm-s"]
     assert cell["ok"] and cell["deterministic"]
     # And --check against its own output is clean.
-    assert main([
+    assert run(GATE, [
         "--profile", "cacm-s", "--check", "--baseline", str(out),
     ]) == 0

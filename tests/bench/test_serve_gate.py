@@ -1,16 +1,20 @@
-"""The serve gate's verdict machinery, without running the timed bench.
+"""The serve gate's own verdict machinery, without running the timed bench.
 
-The four-collection traffic benchmark itself is tier-2
-(``scripts/bench.sh serve``); here we pin down the checking logic — the
-invariance comparator, the report shaping, and the CLI exit codes —
-against fabricated reports, the same way the wall-clock gate is tested.
+The four-collection traffic benchmark itself is nightly CI
+(``scripts/bench.sh serve --check``); the driver contract every gate
+shares is pinned in ``test_gate_driver.py``.  Here: the served-ranking
+invariance check, the printer on every cell shape, and the driver's
+exit status when fed this gate's fabricated cells.
 """
 
 import json
 from types import SimpleNamespace
 
-import repro.bench.serve as serve_bench
-from repro.bench.serve import _check_invariance, _print_report
+from repro.bench.gate import run
+from repro.bench.reference import check_invariance
+from repro.bench.serve import GATE, print_cell
+
+from .conftest import with_cells
 
 
 def served_row(text, ranking, outcome="miss"):
@@ -59,7 +63,7 @@ def test_invariance_passes_on_identical_rankings():
         served_row("q1", [(1, 0.5)], "shared"),
     ])
     violations = []
-    assert _check_invariance(report, reference, "label", violations) == 0
+    assert check_invariance(report, reference, "label", violations) == 0
     assert violations == []
 
 
@@ -69,7 +73,7 @@ def test_invariance_catches_any_divergence():
         served_row("q1", [(1, 0.5000001)], "hit"),
     ])
     violations = []
-    assert _check_invariance(report, reference, "label", violations) == 1
+    assert check_invariance(report, reference, "label", violations) == 1
     assert len(violations) == 1
     assert "label" in violations[0]
     assert "'q1'" in violations[0]
@@ -81,44 +85,38 @@ def test_invariance_summarizes_mass_failures():
         served=[served_row("q", [(1, 0.6)], "miss") for _ in range(10)]
     )
     violations = []
-    assert _check_invariance(report, reference, "label", violations) == 10
+    assert check_invariance(report, reference, "label", violations) == 10
     # Three verbose rows plus one total line, not ten.
     assert len(violations) == 4
     assert "10 served rankings diverged" in violations[-1]
 
 
 def test_print_report_smoke(capsys):
-    _print_report(make_report(ok=True))
+    print_cell("cacm-s", make_report(ok=True)["profiles"]["cacm-s"])
     out = capsys.readouterr().out
     assert "cacm-s" in out
     assert "p50 speedup 6.00x" in out
     assert "burst scaling" in out
     assert "dead shard" in out
 
-    _print_report(make_report(ok=False))
+    print_cell("cacm-s", make_report(ok=False)["profiles"]["cacm-s"])
     assert "VIOLATION" in capsys.readouterr().out
 
 
 def test_print_report_handles_raised_dead_shard(capsys):
-    report = make_report(ok=False)
-    report["profiles"]["cacm-s"]["dead_shard"] = {"raised": True}
-    _print_report(report)
+    cell = make_report(ok=False)["profiles"]["cacm-s"]
+    cell["dead_shard"] = {"raised": True}
+    print_cell("cacm-s", cell)
     assert "dead shard" not in capsys.readouterr().out
 
 
-def test_main_exit_codes(tmp_path, monkeypatch):
-    def fake_run(profiles, config_name, n_requests, shards,
-                 min_p50_speedup, out_path):
-        if out_path is not None:
-            out_path.write_text(json.dumps(fake_run.report) + "\n")
-        return fake_run.report
-
-    monkeypatch.setattr(serve_bench, "run_benchmark", fake_run)
-
+def test_main_exit_codes(tmp_path):
     out = tmp_path / "BENCH_serve.json"
-    fake_run.report = make_report(ok=True)
-    assert serve_bench.main(["--out", str(out)]) == 0
-    assert json.loads(out.read_text())["ok"] is True
+    argv = ["--profile", "cacm-s", "--out", str(out)]
+    passing = make_report(ok=True)["profiles"]["cacm-s"]
+    assert run(with_cells(GATE, passing), argv) == 0
+    report = json.loads(out.read_text())
+    assert report["ok"] is True and report["min_p50_speedup"] == 5.0
 
-    fake_run.report = make_report(ok=False)
-    assert serve_bench.main(["--out", str(out)]) == 1
+    failing = make_report(ok=False)["profiles"]["cacm-s"]
+    assert run(with_cells(GATE, failing), argv) == 1

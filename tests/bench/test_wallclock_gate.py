@@ -1,24 +1,31 @@
 """The wall-clock regression gate must itself be trustworthy.
 
-A fabricated baseline with an injected slowdown has to fail
-:func:`repro.bench.wallclock.compare_reports`; an in-band wobble has to
-pass.  Invariance violations and missing profiles/phases are failures
-outright.  The CLI plumbing (``--check`` exit codes) is covered against
-fabricated report files, without running the timed benchmark.
+A fabricated baseline with an injected slowdown has to fail the gate's
+banded comparator; an in-band wobble has to pass.  Invariance violations
+and missing profiles/phases are failures outright.  The driver contract
+every gate shares is pinned in ``test_gate_driver.py``; here its exit
+status is checked on this gate's fabricated cells, without running the
+timed benchmark.
 """
 
 import copy
-import json
 
 import pytest
 
+from repro.bench.gate import compare_reports as compare_gate_reports
 from repro.bench.wallclock import (
     DEFAULT_MIN_BAND,
-    _daat_queries,
+    GATE,
     _phase_row,
     _spread,
-    compare_reports,
 )
+from repro.inquery.daat import daat_queries
+
+from .conftest import run_check, write_report
+
+
+def compare_reports(current, baseline):
+    return compare_gate_reports(GATE, current, baseline)
 
 
 def make_report(speedup=4.0, noise=0.05, invariant=True, identical=True):
@@ -158,30 +165,26 @@ def test_spread_and_phase_row():
 
 
 def test_daat_queries_flatten_structured_sets():
-    flat = _daat_queries(["#sum( a b )", "#and( a b )"])
+    flat = daat_queries(["#sum( a b )", "#and( a b )"])
     assert flat == ["#sum( a b )"]  # flat subset preferred
-    derived = _daat_queries(["#and( a b )", "#phrase( c d )"])
+    derived = daat_queries(["#and( a b )", "#phrase( c d )"])
     assert derived == ["#sum( a b )", "#sum( c d )"]
 
 
-# -- CLI exit codes against fabricated report files -------------------------
+# -- exit status through the driver, on this gate's cells ------------------
 
 
-def test_check_cli_exit_codes(tmp_path, monkeypatch):
-    import repro.bench.wallclock as wc
+def test_check_cli_exit_codes(tmp_path):
+    def cell(speedup):
+        return make_report(speedup=speedup, noise=0.0)["profiles"]["cacm-s"]
 
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(make_report(speedup=4.0)) + "\n")
+    baseline = write_report(
+        tmp_path / "baseline.json", GATE, {"cacm-s": cell(4.0)}
+    )
 
-    def fake_run(profiles, config_name, out_path, repeats):
-        return fake_run.report
-
-    monkeypatch.setattr(wc, "run_benchmark", fake_run)
-
-    fake_run.report = make_report(speedup=3.8)
-    assert wc.main(["--check", "--baseline", str(baseline_path)]) == 0
-
-    fake_run.report = make_report(speedup=1.0)
-    assert wc.main(["--check", "--baseline", str(baseline_path)]) == 1
-
-    assert wc.main(["--check", "--baseline", str(tmp_path / "absent.json")]) == 2
+    assert run_check(GATE, cell(3.8), baseline) == 0
+    assert run_check(GATE, cell(1.0), baseline) == 1
+    # The band is the operator's: 4.0x -> 3.2x passes at 35%, fails at 10%.
+    assert run_check(GATE, cell(3.2), baseline) == 0
+    assert run_check(GATE, cell(3.2), baseline, "--min-band", "0.1") == 1
+    assert run_check(GATE, cell(3.8), tmp_path / "absent.json") == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import gate as gate_driver
 from repro.cli import build_parser, main
 
 
@@ -91,3 +92,38 @@ def test_evaluate_command(capsys):
 
 def test_evaluate_bad_set(capsys):
     assert main(["evaluate", "--profile", "cacm-s", "--set", "7"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["wallclock", "--repeats", "1", "--min-band", "0.5", "--check"],
+    ["chaos", "--profile", "cacm-s", "--seed", "7", "--sweep", "2"],
+    ["shards", "--shards", "1", "2", "--min-speedup", "1.2", "--check"],
+    ["serve", "--requests", "40", "--shards", "4", "--min-p50-speedup", "3"],
+    ["saturate", "--requests", "40", "--p99-band", "0.2", "--check"],
+    ["prune", "--top-k", "10", "--min-speedup", "1.1", "--out", "p.json"],
+    ["failover", "--queries", "4", "--baseline", "b.json", "--check"],
+    ["ingest", "--queries", "3", "--config", "mneme-linked"],
+    ["termcache", "--queries", "3", "--profile", "legal-s", "--check"],
+], ids=lambda argv: argv[0])
+def test_gate_subcommands_reach_the_driver_with_flags_intact(argv, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        gate_driver, "run", lambda gate, rest: seen.append((gate.name, rest)) or 7
+    )
+    assert main(argv) == 7
+    assert seen == [(argv[0], argv[1:])]
+
+
+def test_gate_subcommand_rejects_an_unknown_profile(capsys):
+    assert main(["prune", "--profile", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err and "Traceback" not in err
+
+
+def test_help_lists_the_gates(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for name in gate_driver.GATES:
+        assert name in out

@@ -18,7 +18,6 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.wallclock import _daat_queries
 from repro.core import config_by_name, materialize, prepare_collection
 from repro.core.metrics import cold_start
 from repro.fastpath import prune, use_fastpath
@@ -32,6 +31,7 @@ from repro.inquery import (
     RetrievalEngine,
     tombstone_document_incremental,
 )
+from repro.inquery.daat import daat_queries
 from repro.mneme import RedoLog, compact, recover
 from repro.serve.termcache import TermCache
 from repro.shard import materialize_sharded, measure_sharded_run
@@ -351,7 +351,7 @@ def shard_setup():
     collection = SyntheticCollection(TINY)
     prepared = prepare_collection(collection)
     config = config_by_name("mneme-cache")
-    queries = _daat_queries(
+    queries = daat_queries(
         generate_query_set(collection, PRUNE_QUERIES).queries
     )
     baseline = materialize(prepared, config)

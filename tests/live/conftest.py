@@ -61,6 +61,6 @@ def daat_queries(collection):
         QueryProfile(name="live-weighted", style="weighted", n_queries=4,
                      mean_terms=4, seed=223),
     )
-    from repro.bench.wallclock import _daat_queries
+    from repro.inquery.daat import daat_queries as flat_subset
 
-    return _daat_queries(query_set.queries)[:3]
+    return flat_subset(query_set.queries)[:3]

@@ -8,10 +8,10 @@ cold-starts whatever backend it is handed.
 
 import pytest
 
-from repro.bench.wallclock import _daat_queries
 from repro.core import config_by_name, materialize, prepare_collection
 from repro.core.metrics import cold_start
 from repro.inquery import DocumentAtATimeEngine, RetrievalEngine
+from repro.inquery.daat import daat_queries
 from repro.synth import (
     CollectionProfile,
     QueryProfile,
@@ -60,7 +60,7 @@ def pool(collection):
 @pytest.fixture(scope="session")
 def daat_pool(pool):
     """The flat #sum/#wsum subset the document-at-a-time engine accepts."""
-    flat = _daat_queries(pool)
+    flat = daat_queries(pool)
     assert flat, "query pools must include flat queries for DAAT coverage"
     return flat
 

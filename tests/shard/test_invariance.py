@@ -10,9 +10,8 @@ engine's.
 
 import pytest
 
-from repro.bench.wallclock import _daat_queries
 from repro.core.metrics import cold_start
-from repro.inquery.daat import DocumentAtATimeEngine
+from repro.inquery.daat import DocumentAtATimeEngine, daat_queries
 from repro.shard import materialize_sharded, measure_sharded_run
 
 
@@ -39,7 +38,7 @@ def test_daat_rankings_bit_identical(
 ):
     sharded = materialize_sharded(prepared, config, n_shards=n_shards)
     for query_set in query_sets:
-        flat = _daat_queries(query_set.queries)
+        flat = daat_queries(query_set.queries)
         if not flat:
             continue
         cold_start(baseline)

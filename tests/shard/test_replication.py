@@ -93,11 +93,10 @@ def test_single_replica_kill_is_invisible(
 
 
 def test_daat_failover_is_invisible(prepared, config, query_sets, baseline):
-    from repro.bench.wallclock import _daat_queries
     from repro.core.metrics import cold_start
-    from repro.inquery.daat import DocumentAtATimeEngine
+    from repro.inquery.daat import DocumentAtATimeEngine, daat_queries
 
-    flat = _daat_queries(query_sets[0].queries)
+    flat = daat_queries(query_sets[0].queries)
     assert flat
     cold_start(baseline)
     engine = DocumentAtATimeEngine(
