@@ -253,8 +253,7 @@ def materialize(
     dictionary = HashDictionary(initial_buckets=max(1024, len(prepared.records)))
     for rank in sorted(prepared.term_id_of_rank):
         term_id = prepared.term_id_of_rank[rank]
-        entry = dictionary.add(term_string(rank))
-        entry.term_id = term_id
+        entry = dictionary.add(term_string(rank), term_id)
         entry.df = prepared.df[term_id]
         entry.ctf = prepared.ctf[term_id]
         entry.storage_key = keys[term_id]

@@ -31,6 +31,8 @@ from .indexer import (
     IndexBuilder,
     IndexStats,
     add_document_incremental,
+    add_documents_incremental,
+    check_addable,
     fold_tombstones,
     remove_document_incremental,
     tombstone_document_incremental,
@@ -142,8 +144,10 @@ __all__ = [
     "TermNode",
     "TermProvider",
     "add_document_incremental",
+    "add_documents_incremental",
     "best_window",
     "canonical_query_key",
+    "check_addable",
     "count_nodes",
     "decode_header",
     "decode_record",

@@ -75,15 +75,22 @@ class HashDictionary:
             entry = entry.next
         return None
 
-    def add(self, term: str) -> TermEntry:
-        """Return the entry for ``term``, creating it with a fresh id."""
+    def add(self, term: str, term_id: Optional[int] = None) -> TermEntry:
+        """Return the entry for ``term``, creating it with a fresh id.
+
+        A caller that assigns ids itself (a shard's dictionary keeps the
+        collection-wide ids) passes ``term_id``; fresh ids then start
+        above it, so a later term can never collide with it.
+        """
         entry = self.lookup(term)
         if entry is not None:
             return entry
         if self._count >= 4 * len(self._buckets):
             self._grow()
-        entry = TermEntry(term=term, term_id=self._next_id)
-        self._next_id += 1
+        if term_id is None:
+            term_id = self._next_id
+        entry = TermEntry(term=term, term_id=term_id)
+        self._next_id = max(self._next_id, term_id + 1)
         index = _hash(term) % len(self._buckets)
         entry.next = self._buckets[index]
         self._buckets[index] = entry

@@ -17,7 +17,7 @@ engine.
 import heapq
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import IndexError_
 from ..fastpath import state as _fastpath
@@ -26,7 +26,7 @@ from .dictionary import HashDictionary
 from .documents import Document, DocTable
 from .invfile import InvertedFileStore
 from .normalize import normalize_term
-from .postings import Posting, encode_record, merge_records, uncompressed_size
+from .postings import Posting, decode_record, encode_record, uncompressed_size
 from .stem import stem as default_stem
 from .text import tokenize
 
@@ -346,62 +346,111 @@ class IndexBuilder:
             entry.ctf = ctf.get(term_id, 0)
 
 
-def add_document_incremental(index: CollectionIndex, document: Document) -> None:
-    """Add one document to an existing index, record by record.
+def _term_positions(index: CollectionIndex, document: Document) -> Dict[str, List[int]]:
+    """Normalized term -> token positions of one document."""
+    by_term: Dict[str, List[int]] = {}
+    for position, token in enumerate(document.term_stream(tokenize)):
+        normalized = normalize_term(token, index.stopwords, index.stem_fn)
+        if normalized is not None:
+            by_term.setdefault(normalized, []).append(position)
+    return by_term
+
+
+def check_addable(index: CollectionIndex, documents: Sequence[Document]) -> None:
+    """Raise unless every document of a batch can be added to ``index``.
+
+    Checked for the whole batch before anything is written: an id that
+    is already indexed, repeated within the batch, or tombstoned (its
+    dead postings are still in the records until compaction) rejects
+    the batch.
+    """
+    seen = set()
+    for document in documents:
+        doc_id = document.doc_id
+        if doc_id in index.doctable or doc_id in seen:
+            raise IndexError_(f"document id {doc_id} already indexed")
+        if doc_id in index.tombstones:
+            raise IndexError_(
+                f"document id {doc_id} is tombstoned; "
+                "compact before reusing the id"
+            )
+        seen.add(doc_id)
+
+
+def add_documents_incremental(
+    index: CollectionIndex,
+    documents: Sequence[Document],
+    seed_stats: Optional[Callable[[str], Optional[Tuple[int, int]]]] = None,
+) -> List[Dict[str, int]]:
+    """Add a batch of documents to an existing index, one pass per term.
 
     This is the operation the paper says classic INQUERY does *not*
     support ("addition or deletion of a single document ... requires the
     entire document collection to be re-indexed") and that a persistent
-    object store makes tractable.  Each touched term's record is fetched,
-    merged, and written back through the storage backend, which may
-    relocate it (pool change) — the dictionary entry is updated when the
-    storage key changes.
+    object store makes tractable.  The batch is the unit of work: each
+    document is tokenized once, postings are grouped by term, and every
+    distinct term costs one grow-a-record call
+    (:meth:`~repro.inquery.invfile.InvertedFileStore.append_postings`,
+    which may relocate the record — the dictionary entry follows) and
+    one bound refresh, however many of the batch's documents mention
+    it.  One ``store.flush()`` at the end writes the open segments and
+    tables out (through the write-ahead log, when one is attached):
+    nothing earlier would survive a crash anyway, since recovery
+    discards whatever follows the last epoch marker.
+
+    ``seed_stats`` gives the ``(df, ctf)`` a term new to this dictionary
+    starts from (a shard's dictionary carries *global* statistics).
+    Returns each document's term -> within-document frequency.
     """
-    if document.doc_id in index.doctable:
-        raise IndexError_(f"document id {document.doc_id} already indexed")
-    if document.doc_id in index.tombstones:
-        raise IndexError_(
-            f"document id {document.doc_id} is tombstoned; "
-            "compact before reusing the id"
-        )
-    tokens = document.term_stream(tokenize)
-    by_term: Dict[str, List[int]] = {}
-    kept = 0
-    for position, token in enumerate(tokens):
-        normalized = normalize_term(token, index.stopwords, index.stem_fn)
-        if normalized is None:
-            continue
-        by_term.setdefault(normalized, []).append(position)
-        kept += 1
-    index.doctable.add(document.doc_id, kept, document.name)
-    for term, positions in sorted(by_term.items()):
-        entry = index.dictionary.add(term)
-        posting = (document.doc_id, tuple(positions))
-        fresh_record = entry.df == 0 or entry.storage_key == 0
-        if fresh_record:
-            record = encode_record([posting])
-            entry.storage_key = index.store.add_record(entry.term_id, record)
-        else:
-            old = index.store.fetch(entry.storage_key)
-            record = merge_records(old, [posting])
-            entry.storage_key = index.store.update_record(entry.storage_key, record)
-        entry.df += 1
-        entry.ctf += len(positions)
+    check_addable(index, documents)
+    by_term: Dict[str, List[Posting]] = {}
+    term_tfs: List[Dict[str, int]] = []
+    for document in documents:
+        positions_of = _term_positions(index, document)
+        tfs = {term: len(positions) for term, positions in positions_of.items()}
+        index.doctable.add(document.doc_id, sum(tfs.values()), document.name)
+        for term, positions in positions_of.items():
+            by_term.setdefault(term, []).append((document.doc_id, tuple(positions)))
+        term_tfs.append(tfs)
+    store = index.store
+    for term, postings in sorted(by_term.items()):
+        postings.sort()
+        entry = index.dictionary.lookup(term)
+        if entry is None:
+            entry = index.dictionary.add(term)
+            seed = seed_stats(term) if seed_stats is not None else None
+            if seed is not None:
+                entry.df, entry.ctf = seed
+        fresh_record = entry.storage_key == 0
         # Bound maintenance is a max-merge — but only when the old bound
         # was known.  A record inherited from a pre-bounds index carries
-        # max_tf == 0 ("unknown"); max-merging the new document into an
+        # max_tf == 0 ("unknown"); max-merging the new documents into an
         # unknown would understate the true ceiling, so unknown stays
-        # unknown (and the term keeps evaluating exhaustively).
-        if fresh_record or entry.max_tf > 0:
-            entry.max_tf = max(entry.max_tf, len(positions))
-        entry.bounds_key = index.store.refresh_bounds(
-            entry.storage_key, entry.bounds_key
-        )
-    index.stats.documents += 1
-    index.stats.postings += kept
-    # Per-document updates are durable: open segments and tables are
-    # written out (through the write-ahead log, when one is attached).
-    index.store.flush()
+        # unknown (and the term keeps evaluating exhaustively).  A term
+        # no live document mentions has a known ceiling of zero.
+        bound_known = fresh_record or entry.df == 0 or entry.max_tf > 0
+        if fresh_record:
+            entry.storage_key = store.add_record(entry.term_id, encode_record(postings))
+            entry.bounds_key = store.refresh_bounds(entry.storage_key, entry.bounds_key)
+        else:
+            entry.storage_key, entry.bounds_key = store.append_postings(
+                entry.storage_key, postings, entry.bounds_key
+            )
+        entry.df += len(postings)
+        entry.ctf += sum(len(positions) for _doc, positions in postings)
+        if bound_known:
+            entry.max_tf = max(
+                entry.max_tf, max(len(positions) for _doc, positions in postings)
+            )
+    index.stats.documents += len(documents)
+    index.stats.postings += sum(sum(tfs.values()) for tfs in term_tfs)
+    store.flush()
+    return term_tfs
+
+
+def add_document_incremental(index: CollectionIndex, document: Document) -> None:
+    """Add one document: :func:`add_documents_incremental` of a batch of one."""
+    add_documents_incremental(index, [document])
 
 
 def tombstone_document_incremental(index: CollectionIndex, document: Document) -> int:
@@ -427,15 +476,11 @@ def tombstone_document_incremental(index: CollectionIndex, document: Document) -
         raise IndexError_(f"unknown document id {doc_id}")
     if doc_id in index.tombstones:
         raise IndexError_(f"document id {doc_id} already tombstoned")
-    tokens = document.term_stream(tokenize)
-    by_term: Dict[str, int] = {}
-    kept = 0
-    for token in tokens:
-        normalized = normalize_term(token, index.stopwords, index.stem_fn)
-        if normalized is None:
-            continue
-        by_term[normalized] = by_term.get(normalized, 0) + 1
-        kept += 1
+    by_term = {
+        term: len(positions)
+        for term, positions in _term_positions(index, document).items()
+    }
+    kept = sum(by_term.values())
     if kept != index.doctable.length_of(doc_id):
         raise IndexError_(
             f"document {doc_id} token stream does not match the indexed "
@@ -465,18 +510,18 @@ def fold_tombstones(index: CollectionIndex) -> int:
     records are fetched, filtered, and written back (the same record
     path as ``remove_document_incremental``), exact ``max_tf`` and chunk
     bounds are recomputed from the kept postings, and the tombstone set
-    empties — after which the deleted doc ids may be reused.  Returns
-    the number of records rewritten.
+    empties — after which the deleted doc ids may be reused.  Records
+    are visited in storage-key order, which is the order the store laid
+    them out in, so each physical segment is read and parsed once
+    instead of once per record that hashes near it in the dictionary.
+    Returns the number of records rewritten.
     """
     if not index.tombstones:
         return 0
-    from .postings import decode_record
-
     dead = index.tombstones
     rewritten = 0
-    for entry in index.dictionary.entries():
-        if entry.storage_key == 0:
-            continue
+    stored = [e for e in index.dictionary.entries() if e.storage_key != 0]
+    for entry in sorted(stored, key=lambda e: e.storage_key):
         old = index.store.fetch(entry.storage_key)
         postings = decode_record(old)
         kept = [(d, p) for d, p in postings if d not in dead]
@@ -513,8 +558,6 @@ def remove_document_incremental(index: CollectionIndex, doc_id: int) -> int:
         if entry.df == 0 or entry.storage_key == 0:
             continue
         old = index.store.fetch(entry.storage_key)
-        from .postings import decode_record
-
         postings = decode_record(old)
         kept = [(d, p) for d, p in postings if d != doc_id]
         if len(kept) == len(postings):

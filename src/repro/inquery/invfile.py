@@ -16,11 +16,12 @@ no inverted list data is retained across record accesses.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..btree import BTreeKeyedFile
 from ..errors import PoolError
 from ..mneme import (
+    NULL_ID,
     ChunkedLargeObjectPool,
     LargeObjectPool,
     LRUBuffer,
@@ -30,14 +31,16 @@ from ..mneme import (
     chunk_ids,
     delete_linked,
     iter_linked,
+    logical_segment,
     read_linked,
     split_global,
     write_linked,
     write_linked_chain,
 )
-from ..mneme.linked import _unpack_chunk
+from ..mneme.linked import _pack_chunk, _unpack_chunk
 from .bounds import PrunableSource, chunk_stats, decode_chunk_bounds, encode_chunk_bounds
 from .postings import (
+    Posting,
     decode_record,
     encode_record,
     join_chunk_records,
@@ -97,6 +100,21 @@ class InvertedFileStore:
     def update_record(self, key: int, data: bytes) -> int:
         """Replace a record; returns the (possibly new) storage key."""
         raise NotImplementedError
+
+    def append_postings(
+        self, key: int, postings: Sequence[Posting], bounds_key: int = 0
+    ) -> Tuple[int, int]:
+        """Grow a record by ``postings`` (sorted by document id).
+
+        The store's one grow-a-record entry point: one call per term per
+        ingest batch.  Returns the (possibly new) storage key and bound
+        sidecar key.  The default rewrites the record whole — fetch,
+        :func:`~repro.inquery.postings.merge_records`, write back,
+        refresh the sidecar; backends that store records in pieces
+        override it to touch only the piece that grows.
+        """
+        key = self.update_record(key, merge_records(self.fetch(key), postings))
+        return key, self.refresh_bounds(key, bounds_key)
 
     def stream_postings(self, key: int) -> PostingStream:
         """A sequential posting reader over one record.
@@ -324,7 +342,8 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
     * :meth:`stream_postings` keeps only one chunk resident at a time,
       enabling document-at-a-time evaluation
       (:class:`~repro.inquery.daat.DocumentAtATimeEngine`);
-    * growing a record appends chunks instead of relocating megabytes;
+    * growing a record rewrites its tail chunk (:meth:`append_postings`)
+      instead of relocating megabytes;
     * a prefix of a huge record can be retrieved without the rest.
 
     ``fetch`` remains available (it reassembles the chain), so the
@@ -341,10 +360,10 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         #: record storage key -> bound-sidecar storage key, for records
         #: created (or refreshed) by this instance.  The dictionary entry
         #: is the persistent home of the mapping; this map is how a fresh
-        #: key reaches the dictionary at build/finalize time.
+        #: key reaches the dictionary at build/finalize time.  A
+        #: registered sidecar always matches its chain: every path that
+        #: changes a chain rewrites the sidecar with it.
         self._bounds_keys: Dict[int, int] = {}
-        #: keys whose registered sidecar still matches the chain on disk.
-        self._fresh_bounds: set = set()
 
     def _create_large(self, data: bytes) -> int:
         slices = split_postings(decode_record(data), self.chunk_bytes)
@@ -356,8 +375,6 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
 
     def _is_large_key(self, key: int) -> bool:
         _file_no, oid = split_global(key)
-        from ..mneme import logical_segment
-
         return self.large.owns_logseg(logical_segment(oid))
 
     def bulk_build(self, records: Iterable[Tuple[int, bytes]]) -> Dict[int, int]:
@@ -422,7 +439,7 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
             return new_key
         _file_no, oid = split_global(key)
         delete_linked(self.large, oid)
-        self._fresh_bounds.discard(key)
+        self._bounds_keys.pop(key, None)
         if self._pool_for(data) is self.large:
             new_key = self.store.global_id(self.mfile, self._create_large(data))
             self._register_bounds(
@@ -432,29 +449,42 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         new_oid = self._pool_for(data).create(data)
         return self.store.global_id(self.mfile, new_oid)
 
-    def append_postings(self, key: int, new_postings) -> int:
-        """Grow a record in place — the cheap-update path.
+    def append_postings(
+        self, key: int, postings: Sequence[Posting], bounds_key: int = 0
+    ) -> Tuple[int, int]:
+        """Grow a chained record at its tail: cost independent of its length.
 
-        For chained records this writes only the new chunks; for small
-        and medium records it falls back to a record rewrite (they are
-        cheap to rewrite by definition).  Returns the (possibly new)
-        storage key.
+        The sidecar names the tail chunk and the chain's last document
+        id, so postings that all follow it merge into the tail chunk
+        alone; the tail is re-split only if it overflows ``chunk_bytes``
+        (new chunks are written before the tail links to them), and the
+        sidecar is rewritten from its decoded columns plus the new
+        tail's.  No chunk before the tail is read or written.  Unchained
+        records, and postings that do not follow the chain, take the
+        whole-record rewrite.
         """
         if not self._is_large_key(key):
-            merged = merge_records(self.fetch(key), new_postings)
-            self.record_lookups -= 1  # internal fetch, not a query lookup
-            return self.update_record(key, merged)
-        from ..mneme import append_linked
-
-        _file_no, oid = split_global(key)
-        slices = split_postings(sorted(new_postings), self.chunk_bytes)
-        for postings in slices:
-            chunk = encode_record(postings)
-            append_linked(self.large, oid, chunk, chunk_bytes=len(chunk))
-        # The chain changed under any registered sidecar; a later
-        # refresh_bounds() rebuilds it from the chunks on disk.
-        self._fresh_bounds.discard(key)
-        return key
+            return super().append_postings(key, postings, bounds_key)
+        bounds_key = bounds_key or self.refresh_bounds(key)
+        oids, last_docs, max_tfs = decode_chunk_bounds(self._read_bounds(bounds_key))
+        if postings[0][0] <= last_docs[-1]:
+            return super().append_postings(key, postings, bounds_key)
+        tail = oids[-1]
+        tail_postings = decode_record(_unpack_chunk(self.large.fetch(tail))[1])
+        slices = split_postings(tail_postings + list(postings), self.chunk_bytes)
+        parts = [encode_record(piece) for piece in slices]
+        grown = write_linked_chain(self.large, parts[1:]) if parts[1:] else []
+        self.large.modify(
+            tail, _pack_chunk(grown[0] if grown else NULL_ID, parts[0])
+        )
+        tail_last_docs, tail_max_tfs = chunk_stats(slices)
+        bounds_key = self._sidecar_update(bounds_key, encode_chunk_bounds(
+            oids[:-1] + [tail] + grown,
+            last_docs[:-1] + tail_last_docs,
+            max_tfs[:-1] + tail_max_tfs,
+        ))
+        self._bounds_keys[key] = bounds_key
+        return key, bounds_key
 
     # -- bound sidecars --------------------------------------------------------
 
@@ -476,6 +506,16 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         else:
             self.mfile.delete(oid)
 
+    def _sidecar_update(self, bounds_key: int, payload: bytes) -> int:
+        """Rewrite a sidecar, in place while it stays out of the large pool."""
+        if (
+            not self._is_large_key(bounds_key)
+            and self._pool_for(payload) is not self.large
+        ):
+            return MnemeInvertedFile.update_record(self, bounds_key, payload)
+        self._sidecar_delete(bounds_key)
+        return self._sidecar_create(payload)
+
     def _read_bounds(self, bounds_key: int) -> bytes:
         _file_no, oid = split_global(bounds_key)
         if self._is_large_key(bounds_key):
@@ -485,17 +525,16 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
     def _register_bounds(self, key: int, payload: bytes) -> int:
         bounds_key = self._sidecar_create(payload)
         self._bounds_keys[key] = bounds_key
-        self._fresh_bounds.add(key)
         return bounds_key
 
     def chunk_bounds_key(self, key: int) -> int:
         return self._bounds_keys.get(key, 0)
 
     def refresh_bounds(self, key: int, old_bounds_key: int = 0) -> int:
-        """Bring the bound sidecar for ``key`` up to date with its chain.
+        """The bound sidecar for ``key``, built from its chain if it has none.
 
-        Incremental updates mutate records after their sidecar was
-        written; the indexer calls this afterwards and stores the
+        Record rewrites re-home a chain under a new key with a new
+        sidecar; the indexer calls this afterwards and stores the
         returned key in the dictionary entry.  ``old_bounds_key`` is the
         entry's previous sidecar, released here if superseded.  Records
         that are not chunked chains keep no sidecar (returns 0).
@@ -507,12 +546,9 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
             if current:
                 self._sidecar_delete(current)
                 del self._bounds_keys[key]
-                self._fresh_bounds.discard(key)
             return 0
-        if current and key in self._fresh_bounds:
-            return current
         if current:
-            self._sidecar_delete(current)
+            return current
         _file_no, head = split_global(key)
         oids = chunk_ids(self.large, head)
         slices = [

@@ -2,14 +2,19 @@
 
 The paper's central claim for Mneme over the custom B-tree is cheap
 *incremental update* of a persistent inverted file.  This module turns
-the repo's until-now offline mutation primitives
-(:func:`~repro.inquery.indexer.add_document_incremental`, the new
+the repo's offline mutation primitives
+(:func:`~repro.inquery.indexer.add_documents_incremental`, the
 tombstone delete) into a serving-time pipeline: batches of document adds
 and deletes apply through the ordinary charged Mneme store — WAL on,
-``max_tf``/bound sidecars refreshed on every mutation so pruning stays
-admissible — and each batch publishes a new
+``max_tf``/bound sidecars refreshed with every record they describe so
+pruning stays admissible — and each batch publishes a new
 :class:`~repro.live.epoch.EpochManager` epoch atomically, sealed by a
 WAL epoch-commit marker so crash recovery lands on whole epochs only.
+
+The batch is the unit of work as well as of atomicity: its adds go to
+the indexer as one batch (one record pass per distinct term, one store
+flush), because nothing flushed before the epoch marker would survive a
+crash anyway.
 
 Sharded systems route each mutation to the owning shard's replica group
 (every replica applies the identical operation sequence, so mirrors
@@ -34,7 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError, ReplicaFailedError
 from ..inquery import (
     Document,
-    add_document_incremental,
+    add_documents_incremental,
+    check_addable,
     fold_tombstones,
     tombstone_document_incremental,
 )
@@ -128,18 +134,6 @@ class IngestPipeline:
             for machine in group
         ]
 
-    def _global_stats(self, term: str) -> Optional[Tuple[int, int]]:
-        """Current global (df, ctf) of a term, from any dictionary that
-        carries it.  Build-time serving views bake global statistics
-        into every shard that stores the term, and this pipeline keeps
-        them global under mutation, so the first entry found is
-        authoritative."""
-        for _shard_id, machine in self._machines():
-            entry = machine.index.dictionary.lookup(term)
-            if entry is not None:
-                return entry.df, entry.ctf
-        return None
-
     def _verify_groups(self) -> int:
         """Block-compare every replica group's platters; returns groups
         checked.  Divergence means a mutation was applied asymmetrically
@@ -161,47 +155,76 @@ class IngestPipeline:
 
     # -- mutations ------------------------------------------------------------
 
-    def _apply_add(self, document: Document) -> Tuple[int, List[str]]:
-        """Route one add; returns (owning shard id, terms whose records
-        the add rewrote) — the term-cache invalidation set."""
+    def _seed_stats(self, owner: int):
+        """Where a term new to ``owner``'s dictionary starts: the global
+        ``(df, ctf)`` as any *other* shard carries it, or ``None``.
+
+        Build-time serving views bake global statistics into every
+        shard that stores a term and this pipeline keeps them global
+        under mutation, so the first entry found is authoritative.  The
+        owner's batch has not reached the other shards yet, while every
+        earlier owner's has: exactly the count before this mutation.
+        """
+        others = [
+            group[0].index.dictionary
+            for shard_id, group in enumerate(self.backend.replica_groups)
+            if shard_id != owner
+        ]
+
+        def seed(term: str) -> Optional[Tuple[int, int]]:
+            for dictionary in others:
+                entry = dictionary.lookup(term)
+                if entry is not None:
+                    return entry.df, entry.ctf
+            return None
+
+        return seed
+
+    def _apply_adds(self, adds: Sequence[Document]) -> Dict[int, set]:
+        """Route a batch of adds; returns owning shard id -> terms whose
+        records the batch rewrote — the term-cache invalidation set.
+
+        Each owner's replicas take that owner's documents as one batch;
+        every other shard takes the statistics-only half (document
+        table, global df/ctf), owner by owner, so a later owner seeds
+        new terms from counts that already include the earlier ones.
+        """
+        if not adds:
+            return {}
         if not self.sharded:
-            by_term, _kept = _term_stats(document, self.backend.index)
-            add_document_incremental(self.backend.index, document)
-            return 0, list(by_term)
-        owner = self.backend.partitioner.shard_of(document.doc_id)
-        by_term, kept = _term_stats(
-            document, self.backend.replica_groups[owner][0].index
-        )
-        # Global df/ctf snapshot *before* the mutation, for terms the
-        # owner has never stored (its dictionary must start from the
-        # global count or document-at-a-time idf drifts from a rebuild).
-        missing: Dict[str, Tuple[int, int]] = {}
-        owner_dict = self.backend.replica_groups[owner][0].index.dictionary
-        for term in by_term:
-            if owner_dict.lookup(term) is None:
-                stats = self._global_stats(term)
-                if stats is not None:
-                    missing[term] = stats
-        for machine in self.backend.replica_groups[owner]:
-            index = machine.index
-            for term, (df, ctf) in sorted(missing.items()):
-                entry = index.dictionary.add(term)
-                entry.df, entry.ctf = df, ctf
-            add_document_incremental(index, document)
-        for shard_id, group in enumerate(self.backend.replica_groups):
-            if shard_id == owner:
-                continue
-            for machine in group:
-                index = machine.index
-                index.doctable.add(document.doc_id, kept, document.name)
-                index.stats.documents += 1
-                index.stats.postings += kept
-                for term, tf in by_term.items():
-                    entry = index.dictionary.lookup(term)
-                    if entry is not None:
-                        entry.df += 1
-                        entry.ctf += tf
-        return owner, list(by_term)
+            term_tfs = add_documents_incremental(self.backend.index, adds)
+            return {0: set().union(*term_tfs)}
+        groups = self.backend.replica_groups
+        batches: Dict[int, List[Document]] = {}
+        for document in adds:
+            owner = self.backend.partitioner.shard_of(document.doc_id)
+            batches.setdefault(owner, []).append(document)
+        # The whole batch is checked before any shard is written.
+        for owner, batch in batches.items():
+            check_addable(groups[owner][0].index, batch)
+        mutated: Dict[int, set] = {}
+        for owner, batch in sorted(batches.items()):
+            seed = self._seed_stats(owner)
+            for machine in groups[owner]:
+                term_tfs = add_documents_incremental(machine.index, batch, seed)
+            mutated[owner] = set().union(*term_tfs)
+            elsewhere = [
+                machine.index
+                for shard_id, group in enumerate(groups) if shard_id != owner
+                for machine in group
+            ]
+            for index in elsewhere:
+                for document, tfs in zip(batch, term_tfs):
+                    kept = sum(tfs.values())
+                    index.doctable.add(document.doc_id, kept, document.name)
+                    index.stats.documents += 1
+                    index.stats.postings += kept
+                    for term, tf in tfs.items():
+                        entry = index.dictionary.lookup(term)
+                        if entry is not None:
+                            entry.df += 1
+                            entry.ctf += tf
+        return mutated
 
     def _apply_delete(self, document: Document) -> int:
         """Route one tombstone delete; returns the owning shard id."""
@@ -247,12 +270,8 @@ class IngestPipeline:
         """
         machines = self._machines()
         starts = [(machine, machine.clock.snapshot()) for _s, machine in machines]
-        touched = set()
-        mutated: Dict[int, set] = {}
-        for document in adds:
-            owner, terms = self._apply_add(document)
-            touched.add(owner)
-            mutated.setdefault(owner, set()).update(terms)
+        mutated = self._apply_adds(adds)
+        touched = set(mutated)
         for document in deletes:
             touched.add(self._apply_delete(document))
 

@@ -11,6 +11,7 @@ from repro.inquery import (
     RetrievalEngine,
     decode_record,
 )
+from repro.inquery.bounds import decode_chunk_bounds
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
 
 
@@ -179,10 +180,17 @@ class TestLinkedUpdates:
         entry = index.term_entry("hot")
         before = decode_record(store.fetch(entry.storage_key))
         extra = [(200, (0, 3)), (201, (5,))]
-        key = store.append_postings(entry.storage_key, extra)
+        key, bounds_key = store.append_postings(
+            entry.storage_key, extra, entry.bounds_key
+        )
         assert key == entry.storage_key  # grown in place
         after = decode_record(store.fetch(key))
         assert after == before + extra
+        # The sidecar was rewritten with the chain, not left stale.
+        _oids, last_docs, max_tfs = decode_chunk_bounds(
+            store._read_bounds(bounds_key)
+        )
+        assert last_docs[-1] == 201 and max(max_tfs) == 2
 
     def test_incremental_document_add_on_linked_backend(self):
         from repro.inquery import add_document_incremental

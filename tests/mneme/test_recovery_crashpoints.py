@@ -11,9 +11,12 @@ no more, no less — then checkpoints.
 
 import pytest
 
+from repro.core import config_by_name, materialize, prepare_collection
+from repro.live import IngestPipeline, LiveCorpus
 from repro.mneme import RedoLog, recover
 from repro.mneme.recovery import _REC
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
+from repro.synth import CollectionProfile, SyntheticCollection
 
 #: Payload sizes chosen to cross interesting shapes: tiny, odd-sized,
 #: empty, and larger-than-header.
@@ -243,3 +246,114 @@ def test_epoch_marker_offset_is_unreachable_by_physical_writes():
     main.write(0, b"\x00" * 64)
     with pytest.raises(RecoveryError):
         recover_to_epoch(log, main)
+
+
+# -- a real ingest batch: one flush, one marker, whole-epoch recovery ------
+#
+# The scripted log above fixes the marker semantics; this drives the
+# write path itself.  A batch's segment writes reach the log during the
+# batch, its one ``store.flush()`` writes the open segments out,
+# ``index.save()`` follows, and the epoch marker lands last — so a log
+# cut at any record boundary inside the batch replays to exactly the
+# main file of the previous epoch.
+
+_HEADER = 16  # the main file's own header: written once, never logged
+
+
+def _live_system():
+    collection = SyntheticCollection(CollectionProfile(
+        name="crash-live", models="test", documents=60, mean_doc_length=30,
+        doc_length_sigma=0.5, vocab_size=400, seed=19,
+    ))
+    config = config_by_name(
+        "mneme-linked", use_wal=True, medium_max_bytes=64, chunk_bytes=96
+    )
+    system = materialize(prepare_collection(collection), config)
+    return system, LiveCorpus(collection)
+
+
+def _record_boundaries(image: bytes):
+    boundaries, pos = [0], 0
+    while pos < len(image):
+        _magic, _offset, length, _crc = _REC.unpack_from(image, pos)
+        pos += _REC.size + length
+        boundaries.append(pos)
+    return boundaries
+
+
+def test_a_batch_cut_at_any_record_boundary_recovers_the_previous_epoch():
+    system, corpus = _live_system()
+    store = system.index.store
+    wal, main = store.mfile.wal, store.mfile.main
+    pipeline = IngestPipeline(system)
+
+    def publish(first_id, delete_id):
+        pipeline.apply(
+            adds=corpus.new_documents(6, after=first_id),
+            deletes=[corpus.document(delete_id)],
+        )
+        return wal.size, main.read(0, main.size)
+
+    sealed_1, main_1 = publish(corpus.base_count, 2)
+    sealed_2, main_2 = publish(corpus.base_count + 6, 5)
+    image = wal._file.read(0, wal.size)
+    in_batch_2 = [b for b in _record_boundaries(image) if sealed_1 <= b < sealed_2]
+    assert len(in_batch_2) > 10   # a batch is many segment writes, one marker
+
+    def recovered(cut):
+        fs = _fresh_fs()
+        log_file = fs.create("wal")
+        log_file.write(0, image[:cut])
+        blank = fs.create("main")
+        blank.write(0, b"\x00" * len(main_2))
+        report = recover_to_epoch(RedoLog(log_file), blank)
+        return report, blank.read(0, len(main_2))
+
+    # Everything the main file holds went through the log (alignment
+    # padding is zeros), so a replay onto zeros reproduces it.
+    def image_of(main_bytes):
+        return main_bytes[_HEADER:] + b"\x00" * (len(main_2) - len(main_bytes))
+
+    for cut in in_batch_2:
+        report, replayed = recovered(cut)
+        assert report.epoch == 1 and not report.torn_tail
+        assert replayed[_HEADER:] == image_of(main_1), cut
+    # A cut inside a record of the batch is a torn tail of the same epoch.
+    report, replayed = recovered(in_batch_2[3] + _REC.size // 2)
+    assert report.epoch == 1 and report.torn_tail
+    assert replayed[_HEADER:] == image_of(main_1)
+    # The marker is the batch's last record; with it the batch is whole.
+    report, replayed = recovered(sealed_2)
+    assert report.epoch == 2 and report.discarded == 0
+    assert replayed[_HEADER:] == image_of(main_2)
+
+
+def test_batch_end_order_is_flush_then_save_then_marker():
+    system, corpus = _live_system()
+    index = system.index
+    wal = index.store.mfile.wal
+    events = []
+
+    def noting(name, original):
+        def call(*args):
+            events.append(name)
+            return original(*args)
+        return call
+
+    index.store.flush = noting("flush", index.store.flush)
+    index.save = noting("save", index.save)
+    wal.log_write = noting("log_write", wal.log_write)
+    wal.log_epoch = noting("log_epoch", wal.log_epoch)
+    IngestPipeline(system).apply(
+        adds=corpus.new_documents(12, after=corpus.base_count)
+    )
+    # Twelve documents, one flush; ``save`` flushes again (nothing is
+    # left to write); the marker is the last thing the log sees.
+    # ``log_epoch`` frames its marker through ``log_write``.
+    calls = [e for e in events if e != "log_write"]
+    assert calls == ["flush", "save", "flush", "log_epoch"]
+    assert events[-2:] == ["log_epoch", "log_write"]
+    first_flush = events.index("flush")
+    assert "log_write" in events[:first_flush]        # chained records: at once
+    assert "log_write" in events[first_flush:events.index("save")]  # open segments
+    assert "log_write" not in events[events.index("save"):-2]
