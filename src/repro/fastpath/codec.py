@@ -71,15 +71,10 @@ class RecordArrays:
     @property
     def positions(self) -> np.ndarray:
         if self._positions is None:
-            deferred = self._deferred
-            # Cached arrays are shared between shard worker threads:
-            # whoever gets here first publishes the column *before*
-            # dropping the gaps, so a racing reader finds one or the other.
-            if deferred is not None:
-                self._positions = _positions_from_gaps(
-                    *deferred, self.tf, self.pos_starts
-                )
-                self._deferred = None
+            self._positions = _positions_from_gaps(
+                *self._deferred, self.tf, self.pos_starts
+            )
+            self._deferred = None
         return self._positions
 
     @property

@@ -8,10 +8,9 @@ workers with a cross-query result cache in front of the backend.
 Time model
 ----------
 Everything is measured on the repo's *simulated* clocks, like every
-other benchmark here (the Python threads of the shard scheduler give
-real concurrency for I/O-free simulated machines, but real-thread
-timing would measure the interpreter, not the modelled system).  A
-request's life:
+other benchmark here (the service and the shard scheduler beneath it
+run on one thread; real-thread timing would measure the interpreter,
+not the modelled system).  A request's life:
 
 1. It waits in the admission queue until the service is free — the
    service forms a wave of up to ``max_batch`` requests that have
@@ -270,6 +269,12 @@ class ServiceReport:
         return digest
 
 
+#: A request waiting for a wave: ``(request, seq, user)`` — ``seq`` is the
+#: stream position that breaks schedule ties, ``user`` the closed-loop
+#: user to re-arm (``None`` on an open-loop stream).
+_Waiting = Tuple[TimedRequest, int, Optional[int]]
+
+
 def _priority_rank(priority: str) -> int:
     rank = PRIORITY_RANK.get(priority)
     if rank is None:
@@ -331,6 +336,8 @@ class QueryService:
             raise ConfigError("max_batch must be at least 1")
         if queue_limit < 0:
             raise ConfigError("queue_limit must be non-negative (0 = unbounded)")
+        if term_cache_bytes < 0:
+            raise ConfigError("term_cache_bytes must be non-negative (0 = off)")
         self.backend = backend
         self.engine = engine
         self.top_k = top_k
@@ -353,8 +360,6 @@ class QueryService:
                 backend.clock.reset()
             else:
                 cold_start(backend)
-        if term_cache_bytes < 0:
-            raise ConfigError("term_cache_bytes must be non-negative (0 = off)")
         self.term_cache_bytes = term_cache_bytes
         #: Counters of caches retired by rebalance (their replacements
         #: start cold, but lifetime stats must not go backwards).
@@ -634,10 +639,9 @@ class QueryService:
         )
         for i in order:
             _priority_rank(requests[i].priority)
-        served: List[ServedRequest] = []
-        shed: List[ShedRequest] = []
-        waiting: List[int] = []
-        waves = 0
+        report = self._report(name)
+        #: Admitted, not yet in a wave: ``(request, seq, user)`` entries.
+        waiting: List[_Waiting] = []
         now = 0.0
         cursor = 0
         while cursor < len(order) or waiting:
@@ -653,46 +657,13 @@ class QueryService:
                 cursor += 1
                 if self.queue_limit and len(waiting) >= self.queue_limit:
                     self._shed(
-                        requests[i], requests[i].arrival_ms, "queue-full", shed
+                        requests[i], requests[i].arrival_ms, "queue-full",
+                        report.shed,
                     )
                 else:
-                    waiting.append(i)
-            # Wave formation: lazily expire what is already past its
-            # deadline, then take the best (priority, arrival, seq)
-            # prefix.
-            still: List[int] = []
-            for i in waiting:
-                request = requests[i]
-                if (
-                    request.deadline_ms is not None
-                    and request.deadline_ms < now
-                ):
-                    self._shed(request, now, "deadline", shed)
-                else:
-                    still.append(i)
-            waiting = still
-            if not waiting:
-                continue
-            waiting.sort(key=lambda i: (
-                _priority_rank(requests[i].priority), requests[i].arrival_ms, i
-            ))
-            wave = [requests[i] for i in waiting[: self.max_batch]]
-            waiting = waiting[self.max_batch:]
-            self.stats.admitted += len(wave)
-            rows, wave_end = self._serve_wave(wave, now)
-            served.extend(rows)
-            waves += 1
-            now = max(now, wave_end)
-        return ServiceReport(
-            name=name,
-            served=served,
-            workers=self.workers,
-            max_batch=self.max_batch,
-            cache_stats=self.cache.stats if self.cache is not None else None,
-            waves=waves,
-            shed=shed,
-            queue_limit=self.queue_limit,
-        )
+                    waiting.append((requests[i], i, None))
+            now, _released = self._next_wave(waiting, now, report)
+        return report
 
     def process_closed(self, traffic: ClosedLoopTraffic) -> ServiceReport:
         """Drive a closed-loop stream: completions pace the users.
@@ -710,11 +681,8 @@ class QueryService:
             for user in range(traffic.concurrency)
         ]
         heapq.heapify(ready)
-        served: List[ServedRequest] = []
-        shed: List[ShedRequest] = []
-        #: Requests drawn but not yet admitted to a wave, with their user.
-        waiting: List[Tuple[TimedRequest, int]] = []
-        waves = 0
+        report = self._report(traffic.profile.name)
+        waiting: List[_Waiting] = []
         now = 0.0
         while ready or waiting:
             if not waiting:
@@ -724,48 +692,59 @@ class QueryService:
                 request = traffic.next_request(arrival)
                 if request is None:
                     continue  # budget spent: retire this user
-                waiting.append((request, user))
-            still: List[Tuple[TimedRequest, int]] = []
-            for request, user in waiting:
-                if (
-                    request.deadline_ms is not None
-                    and request.deadline_ms < now
-                ):
-                    self._shed(request, now, "deadline", shed)
-                    heapq.heappush(ready, (now + traffic.think(user), user))
-                else:
-                    still.append((request, user))
-            waiting = still
-            if not waiting:
-                continue
-            waiting.sort(key=lambda pair: (
-                _priority_rank(pair[0].priority),
-                pair[0].arrival_ms,
-                pair[0].seq,
-            ))
-            wave_pairs = waiting[: self.max_batch]
-            waiting = waiting[self.max_batch:]
-            self.stats.admitted += len(wave_pairs)
-            rows, wave_end = self._serve_wave(
-                [pair[0] for pair in wave_pairs], now
-            )
-            served.extend(rows)
-            waves += 1
-            for row, (_request, user) in zip(rows, wave_pairs):
-                heapq.heappush(
-                    ready, (row.completion_ms + traffic.think(user), user)
-                )
-            now = max(now, wave_end)
+                waiting.append((request, request.seq, user))
+            now, released = self._next_wave(waiting, now, report)
+            for user, free_ms in released:
+                heapq.heappush(ready, (free_ms + traffic.think(user), user))
+        return report
+
+    def _report(self, name: str) -> ServiceReport:
+        """An empty report for one traffic run, filled wave by wave."""
         return ServiceReport(
-            name=traffic.profile.name,
-            served=served,
+            name=name,
+            served=[],
             workers=self.workers,
             max_batch=self.max_batch,
             cache_stats=self.cache.stats if self.cache is not None else None,
-            waves=waves,
-            shed=shed,
             queue_limit=self.queue_limit,
         )
+
+    def _next_wave(
+        self, waiting: List[_Waiting], now: float, report: ServiceReport
+    ) -> Tuple[float, List[Tuple[Optional[int], float]]]:
+        """One wave-formation step, shared by both traffic drivers.
+
+        Lazily expires what is already past its deadline, takes the
+        best ``(priority, arrival, seq)`` prefix of up to ``max_batch``
+        and serves it; ``waiting`` keeps the rest.  Returns the service
+        time after the wave and, for every request that left the queue,
+        ``(user, ms at which it was shed or completed)`` — expired ones
+        first, then the wave in schedule order.
+        """
+        released: List[Tuple[Optional[int], float]] = []
+        live: List[_Waiting] = []
+        for entry in waiting:
+            request, _seq, user = entry
+            if request.deadline_ms is not None and request.deadline_ms < now:
+                self._shed(request, now, "deadline", report.shed)
+                released.append((user, now))
+            else:
+                live.append(entry)
+        live.sort(key=lambda entry: (
+            _priority_rank(entry[0].priority), entry[0].arrival_ms, entry[1]
+        ))
+        wave = live[: self.max_batch]
+        waiting[:] = live[self.max_batch:]
+        if not wave:
+            return now, released
+        self.stats.admitted += len(wave)
+        rows, wave_end = self._serve_wave([entry[0] for entry in wave], now)
+        report.served.extend(rows)
+        report.waves += 1
+        released.extend(
+            (entry[2], row.completion_ms) for entry, row in zip(wave, rows)
+        )
+        return max(now, wave_end), released
 
     # -- one wave ----------------------------------------------------------
 

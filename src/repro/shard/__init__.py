@@ -13,7 +13,7 @@ single-machine stack beneath it:
   machine per shard; :class:`ShardedIRSystem` holds them plus the
   coordinator state;
 * :mod:`.taat` / :mod:`.scheduler` — per-shard engines behind a
-  thread-pool scheduler with a global-statistics exchange, keeping
+  shard-order scheduler with a global-statistics exchange, keeping
   sharded rankings bit-identical to the single-disk engine's;
 * :mod:`.merge` — lossless top-k merging with degraded-mode accounting;
 * :mod:`.metrics` — per-shard Table 3-6 breakdowns plus critical-path
@@ -39,12 +39,11 @@ from .partition import (
     make_partitioner,
     partition_prepared,
 )
-from .scheduler import BatchOutcome, SchedulerStats, ShardScheduler, WaveOutcome
+from .scheduler import SchedulerStats, ShardScheduler, WaveOutcome
 from .system import ShardedIRSystem, materialize_sharded
 from .taat import ShardTaatRunner
 
 __all__ = [
-    "BatchOutcome",
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",

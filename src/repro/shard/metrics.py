@@ -128,7 +128,6 @@ def measure_sharded_run(
     engine: str = "taat",
     cold: bool = True,
     keep_results: bool = True,
-    max_workers=None,
     prune: str = "off",
     replica_policy: str = "primary",
     policy_seed: int = 0,
@@ -153,7 +152,7 @@ def measure_sharded_run(
     }
     coordinator_start = sharded.clock.snapshot()
     scheduler = sharded.scheduler(
-        top_k=top_k, engine=engine, max_workers=max_workers, prune=prune,
+        top_k=top_k, engine=engine, prune=prune,
         replica_policy=replica_policy, policy_seed=policy_seed,
         term_cache_bytes=term_cache_bytes,
     )

@@ -1,18 +1,21 @@
-"""Concurrent fan-out scheduling of queries across shards and replicas.
+"""Fan-out scheduling of queries across shards and replicas.
 
-Queries run against every live shard through a
-:class:`~concurrent.futures.ThreadPoolExecutor`; shards are real Python
-objects on one machine, so the pool models the coordinator's dispatch
-loop while each shard's *simulated* time advances on its own clock.
+Queries run against every live shard, one shard task after another on
+the calling thread.  Shards are real Python objects on one machine and
+every reported time is *simulated*: each shard's machines advance their
+own clocks, and the N-machine wall clock is computed from those per-shard
+deltas, never from real concurrency — so running the tasks in parallel
+would buy nothing on either clock.  (Real parallelism, if ever wanted,
+is processes over per-shard platters, not threads over shared objects.)
 
-Determinism under threading is by construction, not by luck:
+Determinism is by shard-order execution:
 
-* every task for shard *i* runs under shard *i*'s lock and touches only
-  shard *i*'s simulated machines, so per-shard state sees a serialized,
-  schedule-independent sequence of operations;
-* each query phase is a **barrier** — the coordinator collects every
-  shard's answer (in shard-id order) before computing global statistics
-  or merging, so downstream work never depends on arrival order;
+* every query phase is a **barrier** — the coordinator runs the phase's
+  task on each live shard in shard-id order, each task touching only its
+  own shard's simulated machines, and has every answer in hand before it
+  computes global statistics or merges;
+* ledgers and failover traces are folded in that same order, so the
+  trace is a pure function of the inputs;
 * the merge itself is pure and ordered (see :mod:`.merge`).
 
 **Replica routing and failover.**  A replicated shard carries R mirror
@@ -37,7 +40,10 @@ silently poison every shard's idf weights.  The score phase then runs
 pinned to whichever replica collected (phase 2 replays memoized
 postings and touches no storage, so it cannot fail independently).
 
-Two clocks come out of a batch.  The **critical path** adds up, per
+There is one round driver, :meth:`ShardScheduler.run_wave`; a batch
+(:meth:`ShardScheduler.run_batch`) is a fold over waves of one query.
+
+Two clocks come out of a round.  The **critical path** adds up, per
 barrier, the slowest shard's time slice plus the coordinator's own
 (serial) statistics-exchange and merge work — the simulated wall clock
 of an actual N-machine deployment.  The **sum** over all shards is the
@@ -45,8 +51,6 @@ total machine time burned, the cost side of the scaling ledger; both are
 reported by :mod:`repro.shard.metrics`.
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -70,14 +74,12 @@ from .taat import ShardTaatRunner
 class SchedulerStats:
     """What the scheduler did, for the run's metrics."""
 
-    workers: int = 0
     tasks: int = 0
     barriers: int = 0
-    #: Batched wave rounds served (``run_wave`` calls); 0 for per-query
-    #: batch runs, where no wave amortization happened.
+    #: Rounds served (``run_wave`` calls; a batch is one per query).
     waves: int = 0
-    #: Most tasks simultaneously submitted and unfinished (per barrier,
-    #: every live shard has exactly one task in flight).
+    #: Widest fan-out of any barrier: the number of live shards handed
+    #: one task each (what an N-machine deployment would have in flight).
     max_queue_depth: int = 0
     #: Simulated busy time per shard over the batch, in milliseconds
     #: (all replicas of the shard combined, failed attempts included).
@@ -98,20 +100,26 @@ class SchedulerStats:
         """Max-over-mean shard busy time: 1.0 is a perfectly even load."""
         return max_over_mean(self.busy_ms.values())
 
-
-@dataclass
-class BatchOutcome:
-    """Everything a batch run produces, before metrics shaping."""
-
-    results: List[ShardedQueryResult]
-    per_shard_results: Dict[int, List[QueryResult]]
-    stats: SchedulerStats
-    critical: TimeBreakdown
+    def absorb(self, later: "SchedulerStats") -> None:
+        """Fold a later round's ledger into this one."""
+        self.tasks += later.tasks
+        self.barriers += later.barriers
+        self.waves += later.waves
+        self.max_queue_depth = max(self.max_queue_depth, later.max_queue_depth)
+        for ledger, more in (
+            (self.busy_ms, later.busy_ms),
+            (self.replica_busy_ms, later.replica_busy_ms),
+        ):
+            for key, busy in more.items():
+                ledger[key] = ledger.get(key, 0.0) + busy
+        self.served_by.extend(later.served_by)
+        self.failovers.extend(later.failovers)
 
 
 @dataclass
 class WaveOutcome:
-    """A batched wave's results plus a latency attribution per query.
+    """A wave's (or a folded batch's) results, ledgers and critical
+    path, plus a latency attribution per query.
 
     ``per_query_ms[q]`` is query *q*'s share of the wave's critical
     path: its slowest shard's collect slice + its coordinator exchange
@@ -138,10 +146,8 @@ class _TaskResult:
     replica_id: int
     delta: TimeBreakdown                       #: all attempts, summed
     attempts: List[Tuple[int, TimeBreakdown]]  #: (replica, delta) per attempt
-    #: Failover events this task recorded, in attempt order.  Kept
-    #: task-local and folded into ``SchedulerStats.failovers`` at the
-    #: barrier in shard-id order, so the trace is deterministic even
-    #: when several shards fail over concurrently.
+    #: Failover events this task recorded, in attempt order; the
+    #: barrier appends them to ``SchedulerStats.failovers``.
     events: List[Dict[str, object]] = field(default_factory=list)
 
 
@@ -175,7 +181,6 @@ class ShardScheduler:
         sharded: ShardedIRSystem,
         top_k: int = DEFAULT_TOP_K,
         engine: str = "taat",
-        max_workers: Optional[int] = None,
         prune: str = "off",
         replica_policy: str = "primary",
         policy_seed: int = 0,
@@ -195,9 +200,7 @@ class ShardScheduler:
         self.prune = prune
         self.replica_policy = replica_policy
         self.policy_seed = policy_seed
-        self.max_workers = max_workers or sharded.n_shards
         self.epoch = sharded.epoch
-        self._locks = [threading.Lock() for _ in range(sharded.n_shards)]
         self._rounds = 0
         # Engines are cached per (shard, replica) and validated against
         # the machine object they were built for, so a re-replicated
@@ -378,159 +381,112 @@ class ShardScheduler:
                 actual_epoch=self.sharded.epoch,
             )
 
-    def run_batch(self, queries: List[str]) -> BatchOutcome:
-        self._check_epoch()
-        sharded = self.sharded
-        stats = SchedulerStats(workers=self.max_workers)
-        critical = TimeBreakdown()
-        results: List[ShardedQueryResult] = []
-        per_shard: Dict[int, List[QueryResult]] = {
-            i: [] for i in range(sharded.n_shards)
-        }
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            for text in queries:
-                live = sharded.live_shards
-                round_no = self._rounds
-                self._rounds += 1
-                coord_start = sharded.clock.snapshot()
-                if self.engine == "taat":
-                    answers, served = self._serve_taat(
-                        pool, live, round_no, text, stats, critical
-                    )
-                else:
-                    answers, served = self._wave(
-                        pool, live,
-                        lambda i: self._failover_task(
-                            i, round_no, "daat",
-                            run=lambda r, i=i: self._daat_engine(i, r).run_query(text),
-                            clean=lambda r, res: not res.degraded,
-                        ),
-                        stats, critical,
-                    )
-                stats.served_by.append(dict(sorted(served.items())))
-                outcomes: List[ShardOutcome] = []
-                for shard_id in range(sharded.n_shards):
-                    if shard_id in answers:
-                        outcomes.append(ShardOutcome(
-                            shard_id, answers[shard_id],
-                            replica_id=served[shard_id],
-                        ))
-                        per_shard[shard_id].append(answers[shard_id])
-                    else:
-                        outcomes.append(ShardOutcome(
-                            shard_id,
-                            attempted_down=self._down_attempted(shard_id, text),
-                        ))
-                sharded.clock.charge_user(
-                    sharded.clock.cost.cpu_ms_per_posting
-                    * sum(len(o.result.ranking) for o in outcomes if o.result)
-                )
-                results.append(merge_results(text, outcomes, top_k=self.top_k))
-                coord = sharded.clock.since(coord_start)
-                critical.user_ms += coord.user_ms
-                critical.system_ms += coord.system_ms
-                critical.io_ms += coord.io_ms
-        return BatchOutcome(
-            results=results,
-            per_shard_results=per_shard,
-            stats=stats,
-            critical=critical,
-        )
+    def run_batch(self, queries: List[str]) -> WaveOutcome:
+        """Serve ``queries`` one round each: a fold over waves of one.
+
+        Every query pays its own barriers (no wave amortization), with
+        failover, replica routing, the df exchange and every simulated
+        charge exactly where :meth:`run_wave` has them.
+        """
+        total = self._empty_outcome()
+        for text in queries:
+            wave = self.run_wave([text])
+            total.results.extend(wave.results)
+            total.per_query_ms.extend(wave.per_query_ms)
+            for shard_id, answers in wave.per_shard_results.items():
+                total.per_shard_results[shard_id].extend(answers)
+            total.stats.absorb(wave.stats)
+            self._add(total.critical, wave.critical)
+        return total
+
+    def _empty_outcome(self) -> WaveOutcome:
+        per_shard = {i: [] for i in range(self.sharded.n_shards)}
+        return WaveOutcome([], [], per_shard, SchedulerStats(), TimeBreakdown())
 
     def run_wave(self, texts: List[str]) -> WaveOutcome:
         """Serve a wave of queries with the per-phase barriers shared.
 
-        Where :meth:`run_batch` pays two barriers (collect, score) *per
-        query*, a wave pays two barriers *total*: every shard collects
-        the whole wave in one task, the coordinator runs the df
-        exchange for all queries in one pass, and every shard scores
-        the whole wave in a second task.  Rankings are bit-identical to
-        per-query serving — the phases do exactly the same storage and
-        scoring work, just grouped — which the serving gate checks
-        against the single-disk engine.
+        A wave pays two barriers (collect, score) *total*, not per
+        query: every shard collects the whole wave in one task, the
+        coordinator runs the df exchange for all queries in one pass,
+        and every shard scores the whole wave in a second task.
+        Rankings are bit-identical to per-query serving — the phases do
+        exactly the same storage and scoring work, just grouped — which
+        the serving gate checks against the single-disk engine.
         """
         self._check_epoch()
         sharded = self.sharded
-        stats = SchedulerStats(workers=self.max_workers, waves=1)
-        critical = TimeBreakdown()
-        per_shard: Dict[int, List[QueryResult]] = {
-            i: [] for i in range(sharded.n_shards)
-        }
+        outcome = self._empty_outcome()
         if not texts:
-            return WaveOutcome([], [], per_shard, stats, critical)
+            return outcome
+        stats, critical = outcome.stats, outcome.critical
+        stats.waves = 1
         n = len(texts)
-        per_query_ms = [0.0] * n
+        per_query_ms = outcome.per_query_ms = [0.0] * n
         live = sharded.live_shards
         round_no = self._rounds
         self._rounds += 1
         cost = sharded.clock.cost
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            if self.engine == "taat":
-                collected, served = self._wave(
-                    pool, live,
-                    lambda i: self._failover_task(
-                        i, round_no, "collect",
-                        run=lambda r, i=i: self._taat_runner(i, r).collect_many(texts),
-                        clean=lambda r, _p, i=i: (
-                            self._taat_runner(i, r).pending_failures == 0
-                        ),
-                        abandon=lambda r, i=i: self._taat_runner(i, r).abandon(),
+        if self.engine == "taat":
+            collected, served = self._wave(
+                live,
+                lambda i: self._failover_task(
+                    i, round_no, "collect",
+                    run=lambda r, i=i: self._taat_runner(i, r).collect_many(texts),
+                    clean=lambda r, _p, i=i: (
+                        self._taat_runner(i, r).pending_failures == 0
                     ),
-                    stats, critical,
-                )
-                # One coordinator pass sums every query's df vector.
-                coord_start = sharded.clock.snapshot()
-                global_df_lists: List[List[int]] = []
-                for q in range(n):
-                    slots = len(collected[live[0]][0][q])
-                    global_df_lists.append([
-                        sum(collected[i][0][q][slot] for i in live)
-                        for slot in range(slots)
-                    ])
-                    exchange_ms = cost.cpu_ms_per_posting * slots * len(live)
-                    sharded.clock.charge_user(exchange_ms)
-                    per_query_ms[q] += exchange_ms
-                self._add(critical, sharded.clock.since(coord_start))
-                # Score runs pinned to whichever replica collected: its
-                # memo provider holds the postings, and phase 2 touches
-                # no storage, so it cannot fail independently.
-                scored, _ = self._wave(
-                    pool, live,
-                    lambda i: self._fixed_task(
-                        i, served[i],
-                        run=lambda r, i=i: self._taat_runner(i, r).score_many(
-                            global_df_lists
-                        ),
+                    abandon=lambda r, i=i: self._taat_runner(i, r).abandon(),
+                ),
+                stats, critical,
+            )
+            # One coordinator pass sums every query's df vector; the
+            # exchange costs one combine per (slot, shard).
+            coord_start = sharded.clock.snapshot()
+            global_df_lists: List[List[int]] = []
+            for q in range(n):
+                slots = len(collected[live[0]][0][q])
+                global_df_lists.append([
+                    sum(collected[i][0][q][slot] for i in live)
+                    for slot in range(slots)
+                ])
+                exchange_ms = cost.cpu_ms_per_posting * slots * len(live)
+                sharded.clock.charge_user(exchange_ms)
+                per_query_ms[q] += exchange_ms
+            self._add(critical, sharded.clock.since(coord_start))
+            # Score runs pinned to whichever replica collected: its
+            # memo provider holds the postings, and phase 2 touches
+            # no storage, so it cannot fail independently.
+            scored, _ = self._wave(
+                live,
+                lambda i: self._fixed_task(
+                    i, served[i],
+                    run=lambda r, i=i: self._taat_runner(i, r).score_many(
+                        global_df_lists
                     ),
-                    stats, critical,
-                )
-                answers = [
-                    {i: scored[i][0][q] for i in live} for q in range(n)
-                ]
-                for q in range(n):
-                    per_query_ms[q] += max(
-                        collected[i][1][q].wall_ms for i in live
-                    )
-                    per_query_ms[q] += max(
-                        scored[i][1][q].wall_ms for i in live
-                    )
-            else:
-                ran, served = self._wave(
-                    pool, live,
-                    lambda i: self._failover_task(
-                        i, round_no, "daat",
-                        run=lambda r, i=i: self._daat_many(i, r, texts),
-                        clean=lambda r, payload: all(
-                            not res.degraded for res in payload[0]
-                        ),
+                ),
+                stats, critical,
+            )
+            answers = [{i: scored[i][0][q] for i in live} for q in range(n)]
+            for q in range(n):
+                per_query_ms[q] += max(collected[i][1][q].wall_ms for i in live)
+                per_query_ms[q] += max(scored[i][1][q].wall_ms for i in live)
+        else:
+            ran, served = self._wave(
+                live,
+                lambda i: self._failover_task(
+                    i, round_no, "daat",
+                    run=lambda r, i=i: self._daat_many(i, r, texts),
+                    clean=lambda r, payload: all(
+                        not res.degraded for res in payload[0]
                     ),
-                    stats, critical,
-                )
-                answers = [{i: ran[i][0][q] for i in live} for q in range(n)]
-                for q in range(n):
-                    per_query_ms[q] += max(ran[i][1][q].wall_ms for i in live)
+                ),
+                stats, critical,
+            )
+            answers = [{i: ran[i][0][q] for i in live} for q in range(n)]
+            for q in range(n):
+                per_query_ms[q] += max(ran[i][1][q].wall_ms for i in live)
         stats.served_by.append(dict(sorted(served.items())))
-        results: List[ShardedQueryResult] = []
         coord_start = sharded.clock.snapshot()
         for q, text in enumerate(texts):
             outcomes: List[ShardOutcome] = []
@@ -540,7 +496,9 @@ class ShardScheduler:
                         shard_id, answers[q][shard_id],
                         replica_id=served[shard_id],
                     ))
-                    per_shard[shard_id].append(answers[q][shard_id])
+                    outcome.per_shard_results[shard_id].append(
+                        answers[q][shard_id]
+                    )
                 else:
                     outcomes.append(ShardOutcome(
                         shard_id,
@@ -551,15 +509,11 @@ class ShardScheduler:
             )
             sharded.clock.charge_user(merge_ms)
             per_query_ms[q] += merge_ms
-            results.append(merge_results(text, outcomes, top_k=self.top_k))
+            outcome.results.append(
+                merge_results(text, outcomes, top_k=self.top_k)
+            )
         self._add(critical, sharded.clock.since(coord_start))
-        return WaveOutcome(
-            results=results,
-            per_query_ms=per_query_ms,
-            per_shard_results=per_shard,
-            stats=stats,
-            critical=critical,
-        )
+        return outcome
 
     def _daat_many(self, shard_id: int, replica_id: int, texts: List[str]):
         """One replica's whole-wave DAAT task, with per-query deltas."""
@@ -578,55 +532,14 @@ class ShardScheduler:
         critical.system_ms += delta.system_ms
         critical.io_ms += delta.io_ms
 
-    def _serve_taat(
-        self,
-        pool: ThreadPoolExecutor,
-        live: List[int],
-        round_no: int,
-        text: str,
-        stats: SchedulerStats,
-        critical: TimeBreakdown,
-    ):
-        """The two-phase exchange: collect local dfs, sum, score."""
-        local_dfs, served = self._wave(
-            pool, live,
-            lambda i: self._failover_task(
-                i, round_no, "collect",
-                run=lambda r, i=i: self._taat_runner(i, r).collect(text),
-                clean=lambda r, _p, i=i: (
-                    self._taat_runner(i, r).pending_failures == 0
-                ),
-                abandon=lambda r, i=i: self._taat_runner(i, r).abandon(),
-            ),
-            stats, critical,
-        )
-        slots = len(local_dfs[live[0]])
-        global_dfs = [
-            sum(local_dfs[i][slot] for i in live) for slot in range(slots)
-        ]
-        # The exchange is coordinator work: one combine per (slot, shard).
-        self.sharded.clock.charge_user(
-            self.sharded.clock.cost.cpu_ms_per_posting * slots * len(live)
-        )
-        answers, _ = self._wave(
-            pool, live,
-            lambda i: self._fixed_task(
-                i, served[i],
-                run=lambda r, i=i: self._taat_runner(i, r).score(global_dfs),
-            ),
-            stats, critical,
-        )
-        return answers, served
-
     def _wave(
         self,
-        pool: ThreadPoolExecutor,
         shard_ids: List[int],
         task: Callable[[int], _TaskResult],
         stats: SchedulerStats,
         critical: TimeBreakdown,
     ):
-        """One barrier: run ``task`` on every listed shard, gather in order.
+        """One barrier: run ``task`` on every listed shard, in shard order.
 
         Returns the payload map and the replica that produced each
         shard's payload.  Busy ledgers charge every attempt (failed
@@ -636,15 +549,17 @@ class ShardScheduler:
         """
         stats.tasks += len(shard_ids)
         stats.max_queue_depth = max(stats.max_queue_depth, len(shard_ids))
-        futures = {i: pool.submit(self._on_shard, i, task) for i in shard_ids}
         answers: Dict[int, object] = {}
         served: Dict[int, int] = {}
         deltas: Dict[int, TimeBreakdown] = {}
-        for shard_id in shard_ids:  # shard order, regardless of completion order
-            outcome = futures[shard_id].result()
+        for shard_id in shard_ids:
+            outcome = task(shard_id)
             answers[shard_id] = outcome.payload
             served[shard_id] = outcome.replica_id
             deltas[shard_id] = outcome.delta
+            stats.busy_ms[shard_id] = (
+                stats.busy_ms.get(shard_id, 0.0) + outcome.delta.wall_ms
+            )
             for replica_id, attempt in outcome.attempts:
                 key = (shard_id, replica_id)
                 stats.replica_busy_ms[key] = (
@@ -653,24 +568,8 @@ class ShardScheduler:
             stats.failovers.extend(outcome.events)
         stats.barriers += 1
         slowest = max(shard_ids, key=lambda i: (deltas[i].wall_ms, i))
-        critical.user_ms += deltas[slowest].user_ms
-        critical.system_ms += deltas[slowest].system_ms
-        critical.io_ms += deltas[slowest].io_ms
-        for shard_id in shard_ids:
-            stats.busy_ms[shard_id] = (
-                stats.busy_ms.get(shard_id, 0.0) + deltas[shard_id].wall_ms
-            )
+        self._add(critical, deltas[slowest])
         return answers, served
-
-    def _on_shard(self, shard_id: int, task: Callable[[int], _TaskResult]):
-        """Run one task against one shard's simulated machines.
-
-        The per-shard lock serializes all touches of that shard's
-        replicas, so their clock deltas are attributable to exactly
-        this task.
-        """
-        with self._locks[shard_id]:
-            return task(shard_id)
 
     def _down_attempted(self, shard_id: int, text: str) -> int:
         """Stored terms a down shard would have been asked to read.

@@ -196,7 +196,6 @@ class ShardedIRSystem:
         self,
         top_k: int = DEFAULT_TOP_K,
         engine: str = "taat",
-        max_workers=None,
         prune: str = "off",
         replica_policy: str = "primary",
         policy_seed: int = 0,
@@ -205,8 +204,8 @@ class ShardedIRSystem:
         from .scheduler import ShardScheduler
 
         return ShardScheduler(
-            self, top_k=top_k, engine=engine, max_workers=max_workers,
-            prune=prune, replica_policy=replica_policy, policy_seed=policy_seed,
+            self, top_k=top_k, engine=engine, prune=prune,
+            replica_policy=replica_policy, policy_seed=policy_seed,
             term_cache_bytes=term_cache_bytes,
         )
 

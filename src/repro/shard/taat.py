@@ -157,13 +157,14 @@ class _InjectedNetwork(InferenceNetwork):
 
 
 class ShardTaatRunner:
-    """Drives the two phases of one query on one shard's machine.
+    """Drives the two phases of a wave of queries on one shard's machine.
 
-    The scheduler calls :meth:`collect` on every shard, sums the local
-    df vectors, then calls :meth:`score` everywhere with the sums.
-    Reservations are taken before phase 1 and released after phase 2,
-    so the paper's reserve optimization spans the whole query exactly as
-    it does on the unsharded engine.
+    The scheduler calls :meth:`collect_many` on every shard, sums the
+    local df vectors, then calls :meth:`score_many` everywhere with the
+    sums (a single query is a wave of one).  Reservations are taken
+    before phase 1 and released after phase 2, so the paper's reserve
+    optimization spans the whole query exactly as it does on the
+    unsharded engine.
     """
 
     def __init__(self, system: IRSystem, top_k: int = DEFAULT_TOP_K):
@@ -176,13 +177,8 @@ class ShardTaatRunner:
             Tuple[str, QueryNode, _MemoProvider, List[_LeafSlot]]
         ] = []
 
-    def collect(self, text: str) -> List[int]:
-        """Phase 1: leaf storage work; returns the local df vector."""
-        if self._pending:
-            raise ReproError("previous query's score phase never ran")
-        return self._collect_one(text)
-
     def _collect_one(self, text: str) -> List[int]:
+        """Phase 1: leaf storage work; returns the local df vector."""
         index = self.system.index
         clock = self.system.clock
         tree = parse_query(text)
@@ -231,16 +227,8 @@ class ShardTaatRunner:
         self._pending.clear()
         self.system.index.store.release_reservations()
 
-    def score(self, global_dfs: List[int]) -> QueryResult:
-        """Phase 2: evaluate with global statistics and rank local docs."""
-        if not self._pending:
-            raise ReproError("score phase without a collect phase")
-        try:
-            return self._score_one(global_dfs)
-        finally:
-            self.system.index.store.release_reservations()
-
     def _score_one(self, global_dfs: List[int]) -> QueryResult:
+        """Phase 2: evaluate with global statistics and rank local docs."""
         text, tree, provider, slots = self._pending.pop(0)
         if len(global_dfs) != len(slots):
             raise ReproError(
@@ -262,8 +250,6 @@ class ShardTaatRunner:
             terms_attempted=provider.attempts,
             terms_failed=provider.failures,
         )
-
-    # -- wave (batched) driving -------------------------------------------
 
     def collect_many(self, texts: List[str]) -> Tuple[List[List[int]], List]:
         """Phase 1 for a whole wave of queries, one barrier's worth.

@@ -137,9 +137,18 @@ def test_serve_one_raises_on_expired_deadline(prepared, config, pool):
     assert result.ranking
 
 
-def test_queue_limit_validation(prepared, config):
+def test_queue_limit_validation(prepared, config, pool):
     with pytest.raises(ConfigError):
         QueryService(materialize(prepared, config), queue_limit=-1)
+    # A rejected construction must not touch the backend: every knob is
+    # checked before the cold start purges caches and zeroes the clocks.
+    backend = materialize(prepared, config)
+    QueryService(backend).serve_one(pool[0])  # warm it: clock now non-zero
+    before = backend.clock.snapshot()
+    assert before.wall_ms > 0.0
+    with pytest.raises(ConfigError):
+        QueryService(backend, term_cache_bytes=-1)
+    assert backend.clock.snapshot() == before
 
 
 def test_per_class_accounting(prepared, config, pool):
