@@ -86,16 +86,13 @@ def _phases(system: IRSystem, query_sets) -> List[Tuple[str, List[str], object]]
             system.index,
             top_k=DEFAULT_TOP_K,
             use_reservation=system.config.use_reservation,
-            use_fastpath=system.config.use_fastpath,
         )
         phases.append((f"taat:{query_set.name}", list(query_set.queries), engine))
     for query_set in query_sets:
         flat = daat_queries(query_set.queries)
         if not flat:
             continue
-        engine = DocumentAtATimeEngine(
-            system.index, top_k=50, use_fastpath=system.config.use_fastpath
-        )
+        engine = DocumentAtATimeEngine(system.index, top_k=50)
         phases.append((f"daat:{query_set.name}", flat, engine))
     return phases
 

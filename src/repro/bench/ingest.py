@@ -167,7 +167,6 @@ def _mixed_run(
         else:
             engine = DocumentAtATimeEngine(
                 backend.index, top_k=DEFAULT_TOP_K, prune="auto",
-                use_fastpath=backend.config.use_fastpath,
             )
             live_daat = {
                 text: engine.run_query(text).ranking for text in daat_pool

@@ -75,15 +75,10 @@ def bench_profile(
             continue
         flat_queries.extend(flat)
         cold_start(system)
-        exhaustive = DocumentAtATimeEngine(
-            system.index, top_k=top_k, use_fastpath=config.use_fastpath
-        )
+        exhaustive = DocumentAtATimeEngine(system.index, top_k=top_k)
         base = exhaustive.run_batch(flat)
         cold_start(system)
-        pruner = DocumentAtATimeEngine(
-            system.index, top_k=top_k,
-            use_fastpath=config.use_fastpath, prune="auto",
-        )
+        pruner = DocumentAtATimeEngine(system.index, top_k=top_k, prune="auto")
         results = pruner.run_batch(flat)
         if [r.ranking for r in results] != [r.ranking for r in base]:
             violations.append(
@@ -130,8 +125,7 @@ def bench_profile(
     # -- serve composition: pruned service, shared cache, doubled load ----
     if flat_queries:
         reference = DocumentAtATimeEngine(
-            materialize(prepared, config).index,
-            top_k=top_k, use_fastpath=config.use_fastpath,
+            materialize(prepared, config).index, top_k=top_k
         )
         expected = {
             text: result.ranking

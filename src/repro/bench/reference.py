@@ -23,7 +23,6 @@ def cold_reference(
         system.index,
         top_k=DEFAULT_TOP_K,
         use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
     )
     rankings: Dict[str, list] = {}
     costs_ms: List[float] = []

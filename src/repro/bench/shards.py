@@ -81,9 +81,7 @@ def bench_profile(
         if not flat:
             continue
         cold_start(baseline)
-        engine = DocumentAtATimeEngine(
-            baseline.index, top_k=DEFAULT_TOP_K, use_fastpath=config.use_fastpath
-        )
+        engine = DocumentAtATimeEngine(baseline.index, top_k=DEFAULT_TOP_K)
         daat_ref[query_set.name] = _rankings(engine.run_batch(flat))
 
     cell: dict = {

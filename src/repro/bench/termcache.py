@@ -97,7 +97,6 @@ def _flat_run(
     engine = RetrievalEngine(
         system.index, top_k=DEFAULT_TOP_K,
         use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
     )
     cache = (
         TermCache(budget, max_entry_fraction=max_entry_fraction,
@@ -132,7 +131,7 @@ def _daat_run(
     cold_start(system)
     engine = DocumentAtATimeEngine(
         system.index, top_k=DEFAULT_TOP_K,
-        use_fastpath=config.use_fastpath, prune=prune,
+        prune=prune,
     )
     cache = TermCache(budget) if budget > 0 else None
     engine.term_cache = cache
@@ -196,7 +195,6 @@ def _mixed_run(
     engine = RetrievalEngine(
         backend.index, top_k=DEFAULT_TOP_K,
         use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
     )
     if caches:
         engine.term_cache = caches[0]

@@ -75,14 +75,12 @@ def _run_path(
 ) -> PathRun:
     """Time index build + query evaluation for one path.
 
-    The global fast-path toggle gates every kernel dispatch (codec,
-    bulk encode, recount), and the system config routes the engine, so
-    flipping both switches the entire stack at once.
+    The one fast-path switch gates every kernel dispatch (codec, bulk
+    encode, recount, engines), so the whole stack flips at once.
     """
     run = PathRun()
-    previous = _fastpath.set_enabled(fast)
-    try:
-        config = config_by_name(config_name, use_fastpath=fast)
+    with _fastpath.use_fastpath(fast):
+        config = config_by_name(config_name)
         start = time.perf_counter()
         prepared = prepare_collection(collection)
         system = materialize(prepared, config)
@@ -104,7 +102,6 @@ def _run_path(
             engine = RetrievalEngine(
                 system.index, top_k=DEFAULT_TOP_K,
                 use_reservation=config.use_reservation,
-                use_fastpath=fast,
             )
             cache = TermCache(1 << 22)
             engine.term_cache = cache
@@ -131,9 +128,7 @@ def _run_path(
             if not flat:
                 continue
             cold_start(system)
-            engine = DocumentAtATimeEngine(
-                system.index, top_k=50, use_fastpath=fast
-            )
+            engine = DocumentAtATimeEngine(system.index, top_k=50)
             clock_start = system.clock.snapshot()
             start = time.perf_counter()
             results = engine.run_batch(flat)
@@ -149,24 +144,18 @@ def _run_path(
         # per-chunk max-tf sidecars make block skipping real.  The
         # exhaustive run on the same build is the invariance reference
         # and the denominator of the pruning speedup.
-        linked = materialize(
-            prepared, config_by_name("mneme-linked", use_fastpath=fast)
-        )
+        linked = materialize(prepared, config_by_name("mneme-linked"))
         for query_set in query_sets:
             flat = daat_queries(query_set.queries)
             if not flat:
                 continue
             cold_start(linked)
-            exhaustive = DocumentAtATimeEngine(
-                linked.index, use_fastpath=fast
-            )
+            exhaustive = DocumentAtATimeEngine(linked.index)
             start = time.perf_counter()
             base_results = exhaustive.run_batch(flat)
             exhaustive_s = time.perf_counter() - start
             cold_start(linked)
-            pruner = DocumentAtATimeEngine(
-                linked.index, use_fastpath=fast, prune="auto"
-            )
+            pruner = DocumentAtATimeEngine(linked.index, prune="auto")
             clock_start = linked.clock.snapshot()
             start = time.perf_counter()
             results = pruner.run_batch(flat)
@@ -188,8 +177,6 @@ def _run_path(
                 ),
                 "clock": (elapsed.wall_ms, elapsed.user_ms, elapsed.system_io_ms),
             }
-    finally:
-        _fastpath.set_enabled(previous)
     return run
 
 
@@ -479,7 +466,7 @@ GATE = Gate(
     ),
     compare_cell=compare_cell,
     header=lambda config, repeats: {
-        "numpy": _fastpath.HAVE_NUMPY, "repeats": repeats,
+        "numpy": True, "repeats": repeats,
     },
     cell_ok=lambda cell: cell["invariant"],
     summary_ok=False,

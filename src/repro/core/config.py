@@ -44,9 +44,6 @@ class SystemConfig:
     chunk_bytes: int = 16384     #: chunk size of the mneme-linked backend
     readahead_blocks: int = 0    #: FS sequential read-ahead (0 = off)
     use_reservation: bool = True
-    #: Evaluate on the vectorized kernels (:mod:`repro.fastpath`).
-    #: Bit-identical results and simulated charges; real time only.
-    use_fastpath: bool = True
     #: Attach a redo log (write-ahead log) to the Mneme file.  Enables
     #: crash recovery and checksum read-repair; costs extra writes
     #: during the (untimed) build.  Mneme backends only.

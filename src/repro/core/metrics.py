@@ -166,7 +166,6 @@ def measure_run(
         system.index,
         top_k=top_k,
         use_reservation=system.config.use_reservation,
-        use_fastpath=system.config.use_fastpath,
     )
     results = engine.run_batch(queries)
     return snapshot.metrics(

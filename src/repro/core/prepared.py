@@ -12,7 +12,7 @@ single time (numpy ``lexsort`` over (term, doc, position), the same
 per configuration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -269,7 +269,9 @@ def materialize(
         dictionary=dictionary,
         doctable=doctable,
         store=store,
-        stats=prepared.stats,
+        # A copy: live ingest updates the counts, and one preparation
+        # is materialized many times (replicas, gates, test fixtures).
+        stats=replace(prepared.stats),
         stopwords=frozenset(),
         stem_fn=str,  # synthetic terms must not be stemmed
     )

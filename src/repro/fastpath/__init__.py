@@ -10,11 +10,11 @@ to the pure-Python reference implementations, which remain in place.
 
 Layout:
 
-* :mod:`~repro.fastpath.state`   — the global ``use_fastpath`` toggle;
+* :mod:`~repro.fastpath.state`   — the one kill switch (``use_fastpath``);
 * :mod:`~repro.fastpath.vbyte`   — bulk v-byte encode/decode;
 * :mod:`~repro.fastpath.codec`   — the postings-record codec;
 * :mod:`~repro.fastpath.beliefs` — array belief tables + operator kernels;
-* :mod:`~repro.fastpath.topk`    — O(n log k) ranking selection;
+* :mod:`~repro.fastpath.topk`    — top-k ranking selection (both table kinds);
 * :mod:`~repro.fastpath.network` — the vectorized inference network;
 * :mod:`~repro.fastpath.daat`    — windowed document-at-a-time scoring;
 * :mod:`~repro.fastpath.prune`   — MaxScore top-k pruning (both drivers);
@@ -22,10 +22,9 @@ Layout:
 * :mod:`~repro.fastpath.build`   — whole-collection bulk record encoding.
 """
 
-from .state import HAVE_NUMPY, enabled, set_enabled, use_fastpath
+from .state import enabled, set_enabled, use_fastpath
 
 __all__ = [
-    "HAVE_NUMPY",
     "enabled",
     "set_enabled",
     "use_fastpath",

@@ -64,7 +64,7 @@ def term_beliefs(
     """Vectorized INQUERY term belief: ``0.4 + 0.6 * tf_w * idf_w``.
 
     The expressions mirror the reference
-    ``InferenceNetwork._belief_from_postings`` operation for operation
+    ``InferenceNetwork._beliefs`` operation for operation
     (same association order), so each belief is bit-identical to the
     scalar computation.
     """

@@ -1,13 +1,20 @@
-"""Global fast-path toggle.
+"""The fast-path kill switch — the one selector of the evaluation path.
 
 The fast path is a *real-time* optimization only: every kernel in
 :mod:`repro.fastpath` is required to produce byte-identical records,
 bit-identical beliefs, and identical simulated-clock charges to the
 pure-Python reference implementations.  Because of that invariant the
-toggle can default to on; the reference path is retained for
-verification and for environments without numpy.
+switch defaults to on and production never turns it off; the reference
+path is retained as the oracle the invariance suites compare against
+and as the kill-switch fallback.
 
-The toggle is deliberately tiny and dependency-free so that low-level
+There is exactly one switch — ``REPRO_FASTPATH=0`` in the environment,
+or the :func:`use_fastpath` context — and every dispatch point (codec,
+bulk encode, recount, both engines, the sharded runner) reads it when
+it dispatches, so one ``with use_fastpath(False):`` around construction
+and call routes the whole stack through the reference code.
+
+The module is deliberately tiny and dependency-free so that low-level
 modules (``repro.inquery.postings``) can consult it without import
 cycles.
 """
@@ -15,19 +22,10 @@ cycles.
 import os
 from contextlib import contextmanager
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - numpy is a hard dependency in CI
-    HAVE_NUMPY = False
-
 
 def _initial() -> bool:
     env = os.environ.get("REPRO_FASTPATH", "").strip().lower()
-    if env in ("0", "off", "false", "no"):
-        return False
-    return HAVE_NUMPY
+    return env not in ("0", "off", "false", "no")
 
 
 #: Whether fast-path kernels are used where available.  Mutate through
@@ -41,14 +39,10 @@ def enabled() -> bool:
 
 
 def set_enabled(flag: bool) -> bool:
-    """Switch the fast path on or off; returns the previous setting.
-
-    Enabling without numpy installed silently stays off — callers never
-    need to guard on :data:`HAVE_NUMPY` themselves.
-    """
+    """Switch the fast path on or off; returns the previous setting."""
     global ENABLED
     previous = ENABLED
-    ENABLED = bool(flag) and HAVE_NUMPY
+    ENABLED = bool(flag)
     return previous
 
 

@@ -8,13 +8,20 @@ included.
 """
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from .beliefs import ArrayBeliefs
 
 Ranking = List[Tuple[int, float]]
+
+
+def rank(scores: Union[Dict[int, float], ArrayBeliefs], k: int) -> Ranking:
+    """The best ``k`` of a score table in either representation."""
+    if isinstance(scores, dict):
+        return rank_dict(scores, k)
+    return rank_arrays(scores, k)
 
 
 def rank_dict(scores: Dict[int, float], k: int) -> Ranking:

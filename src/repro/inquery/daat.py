@@ -18,12 +18,12 @@ document-at-a-time is classically defined for; structured operators stay
 on the term-at-a-time engine).
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import BadBlockError, PruningUnsupportedError, QueryError
 from ..fastpath import state as _fastpath
+from ..fastpath.topk import rank
 from ..simdisk import SimClock
 from .engine import DEFAULT_TOP_K, QueryResult
 from .indexer import CollectionIndex
@@ -130,17 +130,12 @@ class DocumentAtATimeEngine:
         clock: Optional[SimClock] = None,
         top_k: int = DEFAULT_TOP_K,
         use_reservation: bool = True,
-        use_fastpath: Optional[bool] = None,
         prune: str = "off",
     ):
         self.index = index
         self.clock = clock if clock is not None else index.fs.disk.clock
         self.top_k = top_k
         self.use_reservation = use_reservation
-        # Same semantics as the term-at-a-time engine: the global
-        # toggle (REPRO_FASTPATH=0 / use_fastpath(False)) is a
-        # kill-switch overriding per-engine opt-in.
-        self.use_fastpath = (use_fastpath is not False) and _fastpath.enabled()
         # Dynamic pruning mode: "off" (exhaustive, the default),
         # "auto" (prune when safe bounds exist, else evaluate
         # exhaustively), or "require" (raise PruningUnsupportedError
@@ -158,9 +153,7 @@ class DocumentAtATimeEngine:
         cost = self.clock.cost
         self.clock.charge_user(cost.cpu_ms_per_query_node * count_nodes(tree))
         terms, weights = _flatten(tree)
-        total_weight = sum(weights)
-        if total_weight <= 0:
-            raise QueryError("weights must sum to a positive value")
+        total_weight = sum(weights)  # positive: the parser checked #wsum
 
         entries = [self.index.term_entry(term) for term in terms]
         if self.prune != "off":
@@ -246,7 +239,7 @@ class DocumentAtATimeEngine:
             # network's expressions (order of operations included), so
             # rankings are bit-identical across the two engines.
             weighted = isinstance(tree, OpNode) and tree.op == "wsum"
-            if self.use_fastpath and streams:
+            if _fastpath.enabled() and streams:
                 from ..fastpath.daat import score_streams
 
                 scores, peak_resident, scored = score_streams(
@@ -324,18 +317,9 @@ class DocumentAtATimeEngine:
         both selections produce the identical ranked list.
         """
         self.clock.charge_user(self.clock.cost.cpu_ms_per_posting * len(scores))
-        if isinstance(scores, dict):
-            # O(n log k) selection; identical ranking to the full sort.
-            ranking = heapq.nsmallest(
-                self.top_k, scores.items(), key=lambda item: (-item[1], item[0])
-            )
-        else:
-            from ..fastpath.topk import rank_arrays
-
-            ranking = rank_arrays(scores, self.top_k)
         return DAATResult(
             query=text,
-            ranking=ranking,
+            ranking=rank(scores, self.top_k),
             terms_looked_up=lookups,
             degraded=failed > 0,
             terms_attempted=attempted,
@@ -372,7 +356,7 @@ class DocumentAtATimeEngine:
                 avg_len,
                 self.clock,
                 self.top_k,
-                self.use_fastpath,
+                _fastpath.enabled(),
                 tombstones=self.index.tombstones,
                 term_cache=self.term_cache,
             )

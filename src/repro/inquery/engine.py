@@ -12,19 +12,22 @@ decompression, belief arithmetic, ranking); the storage layers below
 charge system CPU and I/O wait.  That split is what separates Table 3
 from Table 4.
 
-With ``use_fastpath`` (the default when numpy is present) the belief
-evaluation runs on the vectorized kernels in :mod:`repro.fastpath`.
-The fast path performs the identical storage accesses and simulated
-charges and produces bit-identical rankings — it changes real
-wall-clock time only.
+The belief evaluation runs on the vectorized kernels in
+:mod:`repro.fastpath` unless the one kill switch
+(:mod:`repro.fastpath.state`) is off, in which case the pure-Python
+reference network evaluates.  The two perform identical storage
+accesses and simulated charges and produce bit-identical rankings —
+the switch changes real wall-clock time only, and it is read per query,
+where the dispatch happens.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import BadBlockError
+from ..fastpath import codec as _codec
 from ..fastpath import state as _fastpath
+from ..fastpath.topk import rank
 from ..simdisk import SimClock
 from .indexer import CollectionIndex
 from .network import InferenceNetwork, TermProvider
@@ -76,6 +79,13 @@ class _IndexProvider(TermProvider):
     #: the historical path, byte-for-byte.  Duck-typed on purpose: this
     #: layer never imports the serve package.
     term_cache = None
+
+    #: Per-query memo of decoded terms, switched on (``{}``) by the
+    #: sharded runner: a term's first read does the storage access and
+    #: pays its charges, every repeat within the query is free — one
+    #: fetch per term per query whatever leaf kinds mention it.  ``None``
+    #: (the unsharded engine) reads every mention.
+    memo = None
 
     def __init__(self, index: CollectionIndex, clock: SimClock, reserve: bool):
         self._index = index
@@ -136,7 +146,18 @@ class _IndexProvider(TermProvider):
         self._clock.charge_user(cost.cpu_ms_per_kb_decode * (len(record) / 1024.0))
         return record
 
+    def _memoized(self, term: str, read):
+        memo = self.memo
+        if memo is None:
+            return read(term)
+        if term not in memo:
+            memo[term] = read(term)
+        return memo[term]
+
     def postings(self, term: str) -> Optional[List[Posting]]:
+        return self._memoized(term, self._read_postings)
+
+    def _read_postings(self, term: str) -> Optional[List[Posting]]:
         hit = self._cache_probe("postings", term)
         if hit is not None:
             # The cached payload is the epoch-raw decode: skip the
@@ -194,6 +215,9 @@ class _FastIndexProvider(_IndexProvider):
     decode_cache = None
 
     def postings_arrays(self, term: str):
+        return self._memoized(term, self._read_arrays)
+
+    def _read_arrays(self, term: str):
         hit = self._cache_probe("arrays", term)
         if hit is not None:
             # Same charge model as the reference provider's hit path:
@@ -205,9 +229,7 @@ class _FastIndexProvider(_IndexProvider):
             arrays = hit.payload
             dead = hit.dead | self._index.tombstones
             if dead:
-                from ..fastpath.codec import filter_record_arrays
-
-                arrays = filter_record_arrays(arrays, dead)
+                arrays = _codec.filter_record_arrays(arrays, dead)
                 self._clock.charge_user(
                     self._clock.cost.cpu_ms_per_posting * arrays.ctf
                 )
@@ -218,9 +240,7 @@ class _FastIndexProvider(_IndexProvider):
         cache = self.decode_cache
         arrays = None if cache is None else cache.get(record)
         if arrays is None:
-            from ..fastpath.codec import decode_record_arrays
-
-            arrays = decode_record_arrays(record)
+            arrays = _codec.decode_record_arrays(record)
             if cache is not None:
                 cache.put(record, arrays)
         if self.term_cache is not None:
@@ -233,9 +253,7 @@ class _FastIndexProvider(_IndexProvider):
         # the cost matches the reference path's filtered `sum(len(p))`.
         dead = self._index.tombstones
         if dead:
-            from ..fastpath.codec import filter_record_arrays
-
-            arrays = filter_record_arrays(arrays, dead)
+            arrays = _codec.filter_record_arrays(arrays, dead)
         # Identical charge to the reference path: one unit per position
         # (`sum(len(p))` over the decoded postings == ctf).
         self._clock.charge_user(
@@ -264,10 +282,6 @@ class RetrievalEngine:
     use_reservation:
         The query-tree reserve pass; on by default (the paper's system),
         switchable for the reservation ablation.
-    use_fastpath:
-        Evaluate beliefs on the vectorized kernels (bit-identical
-        results, real time only).  ``None`` follows the global
-        :mod:`repro.fastpath` toggle.
     """
 
     def __init__(
@@ -276,58 +290,64 @@ class RetrievalEngine:
         clock: Optional[SimClock] = None,
         top_k: int = DEFAULT_TOP_K,
         use_reservation: bool = True,
-        use_fastpath: Optional[bool] = None,
     ):
         self.index = index
         self.clock = clock if clock is not None else index.fs.disk.clock
         self.top_k = top_k
         self.use_reservation = use_reservation
-        # The global toggle is a kill-switch: REPRO_FASTPATH=0 (or the
-        # use_fastpath(False) context) overrides per-engine opt-in.
-        self.use_fastpath = (
-            (use_fastpath is not False) and _fastpath.enabled()
-        )
-        self._decode_cache = None
-        if self.use_fastpath:
-            from ..fastpath.codec import DecodeCache
-
-            self._decode_cache = DecodeCache()
+        self._decode_cache = _codec.DecodeCache()
         #: Optional decoded-term cache attached by the serving layer
         #: (``None`` = the historical path, byte-for-byte).
         self.term_cache = None
 
-    def _build_network(self, provider: _IndexProvider) -> InferenceNetwork:
-        if self.use_fastpath:
-            from ..fastpath.network import FastInferenceNetwork
+    def open_query(self, text: str) -> Tuple[QueryNode, _IndexProvider, InferenceNetwork]:
+        """Parse, charge, reserve; this query's tree, provider and network.
 
-            return FastInferenceNetwork(provider)
-        return InferenceNetwork(provider)
-
-    def run_query(self, text: str) -> QueryResult:
-        """Parse, reserve, evaluate, and rank one query."""
+        The caller evaluates (one pass here, two phases on a shard),
+        hands the scores to :meth:`result`, and releases the
+        reservations when the query — or its whole wave — is done.
+        """
         tree = parse_query(text)
         self.clock.charge_user(self.clock.cost.cpu_ms_per_query_node * count_nodes(tree))
         if self.use_reservation:
             self._reserve_resident_objects(tree)
-        provider_cls = _FastIndexProvider if self.use_fastpath else _IndexProvider
-        provider = provider_cls(self.index, self.clock, self.use_reservation)
-        if self.use_fastpath:
+        if _fastpath.enabled():
+            from ..fastpath.network import FastInferenceNetwork
+
+            provider = _FastIndexProvider(self.index, self.clock, self.use_reservation)
             provider.decode_cache = self._decode_cache
+            network = FastInferenceNetwork(provider)
+        else:
+            provider = _IndexProvider(self.index, self.clock, self.use_reservation)
+            network = InferenceNetwork(provider)
         provider.term_cache = self.term_cache
-        network = self._build_network(provider)
-        try:
-            scores, _default = network.evaluate(tree)
-            ranking = self._rank(scores)
-        finally:
-            self.index.store.release_reservations()
+        return tree, provider, network
+
+    def result(self, text: str, provider: _IndexProvider, scores) -> QueryResult:
+        """Rank a finished score table and assemble the result.
+
+        Document ranking is a selection problem (charged as user CPU):
+        top-k selection is O(n log k) against a full sort's O(n log n),
+        and the returned ranking (order and ties) is identical.
+        """
+        self.clock.charge_user(self.clock.cost.cpu_ms_per_posting * len(scores))
         return QueryResult(
             query=text,
-            ranking=ranking,
+            ranking=rank(scores, self.top_k),
             terms_looked_up=provider.lookups,
             degraded=provider.failures > 0,
             terms_attempted=provider.attempts,
             terms_failed=provider.failures,
         )
+
+    def run_query(self, text: str) -> QueryResult:
+        """Parse, reserve, evaluate, and rank one query."""
+        tree, provider, network = self.open_query(text)
+        try:
+            scores, _default = network.evaluate(tree)
+            return self.result(text, provider, scores)
+        finally:
+            self.index.store.release_reservations()
 
     def run_batch(self, queries: List[str]) -> List[QueryResult]:
         """Process a query set in batch mode, as the paper's runs do."""
@@ -348,18 +368,3 @@ class RetrievalEngine:
                     self.index.store.reserve(entry.storage_key)
                 except BadBlockError:
                     return
-
-    def _rank(self, scores) -> List[Tuple[int, float]]:
-        """Document ranking is a selection problem (charged as user CPU).
-
-        Top-k selection is O(n log k) against the old full sort's
-        O(n log n); the returned ranking (order and ties) is identical.
-        """
-        self.clock.charge_user(self.clock.cost.cpu_ms_per_posting * len(scores))
-        if isinstance(scores, dict):
-            return heapq.nsmallest(
-                self.top_k, scores.items(), key=lambda item: (-item[1], item[0])
-            )
-        from ..fastpath.topk import rank_arrays
-
-        return rank_arrays(scores, self.top_k)

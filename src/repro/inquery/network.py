@@ -21,7 +21,7 @@ measures.
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import QueryError
+from ..errors import QueryError, ReproError
 from .postings import Posting
 from .query import OpNode, QueryNode, TermNode
 
@@ -73,25 +73,114 @@ class TermProvider:
         return None
 
 
+#: Operators the network scores as one *virtual term* built from plain
+#: term children (the parser rejects anything else beneath them).
+_VIRTUAL_TERM_OPS = ("phrase", "od", "uw", "syn")
+
+#: One leaf's phase 1 outcome: its evidence (``None`` = nothing
+#: observed) and the document frequency that evidence implies locally.
+LeafSlot = Tuple[Optional[object], int]
+
+
+def _is_leaf(node: QueryNode) -> bool:
+    return isinstance(node, TermNode) or node.op in _VIRTUAL_TERM_OPS
+
+
+def _window(node: OpNode) -> Tuple[bool, int]:
+    """``(ordered, window)`` of a proximity operator."""
+    if node.op == "phrase":
+        return True, 1
+    if node.op == "od":
+        return True, max(node.window, 1)
+    return False, max(node.window, len(node.children))
+
+
+def _counted(postings: Optional[List[Posting]]) -> LeafSlot:
+    return (postings, len(postings)) if postings else (None, 0)
+
+
 class InferenceNetwork:
-    """Evaluates a query tree into a belief table."""
+    """Evaluates a query tree into a belief table.
+
+    A *leaf* is anything scored as a single term: a :class:`TermNode`,
+    or a proximity/synonym operator whose virtual postings are
+    materialized from its children.  Every leaf is evaluated in two
+    steps — :meth:`_evidence` (the storage and window work, with the
+    charges that work pays) and :meth:`_beliefs` ``(evidence, df)`` —
+    because the df a leaf's evidence implies is collection-wide only on
+    an unsharded index; on a shard it is local, and a local df changes
+    the idf weight of every belief:
+
+    * ``evaluate(tree)`` scores each leaf with its own evidence's df,
+      leaf by leaf in one pass (the unsharded engine);
+    * ``collect(tree)`` does the evidence step only, one
+      :data:`LeafSlot` per leaf in pre-order; the shard coordinator
+      sums the local dfs element-wise (each document lives on exactly
+      one shard, so the sums are the unsharded dfs) and
+      ``evaluate(tree, slots, dfs)`` scores the collected evidence
+      with the sums, touching no storage — both phases see the same
+      bytes even under an active fault plan.
+
+    Every shard parses the same text with the same parser, so the slot
+    sequences line up by construction.  Subclasses swap representations
+    by overriding the leaf hooks; the protocol exists once, here.
+    """
 
     def __init__(self, provider: TermProvider):
         self._provider = provider
 
-    def evaluate(self, node: QueryNode) -> BeliefTable:
+    def evaluate(
+        self,
+        tree: QueryNode,
+        slots: Optional[List[LeafSlot]] = None,
+        dfs: Optional[List[int]] = None,
+    ) -> BeliefTable:
         """Evaluate the tree bottom-up, term-at-a-time."""
-        if isinstance(node, TermNode):
-            return self._eval_term(node.term)
+        if slots is None:
+            return self._eval(tree, None)
+        if len(dfs) != len(slots):
+            raise ReproError(
+                f"df exchange shape mismatch: {len(slots)} leaf slots, "
+                f"{len(dfs)} global dfs"
+            )
+        return self._eval(tree, iter(zip(slots, dfs)))
+
+    def collect(self, node: QueryNode) -> List[LeafSlot]:
+        """Phase 1 of the df exchange: leaf evidence only, in pre-order."""
+        if _is_leaf(node):
+            return [self._evidence(node)]
+        return [slot for child in node.children for slot in self.collect(child)]
+
+    def _eval(self, node: QueryNode, injected) -> BeliefTable:
+        if _is_leaf(node):
+            if injected is None:
+                evidence, df = self._evidence(node)
+            else:
+                (evidence, _local_df), df = next(injected)
+            return self._beliefs(evidence, df)
         handler = getattr(self, f"_eval_{node.op}", None)
         if handler is None:
             raise QueryError(f"unsupported operator #{node.op}")
-        return handler(node)
+        return handler(node, [self._eval(child, injected) for child in node.children])
 
     # -- leaves ---------------------------------------------------------------
 
-    def _belief_from_postings(self, postings: List[Posting], df: int) -> BeliefTable:
-        """INQUERY term belief over a posting list."""
+    def _evidence(self, node: QueryNode) -> LeafSlot:
+        """One leaf's storage/window work: its evidence and local df."""
+        if isinstance(node, TermNode):
+            return self._term_evidence(node.term)
+        if node.op == "syn":
+            return _counted(self._synonym_postings(node))
+        return self._proximity_evidence(node, *_window(node))
+
+    def _beliefs(self, postings: Optional[List[Posting]], df: int) -> BeliefTable:
+        """INQUERY term belief over a leaf's posting list.
+
+        No local evidence: every local document keeps the default
+        belief, exactly as it would in the global belief table.
+        """
+        if postings is None:
+            return {}, DEFAULT_BELIEF
         provider = self._provider
         n_docs = max(provider.doc_count, 1)
         avg_len = max(provider.average_doc_length, 1.0)
@@ -104,46 +193,23 @@ class InferenceNetwork:
         provider.charge_combine(len(scores))
         return scores, DEFAULT_BELIEF
 
-    def _eval_term(self, term: str) -> BeliefTable:
-        postings = self._provider.postings(term)
-        if postings is None or not postings:
-            return {}, DEFAULT_BELIEF
-        return self._belief_from_postings(postings, df=len(postings))
+    def _term_evidence(self, term: str) -> LeafSlot:
+        return _counted(self._provider.postings(term))
 
-    # -- proximity operators ----------------------------------------------------
+    def _member_postings(self, term: str) -> Optional[List[Posting]]:
+        """A synonym member's postings (the representation hook)."""
+        return self._provider.postings(term)
 
-    def _eval_phrase(self, node: OpNode) -> BeliefTable:
-        return self._proximity(node, ordered=True, window=1)
-
-    def _eval_uw(self, node: OpNode) -> BeliefTable:
-        return self._proximity(node, ordered=False, window=max(node.window, len(node.children)))
-
-    def _eval_od(self, node: OpNode) -> BeliefTable:
-        """Ordered window: terms in order, successive gaps <= window."""
-        return self._proximity(node, ordered=True, window=max(node.window, 1))
-
-    def _eval_syn(self, node: OpNode) -> BeliefTable:
+    def _synonym_postings(self, node: OpNode) -> Optional[List[Posting]]:
         """Synonym group: several surface terms scored as one term.
 
         The postings of the members are unioned (positions merged per
         document) and the result is scored like a single term whose
-        document frequency is the union's size.
-        """
-        merged = self._synonym_postings(node)
-        if merged is None:
-            return {}, DEFAULT_BELIEF
-        return self._belief_from_postings(merged, df=len(merged))
-
-    def _synonym_postings(self, node: OpNode) -> Optional[List[Posting]]:
-        """The synonym group's unioned postings, or ``None`` if empty.
-
-        Factored out of :meth:`_eval_syn` (storage accesses and clock
-        charges included) so the shard statistics collector computes the
-        identical virtual record without scoring it.
+        document frequency is the union's size.  ``None`` if empty.
         """
         by_doc: Dict[int, set] = {}
         for child in node.children:
-            postings = self._provider.postings(child.term)
+            postings = self._member_postings(child.term)
             if not postings:
                 continue
             for doc_id, positions in postings:
@@ -157,26 +223,13 @@ class InferenceNetwork:
         self._provider.charge_combine(len(merged))
         return merged
 
-    def _proximity(self, node: OpNode, ordered: bool, window: int) -> BeliefTable:
-        """Build a virtual term from co-occurrence within a window."""
-        virtual = self._proximity_postings(node, ordered, window)
-        if not virtual:
-            return {}, DEFAULT_BELIEF
-        return self._belief_from_postings(virtual, df=len(virtual))
-
-    def _proximity_postings(
-        self, node: OpNode, ordered: bool, window: int
-    ) -> Optional[List[Posting]]:
-        """The proximity node's virtual postings (``None``: missing word).
-
-        Performs the storage accesses and clock charges of the reference
-        evaluation; shared with the shard statistics collector.
-        """
+    def _proximity_evidence(self, node: OpNode, ordered: bool, window: int) -> LeafSlot:
+        """A virtual term from co-occurrence within a window."""
         term_postings = []
         for child in node.children:
             postings = self._provider.postings(child.term)
             if postings is None or not postings:
-                return None  # a missing word kills the phrase
+                return None, 0  # a missing word kills the phrase
             term_postings.append(dict(postings))
         common = set(term_postings[0])
         for positions_by_doc in term_postings[1:]:
@@ -188,21 +241,14 @@ class InferenceNetwork:
             if count > 0:
                 virtual.append((doc_id, tuple(range(count))))
         self._provider.charge_combine(sum(len(tp) for tp in term_postings))
-        return virtual
+        return _counted(virtual)
 
     # -- combination operators ----------------------------------------------------
 
-    def _children(self, node: OpNode) -> List[BeliefTable]:
-        return [self.evaluate(child) for child in node.children]
-
-    def _union_docs(self, tables: List[BeliefTable]) -> set:
+    def _combine(self, tables: List[BeliefTable], combine_fn) -> BeliefTable:
         docs: set = set()
         for scores, _default in tables:
             docs.update(scores)
-        return docs
-
-    def _combine(self, tables: List[BeliefTable], combine_fn) -> BeliefTable:
-        docs = self._union_docs(tables)
         self._provider.charge_combine(len(docs) * len(tables))
         scores = {
             doc: combine_fn([s.get(doc, d) for s, d in tables]) for doc in docs
@@ -210,45 +256,41 @@ class InferenceNetwork:
         default = combine_fn([d for _s, d in tables])
         return scores, default
 
-    def _eval_sum(self, node: OpNode) -> BeliefTable:
-        tables = self._children(node)
+    def _eval_sum(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
         return self._combine(tables, lambda beliefs: sum(beliefs) / len(beliefs))
 
-    def _eval_wsum(self, node: OpNode) -> BeliefTable:
-        tables = self._children(node)
+    def _eval_wsum(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
         weights = node.weights
-        total = sum(weights)
-        if total <= 0:
-            raise QueryError("#wsum weights must sum to a positive value")
+        total = sum(weights)  # positive: the parser rejects anything else
 
         def weighted(beliefs: List[float]) -> float:
             return sum(w * b for w, b in zip(weights, beliefs)) / total
 
         return self._combine(tables, weighted)
 
-    def _eval_and(self, node: OpNode) -> BeliefTable:
+    def _eval_and(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
         def product(beliefs: List[float]) -> float:
             out = 1.0
             for b in beliefs:
                 out *= b
             return out
 
-        return self._combine(self._children(node), product)
+        return self._combine(tables, product)
 
-    def _eval_or(self, node: OpNode) -> BeliefTable:
+    def _eval_or(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
         def noisy_or(beliefs: List[float]) -> float:
             out = 1.0
             for b in beliefs:
                 out *= 1.0 - b
             return 1.0 - out
 
-        return self._combine(self._children(node), noisy_or)
+        return self._combine(tables, noisy_or)
 
-    def _eval_not(self, node: OpNode) -> BeliefTable:
-        return self._combine(self._children(node), lambda beliefs: 1.0 - beliefs[0])
+    def _eval_not(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
+        return self._combine(tables, lambda beliefs: 1.0 - beliefs[0])
 
-    def _eval_max(self, node: OpNode) -> BeliefTable:
-        return self._combine(self._children(node), max)
+    def _eval_max(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
+        return self._combine(tables, max)
 
 
 def _match_count(position_lists: List[Tuple[int, ...]], ordered: bool, window: int) -> int:

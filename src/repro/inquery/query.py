@@ -64,7 +64,8 @@ def parse_query(text: str) -> QueryNode:
     ------
     QueryError
         On empty input, unbalanced parentheses, unknown operators, or
-        malformed ``#wsum`` weights.
+        malformed ``#wsum`` weights (including a non-positive sum: no
+        engine ever holds a tree it cannot evaluate).
     """
     tokens = _TOKEN.findall(text)
     if not tokens:
@@ -135,6 +136,8 @@ class _Parser:
             raise QueryError(f"#{name} has no arguments")
         if name == "not" and len(node.children) != 1:
             raise QueryError("#not takes exactly one argument")
+        if name == "wsum" and sum(node.weights) <= 0:
+            raise QueryError("#wsum weights must sum to a positive value")
         if name in ("phrase", "uw", "od", "syn") and not all(
             isinstance(c, TermNode) for c in node.children
         ):

@@ -375,7 +375,6 @@ class QueryService:
                 backend.index,
                 top_k=top_k,
                 use_reservation=backend.config.use_reservation,
-                use_fastpath=backend.config.use_fastpath,
                 prune=prune,
             )
             index = backend.index
@@ -384,7 +383,6 @@ class QueryService:
                 backend.index,
                 top_k=top_k,
                 use_reservation=backend.config.use_reservation,
-                use_fastpath=backend.config.use_fastpath,
             )
             index = backend.index
         if not self.sharded and term_cache_bytes > 0:

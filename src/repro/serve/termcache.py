@@ -13,10 +13,10 @@ One :class:`TermCache` serves one replica of one shard (flat systems
 are shard 0).  Entries are keyed by ``(kind, term)`` where ``kind``
 names the read choke point that produced them:
 
-* ``"postings"`` — the TAAT provider's decoded ``[(doc, positions)]``
-  list (:meth:`_IndexProvider.postings`);
-* ``"arrays"``   — the fast TAAT provider's columnar
-  :class:`~repro.fastpath.codec.RecordArrays`;
+* ``"arrays"``   — the TAAT provider's columnar
+  :class:`~repro.fastpath.codec.RecordArrays`, flat and sharded alike;
+* ``"postings"`` — the reference TAAT provider's decoded ``[(doc,
+  positions)]`` list (:meth:`_IndexProvider.postings`; kill switch only);
 * ``"stream"``   — a DAAT stream recording: the decoded batch sequence
   one full drain of ``stream_postings`` produced;
 * ``"blocks"``   — per-block ``(doc_ids, tfs, raw_nbytes)`` triples for

@@ -267,7 +267,7 @@ class ShardScheduler:
         if runner is None or runner.system is not machine:
             runner = ShardTaatRunner(machine, top_k=self.top_k)
             self._taat[key] = runner
-        runner.term_cache = self._term_cache(shard_id, replica_id)
+        runner.engine.term_cache = self._term_cache(shard_id, replica_id)
         return runner
 
     def _daat_engine(self, shard_id: int, replica_id: int) -> DocumentAtATimeEngine:
@@ -279,7 +279,6 @@ class ShardScheduler:
                 machine.index,
                 top_k=self.top_k,
                 use_reservation=self.sharded.config.use_reservation,
-                use_fastpath=self.sharded.config.use_fastpath,
                 prune=self.prune,
             )
             self._daat[key] = engine

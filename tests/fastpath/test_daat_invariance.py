@@ -65,9 +65,7 @@ def observe_daat(corpus, query, fast, linked=False, cached=False):
         file_starts = [(f, f.stats.copy()) for f in store.files]
         lookups_start = store.record_lookups
         start = clock.snapshot()
-        result = DocumentAtATimeEngine(
-            index, top_k=30, use_fastpath=fast
-        ).run_query(query)
+        result = DocumentAtATimeEngine(index, top_k=30).run_query(query)
         elapsed = clock.since(start)
     return {
         "ranking": result.ranking,

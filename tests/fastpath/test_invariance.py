@@ -48,7 +48,7 @@ def run_both(corpus, query, cached=False):
             index = build(corpus, cached=cached)
             clock = index.fs.disk.clock
             start = clock.snapshot()
-            result = RetrievalEngine(index, top_k=30, use_fastpath=fast).run_query(query)
+            result = RetrievalEngine(index, top_k=30).run_query(query)
             elapsed = clock.since(start)
             buffers = {
                 name: (stats.refs, stats.hits)
@@ -137,7 +137,7 @@ def test_repeated_queries_identical(corpus, terms):
         with use_fastpath(fast):
             index = build(corpus, cached=True)
             clock = index.fs.disk.clock
-            engine = RetrievalEngine(index, top_k=30, use_fastpath=fast)
+            engine = RetrievalEngine(index, top_k=30)
             start = clock.snapshot()
             results = engine.run_batch([query, query, query])
             elapsed = clock.since(start)

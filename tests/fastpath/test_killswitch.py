@@ -1,21 +1,20 @@
 """The fast-path kill switch must be honored end to end.
 
 ``REPRO_FASTPATH=0`` (read once at import) and the ``use_fastpath``
-context manager both have to route the document-at-a-time engine and
-the proximity operators through the pure-Python reference code — no
-fast kernel may run.  Verified by poisoning the kernel entry points and
-evaluating real queries.
+context manager are the one switch: with it off, both engines, the
+proximity operators and the sharded term-at-a-time runner all have to
+go through the pure-Python reference code — no fast kernel may run.
+Verified by poisoning the kernel entry points and evaluating real
+queries.
 """
 
+import importlib
 import os
 import subprocess
 import sys
 
-import pytest
-
-pytest.importorskip("numpy")
-
-from repro.fastpath import state, use_fastpath
+from repro.core import config_by_name, prepare_collection
+from repro.fastpath import use_fastpath
 from repro.inquery import (
     Document,
     DocumentAtATimeEngine,
@@ -24,12 +23,32 @@ from repro.inquery import (
     RetrievalEngine,
 )
 from repro.inquery.matches import best_window, term_match_positions
+from repro.shard import materialize_sharded
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
+from repro.synth import CollectionProfile, SyntheticCollection
+from repro.synth.vocab import term_string
 
 CORPUS = [
     ["apple", "banana", "cherry", "apple", "date"],
     ["banana", "cherry", "banana", "apple"],
     ["cherry", "date", "apple", "banana", "cherry"],
+]
+
+TINY = CollectionProfile(
+    name="tiny-killswitch", models="test", documents=60, mean_doc_length=40,
+    doc_length_sigma=0.5, vocab_size=400, seed=43,
+)
+
+#: Every fast kernel entry point a query can reach, by the module
+#: attribute its caller looks up at call time.
+KERNELS = [
+    ("repro.fastpath.daat", "score_streams"),
+    ("repro.fastpath.windows", "match_counts_for_docs"),
+    ("repro.fastpath.windows", "record_positions_for_doc"),
+    ("repro.fastpath.windows", "best_window"),
+    ("repro.fastpath.codec", "decode_record_arrays"),
+    ("repro.fastpath.network", "term_beliefs"),
+    ("repro.fastpath.topk", "rank_arrays"),
 ]
 
 
@@ -42,18 +61,29 @@ def build():
     return builder.finalize()
 
 
-def _poison(monkeypatch):
-    """Make every relevant fast kernel entry point explode if reached."""
-    import repro.fastpath.daat as fast_daat
-    import repro.fastpath.windows as fast_windows
+def _poison(set_attribute=setattr):
+    """Make every fast kernel entry point explode if reached."""
 
     def boom(*args, **kwargs):
         raise AssertionError("fast kernel invoked with the fast path disabled")
 
-    monkeypatch.setattr(fast_daat, "score_streams", boom)
-    monkeypatch.setattr(fast_windows, "match_counts_for_docs", boom)
-    monkeypatch.setattr(fast_windows, "record_positions_for_doc", boom)
-    monkeypatch.setattr(fast_windows, "best_window", boom)
+    for module, name in KERNELS:
+        set_attribute(importlib.import_module(module), name, boom)
+
+
+def _sharded_wave(term_cache_bytes=0):
+    """A 2-shard TAAT wave over every leaf kind; returns the scheduler."""
+    a, b = term_string(0), term_string(1)
+    sharded = materialize_sharded(
+        prepare_collection(SyntheticCollection(TINY)),
+        config_by_name("mneme-cache"), n_shards=2,
+    )
+    scheduler = sharded.scheduler(term_cache_bytes=term_cache_bytes)
+    outcome = scheduler.run_wave(
+        [f"#sum( {a} {b} )", f"#phrase( {a} {b} )", f"#uw5( {a} {b} )"]
+    )
+    assert outcome.results[0].ranking
+    return scheduler
 
 
 def _run_everything():
@@ -66,50 +96,67 @@ def _run_everything():
     engine.run_query("#uw5( banana date )")
     term_match_positions(index, "#sum( apple banana )", 1)
     best_window(index, "#sum( apple banana )", 1, window=3)
+    _sharded_wave()
 
 
 def test_context_manager_disables_all_kernels(monkeypatch):
-    _poison(monkeypatch)
+    _poison(monkeypatch.setattr)
     with use_fastpath(False):
         _run_everything()  # must not touch any poisoned kernel
 
 
 def test_explicit_engine_flag_overrides_global(monkeypatch):
-    import repro.fastpath.daat as fast_daat
-
-    def boom(*args, **kwargs):
-        raise AssertionError("fast kernel invoked despite use_fastpath=False")
-
-    monkeypatch.setattr(fast_daat, "score_streams", boom)
+    # The one switch nests, and the innermost setting wins at the
+    # moment of dispatch — even for an engine constructed while the
+    # fast path was on.
+    _poison(monkeypatch.setattr)
     with use_fastpath(True):
         index = build()
-        engine = DocumentAtATimeEngine(index, top_k=10, use_fastpath=False)
-        engine.run_query("#sum( apple banana )")
+        engine = DocumentAtATimeEngine(index, top_k=10)
+        with use_fastpath(False):
+            engine.run_query("#sum( apple banana )")
+            RetrievalEngine(index, top_k=10).run_query("#uw5( banana date )")
 
 
-def test_kernels_actually_dispatch_when_enabled():
-    # Sanity check on the poison points themselves: with the fast path
-    # on, the kernels must be reached — otherwise the kill-switch tests
-    # above would pass vacuously.
-    if not state.HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
+def _spy(monkeypatch, module_name, name):
     calls = []
-    import repro.fastpath.daat as fast_daat
-
-    original = fast_daat.score_streams
+    module = importlib.import_module(module_name)
+    original = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(True)
         return original(*args, **kwargs)
 
-    fast_daat.score_streams = spy
-    try:
-        with use_fastpath(True):
-            index = build()
-            DocumentAtATimeEngine(index, top_k=10).run_query("#sum( apple )")
-    finally:
-        fast_daat.score_streams = original
-    assert calls
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_kernels_actually_dispatch_when_enabled(monkeypatch):
+    # Sanity check on the poison points themselves: with the fast path
+    # on, the kernels must be reached — otherwise the kill-switch tests
+    # above would pass vacuously.
+    spies = {name: _spy(monkeypatch, module, name) for module, name in KERNELS}
+    with use_fastpath(True):
+        _run_everything()
+    assert all(spies.values()), [n for n, calls in spies.items() if not calls]
+
+
+def test_sharded_wave_runs_on_the_array_kernels(monkeypatch):
+    # The sharded runner takes the same dispatch as the flat engine:
+    # fast path on, a wave decodes through ``decode_record_arrays`` and
+    # caches kind ``arrays``; off, it decodes postings lists.
+    decodes = _spy(monkeypatch, "repro.fastpath.codec", "decode_record_arrays")
+    for fast, kind in ((True, "arrays"), (False, "postings")):
+        del decodes[:]
+        with use_fastpath(fast):
+            scheduler = _sharded_wave(term_cache_bytes=1 << 20)
+        assert bool(decodes) is fast
+        kinds = {
+            key[0]
+            for _shard, _replica, cache in scheduler.term_caches()
+            for key in cache._entries
+        }
+        assert kinds == {kind}
 
 
 def test_env_kill_switch_end_to_end():
@@ -120,15 +167,8 @@ def test_env_kill_switch_end_to_end():
         "import sys\n"
         "from repro.fastpath import state\n"
         "assert not state.enabled(), 'REPRO_FASTPATH=0 ignored'\n"
-        "import repro.fastpath.daat as fd\n"
-        "import repro.fastpath.windows as fw\n"
-        "def boom(*a, **k):\n"
-        "    raise AssertionError('fast kernel invoked under REPRO_FASTPATH=0')\n"
-        "fd.score_streams = boom\n"
-        "fw.match_counts_for_docs = boom\n"
-        "fw.record_positions_for_doc = boom\n"
-        "fw.best_window = boom\n"
-        "from test_killswitch import _run_everything\n"
+        "from test_killswitch import _poison, _run_everything\n"
+        "_poison()\n"
         "_run_everything()\n"
         "print('reference path OK')\n"
     )

@@ -75,7 +75,7 @@ def build(corpus, linked=False, wal=None):
 def observe(index, query, k, fast, prune):
     with use_fastpath(fast):
         result = DocumentAtATimeEngine(
-            index, top_k=k, use_fastpath=fast, prune=prune
+            index, top_k=k, prune=prune
         ).run_query(query)
     return result
 
@@ -185,9 +185,7 @@ def drive(corpus, query, k, fast, stride, linked=True, dead=(), passes=1,
     index.fs.disk.attach_fault_plan(plan)
     rows = []
     with use_fastpath(fast), mock.patch.object(prune, "PRUNE_STRIDE", stride):
-        engine = DocumentAtATimeEngine(
-            index, top_k=k, use_fastpath=fast, prune="require"
-        )
+        engine = DocumentAtATimeEngine(index, top_k=k, prune="require")
         if cached:
             engine.term_cache = TermCache(1 << 20)
         for _ in range(passes):
@@ -356,9 +354,7 @@ def shard_setup():
     )
     baseline = materialize(prepared, config)
     cold_start(baseline)
-    engine = DocumentAtATimeEngine(
-        baseline.index, top_k=10, use_fastpath=config.use_fastpath
-    )
+    engine = DocumentAtATimeEngine(baseline.index, top_k=10)
     reference = [r.ranking for r in engine.run_batch(queries)]
     return prepared, config, queries, reference
 

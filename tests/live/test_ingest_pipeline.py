@@ -111,6 +111,20 @@ def test_wal_carries_the_epoch_marker(prepared, corpus, config):
     assert records[-1][0] == EPOCH_MARKER_OFFSET
 
 
+def test_ingest_counts_stay_with_the_system_that_ingested(prepared, corpus, config):
+    """One preparation, many builds: ingest on one leaks into none."""
+    def counts(backend):
+        return backend.index.stats.documents, backend.index.stats.postings
+
+    before = counts(materialize(prepared, config))
+    backend = materialize(prepared, config)
+    pipeline = IngestPipeline(backend)
+    for add_docs, delete_docs in batches(corpus):
+        pipeline.apply(adds=add_docs, deletes=delete_docs)
+    assert counts(backend) != before
+    assert counts(materialize(prepared, config)) == before
+
+
 def test_sharded_dictionary_statistics_stay_global(prepared, corpus, config):
     """Every shard's entry for a term carries the *global* df/ctf."""
     backend = materialize(prepared, config, shards=2, replicas=1)

@@ -48,12 +48,10 @@ class _FlatHarness:
         self.taat = RetrievalEngine(
             backend.index, top_k=DEFAULT_TOP_K,
             use_reservation=config.use_reservation,
-            use_fastpath=config.use_fastpath,
         )
         self.taat.term_cache = self.cache
         self.daat = DocumentAtATimeEngine(
-            backend.index, top_k=DEFAULT_TOP_K,
-            use_fastpath=config.use_fastpath, prune="auto",
+            backend.index, top_k=DEFAULT_TOP_K, prune="auto"
         )
         self.daat.term_cache = self.cache
         self.config = config
@@ -78,11 +76,9 @@ class _FlatHarness:
         taat = RetrievalEngine(
             self.backend.index, top_k=DEFAULT_TOP_K,
             use_reservation=self.config.use_reservation,
-            use_fastpath=self.config.use_fastpath,
         )
         daat = DocumentAtATimeEngine(
-            self.backend.index, top_k=DEFAULT_TOP_K,
-            use_fastpath=self.config.use_fastpath, prune="auto",
+            self.backend.index, top_k=DEFAULT_TOP_K, prune="auto"
         )
         return (
             [_observe(taat.run_query(t)) for t in queries]

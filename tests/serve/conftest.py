@@ -74,7 +74,6 @@ def reference_rankings(prepared, config, texts, engine="taat"):
         system.index,
         top_k=50,
         use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
     )
     return {text: runner.run_query(text).ranking for text in dict.fromkeys(texts)}
 

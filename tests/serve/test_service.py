@@ -36,7 +36,6 @@ def test_hit_is_bit_identical_to_cold_evaluation(prepared, config, pool):
     cold = RetrievalEngine(
         system.index, top_k=50,
         use_reservation=config.use_reservation,
-        use_fastpath=config.use_fastpath,
     ).run_query(text)
     assert second.ranking == cold.ranking
 

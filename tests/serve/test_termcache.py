@@ -14,6 +14,7 @@ import pytest
 from repro.core import config_by_name, materialize
 from repro.core.metrics import cold_start
 from repro.errors import ConfigError
+from repro.fastpath import use_fastpath
 from repro.inquery import DocumentAtATimeEngine, RetrievalEngine
 from repro.serve.termcache import (
     TERM_PROBE_MS,
@@ -153,13 +154,9 @@ def _run_engine(prepared, config, stream, engine_kind, prune, cache):
         engine = RetrievalEngine(
             system.index, top_k=20,
             use_reservation=config.use_reservation,
-            use_fastpath=config.use_fastpath,
         )
     else:
-        engine = DocumentAtATimeEngine(
-            system.index, top_k=20,
-            use_fastpath=config.use_fastpath, prune=prune,
-        )
+        engine = DocumentAtATimeEngine(system.index, top_k=20, prune=prune)
     engine.term_cache = cache
     results = [engine.run_query(text) for text in stream]
     return [
@@ -176,11 +173,12 @@ def _run_engine(prepared, config, stream, engine_kind, prune, cache):
 class TestEngineInvisibility:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_taat_identical_with_hits(self, prepared, pool, fastpath):
-        config = config_by_name("mneme-linked", use_fastpath=fastpath)
+        config = config_by_name("mneme-linked")
         stream = pool[:6] * 3
         cache = TermCache(1 << 20)
-        baseline = _run_engine(prepared, config, stream, "taat", "off", None)
-        cached = _run_engine(prepared, config, stream, "taat", "off", cache)
+        with use_fastpath(fastpath):
+            baseline = _run_engine(prepared, config, stream, "taat", "off", None)
+            cached = _run_engine(prepared, config, stream, "taat", "off", cache)
         assert cached == baseline
         assert cache.stats.hits > 0
         assert cache.stats.peak_bytes <= 1 << 20

@@ -42,9 +42,7 @@ def test_daat_rankings_bit_identical(
         if not flat:
             continue
         cold_start(baseline)
-        engine = DocumentAtATimeEngine(
-            baseline.index, top_k=50, use_fastpath=config.use_fastpath
-        )
+        engine = DocumentAtATimeEngine(baseline.index, top_k=50)
         reference = [r.ranking for r in engine.run_batch(flat)]
         metrics = measure_sharded_run(
             sharded, flat, query_set_name=query_set.name, engine="daat"

@@ -99,9 +99,7 @@ def test_daat_failover_is_invisible(prepared, config, query_sets, baseline):
     flat = daat_queries(query_sets[0].queries)
     assert flat
     cold_start(baseline)
-    engine = DocumentAtATimeEngine(
-        baseline.index, top_k=50, use_fastpath=config.use_fastpath
-    )
+    engine = DocumentAtATimeEngine(baseline.index, top_k=50)
     reference = [r.ranking for r in engine.run_batch(flat)]
     sharded = materialize_sharded(prepared, config, n_shards=2, replicas=1)
     sharded.fault_shard(0, FaultPlan.dead_disk(label="s0/r0"), replica_id=0)

@@ -11,10 +11,9 @@ to catch.
 
 import heapq
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fastpath.state import HAVE_NUMPY
+from repro.fastpath import use_fastpath
 from repro.shard import ShardOutcome, merge_results
 from repro.inquery import QueryResult
 
@@ -40,7 +39,6 @@ def test_heap_selection_matches_total_order(scores, k):
     assert picked == reference_order(scores, k)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="fast path needs numpy")
 @given(scores=SCORE_TABLES, k=st.integers(min_value=1, max_value=60))
 @settings(max_examples=200, deadline=None)
 def test_fastpath_selection_matches_total_order(scores, k):
@@ -95,15 +93,16 @@ def test_engines_break_real_ties_identically(baseline, config, prepared):
     term = term_string(min(prepared.term_id_of_rank))
     query = f"#sum( {term} )"
 
-    cold_start(baseline)
-    taat = RetrievalEngine(baseline.index, use_fastpath=False).run_query(query)
-    cold_start(baseline)
-    daat = DocumentAtATimeEngine(baseline.index, use_fastpath=False).run_query(query)
-    assert taat.ranking == daat.ranking
-    if HAVE_NUMPY:
+    with use_fastpath(False):
         cold_start(baseline)
-        fast = RetrievalEngine(baseline.index, use_fastpath=True).run_query(query)
-        assert fast.ranking == taat.ranking
+        taat = RetrievalEngine(baseline.index).run_query(query)
+        cold_start(baseline)
+        daat = DocumentAtATimeEngine(baseline.index).run_query(query)
+    assert taat.ranking == daat.ranking
+    with use_fastpath(True):
+        cold_start(baseline)
+        fast = RetrievalEngine(baseline.index).run_query(query)
+    assert fast.ranking == taat.ranking
 
     sharded = materialize_sharded(prepared, config, n_shards=3)
     metrics = measure_sharded_run(sharded, [query])
