@@ -37,15 +37,19 @@ class RecordArrays:
     ``tf``, so :func:`decode_record_arrays` defers the position columns:
     it hands over the record's gap values and they are turned into
     ``positions``/``pos_starts`` on first access.
+
+    Every column is read-only: a decode may be shared by every query an
+    engine serves (:class:`DecodeCache`), so a kernel that wrote into
+    one would change the next query's ranking — it raises instead.
     """
 
     __slots__ = ("doc_ids", "tf", "_positions", "_pos_starts", "_deferred", "_ctf")
 
     def __init__(self, doc_ids, tf, positions, pos_starts):
-        self.doc_ids = doc_ids    #: int64, strictly increasing
-        self.tf = tf              #: int64, per-document term frequency
-        self._positions = positions    #: int64, flattened position lists
-        self._pos_starts = pos_starts  #: int64, exclusive prefix sum of ``tf``
+        self.doc_ids = _frozen(doc_ids)    #: int64, strictly increasing
+        self.tf = _frozen(tf)              #: int64, per-document term frequency
+        self._positions = _frozen(positions)    #: int64, flattened position lists
+        self._pos_starts = _frozen(pos_starts)  #: int64, exclusive prefix sum of ``tf``
         self._deferred = None
         self._ctf = int(positions.size)
 
@@ -55,8 +59,8 @@ class RecordArrays:
         (the record's integers after the header) behind each document's
         slot in ``tf_slots``."""
         arrays = cls.__new__(cls)
-        arrays.doc_ids = doc_ids
-        arrays.tf = tf
+        arrays.doc_ids = _frozen(doc_ids)
+        arrays.tf = _frozen(tf)
         arrays._positions = arrays._pos_starts = None
         arrays._deferred = (body, tf_slots)
         arrays._ctf = ctf
@@ -65,15 +69,15 @@ class RecordArrays:
     @property
     def pos_starts(self) -> np.ndarray:
         if self._pos_starts is None:
-            self._pos_starts = _exclusive_cumsum(self.tf)
+            self._pos_starts = _frozen(_exclusive_cumsum(self.tf))
         return self._pos_starts
 
     @property
     def positions(self) -> np.ndarray:
         if self._positions is None:
-            self._positions = _positions_from_gaps(
+            self._positions = _frozen(_positions_from_gaps(
                 *self._deferred, self.tf, self.pos_starts
-            )
+            ))
             self._deferred = None
         return self._positions
 
@@ -97,6 +101,11 @@ class RecordArrays:
             out.append((doc_id, tuple(flat[start:end])))
             start = end
         return out
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def _exclusive_cumsum(tf: np.ndarray) -> np.ndarray:
@@ -140,39 +149,61 @@ def filter_record_arrays(arrays: "RecordArrays", dead: set) -> "RecordArrays":
 
 
 class DecodeCache:
-    """Bounded LRU memo of decoded records.
+    """Bounded LRU memo of decoded records: the fast path's one decode
+    entry point.
+
+    Each engine owns one, so a record its queries read again — the same
+    term, or the same chunk of a chained record — is decoded once.
+    Callers still fetch the record and pay its decode charge on the
+    simulated clock: the memo removes real decode time and nothing
+    else.
 
     Keys are the record *bytes*, so a record that is rewritten (e.g.
     by an incremental document add) can never serve stale arrays.
-    Capacity is counted in cached integers (positions plus per-document
-    columns), bounding memory rather than entry count.  Cached
-    :class:`RecordArrays` are shared — callers must treat them as
-    read-only, which every fast-path kernel does.
+    Capacity is counted in the integers an entry keeps alive, bounding
+    memory rather than entry count; a record heavier than the whole
+    budget is decoded but not kept.  Cached :class:`RecordArrays` are
+    shared, so their columns are read-only.
     """
 
     def __init__(self, max_ints: int = 4_000_000):
         self._max = max_ints
         self._held = 0
-        self._entries: "OrderedDict[bytes, RecordArrays]" = OrderedDict()
+        #: record bytes -> (arrays, the weight they were charged)
+        self._entries: "OrderedDict[bytes, Tuple[RecordArrays, int]]" = OrderedDict()
 
     @staticmethod
     def _weight(arrays: "RecordArrays") -> int:
-        return arrays.ctf + 3 * arrays.df
+        """The most integers ``arrays`` can keep alive from now on.
 
-    def get(self, record: bytes):
-        arrays = self._entries.get(record)
-        if arrays is not None:
+        Built, that is the positions plus three per-document columns.
+        Deferred, it is the record's whole decoded integer stream (which
+        ``body`` views) plus ``doc_ids``, ``tf``, the tf slots and a
+        lazily built ``pos_starts`` — never less than the built form, so
+        a later positions build only frees memory.
+        """
+        if arrays._deferred is None:
+            return arrays.ctf + 3 * arrays.df
+        body, _tf_slots = arrays._deferred
+        stream = body if body.base is None else body.base
+        return stream.size + 4 * arrays.df
+
+    def decode(self, record: bytes) -> "RecordArrays":
+        """The record's arrays: memoized, or decoded and stored."""
+        entry = self._entries.get(record)
+        if entry is not None:
             self._entries.move_to_end(record)
+            return entry[0]
+        arrays = decode_record_arrays(record)
+        weight = self._weight(arrays)
+        if weight > self._max:
+            return arrays
+        self._entries[record] = (arrays, weight)
+        self._held += weight
+        while self._held > self._max:
+            _key, (_evicted, evicted_weight) = self._entries.popitem(last=False)
+            self._held -= evicted_weight
         return arrays
-
-    def put(self, record: bytes, arrays: "RecordArrays") -> None:
-        if record in self._entries:
-            return
-        self._entries[record] = arrays
-        self._held += self._weight(arrays)
-        while self._held > self._max and len(self._entries) > 1:
-            _key, evicted = self._entries.popitem(last=False)
-            self._held -= self._weight(evicted)
 
 
 def _scalar():

@@ -88,13 +88,14 @@ class _ArrayStream:
     Wraps (never replaces) a :class:`PostingStream`: refills go through
     the wrapped stream so chunk I/O order, ``resident_bytes``, and
     exhaustion transitions stay byte-for-byte what the reference merge
-    produces.
+    produces.  Raw chunks go through ``decode`` (the engine's memo).
     """
 
-    __slots__ = ("stream", "doc_ids", "tf", "cursor", "_use_raw")
+    __slots__ = ("stream", "decode", "doc_ids", "tf", "cursor", "_use_raw")
 
-    def __init__(self, stream: PostingStream):
+    def __init__(self, stream: PostingStream, decode):
         self.stream = stream
+        self.decode = decode
         self.doc_ids: Optional[np.ndarray] = None
         self.tf: Optional[np.ndarray] = None
         self.cursor = 0
@@ -137,9 +138,7 @@ class _ArrayStream:
             else:
                 if raw is None:
                     return None
-                from .codec import decode_record_arrays
-
-                arrays = decode_record_arrays(raw)
+                arrays = self.decode(raw)
                 return arrays.doc_ids, arrays.tf
         batch = stream._refill()
         if batch is None:
@@ -160,14 +159,20 @@ def score_streams(
     doctable,
     avg_len: float,
     clock,
+    *,
+    decode: Callable,
 ) -> Tuple[ArrayBeliefs, int, int]:
     """Score every document of a flat ``#sum``/``#wsum`` stream merge.
 
     Returns ``(scores, peak_resident_bytes, documents_scored)`` with
-    the same values the reference heap merge computes.
+    the same values the reference heap merge computes.  ``decode``
+    turns a raw chunk into arrays — the engine's
+    :meth:`~repro.fastpath.codec.DecodeCache.decode`.
     """
     cost = clock.cost
-    wrappers = [(position, _ArrayStream(stream)) for position, stream in streams]
+    wrappers = [
+        (position, _ArrayStream(stream, decode)) for position, stream in streams
+    ]
     lengths_of = doc_length_lookup(doctable)
     # charge(evidence) has only len(streams) possible values; precompute
     # them with the reference expression so each per-document charge is

@@ -140,11 +140,12 @@ class PruneOutcome:
     failed: int = 0
 
 
-def _block_decoder(use_fastpath: bool) -> Callable[[bytes], tuple]:
+def _block_decoder(use_fastpath: bool, decode: Callable) -> Callable[[bytes], tuple]:
     """Raw block -> (doc ids, tfs), both ascending by document, unfiltered.
 
-    The fast decoder returns the vectorized kernel's numpy columns (the
-    fast driver slices them wholesale); the reference decoder returns
+    The fast decoder returns the numpy columns of ``decode`` (the
+    engine's memo), which the fast driver slices wholesale; the
+    reference decoder ignores the memo, decodes every block and returns
     pure-Python lists.  Both carry the same integers, so everything
     downstream — candidate order, bounds, scores, skip counters — is
     decoder-independent.  Tombstone filtering is a *separate* step
@@ -152,10 +153,9 @@ def _block_decoder(use_fastpath: bool) -> Callable[[bytes], tuple]:
     term-cache hit) so cached payloads stay epoch-raw and reusable.
     """
     if use_fastpath:
-        from .codec import decode_record_arrays
 
         def decode_fast(raw: bytes):
-            arrays = decode_record_arrays(raw)
+            arrays = decode(raw)
             return arrays.doc_ids, arrays.tf
 
         return decode_fast
@@ -910,11 +910,15 @@ def run_pruned(
     use_fastpath: bool,
     tombstones: Optional[set] = None,
     term_cache=None,
+    *,
+    decode: Callable,
 ) -> PruneOutcome:
     """Top-k evaluation of one flat #sum/#wsum query with MaxScore.
 
     ``entries`` is positional (one slot per query child, ``None`` or
-    df==0 for terms with no evidence).  Raises
+    df==0 for terms with no evidence).  ``decode`` is the fast driver's
+    raw block -> :class:`~repro.fastpath.codec.RecordArrays` decoder
+    (the engine's memo); the reference driver never uses it.  Raises
     :class:`~repro.errors.PruningUnsupportedError` when no safe bound
     exists: a negative #wsum weight (the fold is no longer monotone in
     each belief) or a live term without bound metadata (a record built
@@ -942,7 +946,7 @@ def run_pruned(
     failures = [0]
     dead_now = set(tombstones) if tombstones else set()
     evaluator = _Evaluator(
-        _block_decoder(use_fastpath), clock, weights,
+        _block_decoder(use_fastpath, decode), clock, weights,
         total_weight, weighted,
         lambda: failures.__setitem__(0, failures[0] + 1),
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import BadBlockError, PruningUnsupportedError, QueryError
+from ..fastpath import codec as _codec
 from ..fastpath import state as _fastpath
 from ..fastpath.topk import rank
 from ..simdisk import SimClock
@@ -144,6 +145,10 @@ class DocumentAtATimeEngine:
         if prune not in ("off", "auto", "require"):
             raise QueryError(f"unknown prune mode {prune!r}")
         self.prune = prune
+        # Stream chunks and MaxScore blocks decode through one memo, as
+        # the term-at-a-time engine's array reads do; only the fast path
+        # consults it.
+        self._decode_cache = _codec.DecodeCache()
         #: Optional decoded-term cache attached by the serving layer
         #: (``None`` = the historical path, byte-for-byte).
         self.term_cache = None
@@ -245,6 +250,7 @@ class DocumentAtATimeEngine:
                 scores, peak_resident, scored = score_streams(
                     streams, len(weights), weights, total_weight, weighted,
                     idf, self.index.doctable, avg_len, self.clock,
+                    decode=self._decode_cache.decode,
                 )
                 return self._finish(
                     text, scores, lookups, peak_resident, scored,
@@ -359,6 +365,7 @@ class DocumentAtATimeEngine:
                 _fastpath.enabled(),
                 tombstones=self.index.tombstones,
                 term_cache=self.term_cache,
+                decode=self._decode_cache.decode,
             )
         finally:
             self.index.store.release_reservations()

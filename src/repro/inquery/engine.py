@@ -208,11 +208,14 @@ class _IndexProvider(TermProvider):
 class _FastIndexProvider(_IndexProvider):
     """Array-returning provider: same accesses and charges, no dicts."""
 
-    #: Optional decoded-record memo shared across queries (engine-owned).
-    #: Keyed by record *content*, so an updated record never hits stale
-    #: arrays.  The store fetch and the decode CPU charge still happen
-    #: on every lookup — the memo elides only real decode time.
-    decode_cache = None
+    #: The owning engine's :class:`~repro.fastpath.codec.DecodeCache`,
+    #: shared across its queries (the DAAT engine decodes its stream
+    #: chunks and MaxScore blocks through its own).  Keyed by record
+    #: *content*, so an updated record never hits stale arrays.  The
+    #: store fetch, the decode CPU charge and the term-cache put still
+    #: happen on every lookup, and tombstones are filtered after it —
+    #: the memo elides only real decode time.
+    decode_cache: "_codec.DecodeCache"
 
     def postings_arrays(self, term: str):
         return self._memoized(term, self._read_arrays)
@@ -237,12 +240,7 @@ class _FastIndexProvider(_IndexProvider):
         record = self._fetch(term)
         if record is None:
             return None
-        cache = self.decode_cache
-        arrays = None if cache is None else cache.get(record)
-        if arrays is None:
-            arrays = _codec.decode_record_arrays(record)
-            if cache is not None:
-                cache.put(record, arrays)
+        arrays = self.decode_cache.decode(record)
         if self.term_cache is not None:
             self.term_cache.put(
                 "arrays", term, arrays, len(record),

@@ -40,13 +40,14 @@ TINY = CollectionProfile(
 )
 
 #: Every fast kernel entry point a query can reach, by the module
-#: attribute its caller looks up at call time.
+#: attribute (or ``Class.method``) its caller looks up at call time.
 KERNELS = [
     ("repro.fastpath.daat", "score_streams"),
     ("repro.fastpath.windows", "match_counts_for_docs"),
     ("repro.fastpath.windows", "record_positions_for_doc"),
     ("repro.fastpath.windows", "best_window"),
     ("repro.fastpath.codec", "decode_record_arrays"),
+    ("repro.fastpath.codec", "DecodeCache.decode"),
     ("repro.fastpath.network", "term_beliefs"),
     ("repro.fastpath.topk", "rank_arrays"),
 ]
@@ -61,6 +62,15 @@ def build():
     return builder.finalize()
 
 
+def _owner(module_name, name):
+    """The object holding kernel ``name`` and the attribute to patch."""
+    owner = importlib.import_module(module_name)
+    *path, attribute = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, attribute
+
+
 def _poison(set_attribute=setattr):
     """Make every fast kernel entry point explode if reached."""
 
@@ -68,7 +78,7 @@ def _poison(set_attribute=setattr):
         raise AssertionError("fast kernel invoked with the fast path disabled")
 
     for module, name in KERNELS:
-        set_attribute(importlib.import_module(module), name, boom)
+        set_attribute(*_owner(module, name), boom)
 
 
 def _sharded_wave(term_cache_bytes=0):
@@ -89,7 +99,13 @@ def _sharded_wave(term_cache_bytes=0):
 def _run_everything():
     """One pass through every fast-path dispatch point."""
     index = build()
-    DocumentAtATimeEngine(index, top_k=10).run_query("#sum( apple banana )")
+    # Each DAAT query twice on one engine: the repeat is where the
+    # engine's decode memo answers instead of the decoder.
+    exhaustive = DocumentAtATimeEngine(index, top_k=10)
+    pruned = DocumentAtATimeEngine(index, top_k=10, prune="require")
+    for _ in range(2):
+        exhaustive.run_query("#sum( apple banana )")
+        pruned.run_query("#sum( apple cherry )")
     engine = RetrievalEngine(index, top_k=10)
     engine.run_query("#phrase( apple banana )")
     engine.run_query("#od3( apple cherry )")
@@ -120,14 +136,14 @@ def test_explicit_engine_flag_overrides_global(monkeypatch):
 
 def _spy(monkeypatch, module_name, name):
     calls = []
-    module = importlib.import_module(module_name)
-    original = getattr(module, name)
+    owner, attribute = _owner(module_name, name)
+    original = getattr(owner, attribute)
 
     def spy(*args, **kwargs):
         calls.append(True)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(owner, attribute, spy)
     return calls
 
 
