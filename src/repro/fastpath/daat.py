@@ -25,7 +25,8 @@ obeys):
   simulated clock accumulates the identical float sequence.
 
 Dynamic top-k pruning (:mod:`repro.fastpath.prune`) shares this
-module's window decomposition and :func:`doc_length_lookup`, but scores
+module's window decomposition and the doc-id space's length table
+(:func:`~repro.fastpath.beliefs.doc_id_space`), but scores
 *fewer* documents by design — its contract is weaker here (I/O and
 buffer observables may shrink) and stronger elsewhere (the surviving
 top-k must be bit-identical to this module's exhaustive result).
@@ -37,35 +38,7 @@ import numpy as np
 
 from ..inquery.network import DEFAULT_BELIEF
 from ..inquery.streams import PostingStream
-from .beliefs import ArrayBeliefs, sorted_union, term_beliefs
-
-
-def doc_length_lookup(doctable) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized ``doc_id -> length`` mapping over a document table.
-
-    Dense (or nearly dense) id spaces get an O(1) array LUT;
-    pathologically sparse ids fall back to per-id dict lookups.  The
-    table keeps the mapping until its next ``add``/``remove``, so a
-    query pays for the walk over every document only after a mutation.
-    """
-    lookup = doctable.length_lookup
-    if lookup is None:
-        lengths = doctable.lengths
-        max_id = max(lengths) if lengths else 0
-        if max_id <= 2 * len(lengths) + 1024:
-            lut = np.zeros(max_id + 1, dtype=np.int64)
-            lut[np.fromiter(lengths, dtype=np.int64, count=len(lengths))] = (
-                np.fromiter(lengths.values(), dtype=np.int64, count=len(lengths))
-            )
-            lookup = lut.__getitem__
-        else:
-            def lookup(doc_ids):
-                return np.fromiter(
-                    (lengths[int(d)] for d in doc_ids),
-                    dtype=np.int64, count=doc_ids.size,
-                )
-        doctable.length_lookup = lookup
-    return lookup
+from .beliefs import ArrayBeliefs, doc_id_space, sorted_union, term_beliefs
 
 
 def charge_user_bulk(clock, charges: np.ndarray) -> None:
@@ -173,7 +146,7 @@ def score_streams(
     wrappers = [
         (position, _ArrayStream(stream, decode)) for position, stream in streams
     ]
-    lengths_of = doc_length_lookup(doctable)
+    lengths_of = doc_id_space(doctable).lengths_of
     # charge(evidence) has only len(streams) possible values; precompute
     # them with the reference expression so each per-document charge is
     # the identical float.
@@ -225,9 +198,8 @@ def score_streams(
             slots = np.searchsorted(docs, stream_docs)
             evidence_counts[slots] += 1  # slots are unique per stream
             beliefs = term_beliefs(
-                stream_docs, tf, lengths_of(stream_docs),
-                idf[position], avg_len, DEFAULT_BELIEF,
-            ).beliefs
+                tf, lengths_of(stream_docs), idf[position], avg_len, DEFAULT_BELIEF,
+            )
             if stream_docs.size == docs.size:
                 columns[position] = beliefs
             else:

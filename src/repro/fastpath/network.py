@@ -1,29 +1,37 @@
-"""Fast-path inference network: vectorized belief evaluation.
+"""Fast-path inference network: term-at-a-time over a dense accumulator.
 
 :class:`FastInferenceNetwork` subclasses the reference
 :class:`~repro.inquery.network.InferenceNetwork` and overrides only its
 representation hooks: leaf evidence is a
 :class:`~repro.fastpath.codec.RecordArrays` instead of a posting list,
-and the per-document dict arithmetic becomes the array kernels in
-:mod:`repro.fastpath.beliefs`.  Structure, traversal order, the
-two-phase leaf protocol, storage accesses, and simulated-clock charges
-are the reference network's; only the real CPU time changes.
+and every belief table is a :class:`~repro.fastpath.beliefs.DenseBeliefs`
+— a column over the collection's doc-id space plus a touched mask —
+instead of a dict.  A leaf scatters its beliefs into a column once; every
+combination operator is an elementwise fold over its children's
+columns (:mod:`repro.fastpath.beliefs`).  Structure, traversal order,
+the two-phase leaf protocol, storage accesses, and simulated-clock
+charges are the reference network's — each charge that counts a
+reference table's documents counts the touched mask's population — so
+only the real CPU time changes.
 
 Proximity operators (``#phrase``/``#odN``/``#uwN``) run the vectorized
-window matching in :mod:`repro.fastpath.windows`; synonym groups keep
-the reference union over posting lists (their position union is not a
-hot spot), fed from the same array reads so a term is one kind of
-provider read — one memo entry, one term-cache entry — whatever leaf
-mentions it.  Reference dict tables mix with array tables
-transparently inside the combination kernels.
+window matching in :mod:`repro.fastpath.windows`; synonym groups union
+their members' ``(doc, position)`` pairs as arrays.  Both read through
+``postings_arrays``, so a term is one kind of provider read — one memo
+entry, one term-cache entry — whatever leaf mentions it.
 """
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..inquery.network import DEFAULT_BELIEF, InferenceNetwork, LeafSlot, inquery_idf
-from ..inquery.postings import Posting
+from ..inquery.network import (
+    DEFAULT_BELIEF,
+    InferenceNetwork,
+    LeafSlot,
+    inquery_idf,
+    left_sum,
+)
 from ..inquery.query import OpNode
 from .beliefs import (
     Table,
@@ -33,13 +41,36 @@ from .beliefs import (
     combine_or,
     combine_sum,
     combine_wsum,
+    scatter_leaf,
     term_beliefs,
 )
 from .codec import RecordArrays
 
 
-def _counted(arrays: Optional[RecordArrays]) -> LeafSlot:
+def _counted(arrays) -> LeafSlot:
     return (arrays, arrays.df) if arrays is not None and arrays.df else (None, 0)
+
+
+def synonym_union(members: List[RecordArrays]) -> RecordArrays:
+    """The members' postings as one record: every distinct
+    ``(doc, position)`` pair once, in doc then position order.
+
+    Two surface forms can normalise to one stored term, so a pair may
+    arrive twice; the reference network's per-document position sets
+    drop the repeat, and so does this.
+    """
+    docs = np.concatenate([np.repeat(m.doc_ids, m.tf) for m in members])
+    positions = np.concatenate([m.positions for m in members])
+    order = np.lexsort((positions, docs))
+    docs, positions = docs[order], positions[order]
+    first = np.ones(docs.size, dtype=bool)  # first pair of its document
+    np.not_equal(docs[1:], docs[:-1], out=first[1:])
+    keep = first.copy()
+    keep[1:] |= positions[1:] != positions[:-1]
+    docs, positions, first = docs[keep], positions[keep], first[keep]
+    pos_starts = np.flatnonzero(first)
+    tf = np.diff(pos_starts, append=docs.size)
+    return RecordArrays(docs[pos_starts], tf, positions, pos_starts)
 
 
 class FastInferenceNetwork(InferenceNetwork):
@@ -47,7 +78,8 @@ class FastInferenceNetwork(InferenceNetwork):
 
     The provider must offer ``postings_arrays(term)`` — the same storage
     access and simulated charges as ``postings``, returning the columnar
-    decode — and ``doc_length_array(doc_ids)``.
+    decode — and ``doc_id_space``, the collection's
+    :class:`~repro.fastpath.beliefs.DocIdSpace`.
     """
 
     # -- leaves ---------------------------------------------------------------
@@ -55,23 +87,34 @@ class FastInferenceNetwork(InferenceNetwork):
     def _term_evidence(self, term: str) -> LeafSlot:
         return _counted(self._provider.postings_arrays(term))
 
-    def _member_postings(self, term: str) -> Optional[List[Posting]]:
-        arrays = self._provider.postings_arrays(term)
-        return None if arrays is None else arrays.to_postings()
+    def _synonym_evidence(self, node: OpNode) -> LeafSlot:
+        members = []
+        for child in node.children:
+            arrays = self._provider.postings_arrays(child.term)
+            if arrays is not None and arrays.df:
+                members.append(arrays)
+        if not members:
+            return None, 0
+        merged = synonym_union(members)
+        self._provider.charge_combine(merged.df)
+        return _counted(merged)
 
     def _beliefs(self, evidence, df: int) -> Table:
-        if not isinstance(evidence, RecordArrays):
-            return super()._beliefs(evidence, df)  # synonym list, or nothing
         provider = self._provider
+        space = provider.doc_id_space
+        if evidence is None:
+            # No local evidence: every document keeps the default belief.
+            empty = np.empty(0, dtype=np.int64)
+            return scatter_leaf(space, empty, empty, DEFAULT_BELIEF)
         n_docs = max(provider.doc_count, 1)
         avg_len = max(provider.average_doc_length, 1.0)
-        scores = term_beliefs(
-            evidence.doc_ids, evidence.tf,
-            provider.doc_length_array(evidence.doc_ids),
+        slots = space.slots(evidence.doc_ids)
+        beliefs = term_beliefs(
+            evidence.tf, space.lengths[slots],
             inquery_idf(n_docs, df), avg_len, DEFAULT_BELIEF,
         )
-        provider.charge_combine(len(scores))
-        return scores, DEFAULT_BELIEF
+        provider.charge_combine(evidence.df)
+        return scatter_leaf(space, slots, beliefs, DEFAULT_BELIEF)
 
     def _proximity_evidence(self, node: OpNode, ordered: bool, window: int) -> LeafSlot:
         """Vectorized window matching; reference-identical virtual term.
@@ -110,7 +153,7 @@ class FastInferenceNetwork(InferenceNetwork):
 
     def _eval_wsum(self, node: OpNode, tables: List[Table]) -> Table:
         weights = node.weights
-        return self._charged(tables, combine_wsum(tables, weights, sum(weights)))
+        return self._charged(tables, combine_wsum(tables, weights, left_sum(weights)))
 
     def _eval_and(self, node: OpNode, tables: List[Table]) -> Table:
         return self._charged(tables, combine_and(tables))

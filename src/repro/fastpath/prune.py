@@ -104,7 +104,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import BadBlockError, PruningUnsupportedError
 from ..inquery.bounds import PrunableSource, belief_bound
-from ..inquery.network import DEFAULT_BELIEF, inquery_idf
+from ..inquery.network import DEFAULT_BELIEF, inquery_idf, left_sum
 from ..inquery.postings import decode_record
 
 #: Candidates evaluated between threshold refreshes.  Both drivers
@@ -369,12 +369,12 @@ class _Evaluator:
         and (by operand monotonicity) folded ceilings are admissible."""
         if self.weighted:
             return (
-                sum(w * v for w, v in zip(self.weights, values))
+                left_sum(w * v for w, v in zip(self.weights, values))
                 / self.total_weight
             )
         if len(values) == 1:
             return values[0]
-        return sum(values) / len(values)
+        return left_sum(values) / len(values)
 
 
 class _PruneState:
@@ -774,9 +774,9 @@ def _replay_stride(state: _PruneState, chunk, columns, counts, theta, lengths_of
         for position, tf in tf_columns.items():
             # tf == 0 (no posting) folds to exactly DEFAULT_BELIEF.
             beliefs[position] = term_beliefs(
-                docs, tf, doc_lengths, state.cursors[position].idf,
+                tf, doc_lengths, state.cursors[position].idf,
                 state.avg_len, DEFAULT_BELIEF,
-            ).beliefs
+            )
             evidence = evidence + (tf > 0)
     scores = _fold_columns(evaluator, state.n_positions, docs.size, beliefs)
 
@@ -818,11 +818,10 @@ def _run_fast(state: _PruneState) -> None:
     """
     import numpy as np
 
-    from .beliefs import sorted_union, term_beliefs
-    from .daat import doc_length_lookup
+    from .beliefs import doc_id_space, sorted_union, term_beliefs
 
     cursors = state.cursors
-    lengths_of = doc_length_lookup(state.doctable)
+    lengths_of = doc_id_space(state.doctable).lengths_of
     while True:
         opened = state.begin_window()
         if opened is None:
@@ -851,9 +850,9 @@ def _run_fast(state: _PruneState) -> None:
             slots = np.searchsorted(cand, docs)
             ev_counts[slots] += 1
             beliefs = term_beliefs(
-                docs, cursor.tfs[lo:hi], lengths_of(docs),
+                cursor.tfs[lo:hi], lengths_of(docs),
                 cursor.idf, state.avg_len, DEFAULT_BELIEF,
-            ).beliefs
+            )
             if docs.size == cand.size:
                 columns[cursor.position] = beliefs
             else:

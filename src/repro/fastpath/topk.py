@@ -12,15 +12,23 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .beliefs import ArrayBeliefs
+from .beliefs import ArrayBeliefs, DenseBeliefs
 
 Ranking = List[Tuple[int, float]]
 
 
-def rank(scores: Union[Dict[int, float], ArrayBeliefs], k: int) -> Ranking:
-    """The best ``k`` of a score table in either representation."""
+def rank(
+    scores: Union[Dict[int, float], ArrayBeliefs, DenseBeliefs], k: int
+) -> Ranking:
+    """The best ``k`` of a score table in any representation.
+
+    A dense accumulator ranks its touched documents only — the
+    reference table's documents.
+    """
     if isinstance(scores, dict):
         return rank_dict(scores, k)
+    if isinstance(scores, DenseBeliefs):
+        scores = scores.to_arrays()
     return rank_arrays(scores, k)
 
 

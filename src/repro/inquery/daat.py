@@ -28,7 +28,7 @@ from ..fastpath.topk import rank
 from ..simdisk import SimClock
 from .engine import DEFAULT_TOP_K, QueryResult
 from .indexer import CollectionIndex
-from .network import DEFAULT_BELIEF, inquery_idf
+from .network import DEFAULT_BELIEF, inquery_idf, left_sum
 from .query import (
     OpNode,
     QueryNode,
@@ -158,7 +158,7 @@ class DocumentAtATimeEngine:
         cost = self.clock.cost
         self.clock.charge_user(cost.cpu_ms_per_query_node * count_nodes(tree))
         terms, weights = _flatten(tree)
-        total_weight = sum(weights)  # positive: the parser checked #wsum
+        total_weight = left_sum(weights)  # positive: the parser checked #wsum
 
         entries = [self.index.term_entry(term) for term in terms]
         if self.prune != "off":
@@ -277,12 +277,12 @@ class DocumentAtATimeEngine:
                 # (e.g. (3·b)/3 != b in binary floating point).
                 if weighted:
                     scores[doc_id] = (
-                        sum(w * b for w, b in zip(weights, beliefs)) / total_weight
+                        left_sum(w * b for w, b in zip(weights, beliefs)) / total_weight
                     )
                 elif len(beliefs) == 1:
                     scores[doc_id] = beliefs[0]
                 else:
-                    scores[doc_id] = sum(beliefs) / len(beliefs)
+                    scores[doc_id] = left_sum(beliefs) / len(beliefs)
                 scored += 1
                 self.clock.charge_user(cost.cpu_ms_per_posting * (len(evidence) + 1))
         finally:

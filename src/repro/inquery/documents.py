@@ -2,7 +2,7 @@
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import IndexError_
 from ..simdisk import SimFile
@@ -34,17 +34,17 @@ class DocTable:
 
     ``lengths`` changes only through :meth:`add` and :meth:`remove`,
     which also maintain what is derived from it: the running
-    ``total_length`` and the fast path's cached length lookup.
+    ``total_length`` and the fast path's cached doc-id space.
     """
 
     lengths: Dict[int, int] = field(default_factory=dict)
     names: Dict[int, str] = field(default_factory=dict)
     #: Sum of ``lengths``' values.
     total_length: int = field(init=False, default=0)
-    #: ``doc ids -> lengths`` kernel built by
-    #: :func:`repro.fastpath.daat.doc_length_lookup`; dropped by every
+    #: Accumulator slots and per-slot lengths built by
+    #: :func:`repro.fastpath.beliefs.doc_id_space`; dropped by every
     #: mutation (never by ``len()``: one ingest batch adds and removes).
-    length_lookup: Optional[Callable] = field(
+    id_space: Optional[object] = field(
         init=False, default=None, repr=False, compare=False
     )
 
@@ -56,7 +56,7 @@ class DocTable:
             raise IndexError_(f"duplicate document id {doc_id}")
         self.lengths[doc_id] = length
         self.total_length += length
-        self.length_lookup = None
+        self.id_space = None
         if name:
             self.names[doc_id] = name
 
@@ -81,7 +81,7 @@ class DocTable:
 
     def remove(self, doc_id: int) -> None:
         self.total_length -= self.lengths.pop(doc_id, 0)
-        self.length_lookup = None
+        self.id_space = None
         self.names.pop(doc_id, None)
 
     # -- persistence -----------------------------------------------------------

@@ -259,10 +259,11 @@ class _FastIndexProvider(_IndexProvider):
         )
         return arrays
 
-    def doc_length_array(self, doc_ids):
-        from ..fastpath.daat import doc_length_lookup
+    @property
+    def doc_id_space(self):
+        from ..fastpath.beliefs import doc_id_space
 
-        return doc_length_lookup(self._index.doctable)(doc_ids)
+        return doc_id_space(self._index.doctable)
 
 
 class RetrievalEngine:
@@ -326,7 +327,9 @@ class RetrievalEngine:
 
         Document ranking is a selection problem (charged as user CPU):
         top-k selection is O(n log k) against a full sort's O(n log n),
-        and the returned ranking (order and ties) is identical.
+        and the returned ranking (order and ties) is identical.  ``n`` is
+        ``len(scores)``: the reference dict's size, or a dense
+        accumulator's touched count — the same number.
         """
         self.clock.charge_user(self.clock.cost.cpu_ms_per_posting * len(scores))
         return QueryResult(

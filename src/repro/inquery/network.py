@@ -19,7 +19,7 @@ measures.
 """
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import QueryError, ReproError
 from .postings import Posting
@@ -30,6 +30,20 @@ DEFAULT_BELIEF = 0.4
 
 #: A node's evaluation: per-document beliefs plus the default belief.
 BeliefTable = Tuple[Dict[int, float], float]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0 + v0) + v1) + ...``: one IEEE-754 addition per value, in order.
+
+    Every float fold in belief arithmetic goes through this, never
+    builtin ``sum``: since CPython 3.12 ``sum`` compensates float
+    rounding, which the elementwise folds of the array kernels do not,
+    so the two would disagree in the last bit of a belief.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def inquery_idf(n_docs: int, df: int) -> float:
@@ -170,7 +184,7 @@ class InferenceNetwork:
         if isinstance(node, TermNode):
             return self._term_evidence(node.term)
         if node.op == "syn":
-            return _counted(self._synonym_postings(node))
+            return self._synonym_evidence(node)
         return self._proximity_evidence(node, *_window(node))
 
     def _beliefs(self, postings: Optional[List[Posting]], df: int) -> BeliefTable:
@@ -196,32 +210,28 @@ class InferenceNetwork:
     def _term_evidence(self, term: str) -> LeafSlot:
         return _counted(self._provider.postings(term))
 
-    def _member_postings(self, term: str) -> Optional[List[Posting]]:
-        """A synonym member's postings (the representation hook)."""
-        return self._provider.postings(term)
-
-    def _synonym_postings(self, node: OpNode) -> Optional[List[Posting]]:
+    def _synonym_evidence(self, node: OpNode) -> LeafSlot:
         """Synonym group: several surface terms scored as one term.
 
         The postings of the members are unioned (positions merged per
         document) and the result is scored like a single term whose
-        document frequency is the union's size.  ``None`` if empty.
+        document frequency is the union's size.
         """
         by_doc: Dict[int, set] = {}
         for child in node.children:
-            postings = self._member_postings(child.term)
+            postings = self._provider.postings(child.term)
             if not postings:
                 continue
             for doc_id, positions in postings:
                 by_doc.setdefault(doc_id, set()).update(positions)
         if not by_doc:
-            return None
+            return None, 0
         merged: List[Posting] = [
             (doc_id, tuple(sorted(positions)))
             for doc_id, positions in sorted(by_doc.items())
         ]
         self._provider.charge_combine(len(merged))
-        return merged
+        return _counted(merged)
 
     def _proximity_evidence(self, node: OpNode, ordered: bool, window: int) -> LeafSlot:
         """A virtual term from co-occurrence within a window."""
@@ -257,14 +267,14 @@ class InferenceNetwork:
         return scores, default
 
     def _eval_sum(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
-        return self._combine(tables, lambda beliefs: sum(beliefs) / len(beliefs))
+        return self._combine(tables, lambda beliefs: left_sum(beliefs) / len(beliefs))
 
     def _eval_wsum(self, node: OpNode, tables: List[BeliefTable]) -> BeliefTable:
         weights = node.weights
-        total = sum(weights)  # positive: the parser rejects anything else
+        total = left_sum(weights)  # positive: the parser rejects anything else
 
         def weighted(beliefs: List[float]) -> float:
-            return sum(w * b for w, b in zip(weights, beliefs)) / total
+            return left_sum(w * b for w, b in zip(weights, beliefs)) / total
 
         return self._combine(tables, weighted)
 

@@ -49,8 +49,23 @@ KERNELS = [
     ("repro.fastpath.codec", "decode_record_arrays"),
     ("repro.fastpath.codec", "DecodeCache.decode"),
     ("repro.fastpath.network", "term_beliefs"),
+    ("repro.fastpath.network", "scatter_leaf"),
+    ("repro.fastpath.network", "synonym_union"),
+    ("repro.fastpath.network", "combine_sum"),
+    ("repro.fastpath.network", "combine_wsum"),
+    ("repro.fastpath.network", "combine_and"),
+    ("repro.fastpath.network", "combine_or"),
+    ("repro.fastpath.network", "combine_not"),
+    ("repro.fastpath.network", "combine_max"),
     ("repro.fastpath.topk", "rank_arrays"),
 ]
+
+#: One term-at-a-time tree through every dense combination kernel, a
+#: synonym union and a no-evidence leaf.
+COMPOSED = (
+    "#wsum( 2 #and( apple banana ) 1 #or( #not( cherry ) "
+    "#max( date #syn( apple Apple ) nowhere ) ) )"
+)
 
 
 def build():
@@ -110,6 +125,7 @@ def _run_everything():
     engine.run_query("#phrase( apple banana )")
     engine.run_query("#od3( apple cherry )")
     engine.run_query("#uw5( banana date )")
+    engine.run_query(COMPOSED)
     term_match_positions(index, "#sum( apple banana )", 1)
     best_window(index, "#sum( apple banana )", 1, window=3)
     _sharded_wave()

@@ -56,12 +56,12 @@ def test_remove():
 ))
 @settings(max_examples=100, deadline=None)
 def test_derived_data_tracks_interleaved_add_and_remove(ops):
-    """``total_length`` and the cached length lookup after any mix of
+    """``total_length`` and the cached doc-id space after any mix of
     ``add``/``remove`` equal a table built fresh from the survivors —
     including sequences that leave ``len()`` where it was (one live-ingest
     batch adds and removes), queried at every step so a stale cache shows."""
     np = pytest.importorskip("numpy")
-    from repro.fastpath.daat import doc_length_lookup
+    from repro.fastpath.beliefs import doc_id_space
 
     table = DocTable()
     for is_add, doc_id, length in ops:
@@ -75,23 +75,25 @@ def test_derived_data_tracks_interleaved_add_and_remove(ops):
         assert table.total_length == fresh.total_length
         assert table.average_length == fresh.average_length
         ids = np.array(sorted(table.lengths), dtype=np.int64)
-        assert doc_length_lookup(table)(ids).tolist() == \
-            doc_length_lookup(fresh)(ids).tolist() == \
+        space = doc_id_space(table)
+        assert space.lengths_of(ids).tolist() == \
+            doc_id_space(fresh).lengths_of(ids).tolist() == \
             [table.lengths[i] for i in ids.tolist()]
 
 
 def test_length_lookup_is_kept_until_the_next_mutation():
     pytest.importorskip("numpy")
-    from repro.fastpath.daat import doc_length_lookup
+    from repro.fastpath.beliefs import doc_id_space
 
     table = DocTable()
     table.add(1, 10)
     table.add(2, 20)
-    lookup = doc_length_lookup(table)
-    assert doc_length_lookup(table) is lookup
+    space = doc_id_space(table)
+    assert doc_id_space(table) is space
     table.remove(1)
     table.add(3, 30)  # len() is back to 2
-    assert doc_length_lookup(table) is not lookup
+    assert doc_id_space(table) is not space
+    assert doc_id_space(table).span == 4  # the id range grew with the add
 
 
 def test_empty_average():
