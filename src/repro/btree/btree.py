@@ -234,6 +234,38 @@ class BTreeKeyedFile:
             self._split_leaf(path)
         self.sync()
 
+    def overwrite(self, key: int, record: bytes) -> None:
+        """Overwrite the record under ``key`` where it lies.
+
+        Unlike :meth:`replace`, nothing moves: ``record`` must have the
+        stored record's length, and goes into its leaf entry or its
+        heap extent.
+
+        Raises
+        ------
+        KeyNotFoundError
+            If no record exists for ``key``.
+        BTreeError
+            If ``record`` differs in length from the stored record.
+        """
+        path = self._descend_path(key)
+        leaf_offset, leaf = path[-1]
+        idx = find_key(leaf.keys, key)
+        if idx is None:
+            raise KeyNotFoundError(key)
+        value = leaf.values[idx]
+        inline = isinstance(value, bytes)
+        stored = len(value) if inline else value[1]
+        if len(record) != stored:
+            raise BTreeError(
+                f"overwrite of key {key} must keep its {stored} bytes, got {len(record)}"
+            )
+        if inline:
+            leaf.values[idx] = bytes(record)
+            self._write_node(leaf_offset, leaf)
+        else:
+            self._pages.file.write(value[0], bytes(record))
+
     def delete(self, key: int) -> None:
         """Remove the record under ``key`` (lazy: no rebalancing).
 

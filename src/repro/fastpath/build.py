@@ -5,9 +5,9 @@ Python posting tuples, and encoded each record one integer at a time —
 the "dominated by a sorting problem" indexing cost, paid in
 interpreter overhead.  :func:`encode_collection` takes the sorted
 (term-rank, doc-id, position) triples and produces every encoded
-record with a handful of vectorized passes: gap coding, value
-interleaving, and a single v-byte encode of the concatenated integer
-stream, sliced back into per-term records by byte offset.
+record with a handful of vectorized passes: gap coding, placing each
+term's three columns, and a single v-byte encode of the concatenated
+integer stream, sliced back into per-term records by byte offset.
 
 Output records are byte-identical to per-term ``encode_record`` calls
 (the concatenation of reference records *is* the encoded global value
@@ -102,7 +102,7 @@ def encode_collection(
     pgaps[1:] = positions[1:] - positions[:-1]
     pgaps[entry_starts] = positions[entry_starts]
 
-    # Interleave df ctf (dgap tf pgap*tf)*df into one value stream.
+    # Lay out df ctf dgap*df tf*df pgap*ctf per term in one value stream.
     values_per_term = 2 + 2 * df + ctf
     term_val_starts = np.empty(term_count, dtype=np.int64)
     term_val_starts[0] = 0
@@ -111,20 +111,14 @@ def encode_collection(
     values = np.empty(stream_len, dtype=np.int64)
     values[term_val_starts] = df
     values[term_val_starts + 1] = ctf
-
-    tf_excl = np.empty(entries, dtype=np.int64)
-    tf_excl[0] = 0
-    np.cumsum(tf[:-1], out=tf_excl[1:])
-    rank_in_term = np.arange(entries, dtype=np.int64) - np.repeat(first_entry, df)
-    tf_before = tf_excl - np.repeat(tf_excl[first_entry], df)
-    entry_slots = (
-        np.repeat(term_val_starts, df) + 2 + 2 * rank_in_term + tf_before
-    )
-    values[entry_slots] = dgaps
-    values[entry_slots + 1] = tf
-    gap_slots = (
-        np.repeat(entry_slots + 2 - tf_excl, tf) + np.arange(total, dtype=np.int64)
-    )
+    # Each column is a contiguous run: entry i of a term sits i values
+    # past its column's start, and so does the term's j-th position gap.
+    doc_slots = (np.repeat(term_val_starts + 2 - first_entry, df)
+                 + np.arange(entries, dtype=np.int64))
+    values[doc_slots] = dgaps
+    values[doc_slots + np.repeat(df, df)] = tf
+    gap_slots = (np.repeat(term_val_starts + 2 + 2 * df - term_starts, ctf)
+                 + np.arange(total, dtype=np.int64))
     values[gap_slots] = pgaps
 
     buffer, lengths = encode_stream(values)

@@ -1,8 +1,12 @@
 """Vectorized postings-record codec.
 
-Decodes and encodes the INQUERY record format of
-:mod:`repro.inquery.postings` (``df ctf (gap(doc) tf gap(pos)*tf)*df``)
-with bulk v-byte kernels instead of per-integer Python loops.
+Decodes and encodes the record format of :mod:`repro.inquery.postings`
+(``df ctf gap(doc)*df tf*df gap(pos)*ctf``) with bulk v-byte kernels
+instead of per-integer Python loops.  The integers and the byte length
+of every record are INQUERY's; only their order differs from its
+interleaved ``df ctf (gap(doc) tf gap(pos)*tf)*df``, and that order is
+what lets a decode be one bulk scan plus three slices: each column sits
+at a fixed integer offset once ``df`` is known.
 
 The contract is strict byte/structure equality with the reference
 codec: :func:`encode_record_fast` produces the exact bytes
@@ -35,35 +39,34 @@ class RecordArrays:
 
     Flat ``#sum``/``#wsum`` evaluation reads only ``doc_ids`` and
     ``tf``, so :func:`decode_record_arrays` defers the position columns:
-    it hands over the record's gap values and they are turned into
-    ``positions``/``pos_starts`` on first access.
+    it hands over the record's position-gap column and it is turned
+    into ``positions``/``pos_starts`` on first access.
 
     Every column is read-only: a decode may be shared by every query an
     engine serves (:class:`DecodeCache`), so a kernel that wrote into
     one would change the next query's ranking — it raises instead.
     """
 
-    __slots__ = ("doc_ids", "tf", "_positions", "_pos_starts", "_deferred", "_ctf")
+    __slots__ = ("doc_ids", "tf", "_positions", "_pos_starts", "_gaps", "_ctf")
 
     def __init__(self, doc_ids, tf, positions, pos_starts):
         self.doc_ids = _frozen(doc_ids)    #: int64, strictly increasing
         self.tf = _frozen(tf)              #: int64, per-document term frequency
         self._positions = _frozen(positions)    #: int64, flattened position lists
         self._pos_starts = _frozen(pos_starts)  #: int64, exclusive prefix sum of ``tf``
-        self._deferred = None
+        self._gaps = None
         self._ctf = int(positions.size)
 
     @classmethod
-    def deferred(cls, doc_ids, tf, ctf: int, body, tf_slots) -> "RecordArrays":
-        """A record whose positions still sit, as gaps, in ``body``
-        (the record's integers after the header) behind each document's
-        slot in ``tf_slots``."""
+    def deferred(cls, doc_ids, tf, gaps) -> "RecordArrays":
+        """A record whose positions are still ``gaps``, the record's
+        position-gap column (each document's run starts absolute)."""
         arrays = cls.__new__(cls)
         arrays.doc_ids = _frozen(doc_ids)
         arrays.tf = _frozen(tf)
         arrays._positions = arrays._pos_starts = None
-        arrays._deferred = (body, tf_slots)
-        arrays._ctf = ctf
+        arrays._gaps = gaps
+        arrays._ctf = int(gaps.size)
         return arrays
 
     @property
@@ -76,9 +79,9 @@ class RecordArrays:
     def positions(self) -> np.ndarray:
         if self._positions is None:
             self._positions = _frozen(_positions_from_gaps(
-                *self._deferred, self.tf, self.pos_starts
+                self._gaps, self.tf, self.pos_starts
             ))
-            self._deferred = None
+            self._gaps = None
         return self._positions
 
     @property
@@ -116,16 +119,13 @@ def _exclusive_cumsum(tf: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _positions_from_gaps(body, tf_slots, tf, pos_starts) -> np.ndarray:
-    """Flattened positions from the gap runs behind each tf slot."""
-    ctf = body.size - 2 * tf.size
-    if not ctf:
+def _positions_from_gaps(gaps, tf, pos_starts) -> np.ndarray:
+    """Flattened positions: a running sum of the gap column, restarted
+    at each document's first (absolute) position."""
+    if not gaps.size:
         return np.empty(0, dtype=np.int64)
-    gap_slots = (np.repeat(tf_slots + 1 - pos_starts, tf)
-                 + np.arange(ctf, dtype=np.int64))
-    running = np.cumsum(body[gap_slots])
-    bases = np.empty(tf.size, dtype=np.int64)
-    bases[0] = 0
+    running = np.cumsum(gaps)
+    bases = np.zeros(tf.size, dtype=np.int64)
     bases[1:] = running[pos_starts[1:] - 1]
     return running - np.repeat(bases, tf)
 
@@ -178,15 +178,15 @@ class DecodeCache:
 
         Built, that is the positions plus three per-document columns.
         Deferred, it is the record's whole decoded integer stream (which
-        ``body`` views) plus ``doc_ids``, ``tf``, the tf slots and a
-        lazily built ``pos_starts`` — never less than the built form, so
-        a later positions build only frees memory.
+        the gap column views) plus ``doc_ids``, ``tf`` and a lazily
+        built ``pos_starts`` — never less than the built form, so a
+        later positions build only frees memory.
         """
-        if arrays._deferred is None:
+        if arrays._gaps is None:
             return arrays.ctf + 3 * arrays.df
-        body, _tf_slots = arrays._deferred
-        stream = body if body.base is None else body.base
-        return stream.size + 4 * arrays.df
+        gaps = arrays._gaps
+        stream = gaps if gaps.base is None else gaps.base
+        return stream.size + 3 * arrays.df
 
     def decode(self, record: bytes) -> "RecordArrays":
         """The record's arrays: memoized, or decoded and stored."""
@@ -217,10 +217,13 @@ def _scalar():
 def decode_record_arrays(record: bytes) -> RecordArrays:
     """Decode a record into columnar arrays, documents and tfs first.
 
-    One bulk byte scan recovers the record's integers and one scan over
-    documents finds each tf slot; ``doc_ids`` and ``tf`` are gathered
-    from those, and the position columns are left to
-    :class:`RecordArrays` to build if anyone asks.
+    One bulk byte scan recovers the record's integers; the document and
+    tf columns are slices of them at offsets ``df`` fixes, and the
+    position columns are left to :class:`RecordArrays` to build if
+    anyone asks.  A record the slices cannot take as is — truncated,
+    tfs that are not positive or do not sum to the header's ctf, values
+    of 63 bits or more — goes to the scalar decoder, which handles it or
+    raises the canonical error.
     """
     try:
         values, _clean = decode_stream(record)
@@ -236,43 +239,36 @@ def decode_record_arrays(record: bytes) -> RecordArrays:
     if df == 0:
         empty = np.empty(0, dtype=np.int64)
         return RecordArrays(empty, empty.copy(), empty.copy(), empty.copy())
-    body = values[2:needed].view(np.int64)  # < 2**63 by MAX_GROUPS
-    tf_slots = _tf_slots(body, df)
-    if tf_slots is None:
-        # The per-document counts run off the record, or disagree with
-        # the header's ctf; the scalar decoder trusts the counts (and
-        # raises the canonical error), so defer to it.
+    values = values.view(np.int64)  # < 2**63 by MAX_GROUPS
+    # Sums over ``values`` can wrap int64 only past this product.
+    wide = int(values.max()) * values.size >= 1 << 63
+    tf = values[2 + df:2 + 2 * df].copy()  # a copy: the stream can go once positions exist
+    if (tf < 1).any() or (sum(tf.tolist()) if wide else int(tf.sum())) != ctf:
         return _arrays_via_scalar(record)
-    tf = body[tf_slots]
-    doc_ids = np.cumsum(body[tf_slots - 1])
-    arrays = RecordArrays.deferred(doc_ids, tf, ctf, body, tf_slots)
-    if int(body.max()) * body.size >= 1 << 63 and (
-        (doc_ids < 0).any() or (arrays.positions < 0).any()
-    ):
+    doc_ids = np.cumsum(values[2:2 + df])
+    arrays = RecordArrays.deferred(doc_ids, tf, values[2 + 2 * df:needed])
+    if wide and ((doc_ids < 0).any() or (arrays.positions < 0).any()):
         return _arrays_via_scalar(record)  # int64 overflow — huge values
     return arrays
 
 
-def _tf_slots(body: np.ndarray, df: int):
-    """Body indices of the ``df`` term-frequency slots, or ``None``.
+def column_bounds(record: bytes, df: int) -> Tuple[int, int, int, int]:
+    """Vector twin of :func:`repro.inquery.postings._column_bounds`.
 
-    Document ``i + 1`` starts ``2 + tf[i]`` integers after document
-    ``i`` — a chain only a sequential walk can follow, so this is a
-    scan over documents (not over bytes).  ``None`` means the chain does
-    not take exactly ``df`` documents to land exactly on the body's end.
+    The v-byte terminators at integer indices 1, ``1 + df`` and
+    ``1 + 2 df`` end the header and the two per-document columns; only
+    the document-gap column is decoded.
     """
-    flat = body.tolist()
-    slots = []
-    slot = 1
+    raw = np.frombuffer(record, dtype=np.uint8)
+    ends = np.flatnonzero(raw < 0x80)
+    if ends.size < 2 + 2 * df:
+        return _scalar()._column_bounds_py(record, df)  # truncated: canonical error
+    header_end, docs_end, tfs_end = (ends[[1, 1 + df, 1 + 2 * df]] + 1).tolist()
     try:
-        for _ in range(df):
-            slots.append(slot)
-            slot += flat[slot] + 2
-    except IndexError:
-        return None
-    if slot != len(flat) + 1:
-        return None
-    return np.array(slots, dtype=np.int64)
+        gaps, _clean = decode_stream(record[header_end:docs_end])
+    except IndexError_:
+        return _scalar()._column_bounds_py(record, df)  # gaps of 63 bits or more
+    return header_end, docs_end, tfs_end, sum(gaps.tolist())
 
 
 def _arrays_via_scalar(record: bytes) -> RecordArrays:
@@ -342,18 +338,7 @@ def encode_from_arrays(arrays: RecordArrays, _fallback=None) -> bytes:
     if (pgaps[~first_of_doc] <= 0).any() or (pgaps[first_of_doc] < 0).any():
         return bail()
 
-    total = 2 + 2 * df + ctf
-    values = np.empty(total, dtype=np.int64)
-    values[0] = df
-    values[1] = ctf
-    body = values[2:]
-    doc_slots = 2 * np.arange(df, dtype=np.int64) + pos_starts
-    body[doc_slots] = dgaps
-    body[doc_slots + 1] = tf
-    if ctf:
-        gap_slots = (np.repeat(doc_slots + 2 - pos_starts, tf)
-                     + np.arange(ctf, dtype=np.int64))
-        body[gap_slots] = pgaps
+    values = np.concatenate((np.array([df, ctf], dtype=np.int64), dgaps, tf, pgaps))
     try:
         buffer, _lengths = encode_stream(values)
     except IndexError_:

@@ -128,21 +128,29 @@ class HashDictionary:
     # -- persistence -----------------------------------------------------------
 
     _REC = struct.Struct("<IIIQH")  # term id, df, ctf, storage key, term length
-    #: v2 record appends max_tf and the bound-sidecar storage key.
+    #: v2 and v3 records append max_tf and the bound-sidecar storage key.
     _REC_V2 = struct.Struct("<IIIQHIQ")
-    #: v2 files open with this magic instead of the entry count.  A v1
-    #: file starts with its entry count, which can never reach 3.5
-    #: billion (the file itself would need 60+ GB), so the first word
-    #: sniffs the version unambiguously.
+    #: v2 and v3 files open with a magic word instead of the entry
+    #: count.  A v1 file starts with its entry count, which can never
+    #: reach 3.5 billion (the file itself would need 60+ GB), so the
+    #: first word sniffs the version unambiguously.  v3 means the
+    #: platter's records have the columnar body; v1 and v2 platters
+    #: hold interleaved records until ``CollectionIndex.open`` rewrites
+    #: them.
     _V2_MAGIC = 0xD1C70002
+    _V3_MAGIC = 0xD1C70003
+
+    #: Format version this dictionary was loaded from; a dictionary
+    #: built in this process is current.
+    version = 3
 
     def save(self, file: SimFile) -> None:
         """Serialize to a simulated file (loaded fully at system open).
 
-        Writes the v2 layout (with per-term bound metadata); v1 files
-        written before bound metadata existed still :meth:`load`.
+        Writes the v3 layout (per-term bound metadata, columnar record
+        bodies); v1 and v2 files still :meth:`load`.
         """
-        parts = [struct.pack("<III", self._V2_MAGIC, self._count, self._next_id)]
+        parts = [struct.pack("<III", self._V3_MAGIC, self._count, self._next_id)]
         for entry in self.entries():
             raw = entry.term.encode("utf-8")
             parts.append(
@@ -157,7 +165,7 @@ class HashDictionary:
 
     @classmethod
     def load(cls, file: SimFile) -> "HashDictionary":
-        """Rebuild a dictionary from :meth:`save` output (v1 or v2).
+        """Rebuild a dictionary from :meth:`save` output (v1, v2 or v3).
 
         Entries restored from a v1 file carry ``max_tf == 0`` /
         ``bounds_key == 0`` — no bound metadata — which the engines
@@ -167,8 +175,8 @@ class HashDictionary:
         if len(raw) < 8:
             raise IndexError_("dictionary file truncated")
         (first_word,) = struct.unpack_from("<I", raw, 0)
-        v2 = first_word == cls._V2_MAGIC
-        if v2:
+        version = {cls._V2_MAGIC: 2, cls._V3_MAGIC: 3}.get(first_word, 1)
+        if version > 1:
             if len(raw) < 12:
                 raise IndexError_("dictionary file truncated")
             count, next_id = struct.unpack_from("<II", raw, 4)
@@ -179,8 +187,9 @@ class HashDictionary:
             pos = 8
             rec = cls._REC
         dictionary = cls(initial_buckets=max(1024, count // 2))
+        dictionary.version = version
         for _ in range(count):
-            if v2:
+            if version > 1:
                 term_id, df, ctf, key, term_len, max_tf, bounds_key = (
                     rec.unpack_from(raw, pos)
                 )

@@ -24,6 +24,7 @@ from ..fastpath import state as _fastpath
 from ..simdisk import SimFileSystem
 from .dictionary import HashDictionary
 from .documents import Document, DocTable
+from .interleaved import to_columnar
 from .invfile import InvertedFileStore
 from .normalize import normalize_term
 from .postings import Posting, decode_record, encode_record, uncompressed_size
@@ -130,8 +131,17 @@ class CollectionIndex:
         choice is application configuration, as with Mneme pools).
         Per-record sizes are not persisted; the restored ``stats`` holds
         the scalar totals only.
+
+        A v1 or v2 platter stores its records in the interleaved body
+        (:mod:`repro.inquery.interleaved`).  Opening one rewrites every
+        record, and every chunk of every chain, once and in place with
+        the columnar body of the same length, then saves the dictionary
+        as v3.
         """
         dictionary = HashDictionary.load(fs.open("index.dict"))
+        if dictionary.version < HashDictionary.version:
+            _columnar_bodies(dictionary, store)
+            dictionary.save(fs.open("index.dict"))
         doctable = DocTable.load(fs.open("index.docs"))
         stats = IndexStats()
         if fs.exists("index.stats"):
@@ -154,6 +164,15 @@ class CollectionIndex:
             stem_fn=stem_fn,
             tombstones=tombstones,
         )
+
+
+def _columnar_bodies(dictionary: HashDictionary, store: InvertedFileStore) -> None:
+    """Rewrite an old platter's interleaved records as columnar ones,
+    in storage-key order so each physical segment is parsed once."""
+    stored = [e for e in dictionary.entries() if e.storage_key != 0]
+    for entry in sorted(stored, key=lambda e: e.storage_key):
+        store.rewrite_in_place(entry.storage_key, to_columnar)
+    store.flush()
 
 
 class IndexBuilder:

@@ -16,7 +16,7 @@ no inverted list data is retained across record accesses.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..btree import BTreeKeyedFile
 from ..errors import PoolError
@@ -99,6 +99,17 @@ class InvertedFileStore:
 
     def update_record(self, key: int, data: bytes) -> int:
         """Replace a record; returns the (possibly new) storage key."""
+        raise NotImplementedError
+
+    def rewrite_in_place(self, key: int, transform: Callable[[bytes], bytes]) -> None:
+        """Replace each stored piece of a record by ``transform(piece)``.
+
+        Every piece — the record, or each chunk of a chained record —
+        is rewritten where it lies.  ``transform`` must keep a piece's
+        length, so no object moves, no chain is re-split and bound
+        sidecars stay valid; opening an old platter uses this to give
+        its records the current body layout.
+        """
         raise NotImplementedError
 
     def append_postings(
@@ -202,6 +213,9 @@ class BTreeInvertedFile(InvertedFileStore):
     def update_record(self, key: int, data: bytes) -> int:
         self.tree.replace(key, data)
         return key
+
+    def rewrite_in_place(self, key: int, transform: Callable[[bytes], bytes]) -> None:
+        self.tree.overwrite(key, transform(self.tree.lookup(key)))
 
     def flush(self) -> None:
         self.tree.sync()
@@ -307,6 +321,16 @@ class MnemeInvertedFile(InvertedFileStore):
         self.mfile.delete(oid)
         new_oid = self._pool_for(data).create(data)
         return self.store.global_id(self.mfile, new_oid)
+
+    def rewrite_in_place(self, key: int, transform: Callable[[bytes], bytes]) -> None:
+        self._rewrite_object(split_global(key)[1], transform)
+
+    def _rewrite_object(self, oid: int, transform: Callable[[bytes], bytes]) -> None:
+        old = self.mfile.fetch(oid)
+        data = transform(old)
+        if len(data) != len(old):
+            raise PoolError(f"in-place rewrite of object {oid} changed its length")
+        self.mfile.modify(oid, data)
 
     def flush(self) -> None:
         self.store.flush()
@@ -448,6 +472,18 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
             return new_key
         new_oid = self._pool_for(data).create(data)
         return self.store.global_id(self.mfile, new_oid)
+
+    def rewrite_in_place(self, key: int, transform: Callable[[bytes], bytes]) -> None:
+        if not self._is_large_key(key):
+            super().rewrite_in_place(key, transform)
+            return
+
+        def rewrite_chunk(data: bytes) -> bytes:
+            next_oid, payload = _unpack_chunk(data)
+            return _pack_chunk(next_oid, transform(payload))
+
+        for oid in chunk_ids(self.large, split_global(key)[1]):
+            self._rewrite_object(oid, rewrite_chunk)
 
     def append_postings(
         self, key: int, postings: Sequence[Posting], bounds_key: int = 0

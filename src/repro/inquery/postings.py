@@ -6,19 +6,27 @@ the locations within each document, where the term occurs.  The record is
 stored as a vector of integers in a compressed format.  The average
 compression rate for the four collections ... is about 60%."
 
-A record is encoded as variable-byte integers::
+A record is encoded as variable-byte integers, column by column::
 
-    df  ctf  (gap(doc) tf  gap(pos)*tf)*df
+    df  ctf  gap(doc)*df  tf*df  gap(pos)*ctf
 
-where document ids and within-document positions are delta-coded.  A term
+where document ids are delta-coded across the record and positions
+within each document (the first of each document absolute).  A term
 occurring once in one document encodes in 5-8 bytes, which is what puts
 roughly half of a Zipf vocabulary's records at or under the paper's
 12-byte small object threshold.
 
-The *format* of records is fixed by INQUERY — the paper's approach is to
+The integers are INQUERY's, and so is every record's byte length: its
+record interleaves the same values per document, ``df ctf (gap(doc) tf
+gap(pos)*tf)*df``, and v-byte lengths do not depend on order.  Only the
+order changed, so that a reader can take the document and tf columns
+without walking every document's positions.  The paper's approach is to
 replace the subsystem that manages the records "without changing the
-format of the records themselves" — which is why both storage backends
-share this module.
+format of the records themselves"; the sizes that drive pool choice,
+segment packing and every simulated charge are unchanged, which is why
+both storage backends share this module.  Platters written in the
+interleaved order are rewritten once when they are opened
+(:mod:`repro.inquery.interleaved`).
 """
 
 from dataclasses import dataclass
@@ -30,12 +38,14 @@ from ..fastpath import state as _fastpath
 #: One posting: (document id, sorted within-document positions).
 Posting = Tuple[int, Tuple[int, ...]]
 
-# Record sizes below these cutovers stay on the scalar codec: numpy
-# call overhead beats the loop for the tiny records that make up about
-# half of a Zipf vocabulary.  Both codecs are byte-identical, so the
-# cutover is purely a real-time tuning knob.
-_FAST_DECODE_MIN_BYTES = 64
-_FAST_ENCODE_MIN_POSTINGS = 16
+# Records below these cutovers stay on the scalar codec: a vector call
+# costs a fixed few dozen numpy dispatches, which the loop beats until
+# records reach a few hundred bytes.  Each constant is the measured
+# crossover (DESIGN.md §14 has the table).  Both codecs are
+# byte-identical, so a cutover is purely a real-time tuning knob.
+_FAST_DECODE_MIN_BYTES = 384      # posting-list decode, by record bytes
+_FAST_ENCODE_MIN_POSTINGS = 256   # encode, by postings
+_FAST_BOUNDS_MIN_DF = 64          # column bounds (append), by documents
 
 _codec = None
 
@@ -116,14 +126,17 @@ def _encode_record_py(postings: Sequence[Posting]) -> bytes:
     ctf = sum(len(positions) for _, positions in postings)
     vbyte_encode(len(postings), out)
     vbyte_encode(ctf, out)
-    _encode_postings_body(postings, -1, out)
+    for column in _encode_columns(postings, -1):
+        out += column
     return bytes(out)
 
 
-def _encode_postings_body(
-    postings: Sequence[Posting], last_doc: int, out: bytearray
-) -> None:
-    """Delta-encode postings after ``last_doc`` onto ``out`` (no header)."""
+def _encode_columns(
+    postings: Sequence[Posting], last_doc: int
+) -> Tuple[bytearray, bytearray, bytearray]:
+    """Delta-encode postings after ``last_doc`` as the record's three
+    columns: document gaps, tfs, position gaps (no header)."""
+    docs, tfs, gaps = bytearray(), bytearray(), bytearray()
     for doc_id, positions in postings:
         if doc_id <= last_doc:
             raise IndexError_(
@@ -131,8 +144,8 @@ def _encode_postings_body(
             )
         if not positions:
             raise IndexError_(f"posting for doc {doc_id} has no positions")
-        vbyte_encode(doc_id - last_doc if last_doc >= 0 else doc_id, out)
-        vbyte_encode(len(positions), out)
+        vbyte_encode(doc_id - last_doc if last_doc >= 0 else doc_id, docs)
+        vbyte_encode(len(positions), tfs)
         last_pos = -1
         for position in positions:
             if position <= last_pos:
@@ -140,9 +153,10 @@ def _encode_postings_body(
                     f"positions out of order in doc {doc_id}: "
                     f"{position} after {last_pos}"
                 )
-            vbyte_encode(position - last_pos if last_pos >= 0 else position, out)
+            vbyte_encode(position - last_pos if last_pos >= 0 else position, gaps)
             last_pos = position
         last_doc = doc_id
+    return docs, tfs, gaps
 
 
 def decode_header(record: bytes) -> RecordHeader:
@@ -167,19 +181,23 @@ def _decode_record_py(record: bytes) -> List[Posting]:
     """The scalar reference decoder."""
     df, pos = vbyte_decode(record, 0)
     _ctf, pos = vbyte_decode(record, pos)
-    postings: List[Posting] = []
+    doc_ids = []
     doc_id = 0
-    first = True
     for _ in range(df):
         gap, pos = vbyte_decode(record, pos)
-        doc_id = gap if first else doc_id + gap
-        first = False
+        doc_id += gap
+        doc_ids.append(doc_id)
+    tfs = []
+    for _ in range(df):
         tf, pos = vbyte_decode(record, pos)
+        tfs.append(tf)
+    postings: List[Posting] = []
+    for doc_id, tf in zip(doc_ids, tfs):
         positions = []
         position = 0
-        for j in range(tf):
+        for _ in range(tf):
             pgap, pos = vbyte_decode(record, pos)
-            position = pgap if j == 0 else position + pgap
+            position += pgap
             positions.append(position)
         postings.append((doc_id, tuple(positions)))
     return postings
@@ -195,8 +213,9 @@ def merge_records(base: bytes, extra: Sequence[Posting]) -> bytes:
     cheap for linked objects.
 
     When every new document id follows the record's last (the common
-    append-as-documents-arrive case), only the new postings' deltas are
-    encoded onto the existing bytes instead of re-encoding the record.
+    append-as-documents-arrive case), the existing columns are copied
+    as bytes and only the new postings are encoded onto the end of each,
+    instead of re-encoding the record.
     """
     extra = [(doc, tuple(positions)) for doc, positions in extra]
     appended = _try_append_records(base, extra)
@@ -229,36 +248,47 @@ def _try_append_records(base: bytes, extra: Sequence[Posting]) -> Optional[bytes
     header = decode_header(base)
     if header.df == 0:
         return None
-    last_doc = _last_doc_id(base, header.df)
+    header_end, docs_end, tfs_end, last_doc = _column_bounds(base, header.df)
     if extra[0][0] <= last_doc:
         return None
-    df = header.df + len(extra)
-    ctf = header.ctf + sum(len(positions) for _d, positions in extra)
+    docs, tfs, gaps = _encode_columns(extra, last_doc)
     out = bytearray()
-    vbyte_encode(df, out)
-    vbyte_encode(ctf, out)
-    _df, pos = vbyte_decode(base, 0)
-    _ctf, pos = vbyte_decode(base, pos)
-    out += base[pos:]
-    _encode_postings_body(extra, last_doc, out)
+    vbyte_encode(header.df + len(extra), out)
+    vbyte_encode(header.ctf + sum(len(positions) for _d, positions in extra), out)
+    out += base[header_end:docs_end]
+    out += docs
+    out += base[docs_end:tfs_end]
+    out += tfs
+    out += base[tfs_end:]
+    out += gaps
     return bytes(out)
 
 
-def _last_doc_id(record: bytes, df: int) -> int:
-    """Final document id of a record (sum of the document-id gaps)."""
-    if _fastpath.ENABLED and len(record) >= _FAST_DECODE_MIN_BYTES:
-        arrays = _fast_codec().decode_record_arrays(record)
-        return int(arrays.doc_ids[-1])
+def _column_bounds(record: bytes, df: int) -> Tuple[int, int, int, int]:
+    """Where a record's columns end, and its last document id.
+
+    Returns the byte offsets that end the header, the document-gap
+    column and the tf column, plus the sum of the document gaps.  Only
+    the two per-document columns are read; positions are never walked.
+    """
+    if _fastpath.ENABLED and df >= _FAST_BOUNDS_MIN_DF:
+        return _fast_codec().column_bounds(record, df)
+    return _column_bounds_py(record, df)
+
+
+def _column_bounds_py(record: bytes, df: int) -> Tuple[int, int, int, int]:
+    """The scalar :func:`_column_bounds`: one walk over two columns."""
     _df, pos = vbyte_decode(record, 0)
-    _ctf, pos = vbyte_decode(record, pos)
-    doc_id = 0
+    _ctf, header_end = vbyte_decode(record, pos)
+    pos = header_end
+    last_doc = 0
     for _ in range(df):
         gap, pos = vbyte_decode(record, pos)
-        doc_id += gap
-        tf, pos = vbyte_decode(record, pos)
-        for _ in range(tf):
-            _gap, pos = vbyte_decode(record, pos)
-    return doc_id
+        last_doc += gap
+    docs_end = pos
+    for _ in range(df):
+        _tf, pos = vbyte_decode(record, pos)
+    return header_end, docs_end, pos, last_doc
 
 
 def remove_document(base: bytes, doc_ids: Iterable[int]) -> bytes:

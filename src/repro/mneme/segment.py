@@ -41,6 +41,8 @@ SMALL_OBJECT_MAX = SMALL_SLOT_BYTES - 4
 SMALL_SEGMENT_BYTES = 4096
 
 _FIXED_SLOTS_SIZE = LOGICAL_SEGMENT_OBJECTS * SMALL_SLOT_BYTES
+_SLOT = struct.Struct(f"<I{SMALL_OBJECT_MAX}s")  # size (or empty marker), payload
+_EMPTY_SLOT = 0xFFFFFFFF
 assert _FIXED_HDR.size + _FIXED_SLOTS_SIZE <= SMALL_SEGMENT_BYTES
 
 
@@ -76,17 +78,13 @@ class FixedSlotSegment:
         return sum(1 for s in self.slots if s is not None)
 
     def to_bytes(self) -> bytes:
-        body = bytearray()
-        for data in self.slots:
-            if data is None:
-                body += struct.pack("<I", 0xFFFFFFFF)
-                body += b"\x00" * SMALL_OBJECT_MAX
-            else:
-                body += struct.pack("<I", len(data))
-                body += data + b"\x00" * (SMALL_OBJECT_MAX - len(data))
-        crc = zlib.crc32(bytes(body))
+        body = b"".join(
+            _SLOT.pack(_EMPTY_SLOT, b"") if data is None else _SLOT.pack(len(data), data)
+            for data in self.slots
+        )
+        crc = zlib.crc32(body)
         header = _FIXED_HDR.pack(_FIXED_MAGIC, self.pool_id, self.used, crc, self.logseg)
-        payload = header + bytes(body)
+        payload = header + body
         return payload + b"\x00" * (SMALL_SEGMENT_BYTES - len(payload))
 
     @classmethod
@@ -97,13 +95,11 @@ class FixedSlotSegment:
         body = data[_FIXED_HDR.size:_FIXED_HDR.size + _FIXED_SLOTS_SIZE]
         if zlib.crc32(bytes(body)) != crc:
             raise BadBlockError(f"fixed segment for logseg {logseg} fails CRC")
-        segment = cls(pool_id=pool_id, logseg=logseg)
-        for slot in range(LOGICAL_SEGMENT_OBJECTS):
-            base = slot * SMALL_SLOT_BYTES
-            (size,) = struct.unpack_from("<I", body, base)
-            if size != 0xFFFFFFFF:
-                segment.slots[slot] = bytes(body[base + 4:base + 4 + size])
-        return segment
+        slots = [
+            None if size == _EMPTY_SLOT else payload[:size]
+            for size, payload in _SLOT.iter_unpack(body)
+        ]
+        return cls(pool_id=pool_id, logseg=logseg, slots=slots)
 
     @property
     def byte_size(self) -> int:
@@ -122,7 +118,7 @@ class DirectorySegment:
     _payload_bytes: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        self._payload_bytes = sum(len(v) for v in self.objects.values())
+        self._payload_bytes = sum(map(len, self.objects.values()))
 
     def get(self, oid: int) -> bytes:
         try:
@@ -179,18 +175,28 @@ class DirectorySegment:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DirectorySegment":
+        """Parse a segment: header, directory, then every object slice.
+
+        The object count and the directory are checked against the
+        buffer before the CRC (the count is outside it), so a corrupt
+        header raises :class:`~repro.errors.BadBlockError` like any
+        other bad block.
+        """
+        if len(data) < _DIR_HDR.size:
+            raise BadBlockError("directory segment truncated")
         magic, pool_id, count, crc = _DIR_HDR.unpack_from(data, 0)
         if magic != _DIR_MAGIC:
             raise BadBlockError("not a directory segment")
-        segment = cls(pool_id=pool_id)
-        pos = _DIR_HDR.size
-        entries = []
-        for _ in range(count):
-            entries.append(_DIR_ENTRY.unpack_from(data, pos))
-            pos += _DIR_ENTRY.size
-        end = max((off + length for _, off, length in entries), default=pos)
+        directory_end = _DIR_HDR.size + _DIR_ENTRY.size * count
+        if directory_end > len(data):
+            raise BadBlockError(f"directory of {count} objects overruns the segment")
+        entries = list(_DIR_ENTRY.iter_unpack(data[_DIR_HDR.size:directory_end]))
+        end = max((off + length for _, off, length in entries), default=directory_end)
+        if end > len(data):
+            raise BadBlockError("directory entry points past the segment")
         if zlib.crc32(bytes(data[_DIR_HDR.size:end])) != crc:
             raise BadBlockError("directory segment fails CRC")
-        for oid, off, length in entries:
-            segment.put(oid, data[off:off + length])
-        return segment
+        return cls(
+            pool_id=pool_id,
+            objects={oid: data[off:off + length] for oid, off, length in entries},
+        )

@@ -162,10 +162,7 @@ class PagedTable:
         stored = max(0, min(self._count - first_index, self._per_page))
         if stored > 0 and start < self._file.size:
             raw = self._file.read(start, stored * self._entry.size)
-            page = [
-                self._entry.unpack_from(raw, i * self._entry.size)
-                for i in range(stored)
-            ]
+            page = list(self._entry.iter_unpack(raw))
         elif allow_new or stored == 0:
             page = []
         else:

@@ -92,16 +92,16 @@ def test_decode_memoizes_by_record_bytes():
 
 
 def test_eviction_is_least_recently_used():
-    a = encode_record_fast([(1, (1,))])  # weight (2 + 2 + 1) + 4
+    a = encode_record_fast([(1, (1,))])  # weight (2 + 2 + 1) + 3
     b = encode_record_fast([(2, (1,))])
     c = encode_record_fast([(3, (1,))])
-    cache = DecodeCache(max_ints=18)
+    cache = DecodeCache(max_ints=16)
     cache.decode(a)
     cache.decode(b)
     cache.decode(a)  # b is now the oldest
     cache.decode(c)
     assert list(cache._entries) == [a, c]
-    assert cache._held == 18
+    assert cache._held == 16
 
 
 def test_entry_is_charged_for_what_it_keeps_alive():
@@ -109,16 +109,17 @@ def test_entry_is_charged_for_what_it_keeps_alive():
     cache = DecodeCache()
     arrays = cache.decode(record)
     # Deferred positions keep the whole decoded stream (2 + 2 df + ctf
-    # integers) beside doc_ids, tf, the tf slots and pos_starts.
-    assert cache._held == (2 + 2 * 3 + 6) + 4 * 3
+    # integers, which the gap column views) beside doc_ids, the copied
+    # tf column and pos_starts.
+    assert cache._held == (2 + 2 * 3 + 6) + 3 * 3
     assert cache._held >= arrays.ctf + 3 * arrays.df  # the built form
     arrays.positions  # building frees the stream; the charge stays
-    assert cache._held == 14 + 12
+    assert cache._held == 14 + 9
 
 
 def test_oversize_record_is_decoded_but_not_kept():
-    small = encode_record_fast([(1, (1,)), (2, (3, 4))])  # weight 9 + 8
-    big = encode_record_fast([(d, (1, 2, 3)) for d in range(1, 20)])  # weight 97 + 76
+    small = encode_record_fast([(1, (1,)), (2, (3, 4))])  # weight 9 + 6
+    big = encode_record_fast([(d, (1, 2, 3)) for d in range(1, 20)])  # weight 97 + 57
     cache = DecodeCache(max_ints=20)
     kept = cache.decode(small)
     arrays = cache.decode(big)

@@ -1,5 +1,8 @@
 """Unit tests for physical segment codecs."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import BadBlockError, PoolError
@@ -129,3 +132,29 @@ class TestDirectorySegment:
         seg.put(1, b"newer value")
         assert seg.get(1) == b"newer value"
         assert len(seg) == 1
+
+    def test_object_count_past_the_buffer_is_a_bad_block(self):
+        # The count sits in the header, outside the CRC.
+        seg = DirectorySegment(pool_id=2)
+        seg.put(1, b"abc")
+        raw = bytearray(seg.to_bytes(pad_to=256))
+        struct.pack_into("<H", raw, 6, 60_000)
+        with pytest.raises(BadBlockError):
+            DirectorySegment.from_bytes(bytes(raw))
+
+    def test_entry_past_the_buffer_is_a_bad_block(self):
+        # A directory entry whose extent runs off the segment, under a
+        # CRC that matches the bytes actually there: without the bounds
+        # check the object would come back silently truncated.
+        seg = DirectorySegment(pool_id=2)
+        seg.put(1, b"abc")
+        seg.put(2, b"defgh")
+        raw = bytearray(seg.to_bytes())
+        struct.pack_into("<I", raw, 12 + 12 + 8, 5 + 100)  # entry 2's length
+        struct.pack_into("<I", raw, 8, zlib.crc32(bytes(raw[12:])))
+        with pytest.raises(BadBlockError):
+            DirectorySegment.from_bytes(bytes(raw))
+
+    def test_truncated_header_is_a_bad_block(self):
+        with pytest.raises(BadBlockError):
+            DirectorySegment.from_bytes(b"MSGD\x02\x00")
