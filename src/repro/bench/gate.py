@@ -50,7 +50,7 @@ GATES: Dict[str, str] = {
     "prune": "dynamic pruning: same top-k, fewer documents scored",
     "ingest": "live ingest: every epoch bit-identical to a "
               "stop-the-world rebuild",
-    "termcache": "decoded-term cache: bit-identical to cache-off, "
+    "termcache": "term cache: bit-identical to cache-off, "
                  "zero stale rankings",
     "chaos": "fault-tolerant serving under seeded fault injection",
 }

@@ -1,8 +1,8 @@
-"""Term-cache gate: decoded-postings caching must be invisible and pay.
+"""Term-cache gate: record caching must be invisible and pay.
 
-The decoded-term cache (:class:`~repro.serve.termcache.TermCache`) sits
+The term cache (:class:`~repro.serve.termcache.TermCache`) sits
 between the block LRU buffers and the result cache: a byte-budgeted,
-epoch-aware cache of decoded inverted-list records, per replica.  Its
+epoch-aware cache of fetched inverted-list records, per replica.  Its
 contract has two halves and this gate checks both, per collection
 profile, on simulated time:
 

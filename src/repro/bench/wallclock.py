@@ -92,7 +92,7 @@ def _run_path(
             )
             run.phase_s[f"query:{query_set.name}"] = time.perf_counter() - start
             run.metrics[query_set.name] = metrics
-        # Decoded-term cache on a repeat-heavy stream (two passes over
+        # Term cache on a repeat-heavy stream (two passes over
         # the query set): rankings must match the cache-off metrics run
         # on both passes, and the cache counters and simulated clock
         # must agree between the reference and fast paths.

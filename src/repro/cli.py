@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--term-cache-kb", type=int, default=256, metavar="KB",
-        help="decoded-term cache budget per replica in KB (0 disables; "
+        help="term cache budget per replica in KB (0 disables; "
              "rankings are bit-identical either way)",
     )
 
@@ -221,7 +221,7 @@ def _print_ingest_line(report) -> None:
 
 
 def _print_term_cache_line(stats) -> None:
-    """One line of decoded-term cache accounting under a demo run."""
+    """One line of term cache accounting under a demo run."""
     if stats is None or stats.lookups == 0:
         return
     print(

@@ -51,7 +51,7 @@ class RunMetrics:
     documents_skipped: int = 0
     blocks_skipped: int = 0
     prune_threshold_updates: int = 0
-    #: Decoded-term cache counters (zero when no cache was attached).
+    #: Term cache counters (zero when no cache was attached).
     #: Unlike the fields above these are not results-derived: harnesses
     #: that attach a cache fill them from its
     #: :class:`~repro.serve.termcache.TermCacheStats` after the run.

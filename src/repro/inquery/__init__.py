@@ -86,7 +86,6 @@ from .streams import (
     ChunkedRecordStream,
     FaultTolerantStream,
     PostingStream,
-    TombstoneFilterStream,
     WholeRecordStream,
     merge_streams,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "DocumentAtATimeEngine",
     "LinkedMnemeInvertedFile",
     "PostingStream",
-    "TombstoneFilterStream",
     "WholeRecordStream",
     "join_chunk_records",
     "merge_streams",

@@ -159,10 +159,10 @@ class PrunableSource:
     def mark_fetched(self, index: int) -> None:
         """Account block ``index`` as fetched without reading the store.
 
-        The serving layer's decoded-term cache replays blocks it already
-        holds decoded; those blocks were *not* skipped by pruning, so
+        The serving layer's term cache replays blocks whose raw bytes it
+        already holds; those blocks were *not* skipped by pruning, so
         ``blocks_fetched`` must count them exactly as a real fetch would
-        — only the store read and the decode are elided.
+        — only the store read and its decode charge are elided.
         """
         if not self._fetched[index]:
             self._fetched[index] = True

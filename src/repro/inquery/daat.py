@@ -42,7 +42,6 @@ from .streams import (
     PostingStream,
     RecordingStream,
     ReplayStream,
-    TombstoneFilterStream,
     merge_streams,
 )
 
@@ -149,7 +148,7 @@ class DocumentAtATimeEngine:
         # the term-at-a-time engine's array reads do; only the fast path
         # consults it.
         self._decode_cache = _codec.DecodeCache()
-        #: Optional decoded-term cache attached by the serving layer
+        #: Optional term cache attached by the serving layer
         #: (``None`` = the historical path, byte-for-byte).
         self.term_cache = None
 
@@ -205,40 +204,34 @@ class DocumentAtATimeEngine:
                         "stream", term, fingerprint=(entry.storage_key,)
                     )
                 if hit is not None:
+                    # A replay reads nothing and skips the upfront
+                    # decode charge (the probe above is the cost).
                     initial_resident, tape = hit.payload
                     stream: PostingStream = ReplayStream(tape, initial_resident)
-                    dead = hit.dead | self.index.tombstones
-                    if dead:
-                        stream = TombstoneFilterStream(stream, dead)
-                    streams.append((position, stream))
-                    lookups += 1
-                    idf[position] = inquery_idf(n_docs, entry.df)
-                    # The upfront decode charge is elided: a replay
-                    # decodes nothing (the probe above is the cost).
-                    continue
-                try:
-                    inner = self.index.store.stream_postings(entry.storage_key)
-                except BadBlockError:
-                    # Whole-record streams read eagerly; an unreadable
-                    # record degrades to "term contributes no evidence".
-                    failed[0] += 1
-                    continue
-                stream = FaultTolerantStream(
-                    inner, lambda _error: failed.__setitem__(0, failed[0] + 1)
-                )
-                if cache is not None:
-                    stream = RecordingStream(
-                        stream,
-                        self._tape_committer(cache, term, entry),
+                    stream.dead = hit.dead | self.index.tombstones
+                else:
+                    try:
+                        inner = self.index.store.stream_postings(entry.storage_key)
+                    except BadBlockError:
+                        # Whole-record streams read eagerly; an unreadable
+                        # record degrades to "term contributes no evidence".
+                        failed[0] += 1
+                        continue
+                    stream = FaultTolerantStream(
+                        inner, lambda _error: failed.__setitem__(0, failed[0] + 1)
                     )
-                if self.index.tombstones:
-                    stream = TombstoneFilterStream(stream, self.index.tombstones)
+                    if cache is not None:
+                        stream = RecordingStream(
+                            stream,
+                            self._tape_committer(cache, term, entry),
+                        )
+                    stream.dead = self.index.tombstones
+                    self.clock.charge_user(
+                        cost.cpu_ms_per_kb_decode * (_record_bytes(entry) / 1024.0)
+                    )
                 streams.append((position, stream))
                 lookups += 1
                 idf[position] = inquery_idf(n_docs, entry.df)
-                self.clock.charge_user(
-                    cost.cpu_ms_per_kb_decode * (_record_bytes(entry) / 1024.0)
-                )
 
             # The belief arithmetic below matches the term-at-a-time
             # network's expressions (order of operations included), so

@@ -66,7 +66,7 @@ class IngestReport:
     wal_marked: bool = False
     #: Owning shard -> sorted terms whose records this batch rewrote
     #: (adds only: deletes are tombstones and rewrite nothing).  This is
-    #: exactly the invalidation set for the decoded-term caches.
+    #: exactly the invalidation set for the term caches.
     mutated_terms: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
 
 

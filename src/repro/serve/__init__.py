@@ -18,12 +18,13 @@ with:
   invalidation epoch bumped on rebuild/compaction.  Hits are
   bit-identical to cold evaluation; degraded results
   (``completeness < 1``) are never admitted;
-* a **decoded-term cache** (:class:`~repro.serve.termcache.TermCache`),
+* a **term cache** (:class:`~repro.serve.termcache.TermCache`),
   the middle tier between the block LRU buffers and the result cache: a
-  byte-budgeted per-replica cache of decoded postings that answers the
-  hot-term repeats the paper's record-caching experiment measured,
-  eliding the SimDisk reads *and* the v-byte decode while keeping
-  rankings bit-identical (``term_cache_bytes`` on the service, the
+  byte-budgeted per-replica cache of fetched inverted-list records that
+  answers the hot-term repeats the paper's record-caching experiment
+  measured, eliding the SimDisk reads and the decode charge (each
+  engine's decode memo absorbs the real decode) while keeping rankings
+  bit-identical (``term_cache_bytes`` on the service, the
   scheduler, or the benches; off by default).
 
 Overload is a first-class state rather than an accident: a bounded

@@ -175,7 +175,7 @@ class ServiceStats:
     rebalances: int = 0       #: live topology cutovers (shard splits)
     ingests: int = 0          #: mutation batches applied and published
     compactions: int = 0      #: tombstone fold-out + store compaction passes
-    #: Decoded-term cache counters, merged over every per-replica cache
+    #: Term cache counters, merged over every per-replica cache
     #: this service ever owned (zeros when term caching is off).
     term_cache_hits: int = 0
     term_cache_misses: int = 0
@@ -417,10 +417,10 @@ class QueryService:
             return 0
         return self.cache.invalidate(reason)
 
-    # -- the decoded-term cache fleet --------------------------------------
+    # -- the term cache fleet --------------------------------------
 
     def term_caches(self) -> List[TermCache]:
-        """Every live per-replica decoded-term cache (empty when off)."""
+        """Every live per-replica term cache (empty when off)."""
         if self.term_cache_bytes <= 0:
             return []
         if self.sharded:
@@ -518,10 +518,7 @@ class QueryService:
         # tombstones — the post-fetch filter handles them, nothing to
         # invalidate).
         for cache in self.term_caches():
-            terms = report.mutated_terms.get(cache.shard, ())
-            if terms:
-                cache.invalidate_terms(terms)
-            cache.note_epoch(report.epoch)
+            cache.invalidate_terms(report.mutated_terms.get(cache.shard, ()))
         self.stats.ingests += 1
         self._sync_term_stats()
         return report

@@ -1,35 +1,40 @@
-"""The decoded-term cache: byte-budgeted, epoch-aware, tombstone-safe.
+"""The term cache: byte-budgeted, epoch-aware, tombstone-safe.
 
 The paper's central performance result is that *record caching helps
 more* than anything else Mneme does — query streams repeat terms, so
 keeping inverted-list records resident pays (Tables 5/6, Figure 2).
 The block LRU buffers reproduce that at the bottom of the stack and the
 :class:`~repro.serve.cache.ResultCache` lifts it to whole queries; this
-module adds the missing middle tier: a cache of **decoded** postings,
-so a repeated term skips not only the SimDisk reads but the v-byte
-decode as well.
+module adds the missing middle tier: a cache of the **fetched records**
+themselves, so a repeated term skips the store access (SimDisk reads,
+Mneme buffer traffic, ``record_lookups``) and its decode charge.
+
+Every payload is the bytes the store returned — never a decoded form —
+so both evaluation arms share one payload shape and each decodes a hit
+with its own decoder: the fast path through its engine's
+:class:`~repro.fastpath.codec.DecodeCache` memo (keyed by those same
+bytes, so a hit costs no real decode either), the reference path
+through :func:`~repro.inquery.postings.decode_record`.
 
 One :class:`TermCache` serves one replica of one shard (flat systems
 are shard 0).  Entries are keyed by ``(kind, term)`` where ``kind``
 names the read choke point that produced them:
 
-* ``"arrays"``   — the TAAT provider's columnar
-  :class:`~repro.fastpath.codec.RecordArrays`, flat and sharded alike;
-* ``"postings"`` — the reference TAAT provider's decoded ``[(doc,
-  positions)]`` list (:meth:`_IndexProvider.postings`; kill switch only);
-* ``"stream"``   — a DAAT stream recording: the decoded batch sequence
-  one full drain of ``stream_postings`` produced;
-* ``"blocks"``   — per-block ``(doc_ids, tfs, raw_nbytes)`` triples for
-  the MaxScore :class:`~repro.inquery.bounds.PrunableSource`.
+* ``"arrays"`` — the term-at-a-time provider's whole record, flat and
+  sharded, on both arms;
+* ``"stream"`` — a DAAT stream recording: the raw pieces one full drain
+  of ``stream_postings`` produced, each with the ``resident_bytes`` it
+  left behind;
+* ``"blocks"`` — the raw bytes of each block the MaxScore
+  :class:`~repro.inquery.bounds.PrunableSource` fetched, by block.
 
 Correctness rules (the observational-identity contract):
 
 * **Entries are epoch-raw.**  Payloads are cached *unfiltered*; the
-  tombstone filter is applied after every cache fetch, against the
-  union of the entry's tombstone snapshot and the index's current set.
-  Deletes therefore never invalidate anything — a tombstoned document
-  is filtered out of a hit exactly as it is filtered out of a fresh
-  decode.
+  tombstone filter is applied after every decode, against the union of
+  the entry's tombstone snapshot and the index's current set.  Deletes
+  therefore never invalidate anything — a tombstoned document is
+  filtered out of a hit exactly as it is filtered out of a fresh read.
 * **Adds invalidate exactly the mutated terms.**  An ingest batch
   rewrites only the records of the terms it adds postings to;
   :meth:`invalidate_terms` drops those entries (every kind) on the
@@ -39,21 +44,22 @@ Correctness rules (the observational-identity contract):
   the folded set into every entry's snapshot, so a stale payload
   filtered through its snapshot yields exactly the live postings a
   fresh decode of the folded record yields.  Entries whose physical
-  layout matters (``"blocks"``) carry a *fingerprint* of that layout
-  and simply miss when compaction re-split their chunks.
+  layout matters (``"stream"``, ``"blocks"``) carry a *fingerprint* of
+  that layout and simply miss when compaction re-homed or re-split it.
 * **Hits are charged a probe.**  Call sites charge
   :data:`TERM_PROBE_MS` on the simulated clock per lookup so latency
   accounting stays honest; the elided work (block reads, decode
   charges, ``record_lookups``) is the measured win.
 
-Eviction is size-weighted LRU under ``byte_budget``; an entry larger
-than ``max_entry_fraction`` of the budget is never admitted (a single
-TIPSTER-scale list would otherwise flush the whole cache for one term).
+Eviction is size-weighted LRU under ``byte_budget``, every entry
+charged its encoded length; an entry larger than ``max_entry_fraction``
+of the budget is never admitted (a single TIPSTER-scale list would
+otherwise flush the whole cache for one term).
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError
 
@@ -61,8 +67,8 @@ from ..errors import ConfigError
 #: every lookup (hit or miss).  Small against even one block read.
 TERM_PROBE_MS = 0.002
 
-#: Entry kinds, in the order the stack consults them (documentation).
-KINDS = ("postings", "arrays", "stream", "blocks")
+#: Entry kinds, one per read choke point (documentation).
+KINDS = ("arrays", "stream", "blocks")
 
 
 @dataclass
@@ -104,11 +110,10 @@ class _Entry:
     nbytes: int
     dead: frozenset
     fingerprint: Optional[tuple]
-    epoch: int
 
 
 class TermCache:
-    """Size-weighted LRU of decoded postings for one shard replica."""
+    """Size-weighted LRU of inverted-list records for one shard replica."""
 
     def __init__(
         self,
@@ -123,11 +128,12 @@ class TermCache:
             raise ConfigError("max_entry_fraction must be in (0, 1]")
         self.byte_budget = byte_budget
         self.shard = shard
-        self.max_entry_bytes = max(1, int(byte_budget * max_entry_fraction))
+        self.max_entry_bytes = min(
+            byte_budget, max(1, int(byte_budget * max_entry_fraction))
+        )
         #: per-lookup probe charge; engines read it off the attached
         #: cache so :mod:`repro.inquery` never imports the serve layer.
         self.probe_ms = TERM_PROBE_MS
-        self.epoch = 0
         self.stats = TermCacheStats()
         self._entries: "OrderedDict[Tuple[str, object], _Entry]" = OrderedDict()
         #: deterministic (op, kind, term) event log for the bench gate;
@@ -179,14 +185,13 @@ class TermCache:
         dead: Iterable[int] = (),
         fingerprint: Optional[tuple] = None,
     ) -> bool:
-        """Admit a decoded payload; returns whether it was cached.
+        """Admit a payload of record bytes; returns whether it was cached.
 
-        ``dead`` is the index's tombstone set at decode time (the
+        ``dead`` is the index's tombstone set at fetch time (the
         snapshot hits filter through, unioned with the then-current
         set).  ``nbytes`` is the payload's resident charge — the
-        encoded record size, which both bounds the decoded arrays and
-        is exactly the footprint the elided fetch would have made
-        resident.
+        encoded record size, exactly the footprint the elided fetch
+        would have made resident.
         """
         nbytes = max(1, int(nbytes))
         if nbytes > self.max_entry_bytes:
@@ -200,26 +205,19 @@ class TermCache:
             nbytes=nbytes,
             dead=frozenset(dead),
             fingerprint=fingerprint,
-            epoch=self.epoch,
         )
         self.stats.bytes += nbytes
         self.stats.insertions += 1
         if self.trace is not None:
             self.trace.append(("put", kind, str(term)))
-        while self.stats.bytes > self.byte_budget and len(self._entries) > 1:
+        # An admitted entry fits the budget on its own, so evicting
+        # older entries always makes room and the new one survives.
+        while self.stats.bytes > self.byte_budget:
             victim = next(iter(self._entries))
             self._drop(victim)
             self.stats.evictions += 1
             if self.trace is not None:
                 self.trace.append(("evict", victim[0], str(victim[1])))
-        if self.stats.bytes > self.byte_budget:
-            # Sole survivor still over budget (budget < max_entry_bytes
-            # only when max_entry_fraction == 1): evict it too.
-            self._drop(key)
-            self.stats.evictions += 1
-            if self.trace is not None:
-                self.trace.append(("evict", kind, str(term)))
-            return False
         self.stats.peak_bytes = max(self.stats.peak_bytes, self.stats.bytes)
         return True
 
@@ -228,10 +226,6 @@ class TermCache:
         self.stats.bytes -= entry.nbytes
 
     # -- index lifecycle hooks -------------------------------------------------
-
-    def note_epoch(self, epoch: int) -> None:
-        """Stamp subsequently inserted entries with the published epoch."""
-        self.epoch = epoch
 
     def invalidate_terms(self, terms: Iterable) -> int:
         """Drop every entry (all kinds) for each mutated term.

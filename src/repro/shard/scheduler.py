@@ -207,7 +207,7 @@ class ShardScheduler:
         # mirror transparently gets a fresh engine on first use.
         self._taat: Dict[Tuple[int, int], ShardTaatRunner] = {}
         self._daat: Dict[Tuple[int, int], DocumentAtATimeEngine] = {}
-        # Decoded-term caches, one per (shard, replica), validated the
+        # Term caches, one per (shard, replica), validated the
         # same way: a cache survives failover back to a healthy mirror
         # (the machine object is unchanged) but a re-replicated or
         # re-split machine starts cold.  0 bytes = caching off.
@@ -246,11 +246,6 @@ class ShardScheduler:
             if shard == shard_id:
                 dropped += cache.invalidate_terms(terms)
         return dropped
-
-    def note_epoch(self, epoch: int) -> None:
-        """Stamp every cache with the just-published epoch."""
-        for _shard, _replica, cache in self.term_caches():
-            cache.note_epoch(epoch)
 
     def fold_term_tombstones(self, dead_by_shard: Dict[int, set]) -> None:
         """Compaction hook: merge each shard's folded tombstone set into

@@ -42,7 +42,7 @@ class ShardTaatRunner:
     def __init__(self, system: IRSystem, top_k: int = DEFAULT_TOP_K):
         self.system = system
         #: The shard's evaluator; the scheduler attaches the replica's
-        #: decoded-term cache to it (``engine.term_cache``).
+        #: term cache to it (``engine.term_cache``).
         self.engine = RetrievalEngine(
             system.index, system.clock, top_k=top_k,
             use_reservation=system.config.use_reservation,

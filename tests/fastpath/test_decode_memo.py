@@ -260,10 +260,8 @@ class _Serving:
         if self.sharded:
             for shard_id, terms in report.mutated_terms.items():
                 self.scheduler.invalidate_terms(shard_id, terms)
-            self.scheduler.note_epoch(report.epoch)
         elif self.cache is not None:
             self.cache.invalidate_terms(report.mutated_terms.get(0, ()))
-            self.cache.note_epoch(report.epoch)
 
 
 def _observe(result):

@@ -175,10 +175,11 @@ def test_kernels_actually_dispatch_when_enabled(monkeypatch):
 
 def test_sharded_wave_runs_on_the_array_kernels(monkeypatch):
     # The sharded runner takes the same dispatch as the flat engine:
-    # fast path on, a wave decodes through ``decode_record_arrays`` and
-    # caches kind ``arrays``; off, it decodes postings lists.
+    # fast path on, a wave decodes through ``decode_record_arrays``;
+    # off, it decodes postings lists.  Both arms cache the fetched
+    # record under the one kind ``arrays``.
     decodes = _spy(monkeypatch, "repro.fastpath.codec", "decode_record_arrays")
-    for fast, kind in ((True, "arrays"), (False, "postings")):
+    for fast in (True, False):
         del decodes[:]
         with use_fastpath(fast):
             scheduler = _sharded_wave(term_cache_bytes=1 << 20)
@@ -188,7 +189,7 @@ def test_sharded_wave_runs_on_the_array_kernels(monkeypatch):
             for _shard, _replica, cache in scheduler.term_caches()
             for key in cache._entries
         }
-        assert kinds == {kind}
+        assert kinds == {"arrays"}
 
 
 def test_env_kill_switch_end_to_end():

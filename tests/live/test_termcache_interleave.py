@@ -58,7 +58,6 @@ class _FlatHarness:
 
     def on_ingest(self, report):
         self.cache.invalidate_terms(report.mutated_terms.get(0, ()))
-        self.cache.note_epoch(report.epoch)
 
     def tombstone_snapshot(self):
         return {0: set(self.backend.index.tombstones)}
@@ -108,8 +107,6 @@ class _ShardedHarness:
         for shard_id, terms in report.mutated_terms.items():
             self.scheduler.invalidate_terms(shard_id, terms)
             self.daat_scheduler.invalidate_terms(shard_id, terms)
-        self.scheduler.note_epoch(report.epoch)
-        self.daat_scheduler.note_epoch(report.epoch)
 
     def tombstone_snapshot(self):
         return {
