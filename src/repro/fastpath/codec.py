@@ -19,7 +19,7 @@ either handles it or raises the canonical error.
 """
 
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +146,25 @@ def filter_record_arrays(arrays: "RecordArrays", dead: set) -> "RecordArrays":
     tf = arrays.tf[keep]
     positions = arrays.positions[np.repeat(keep, arrays.tf)]
     return RecordArrays(doc_ids, tf, positions, _exclusive_cumsum(tf))
+
+
+def dead_column_filter(dead) -> Optional[Callable]:
+    """(doc_ids, tf) -> (doc_ids, tf) with ``dead`` documents dropped.
+
+    Returns ``None`` when there is nothing to filter; the filter passes
+    columns with no dead document through untouched.
+    """
+    if not dead:
+        return None
+    dead_arr = np.fromiter(sorted(dead), dtype=np.int64)
+
+    def filter_columns(doc_ids, tf):
+        keep = ~np.isin(doc_ids, dead_arr)
+        if keep.all():
+            return doc_ids, tf
+        return doc_ids[keep], tf[keep]
+
+    return filter_columns
 
 
 class DecodeCache:

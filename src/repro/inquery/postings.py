@@ -177,6 +177,13 @@ def decode_record(record: bytes) -> List[Posting]:
     return _decode_record_py(record)
 
 
+def live_postings(postings: List[Posting], dead) -> List[Posting]:
+    """``postings`` without the tombstoned documents in ``dead``."""
+    if not dead:
+        return postings
+    return [(d, p) for d, p in postings if d not in dead]
+
+
 def _decode_record_py(record: bytes) -> List[Posting]:
     """The scalar reference decoder."""
     df, pos = vbyte_decode(record, 0)
