@@ -11,16 +11,18 @@ integer stream, sliced back into per-term records by byte offset.
 
 Output records are byte-identical to per-term ``encode_record`` calls
 (the concatenation of reference records *is* the encoded global value
-stream, cut at record boundaries).
+stream, cut at record boundaries).  :func:`decode_collection` is the
+inverse: every record back to posting triples in one v-byte scan.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import IndexError_
-from .vbyte import encode_stream
+from .codec import _exclusive_cumsum, _positions_from_gaps
+from .vbyte import decode_stream, encode_stream
 
 
 @dataclass
@@ -144,3 +146,43 @@ def encode_collection(
         record_sizes=term_byte_ends - term_byte_starts,
         max_tf=max_tf,
     )
+
+
+def decode_collection(
+    records: Sequence[Tuple[int, bytes]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(term id, doc id, position) of every posting in ``records``.
+
+    Postings come out record by record, each record's in (doc id,
+    position) order, so ``encode_collection`` of the triples (or of any
+    masked subset) gives back records for the same terms.
+    """
+    if not records:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    term_ids = np.fromiter((t for t, _r in records), dtype=np.int64, count=len(records))
+    sizes = np.fromiter((len(r) for _t, r in records), dtype=np.int64, count=len(records))
+    data = b"".join(r for _t, r in records)
+    values, clean = decode_stream(data)
+    # Record i's integers start after the integers ending before its
+    # first byte: count v-byte terminators.
+    terminators = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) < 0x80)
+    starts = np.searchsorted(terminators, _exclusive_cumsum(sizes))
+    values = values.astype(np.int64)
+    df = values[starts]
+    ctf = values[np.minimum(starts + 1, values.size - 1)]
+    counts = np.diff(np.append(starts, values.size))
+    if not clean or (counts != 2 + 2 * df + ctf).any():
+        raise IndexError_("malformed postings record in collection decode")
+    entries = int(df.sum())
+    doc_slots = (np.repeat(starts + 2 - _exclusive_cumsum(df), df)
+                 + np.arange(entries, dtype=np.int64))
+    tf = values[doc_slots + np.repeat(df, df)]
+    # Document gaps restart (absolute) at each record, position gaps at
+    # each document: both are restarted running sums.
+    doc_ids = _positions_from_gaps(values[doc_slots], df, _exclusive_cumsum(df))
+    total = int(ctf.sum())
+    gap_slots = (np.repeat(starts + 2 + 2 * df - _exclusive_cumsum(ctf), ctf)
+                 + np.arange(total, dtype=np.int64))
+    positions = _positions_from_gaps(values[gap_slots], tf, _exclusive_cumsum(tf))
+    return np.repeat(term_ids, ctf), np.repeat(doc_ids, tf), positions

@@ -93,17 +93,23 @@ def encode_stream(values: np.ndarray) -> Tuple[bytes, np.ndarray]:
         bad = int(v[v < 0][0])
         raise IndexError_(f"cannot v-byte encode negative value {bad}")
     v = v.astype(np.uint64)
-    if int(v.max()) > MAX_VALUE:
+    largest = int(v.max())
+    if largest > MAX_VALUE:
         raise IndexError_("value too wide for the vector encoder")
+    # Only the groups the largest value needs: postings values mostly
+    # fit in one or two.
+    widest = max(1, -(-largest.bit_length() // 7))
     lengths = np.ones(v.size, dtype=np.int64)
-    for k in range(1, MAX_GROUPS):
-        lengths += (v >= np.uint64(1 << (7 * k))).astype(np.int64)
+    for k in range(1, widest):
+        lengths += v >= np.uint64(1 << (7 * k))
     ends = np.cumsum(lengths)
     starts = ends - lengths
     out = np.empty(int(ends[-1]), dtype=np.uint8)
-    for k in range(int(lengths.max())):
-        mask = lengths > k
-        payload = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        continuation = (lengths[mask] - 1 > k).astype(np.uint64) << np.uint64(7)
-        out[starts[mask] + k] = (payload | continuation).astype(np.uint8)
+    for k in range(widest):
+        # Group k of every value that has one: seven payload bits, plus
+        # the continuation bit unless it is the value's last group.
+        live = slice(None) if k == 0 else np.flatnonzero(lengths > k)
+        group = (v[live] >> np.uint64(7 * k)).astype(np.uint8) & np.uint8(0x7F)
+        group[lengths[live] > k + 1] |= np.uint8(0x80)
+        out[starts[live] + k] = group
     return out.tobytes(), lengths

@@ -26,7 +26,7 @@ from .traffic import (
     TrafficProfile,
     open_loop_requests,
 )
-from .vocab import term_rank, term_string
+from .vocab import term_rank, term_string, term_strings
 from .zipf import ZipfSampler, rank_frequency_constant, zipf_mandelbrot_weights
 
 __all__ = [
@@ -52,5 +52,6 @@ __all__ = [
     "relevance_from_postings",
     "term_rank",
     "term_string",
+    "term_strings",
     "zipf_mandelbrot_weights",
 ]

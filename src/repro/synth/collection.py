@@ -107,10 +107,13 @@ class SyntheticCollection:
 
     def term_counts(self) -> np.ndarray:
         """Observed occurrences per term rank (length = vocab size)."""
-        counts = np.zeros(self.profile.vocab_size, dtype=np.int64)
-        for tokens in self.doc_tokens:
-            np.add.at(counts, tokens, 1)
-        return counts
+        return np.bincount(self._tokens(), minlength=self.profile.vocab_size)
+
+    def _tokens(self) -> np.ndarray:
+        """Every token rank, document after document."""
+        if not self.total_tokens:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(self.doc_tokens)
 
     def flat_postings(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """(term rank, doc id, position) arrays over the whole collection.
@@ -119,13 +122,14 @@ class SyntheticCollection:
         indexing sort.
         """
         total = self.total_tokens
-        ranks = np.concatenate(self.doc_tokens) if total else np.empty(0, dtype=np.int64)
+        ranks = self._tokens()
         doc_ids = np.repeat(
             np.arange(1, len(self) + 1, dtype=np.int64), self.doc_lengths
         )
-        positions = np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in self.doc_lengths]
-        ) if total else np.empty(0, dtype=np.int64)
+        doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
+        positions = np.arange(total, dtype=np.int64) - np.repeat(
+            doc_starts, self.doc_lengths
+        )
         return ranks, doc_ids, positions
 
     def iter_documents(self) -> Iterator[Document]:

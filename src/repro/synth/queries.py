@@ -76,6 +76,7 @@ def generate_query_set(collection: SyntheticCollection, profile: QueryProfile) -
         raise ConfigError("no terms pass the query-term frequency floor")
     weights = counts[eligible].astype(np.float64) ** profile.bias_alpha
     weights /= weights.sum()
+    cumulative = np.cumsum(weights)
     rng = np.random.default_rng(profile.seed)
 
     used_pool: List[int] = []
@@ -83,7 +84,7 @@ def generate_query_set(collection: SyntheticCollection, profile: QueryProfile) -
     ranks_per_query: List[List[int]] = []
     for _ in range(profile.n_queries):
         n_terms = max(2, int(rng.poisson(profile.mean_terms)))
-        ranks = _draw_terms(rng, eligible, weights, used_pool, profile.reuse_rate, n_terms)
+        ranks = _draw_terms(rng, eligible, cumulative, used_pool, profile.reuse_rate, n_terms)
         used_pool.extend(ranks)
         queries.append(_render(rng, profile.style, ranks, collection))
         ranks_per_query.append(ranks)
@@ -93,7 +94,7 @@ def generate_query_set(collection: SyntheticCollection, profile: QueryProfile) -
 def _draw_terms(
     rng: np.random.Generator,
     eligible: np.ndarray,
-    weights: np.ndarray,
+    cumulative: np.ndarray,
     used_pool: Sequence[int],
     reuse_rate: float,
     n_terms: int,
@@ -103,12 +104,14 @@ def _draw_terms(
         if used_pool and rng.random() < reuse_rate:
             ranks.append(int(used_pool[rng.integers(len(used_pool))]))
         else:
-            ranks.append(int(eligible[_weighted_choice(rng, weights)]))
+            ranks.append(int(eligible[_weighted_choice(rng, cumulative)]))
     return ranks
 
 
-def _weighted_choice(rng: np.random.Generator, weights: np.ndarray) -> int:
-    return int(np.searchsorted(np.cumsum(weights), rng.random(), side="left"))
+def _weighted_choice(rng: np.random.Generator, cumulative: np.ndarray) -> int:
+    """Draw an index by inverse CDF over ``cumsum(weights)``, computed once
+    per query set."""
+    return int(np.searchsorted(cumulative, rng.random(), side="left"))
 
 
 def _render(

@@ -1,5 +1,6 @@
 """Tests for the prepared-collection indexing path."""
 
+import numpy as np
 import pytest
 
 from repro.core import config_by_name, materialize, prepare_collection
@@ -52,6 +53,24 @@ def test_record_size_of_rank(tiny_prepared):
     index = [tid for tid, _r in tiny_prepared.records].index(term_id)
     assert tiny_prepared.record_size_of_rank(rank) == len(tiny_prepared.records[index][1])
     assert tiny_prepared.record_size_of_rank(10**7) == 0
+
+
+def test_flat_postings_arrive_in_doc_position_order(tiny_collection):
+    """The indexing sort orders by term alone; that is the full (term,
+    doc, position) sort only because the postings already come in (doc,
+    position) order."""
+    ranks, doc_ids, positions = tiny_collection.flat_postings()
+    assert (np.diff(doc_ids) >= 0).all()
+    same_doc = np.diff(doc_ids) == 0
+    assert (np.diff(positions)[same_doc] > 0).all()
+    assert (positions[1:][~same_doc] == 0).all() and positions[0] == 0
+    by_term = np.argsort(ranks, kind="stable")
+    assert np.array_equal(by_term, np.lexsort((positions, doc_ids, ranks)))
+
+
+def test_prepared_terms_are_the_rank_strings(tiny_prepared):
+    for rank, term_id in tiny_prepared.term_id_of_rank.items():
+        assert tiny_prepared.terms[term_id - 1] == term_string(rank)
 
 
 def test_empty_collection_rejected():

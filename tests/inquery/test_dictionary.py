@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
-from repro.inquery import HashDictionary
+from repro.inquery import HashDictionary, TermEntry
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
 
 
@@ -118,3 +118,82 @@ def test_matches_dict_model(terms):
     assert len(set(model.values())) == len(model)  # ids unique
     for term, term_id in model.items():
         assert d.lookup(term).term_id == term_id
+
+
+def _saved(d: HashDictionary) -> bytes:
+    file = SimFileSystem(SimDisk(SimClock()), cache_blocks=32).create("dict")
+    d.save(file)
+    return file.read(0, file.size)
+
+
+def _row(entry: TermEntry) -> tuple:
+    return (entry.term, entry.term_id, entry.df, entry.ctf, entry.storage_key,
+            entry.max_tf, entry.bounds_key)
+
+
+def _build_both(terms, buckets):
+    """The same entries through sequential ``add`` and ``from_entries``."""
+    sequential = HashDictionary(initial_buckets=buckets)
+    bulk_entries = []
+    for i, term in enumerate(terms):
+        fields = (3 * i + 2, i + 1, 5 * i + 1, i * 7 + 3, i % 11, i * 13)
+        entry = sequential.add(term, fields[0])
+        (entry.df, entry.ctf, entry.storage_key, entry.max_tf,
+         entry.bounds_key) = fields[1:]
+        bulk_entries.append(TermEntry(term, *fields))
+    return sequential, HashDictionary.from_entries(bulk_entries, initial_buckets=buckets)
+
+
+#: Few letters and short words: many terms share a bucket, and small
+#: bucket counts make ``add`` grow the table (several times) mid-build.
+_TERM_SETS = st.lists(
+    st.text(alphabet="abcdé", min_size=1, max_size=6), unique=True, max_size=120
+)
+
+
+@given(terms=_TERM_SETS, buckets=st.integers(min_value=1, max_value=40))
+@settings(max_examples=150, deadline=None)
+def test_bulk_constructor_equals_sequential_add(terms, buckets):
+    sequential, bulk = _build_both(terms, buckets)
+    assert _saved(bulk) == _saved(sequential)
+    assert len(bulk) == len(sequential) == len(terms)
+    assert bulk._next_id == sequential._next_id
+    assert bulk.bucket_count == sequential.bucket_count
+    for term in terms + ["absent", "éé"]:
+        found, expected = bulk.lookup(term), sequential.lookup(term)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert _row(found) == _row(expected)
+
+
+@given(terms=_TERM_SETS, buckets=st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_save_load_round_trips_through_the_bulk_path(terms, buckets):
+    original, _bulk = _build_both(terms, buckets)
+    fs = SimFileSystem(SimDisk(SimClock()), cache_blocks=32)
+    file = fs.create("dict")
+    original.save(file)
+    loaded = HashDictionary.load(file)
+    assert len(loaded) == len(original)
+    assert loaded._next_id == original._next_id
+    assert sorted(map(_row, loaded.entries())) == sorted(map(_row, original.entries()))
+    # ``load`` is ``add`` in saved order (which reverses each chain, as
+    # it always has): same chains, same bytes.
+    replayed = HashDictionary(initial_buckets=max(1024, len(terms) // 2))
+    for entry in original.entries():
+        copy = replayed.add(entry.term, entry.term_id)
+        (copy.df, copy.ctf, copy.storage_key, copy.max_tf,
+         copy.bounds_key) = _row(entry)[2:]
+    assert _saved(loaded) == _saved(replayed)
+
+
+def test_bulk_constructor_links_shared_buckets_in_insertion_order():
+    entries = [TermEntry(term, i + 1) for i, term in enumerate("abcdefghi")]
+    d = HashDictionary.from_entries(entries, initial_buckets=1)
+    # ``add`` grows at 4 entries per bucket: nine entries doubled one
+    # bucket twice, and every term is still found as its own entry.
+    assert d.bucket_count == 4
+    for entry in entries:
+        assert d.lookup(entry.term) is entry
+    assert d._next_id == 10
+    assert HashDictionary.from_entries([], initial_buckets=8).bucket_count == 8

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import materialize
 from repro.errors import ConfigError
+from repro.inquery import decode_record, encode_record
 from repro.shard import (
     HashPartitioner,
     RangePartitioner,
@@ -70,6 +71,27 @@ def test_single_shard_records_are_the_global_records(prepared):
         prepared, make_partitioner("hash", 1, len(prepared.doctable))
     )
     assert shard.records == prepared.records  # same bytes, same order
+
+
+@pytest.mark.parametrize("scheme", ["hash", "range"])
+def test_shard_records_match_per_posting_routing(prepared, scheme):
+    """The columnar split equals routing each decoded posting to its home
+    shard and encoding every slice with the scalar record encoder."""
+    partitioner = make_partitioner(scheme, 3, len(prepared.doctable))
+    expected = [[] for _ in range(3)]
+    for term_id, record in prepared.records:
+        slices = {}
+        for posting in decode_record(record):
+            slices.setdefault(partitioner.shard_of(posting[0]), []).append(posting)
+        for shard_id, postings in slices.items():
+            expected[shard_id].append((term_id, encode_record(postings), postings))
+    for shard, rows in zip(partition_prepared(prepared, partitioner), expected):
+        assert shard.records == [(term_id, record) for term_id, record, _p in rows]
+        assert shard.df == {term_id: len(p) for term_id, _r, p in rows}
+        assert shard.ctf == {
+            term_id: sum(len(pos) for _d, pos in p) for term_id, _r, p in rows
+        }
+        assert shard.stats.record_sizes == [len(record) for _t, record, _p in rows]
 
 
 def test_single_shard_platter_is_byte_identical(prepared, config, baseline):

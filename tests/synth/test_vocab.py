@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.inquery import tokenize
-from repro.synth import term_rank, term_string
+from repro.synth import term_rank, term_string, term_strings
 
 
 def test_first_terms():
@@ -46,3 +46,15 @@ def test_terms_survive_tokenizer():
     for rank in (0, 100, 99999):
         term = term_string(rank)
         assert tokenize(term) == [term]
+
+
+@given(ranks=st.lists(st.integers(min_value=0, max_value=10**12), max_size=60))
+def test_term_strings_match_the_scalar_oracle(ranks):
+    assert term_strings(ranks) == [term_string(rank) for rank in ranks]
+
+
+def test_term_strings_digit_boundaries():
+    ranks = [0, 25, 26, 675, 676, 17575, 17576, 456975, 456976]
+    assert term_strings(ranks) == [term_string(rank) for rank in ranks]
+    with pytest.raises(ValueError):
+        term_strings([3, -1])
