@@ -16,7 +16,11 @@ no inverted list data is retained across record accesses.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..btree import BTreeKeyedFile
 from ..errors import PoolError
@@ -281,12 +285,47 @@ class MnemeInvertedFile(InvertedFileStore):
         return self.large
 
     def bulk_build(self, records: Iterable[Tuple[int, bytes]]) -> Dict[int, int]:
-        keys: Dict[int, int] = {}
-        for term_id, data in records:
-            oid = self._pool_for(data).create(data)
-            keys[term_id] = self.store.global_id(self.mfile, oid)
+        keys = self._bulk_store(records, self.large.create)
         self.flush()
         return keys
+
+    def _bulk_store(
+        self,
+        records: Iterable[Tuple[int, bytes]],
+        create_large: Callable[[bytes], int],
+    ) -> Dict[int, int]:
+        """Store every record into the empty pools, as ``create`` per record
+        would: the small and medium pools fill a segment at a time
+        (``bulk_events``), large records go through ``create_large``,
+        and all of it runs in record order."""
+        records = list(records)
+        term_ids, datas = zip(*records) if records else ((), ())
+        sizes = np.fromiter(map(len, datas), dtype=np.int64, count=len(datas))
+        small = sizes <= SMALL_MAX_BYTES
+        large = sizes > self.medium_max_bytes
+        oids = np.zeros(len(datas), dtype=np.int64)
+
+        def store_large(index: int) -> None:
+            oids[index] = create_large(datas[index])
+
+        events = [
+            (index, partial(store_large, index))
+            for index in np.flatnonzero(large).tolist()
+        ]
+        finishes = []
+        for pool, members in ((self.small, small), (self.medium, ~small & ~large)):
+            at = np.flatnonzero(members).tolist()
+            pool_events, finish = pool.bulk_events([datas[i] for i in at], at)
+            events += pool_events
+            finishes.append((at, finish))
+        # A record allocates a logical segment before it can push a
+        # full segment out; the stable sort keeps that order.
+        events.sort(key=itemgetter(0))
+        for _index, action in events:
+            action()
+        for at, finish in finishes:
+            oids[at] = finish()
+        return dict(zip(term_ids, self.store.global_ids(self.mfile, oids.tolist())))
 
     def fetch(self, key: int) -> bytes:
         self.record_lookups += 1
@@ -409,18 +448,14 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         layout-sensitive observables (segment counts, record placement)
         stay comparable across index versions.
         """
-        keys: Dict[int, int] = {}
         pending: List[Tuple[int, Tuple[List[int], List[int], List[int]]]] = []
-        for term_id, data in records:
-            pool = self._pool_for(data)
-            if pool is self.large:
-                oid = self._create_large(data)
-                key = self.store.global_id(self.mfile, oid)
-                pending.append((key, self._last_chain_stats))
-            else:
-                oid = pool.create(data)
-                key = self.store.global_id(self.mfile, oid)
-            keys[term_id] = key
+
+        def create_large(data: bytes) -> int:
+            oid = self._create_large(data)
+            pending.append((self.store.global_id(self.mfile, oid), self._last_chain_stats))
+            return oid
+
+        keys = self._bulk_store(records, create_large)
         for key, (oids, last_docs, max_tfs) in pending:
             self._register_bounds(key, encode_chunk_bounds(oids, last_docs, max_tfs))
         self.flush()

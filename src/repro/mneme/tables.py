@@ -21,7 +21,7 @@ Each table persists one kind of fact, per pool:
 """
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import MnemeError
 from ..simdisk import SimFile
@@ -103,6 +103,18 @@ class PagedTable:
         self._count += 1
         self._dirty.add(page_no)
         return index
+
+    def extend(self, rows: Sequence[Tuple]) -> None:
+        """Append many entries, a page at a time (same pages as ``append``)."""
+        done = 0
+        while done < len(rows):
+            page_no, offset = divmod(self._count, self._per_page)
+            page = self._load_page(page_no, allow_new=True)
+            take = rows[done:done + self._per_page - offset]
+            page[offset:offset + len(take)] = take
+            self._count += len(take)
+            self._dirty.add(page_no)
+            done += len(take)
 
     def get(self, index: int) -> Tuple:
         """Fetch one entry; first touch of its page costs a file access."""
