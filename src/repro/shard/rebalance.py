@@ -32,7 +32,6 @@ from typing import Dict, List
 from ..core.prepared import materialize
 from ..errors import BadBlockError, ConfigError, ReplicaFailedError
 from ..inquery import decode_record, encode_record, uncompressed_size
-from ..synth import term_string
 from .partition import ShardPrepared
 from .system import ShardedIRSystem
 
@@ -113,7 +112,7 @@ def _stream_shard(
         start = source.clock.snapshot()
         try:
             for term_id, _record in sharded.shard_prepared[shard_id].records:
-                term = term_string(prepared.rank_of_term_id[term_id])
+                term = prepared.terms[term_id - 1]
                 entry = source.index.term_entry(term)
                 data = source.index.store.fetch(entry.storage_key)
                 slices: Dict[int, list] = {}
