@@ -34,6 +34,7 @@ from .node import (
     find_key,
     insertion_point,
     leaf_entry_size,
+    leaf_value,
     parse_node,
 )
 from .page import NODE_PAGE_SIZE, PageAllocator
@@ -153,11 +154,9 @@ class BTreeKeyedFile:
             If no record exists for ``key``.
         """
         self.record_lookups += 1
-        leaf = self._descend(key)
-        idx = find_key(leaf.keys, key)
-        if idx is None:
+        value = self._find(key)
+        if value is None:
             raise KeyNotFoundError(key)
-        value = leaf.values[idx]
         if isinstance(value, bytes):
             return value
         offset, length = value
@@ -165,21 +164,27 @@ class BTreeKeyedFile:
 
     def contains(self, key: int) -> bool:
         """Membership test; costs the node accesses but no record read."""
-        leaf = self._descend(key)
-        return find_key(leaf.keys, key) is not None
+        return self._find(key) is not None
 
-    def _descend(self, key: int) -> LeafNode:
-        """Walk from the cached root to the leaf covering ``key``."""
+    def _find(self, key: int) -> Optional[LeafValue]:
+        """Walk from the cached root to the leaf covering ``key`` and
+        return its value there (``None`` if absent); the leaf page is
+        scanned for the key, not parsed."""
         node = self._root
-        while not node.is_leaf:
-            child = node.child_for(key)
-            node = parse_node(self._pages.read_page(child))
-        return node
+        if node.is_leaf:
+            idx = find_key(node.keys, key)
+            return None if idx is None else node.values[idx]
+        while True:
+            page = self._pages.read_page(node.child_for(key))
+            if page[:1] == b"L":
+                return leaf_value(page, key)
+            node = parse_node(page)
 
     def _descend_path(
         self, key: int
     ) -> List[Tuple[int, Union[LeafNode, InteriorNode]]]:
-        """Like :meth:`_descend` but keeps the (offset, node) path."""
+        """The (offset, parsed node) path from the cached root to the
+        leaf covering ``key`` — the same pages :meth:`_find` reads."""
         path = [(self._root_offset, self._root)]
         node = self._root
         while not node.is_leaf:

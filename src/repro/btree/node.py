@@ -86,6 +86,30 @@ class LeafNode:
         return node
 
 
+def leaf_value(data: bytes, key: int) -> Optional[LeafValue]:
+    """The value a serialized leaf holds under ``key``, or ``None``.
+
+    The read path's parse: entry headers are walked in key order and
+    the walk stops at the first key not below ``key``, so no entry but
+    the one found is materialized.
+    """
+    tag, count, _next_leaf = _LEAF_HDR.unpack_from(data, 0)
+    if tag != b"L":
+        raise BTreeError(f"expected leaf page, found tag {tag!r}")
+    pos = _LEAF_HDR.size
+    for _ in range(count):
+        entry_key, kind, length = _INLINE.unpack_from(data, pos)
+        if entry_key >= key:
+            if entry_key != key:
+                return None
+            if kind == 0:
+                return bytes(data[pos + _INLINE.size:pos + _INLINE.size + length])
+            _key, _kind, offset, length = _LOCATOR.unpack_from(data, pos)
+            return (offset, length)
+        pos += _INLINE.size + length if kind == 0 else _LOCATOR.size
+    return None
+
+
 @dataclass
 class InteriorNode:
     """An interior router: ``len(children) == len(keys) + 1``."""

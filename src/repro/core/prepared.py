@@ -267,13 +267,14 @@ def materialize(
     # loop this replaced inserted them; chain order and saved bytes
     # depend on it.
     term_of_rank = prepared.term_id_of_rank
+    bounds_keys = store.chunk_bounds_keys
     dictionary = HashDictionary.from_entries(
         [
             TermEntry(
                 prepared.terms[term_id - 1], term_id,
                 prepared.df[term_id], prepared.ctf[term_id], keys[term_id],
                 prepared.max_tf.get(term_id, 0),
-                store.chunk_bounds_key(keys[term_id]),
+                bounds_keys.get(keys[term_id], 0),
             )
             for term_id in map(term_of_rank.__getitem__, sorted(term_of_rank))
         ],

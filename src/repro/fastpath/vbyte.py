@@ -43,16 +43,27 @@ def decode_stream(data: bytes) -> Tuple[np.ndarray, bool]:
     ends = np.flatnonzero(raw < 0x80)
     if ends.size == 0:
         return np.empty(0, dtype=np.uint64), False
-    last = int(ends[-1])
-    clean = last == raw.size - 1
+    return decode_at(raw, ends), int(ends[-1]) == raw.size - 1
+
+
+def decode_at(raw: np.ndarray, ends: np.ndarray, start: int = 0) -> np.ndarray:
+    """The integers whose last bytes are ``raw[ends]``, the first of
+    them starting at byte ``start``: :func:`decode_stream` for a caller
+    that has already found the terminators.
+
+    Raises
+    ------
+    IndexError_
+        If any integer spans more than :data:`MAX_GROUPS` bytes.
+    """
     # Length classes: a one-byte integer *is* its terminator byte, and
     # in postings records almost every integer is one byte.  Take those
     # directly and fix up the multi-byte ones sparsely.
     values = raw[ends].astype(np.uint64)
-    if ends.size == last + 1:
-        return values, clean
+    if ends.size == int(ends[-1]) - start + 1:
+        return values
     lengths = np.empty(ends.size, dtype=np.int64)
-    lengths[0] = ends[0] + 1
+    lengths[0] = ends[0] - start + 1
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
     multi = np.flatnonzero(lengths > 1)
     wide = lengths[multi]
@@ -68,7 +79,7 @@ def decode_stream(data: bytes) -> Tuple[np.ndarray, bool]:
             (raw[starts[longer] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
         )
     values[multi] = fixed
-    return values, clean
+    return values
 
 
 def encode_stream(values: np.ndarray) -> Tuple[bytes, np.ndarray]:

@@ -62,10 +62,12 @@ from .postings import (
     RecordHeader,
     decode_header,
     decode_record,
+    drop_documents,
     encode_record,
     join_chunk_records,
+    join_columns,
     merge_records,
-    remove_document,
+    split_columns,
     split_postings,
     uncompressed_size,
     vbyte_decode,
@@ -102,7 +104,9 @@ __all__ = [
     "PostingStream",
     "WholeRecordStream",
     "join_chunk_records",
+    "join_columns",
     "merge_streams",
+    "split_columns",
     "split_postings",
     "BeliefTable",
     "BufferSizes",
@@ -160,7 +164,7 @@ __all__ = [
     "normalize_tree",
     "parse_query",
     "query_terms",
-    "remove_document",
+    "drop_documents",
     "remove_document_incremental",
     "render_canonical",
     "stem",

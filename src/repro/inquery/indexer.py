@@ -27,7 +27,7 @@ from .documents import Document, DocTable
 from .interleaved import to_columnar
 from .invfile import InvertedFileStore
 from .normalize import normalize_term
-from .postings import Posting, decode_record, encode_record, uncompressed_size
+from .postings import Posting, drop_documents, encode_record, uncompressed_size
 from .stem import stem as default_stem
 from .text import tokenize
 
@@ -293,11 +293,12 @@ class IndexBuilder:
         max_tf: Dict[int, int] = {}
         keys = self._store.bulk_build(self._merged_records(stats, max_tf))
         by_id = self._dictionary.by_id()
+        bounds_keys = self._store.chunk_bounds_keys
         # Push per-term statistics back into the dictionary.
         for entry in self._dictionary.entries():
             entry.storage_key = keys.get(entry.term_id, 0)
             entry.max_tf = max_tf.get(entry.term_id, 0)
-            entry.bounds_key = self._store.chunk_bounds_key(entry.storage_key)
+            entry.bounds_key = bounds_keys.get(entry.storage_key, 0)
         self._recount_stats(by_id)
         index = CollectionIndex(
             fs=self._fs,
@@ -537,29 +538,33 @@ def fold_tombstones(index: CollectionIndex) -> int:
     """
     if not index.tombstones:
         return 0
-    dead = index.tombstones
     rewritten = 0
     stored = [e for e in index.dictionary.entries() if e.storage_key != 0]
     for entry in sorted(stored, key=lambda e: e.storage_key):
-        old = index.store.fetch(entry.storage_key)
-        postings = decode_record(old)
-        kept = [(d, p) for d, p in postings if d not in dead]
-        if len(kept) == len(postings):
-            continue
-        entry.storage_key = index.store.update_record(
-            entry.storage_key, encode_record(kept)
-        )
-        # The whole record was just decoded, so the exact ceiling over
-        # the kept postings is free — including for records whose bound
-        # was previously unknown (this *upgrades* them to prunable).
-        entry.max_tf = max((len(p) for _d, p in kept), default=0)
-        entry.bounds_key = index.store.refresh_bounds(
-            entry.storage_key, entry.bounds_key
-        )
-        rewritten += 1
+        removed_df, _removed_ctf = _drop_from_record(index, entry, index.tombstones)
+        if removed_df:
+            rewritten += 1
     index.tombstones = set()
     index.store.flush()
     return rewritten
+
+
+def _drop_from_record(index: CollectionIndex, entry, doomed) -> Tuple[int, int]:
+    """Rewrite ``entry``'s record without the ``doomed`` documents.
+
+    Returns the df and ctf removed; a record that holds none of them is
+    left untouched.  The drop reads every kept tf, so the entry's
+    ``max_tf`` becomes exact — including for a record whose bound was
+    previously unknown (this *upgrades* it to prunable).
+    """
+    dropped = drop_documents(index.store.fetch(entry.storage_key), doomed)
+    if dropped is None:
+        return 0, 0
+    kept, removed_df, removed_ctf, max_tf = dropped
+    entry.max_tf = max_tf
+    entry.storage_key = index.store.update_record(entry.storage_key, kept)
+    entry.bounds_key = index.store.refresh_bounds(entry.storage_key, entry.bounds_key)
+    return removed_df, removed_ctf
 
 
 def remove_document_incremental(index: CollectionIndex, doc_id: int) -> int:
@@ -576,30 +581,11 @@ def remove_document_incremental(index: CollectionIndex, doc_id: int) -> int:
     for entry in index.dictionary.entries():
         if entry.df == 0 or entry.storage_key == 0:
             continue
-        old = index.store.fetch(entry.storage_key)
-        postings = decode_record(old)
-        kept = [(d, p) for d, p in postings if d != doc_id]
-        if len(kept) == len(postings):
-            continue
-        removed_positions = sum(len(p) for d, p in postings if d == doc_id)
-        if kept:
-            entry.storage_key = index.store.update_record(
-                entry.storage_key, encode_record(kept)
-            )
-        else:
-            entry.storage_key = index.store.update_record(
-                entry.storage_key, encode_record([])
-            )
-        entry.df -= 1
-        entry.ctf -= removed_positions
-        # The whole record was just decoded, so the exact ceiling over
-        # the kept postings is free — including for records whose bound
-        # was previously unknown (this *upgrades* them to prunable).
-        entry.max_tf = max((len(p) for _d, p in kept), default=0)
-        entry.bounds_key = index.store.refresh_bounds(
-            entry.storage_key, entry.bounds_key
-        )
-        rewritten += 1
+        removed_df, removed_ctf = _drop_from_record(index, entry, (doc_id,))
+        if removed_df:
+            entry.df -= removed_df
+            entry.ctf -= removed_ctf
+            rewritten += 1
     index.doctable.remove(doc_id)
     index.stats.documents -= 1
     index.store.flush()

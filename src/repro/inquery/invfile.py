@@ -18,7 +18,8 @@ no inverted list data is retained across record accesses.
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,14 +43,13 @@ from ..mneme import (
     write_linked_chain,
 )
 from ..mneme.linked import _pack_chunk, _unpack_chunk
-from .bounds import PrunableSource, chunk_stats, decode_chunk_bounds, encode_chunk_bounds
+from .bounds import PrunableSource, decode_chunk_bounds, encode_chunk_bounds
 from .postings import (
     Posting,
-    decode_record,
-    encode_record,
-    join_chunk_records,
+    column_stats,
+    join_columns,
     merge_records,
-    split_postings,
+    split_columns,
 )
 from .streams import ChunkedRecordStream, PostingStream, WholeRecordStream
 from ..simdisk import SimFile, SimFileSystem
@@ -143,14 +143,12 @@ class InvertedFileStore:
 
     # -- dynamic-pruning bound metadata ----------------------------------------
 
-    def chunk_bounds_key(self, key: int) -> int:
-        """Storage key of the per-chunk bound sidecar for ``key`` (0 = none).
-
-        Only backends that store records in independently fetchable
-        pieces have per-chunk bounds; everyone else prunes at whole-record
-        granularity off the dictionary's ``max_tf`` alone.
-        """
-        return 0
+    #: Record storage key -> storage key of its per-chunk bound sidecar
+    #: (absent = none).  Only backends that store records in
+    #: independently fetchable pieces have per-chunk bounds; everyone
+    #: else prunes at whole-record granularity off the dictionary's
+    #: ``max_tf`` alone.
+    chunk_bounds_keys: Mapping[int, int] = MappingProxyType({})
 
     def refresh_bounds(self, key: int, old_bounds_key: int = 0) -> int:
         """Rebuild the bound sidecar for ``key`` after a record mutation.
@@ -399,7 +397,7 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
 
     The paper's future-work data model, applied to the inverted file:
     records above the medium threshold are split into self-contained
-    mini-records (:func:`~repro.inquery.postings.split_postings`) and
+    mini-records (:func:`~repro.inquery.postings.split_columns`) and
     stored as a chain of chunk objects.  Three capabilities follow:
 
     * :meth:`stream_postings` keeps only one chunk resident at a time,
@@ -426,15 +424,19 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         #: key reaches the dictionary at build/finalize time.  A
         #: registered sidecar always matches its chain: every path that
         #: changes a chain rewrites the sidecar with it.
-        self._bounds_keys: Dict[int, int] = {}
+        self.chunk_bounds_keys: Dict[int, int] = {}
 
-    def _create_large(self, data: bytes) -> int:
-        slices = split_postings(decode_record(data), self.chunk_bytes)
-        parts = [encode_record(postings) for postings in slices]
-        oids = write_linked_chain(self.large, parts)
-        last_docs, max_tfs = chunk_stats(slices)
-        self._last_chain_stats = (oids, last_docs, max_tfs)
-        return oids[0]
+    def _create_large(self, data: bytes) -> Tuple[List[int], List[int], List[int]]:
+        """Store a record as a chain: its chunk ids, last docs and max tfs."""
+        parts, last_docs, max_tfs = split_columns(data, self.chunk_bytes)
+        return write_linked_chain(self.large, parts), last_docs, max_tfs
+
+    def _create_chain(self, data: bytes) -> int:
+        """Store a record as a chain with its bound sidecar; returns its key."""
+        oids, last_docs, max_tfs = self._create_large(data)
+        key = self.store.global_id(self.mfile, oids[0])
+        self._register_bounds(key, encode_chunk_bounds(oids, last_docs, max_tfs))
+        return key
 
     def _is_large_key(self, key: int) -> bool:
         _file_no, oid = split_global(key)
@@ -451,9 +453,9 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         pending: List[Tuple[int, Tuple[List[int], List[int], List[int]]]] = []
 
         def create_large(data: bytes) -> int:
-            oid = self._create_large(data)
-            pending.append((self.store.global_id(self.mfile, oid), self._last_chain_stats))
-            return oid
+            chain = self._create_large(data)
+            pending.append((self.store.global_id(self.mfile, chain[0][0]), chain))
+            return chain[0][0]
 
         keys = self._bulk_store(records, create_large)
         for key, (oids, last_docs, max_tfs) in pending:
@@ -464,10 +466,7 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
     def add_record(self, term_id: int, data: bytes) -> int:
         pool = self._pool_for(data)
         if pool is self.large:
-            oid = self._create_large(data)
-            key = self.store.global_id(self.mfile, oid)
-            self._register_bounds(key, encode_chunk_bounds(*self._last_chain_stats))
-            return key
+            return self._create_chain(data)
         return self.store.global_id(self.mfile, pool.create(data))
 
     def fetch(self, key: int) -> bytes:
@@ -475,7 +474,7 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
             return super().fetch(key)
         self.record_lookups += 1
         _file_no, oid = split_global(key)
-        return join_chunk_records(list(iter_linked(self.large, oid)))
+        return join_columns(list(iter_linked(self.large, oid)))
 
     def stream_postings(self, key: int) -> PostingStream:
         if not self._is_large_key(key):
@@ -491,20 +490,12 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
                 return super().update_record(key, data)
             # Crossing into the large category: re-home as a chain.
             self.mfile.delete(split_global(key)[1])
-            new_key = self.store.global_id(self.mfile, self._create_large(data))
-            self._register_bounds(
-                new_key, encode_chunk_bounds(*self._last_chain_stats)
-            )
-            return new_key
+            return self._create_chain(data)
         _file_no, oid = split_global(key)
         delete_linked(self.large, oid)
-        self._bounds_keys.pop(key, None)
+        self.chunk_bounds_keys.pop(key, None)
         if self._pool_for(data) is self.large:
-            new_key = self.store.global_id(self.mfile, self._create_large(data))
-            self._register_bounds(
-                new_key, encode_chunk_bounds(*self._last_chain_stats)
-            )
-            return new_key
+            return self._create_chain(data)
         new_oid = self._pool_for(data).create(data)
         return self.store.global_id(self.mfile, new_oid)
 
@@ -541,20 +532,20 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         if postings[0][0] <= last_docs[-1]:
             return super().append_postings(key, postings, bounds_key)
         tail = oids[-1]
-        tail_postings = decode_record(_unpack_chunk(self.large.fetch(tail))[1])
-        slices = split_postings(tail_postings + list(postings), self.chunk_bytes)
-        parts = [encode_record(piece) for piece in slices]
+        parts, tail_last_docs, tail_max_tfs = split_columns(
+            merge_records(_unpack_chunk(self.large.fetch(tail))[1], postings),
+            self.chunk_bytes,
+        )
         grown = write_linked_chain(self.large, parts[1:]) if parts[1:] else []
         self.large.modify(
             tail, _pack_chunk(grown[0] if grown else NULL_ID, parts[0])
         )
-        tail_last_docs, tail_max_tfs = chunk_stats(slices)
         bounds_key = self._sidecar_update(bounds_key, encode_chunk_bounds(
             oids[:-1] + [tail] + grown,
             last_docs[:-1] + tail_last_docs,
             max_tfs[:-1] + tail_max_tfs,
         ))
-        self._bounds_keys[key] = bounds_key
+        self.chunk_bounds_keys[key] = bounds_key
         return key, bounds_key
 
     # -- bound sidecars --------------------------------------------------------
@@ -595,11 +586,8 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
 
     def _register_bounds(self, key: int, payload: bytes) -> int:
         bounds_key = self._sidecar_create(payload)
-        self._bounds_keys[key] = bounds_key
+        self.chunk_bounds_keys[key] = bounds_key
         return bounds_key
-
-    def chunk_bounds_key(self, key: int) -> int:
-        return self._bounds_keys.get(key, 0)
 
     def refresh_bounds(self, key: int, old_bounds_key: int = 0) -> int:
         """The bound sidecar for ``key``, built from its chain if it has none.
@@ -610,22 +598,21 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         entry's previous sidecar, released here if superseded.  Records
         that are not chunked chains keep no sidecar (returns 0).
         """
-        current = self._bounds_keys.get(key, 0)
+        current = self.chunk_bounds_keys.get(key, 0)
         if old_bounds_key and old_bounds_key != current:
             self._sidecar_delete(old_bounds_key)
         if not self._is_large_key(key):
             if current:
                 self._sidecar_delete(current)
-                del self._bounds_keys[key]
+                del self.chunk_bounds_keys[key]
             return 0
         if current:
             return current
         _file_no, head = split_global(key)
         oids = chunk_ids(self.large, head)
-        slices = [
-            decode_record(_unpack_chunk(self.large.fetch(oid))[1]) for oid in oids
-        ]
-        last_docs, max_tfs = chunk_stats(slices)
+        last_docs, max_tfs = zip(*(
+            column_stats(_unpack_chunk(self.large.fetch(oid))[1]) for oid in oids
+        ))
         return self._register_bounds(
             key, encode_chunk_bounds(oids, last_docs, max_tfs)
         )
@@ -642,7 +629,7 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         key = entry.storage_key
         if not self._is_large_key(key):
             return super().open_prune_source(entry)
-        bounds_key = entry.bounds_key or self._bounds_keys.get(key, 0)
+        bounds_key = entry.bounds_key or self.chunk_bounds_keys.get(key, 0)
         if not bounds_key:
             return PrunableSource([lambda: self.fetch(key)], [None], [entry.max_tf])
         oids, last_docs, max_tfs = decode_chunk_bounds(self._read_bounds(bounds_key))

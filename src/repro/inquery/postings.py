@@ -32,8 +32,11 @@ interleaved order are rewritten once when they are opened
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import IndexError_
-from ..fastpath import state as _fastpath
+from ..fastpath import codec as _codec, state as _fastpath
+from ..fastpath.vbyte import decode_at
 
 #: One posting: (document id, sorted within-document positions).
 Posting = Tuple[int, Tuple[int, ...]]
@@ -46,17 +49,6 @@ Posting = Tuple[int, Tuple[int, ...]]
 _FAST_DECODE_MIN_BYTES = 384      # posting-list decode, by record bytes
 _FAST_ENCODE_MIN_POSTINGS = 256   # encode, by postings
 _FAST_BOUNDS_MIN_DF = 64          # column bounds (append), by documents
-
-_codec = None
-
-
-def _fast_codec():
-    global _codec
-    if _codec is None:
-        from ..fastpath import codec
-
-        _codec = codec
-    return _codec
 
 
 def vbyte_encode(value: int, out: bytearray) -> None:
@@ -116,7 +108,7 @@ def encode_record(postings: Sequence[Posting]) -> bytes:
         positions, or positions are not strictly increasing.
     """
     if _fastpath.ENABLED and len(postings) >= _FAST_ENCODE_MIN_POSTINGS:
-        return _fast_codec().encode_record_fast(postings)
+        return _codec.encode_record_fast(postings)
     return _encode_record_py(postings)
 
 
@@ -173,7 +165,7 @@ def decode_record(record: bytes) -> List[Posting]:
     path is enabled; both decoders return identical posting lists.
     """
     if _fastpath.ENABLED and len(record) >= _FAST_DECODE_MIN_BYTES:
-        return _fast_codec().decode_record_fast(record)
+        return _codec.decode_record_fast(record)
     return _decode_record_py(record)
 
 
@@ -279,7 +271,7 @@ def _column_bounds(record: bytes, df: int) -> Tuple[int, int, int, int]:
     the two per-document columns are read; positions are never walked.
     """
     if _fastpath.ENABLED and df >= _FAST_BOUNDS_MIN_DF:
-        return _fast_codec().column_bounds(record, df)
+        return _codec.column_bounds(record, df)
     return _column_bounds_py(record, df)
 
 
@@ -298,11 +290,234 @@ def _column_bounds_py(record: bytes, df: int) -> Tuple[int, int, int, int]:
     return header_end, docs_end, pos, last_doc
 
 
-def remove_document(base: bytes, doc_ids: Iterable[int]) -> bytes:
-    """Drop every posting for ``doc_ids`` — document deletion support."""
-    doomed = set(doc_ids)
-    kept = [(d, p) for d, p in decode_record(base) if d not in doomed]
-    return encode_record(kept)
+# -- splicing column bytes -----------------------------------------------------
+#
+# A chain operation — split a record into chunks, join chunks into a
+# record, drop documents — needs no posting list.  Each is a splice of
+# document ranges: a range's first document gap is re-encoded (against
+# the previous range's last document, or absolute), the header is
+# re-encoded, and the rest — doc gaps, tfs, position runs — is copied,
+# since a tf does not depend on its neighbours and each document's
+# position run starts absolute.  For input that is exactly what
+# ``encode_record`` writes, the output is ``encode_record`` of the
+# spliced postings byte for byte.  Any other input goes to the
+# posting-list reference, which raises the canonical error.
+
+
+def _columns(record: bytes):
+    """A record's integer layout, read off its bytes, or ``None``.
+
+    Returns ``(ends, doc_ids, tf, pos_first)``: the byte index of every
+    integer's last byte (integer ``k`` starts at ``ends[k-1] + 1``), the
+    absolute document ids, the tfs, and each document's first position
+    as an integer index into the position column (``df + 1`` entries,
+    the last ``ctf``).  ``None`` marks a record the splice must not
+    copy: not exactly ``encode_record`` of its decoded postings (empty,
+    truncated or trailing bytes, a terminator count other than
+    ``2 + 2 df + ctf``, an over-long v-byte, a zero tf, tfs that do not
+    sum to ``ctf``, a repeated document or position), or document ids
+    of 63 bits or more.
+    """
+    raw = np.frombuffer(record, dtype=np.uint8)
+    last = raw < 0x80
+    ends = np.flatnonzero(last)
+    if ends.size < 2 or not last[-1]:
+        return None
+    df, pos = vbyte_decode(record, 0)
+    ctf, _pos = vbyte_decode(record, pos)
+    if df == 0 or ends.size != 2 + 2 * df + ctf:
+        return None
+    # Canonical v-bytes: no integer ends in a zero group after a
+    # continuation byte.
+    if (raw[1:][~last[:-1]] == 0).any():
+        return None
+    try:
+        values = decode_at(raw, ends[2:2 + 2 * df], int(ends[1]) + 1)
+    except IndexError_:
+        return None
+    gaps, tf = values[:df], values[df:]
+    if (
+        (gaps[1:] == 0).any()
+        or int(gaps.max()) >= (1 << 63) // df
+        or tf.min() < 1
+        or tf.max() > ctf
+        or int(tf.sum()) != ctf
+    ):
+        return None
+    tf = tf.astype(np.int64)
+    pos_first = np.zeros(df + 1, dtype=np.int64)
+    np.cumsum(tf, out=pos_first[1:])
+    # A zero position gap is a one-byte 0; only a document's first
+    # (absolute) position may be zero.
+    zero = raw[ends[2 + 2 * df:]] == 0
+    zero[pos_first[:-1]] = False
+    if zero.any():
+        return None
+    return ends, np.cumsum(gaps.astype(np.int64)), tf, pos_first
+
+
+def _splice(pieces) -> Optional[bytes]:
+    """One record from document ranges of column-read records.
+
+    ``pieces`` are ``(record, columns, first, stop)``: documents
+    ``first`` to ``stop - 1`` of ``record``, whose :func:`_columns` is
+    ``columns``.  Returns ``None`` if a piece does not start after the
+    previous piece's last document.
+    """
+    docs, tfs, positions = bytearray(), [], []
+    df = ctf = 0
+    last_doc = -1
+    for record, (ends, doc_ids, _tf, pos_first), first, stop in pieces:
+        first_doc = int(doc_ids[first])
+        if first_doc <= last_doc:
+            return None
+        size = doc_ids.size
+        p_first, p_stop = int(pos_first[first]), int(pos_first[stop])
+        # Integer k starts at byte ends[k - 1] + 1; document i's gap is
+        # integer 2 + i, its tf 2 + df + i, position j 2 + 2 df + j.
+        vbyte_encode(first_doc - last_doc if last_doc >= 0 else first_doc, docs)
+        docs += record[ends[first + 2] + 1:ends[stop + 1] + 1]
+        tfs.append(record[ends[1 + size + first] + 1:ends[1 + size + stop] + 1])
+        positions.append(
+            record[ends[1 + 2 * size + p_first] + 1:ends[1 + 2 * size + p_stop] + 1]
+        )
+        df += stop - first
+        ctf += p_stop - p_first
+        last_doc = int(doc_ids[stop - 1])
+    head = bytearray()
+    vbyte_encode(df, head)
+    vbyte_encode(ctf, head)
+    return b"".join([head, docs, *tfs, *positions])
+
+
+def _vbyte_lengths(values: np.ndarray) -> np.ndarray:
+    """Vector :func:`vbyte_length` of non-negative int64 values."""
+    lengths = np.ones(values.size, dtype=np.int64)
+    for k in range(1, 9):
+        lengths += values >= 1 << (7 * k)
+    return lengths
+
+
+def split_columns(
+    record: bytes, target_bytes: int
+) -> Tuple[List[bytes], List[int], List[int]]:
+    """Split a record into self-contained chunks of about ``target_bytes``.
+
+    Returns the chunk records and each chunk's last document id and
+    max tf.  Boundaries follow :func:`split_postings`' estimate, read
+    off the doc and tf columns, so each chunk equals ``encode_record``
+    of its :func:`split_postings` slice.
+    """
+    if target_bytes < 16:
+        raise IndexError_("chunk target too small to hold a posting")
+    columns = _columns(record)
+    if columns is None:
+        slices = split_postings(decode_record(record), target_bytes)
+        return (
+            [encode_record(piece) for piece in slices],
+            [piece[-1][0] for piece in slices],
+            [max(len(p) for _d, p in piece) for piece in slices],
+        )
+    _ends, doc_ids, tf, _pos_first = columns
+    df = doc_ids.size
+    # split_postings' greedy rule: a chunk takes postings while its
+    # 4-byte header estimate plus their entries fit in the target.
+    used = np.zeros(df + 1, dtype=np.int64)
+    np.cumsum(_vbyte_lengths(doc_ids) + _vbyte_lengths(tf) + 2 * tf, out=used[1:])
+    bounds = [0]
+    while bounds[-1] < df:
+        first = bounds[-1]
+        stop = int(np.searchsorted(used, used[first] + target_bytes - 4, "right")) - 1
+        bounds.append(max(stop, first + 1))
+    firsts = np.array(bounds[:-1])
+    return (
+        [_splice([(record, columns, a, b)]) for a, b in zip(bounds, bounds[1:])],
+        doc_ids[np.array(bounds[1:]) - 1].tolist(),
+        np.maximum.reduceat(tf, firsts).tolist(),
+    )
+
+
+def join_columns(chunks: Sequence[bytes]) -> bytes:
+    """Reassemble chunk records into one record: the splice inverse of
+    :func:`split_columns`, equal to :func:`join_chunk_records`."""
+    layouts = [_columns(chunk) for chunk in chunks]
+    if chunks and None not in layouts:
+        joined = _splice([
+            (chunk, columns, 0, columns[1].size)
+            for chunk, columns in zip(chunks, layouts)
+        ])
+        if joined is not None:
+            return joined
+    return join_chunk_records(chunks)
+
+
+def drop_documents(
+    record: bytes, doomed: Iterable[int]
+) -> Optional[Tuple[bytes, int, int, int]]:
+    """Remove every posting for a document in ``doomed``.
+
+    Returns ``None`` when the record holds none of them, else the kept
+    record, the df and ctf removed, and the kept postings' max tf (0
+    when none is kept).  The kept documents' runs are spliced together.
+    """
+    doomed = set(doomed)
+    hits = _doomed_indices(record, doomed)
+    if not hits:
+        return None
+    columns = _columns(record)
+    if columns is None:
+        postings = decode_record(record)
+        kept = [(d, p) for d, p in postings if d not in doomed]
+        removed = [p for d, p in postings if d in doomed]
+        return (
+            encode_record(kept),
+            len(removed),
+            sum(map(len, removed)),
+            max((len(p) for _d, p in kept), default=0),
+        )
+    _ends, doc_ids, tf, _pos_first = columns
+    kept_tf = np.delete(tf, hits)
+    removed = (len(hits), int(tf[hits].sum()))
+    if not kept_tf.size:
+        return encode_record([]), *removed, 0
+    runs = zip([0] + [h + 1 for h in hits], hits + [doc_ids.size])
+    kept = _splice([(record, columns, a, b) for a, b in runs if a < b])
+    return kept, *removed, int(kept_tf.max())
+
+
+def _doomed_indices(record: bytes, doomed: set) -> List[int]:
+    """Indices of ``record``'s documents that are in ``doomed``.
+
+    A walk of the doc-gap column that stops past the largest doomed id:
+    a compaction asks this of every record, and most hold a handful of
+    documents, none of them doomed.
+    """
+    hits: List[int] = []
+    if not doomed:
+        return hits
+    last = max(doomed)
+    df, pos = vbyte_decode(record, 0)
+    _ctf, pos = vbyte_decode(record, pos)
+    doc_id = 0
+    for index in range(df):
+        gap, pos = vbyte_decode(record, pos)
+        doc_id += gap
+        if doc_id in doomed:
+            hits.append(index)
+        if doc_id >= last:
+            break
+    return hits
+
+
+def column_stats(record: bytes) -> Tuple[int, int]:
+    """A chunk record's last document id and max tf, read off its doc
+    and tf columns."""
+    columns = _columns(record)
+    if columns is None:
+        postings = decode_record(record)
+        return postings[-1][0], max(len(p) for _d, p in postings)
+    _ends, doc_ids, tf, _pos_first = columns
+    return int(doc_ids[-1]), int(tf.max())
 
 
 def split_postings(

@@ -8,6 +8,7 @@ from repro.btree.node import (
     find_key,
     insertion_point,
     leaf_entry_size,
+    leaf_value,
     parse_node,
 )
 from repro.errors import BTreeError
@@ -24,6 +25,21 @@ def test_leaf_roundtrip_inline_and_locator():
     assert back.keys == [3, 7, 9]
     assert back.values == [b"tiny", (4096, 500), b""]
     assert back.next_leaf == 12288
+
+
+def test_leaf_value_finds_what_the_parsed_leaf_holds():
+    leaf = LeafNode(
+        keys=[3, 7, 9, 12, 40],
+        values=[b"tiny", (4096, 500), b"", b"\x07" * 16, (8192, 17)],
+    )
+    data = leaf.to_bytes()
+    for key, value in zip(leaf.keys, leaf.values):
+        assert leaf_value(data, key) == value
+    for absent in (0, 4, 8, 13, 41):
+        assert leaf_value(data, absent) is None
+    assert leaf_value(LeafNode().to_bytes(), 3) is None
+    with pytest.raises(BTreeError):
+        leaf_value(InteriorNode(keys=[1], children=[0, 4096]).to_bytes(), 1)
 
 
 def test_empty_leaf_roundtrip():

@@ -7,7 +7,10 @@ record and chunk byte lengths.  The columnar body
 INQUERY's interleaved body in another order, so those lengths cannot
 move.  These properties pin that, and that every codec writes and reads
 the one layout byte for byte: the scalar reference, the vector codec,
-the bulk collection encoder and the append path of ``merge_records``.
+the bulk collection encoder, the append path of ``merge_records`` and
+the chain splices (``split_columns``, ``join_columns``,
+``drop_documents``), which must equal the posting-list transcode they
+replaced — value for value, and error message for error message.
 """
 
 import random
@@ -26,14 +29,23 @@ from repro.fastpath.codec import (
     decode_record_fast,
     encode_record_fast,
 )
+from repro.errors import IndexError_
+from repro.inquery.bounds import chunk_stats
 from repro.inquery.postings import (
     _column_bounds,
     _column_bounds_py,
     _decode_record_py,
     _encode_record_py,
+    column_stats,
+    decode_record,
+    drop_documents,
     encode_record,
+    join_chunk_records,
+    join_columns,
     merge_records,
+    split_columns,
     split_postings,
+    vbyte_encode,
     vbyte_length,
 )
 
@@ -158,3 +170,124 @@ def test_column_bounds_find_the_columns_and_the_last_document(postings):
     assert _column_bounds_py(record, df) == expected
     assert column_bounds(record, df) == expected
     assert _column_bounds(record, df) == expected
+
+
+def _outcome(action):
+    """What ``action()`` returns, or the message of the IndexError_ it raises."""
+    try:
+        return "returned", action()
+    except IndexError_ as error:
+        return "raised", str(error)
+
+
+def _record(df, ctf, gaps, tfs, positions):
+    """A record written integer by integer, well-formed or not."""
+    out = bytearray()
+    for value in [df, ctf, *gaps, *tfs, *positions]:
+        vbyte_encode(value, out)
+    return bytes(out)
+
+
+#: Records only the reference can read, each with a document to drop:
+#: truncated, trailing bytes, a zero tf, a repeated document, a repeated
+#: position, tfs that miss the ctf, an over-long v-byte.
+MALFORMED = [
+    (encode_record([(5, (1, 4)), (8, (2,))])[:-1], 5),
+    (encode_record([(5, (1, 4)), (8, (2,))]) + b"\x03", 5),
+    (_record(2, 1, [5, 3], [1, 0], [4]), 5),
+    (_record(2, 2, [5, 0], [1, 1], [4, 6]), 5),
+    (_record(2, 3, [5, 3], [2, 1], [4, 0, 6]), 8),
+    (_record(2, 3, [5, 3], [1, 1], [4, 6, 7]), 5),
+    (b"\x02\x02\x85\x00\x03\x01\x01\x04\x06", 5),
+]
+
+
+def _split_reference(record, target):
+    slices = split_postings(decode_record(record), target)
+    return ([encode_record(piece) for piece in slices], *chunk_stats(slices))
+
+
+@given(
+    postings=postings_lists(),
+    target=st.one_of(st.integers(16, 512), st.integers(16, 16384)),
+    fast=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_columns_is_the_posting_list_split(postings, target, fast):
+    if not postings:
+        return
+    record = encode_record(postings)
+    with use_fastpath(fast):
+        chunks, last_docs, max_tfs = split_columns(record, target)
+        assert (chunks, last_docs, max_tfs) == _split_reference(record, target)
+        assert [column_stats(chunk) for chunk in chunks] == list(zip(last_docs, max_tfs))
+
+
+@given(
+    postings=postings_lists(),
+    target=st.one_of(st.integers(16, 512), st.integers(16, 16384)),
+    fast=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_join_columns_inverts_the_split(postings, target, fast):
+    if not postings:
+        return
+    record = encode_record(postings)
+    with use_fastpath(fast):
+        chunks = split_columns(record, target)[0]
+        assert join_columns(chunks) == join_chunk_records(chunks) == record
+
+
+@given(postings=postings_lists(), data=st.data(), fast=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_drop_documents_is_decode_filter_encode(postings, data, fast):
+    if not postings:
+        return
+    docs = [doc for doc, _p in postings]
+    doomed = set(data.draw(st.lists(st.sampled_from(docs), max_size=8)))
+    doomed |= set(data.draw(st.lists(st.integers(0, 2**41), max_size=3)))
+    kept = [(doc, p) for doc, p in postings if doc not in doomed]
+    removed = [p for doc, p in postings if doc in doomed]
+    record = encode_record(postings)
+    with use_fastpath(fast):
+        dropped = drop_documents(record, doomed)
+    if not removed:
+        assert dropped is None
+        return
+    assert dropped == (
+        encode_record(kept),
+        len(removed),
+        sum(map(len, removed)),
+        max((len(p) for _d, p in kept), default=0),
+    )
+
+
+@pytest.mark.parametrize("record, doomed", MALFORMED)
+@pytest.mark.parametrize("fast", [False, True])
+def test_splices_fail_as_the_reference_does(record, doomed, fast):
+    good = encode_record([(1, (3,))])
+    late = encode_record([(9, (1,)), (12, (2,))])
+    with use_fastpath(fast):
+        for target in (16, 4096):
+            assert _outcome(lambda: split_columns(record, target)) == _outcome(
+                lambda: _split_reference(record, target)
+            )
+        for chunks in ([record], [good, record], [record, late]):
+            assert _outcome(lambda: join_columns(chunks)) == _outcome(
+                lambda: join_chunk_records(chunks)
+            )
+        kept = _outcome(lambda: drop_documents(record, {doomed}))
+        reference = _outcome(lambda: encode_record(
+            [(d, p) for d, p in decode_record(record) if d != doomed]
+        ))
+        assert kept[0] == reference[0]
+        if kept[0] == "returned":
+            assert kept[1][0] == reference[1]
+        else:
+            assert kept[1] == reference[1]
+
+
+def test_a_repeated_document_across_chunks_fails_the_join():
+    chunks = [encode_record([(4, (1,)), (9, (2,))]), encode_record([(9, (5,))])]
+    with pytest.raises(IndexError_, match="postings out of order: doc 9 after 9"):
+        join_columns(chunks)
