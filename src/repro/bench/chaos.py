@@ -43,7 +43,7 @@ from ..core.experiment import load_workload
 from ..core.metrics import cold_start
 from ..core.prepared import IRSystem, PreparedCollection, materialize
 from ..errors import DiskFullError
-from ..faults import FaultEvent, FaultPlan
+from ..faults import FaultEvent, FaultPlan, FaultStats
 from ..inquery.daat import DocumentAtATimeEngine, daat_queries
 from ..inquery.engine import DEFAULT_TOP_K, RetrievalEngine
 from .gate import Gate, Option
@@ -136,12 +136,8 @@ def _replay(system: IRSystem, query_sets, violations: List[str], label: str) -> 
 def _observables(system: IRSystem, plans: List[FaultPlan]) -> dict:
     """Counters that must agree between two same-seed runs."""
     mfile = system.index.store.mfile
-    merged: Dict[str, int] = {}
-    for plan in plans:
-        for kind, count in plan.stats.as_dict().items():
-            merged[kind] = merged.get(kind, 0) + count
     return {
-        "faults": merged,
+        "faults": sum((plan.stats for plan in plans), FaultStats()).as_dict(),
         "resilience": mfile.resilience.as_dict(),
         "disk_failed_reads": system.fs.disk.stats.failed_reads,
     }

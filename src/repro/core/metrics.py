@@ -23,6 +23,7 @@ from typing import Dict, List
 
 from ..inquery import DEFAULT_TOP_K, MnemeInvertedFile, QueryResult, RetrievalEngine
 from ..mneme import BufferStats
+from ..simdisk import FileStats
 from .prepared import IRSystem
 
 
@@ -117,8 +118,7 @@ class SystemSnapshot:
         store = system.index.store
         elapsed = system.clock.since(self._clock)
         disk_delta = system.fs.disk.stats - self._disk
-        accesses = sum((f.stats - s).read_calls for f, s in self._files)
-        bytes_read = sum((f.stats - s).bytes_delivered for f, s in self._files)
+        files = sum((f.stats - s for f, s in self._files), FileStats())
         buffer_stats: Dict[str, BufferStats] = {}
         if isinstance(store, MnemeInvertedFile):
             buffer_stats = {
@@ -133,9 +133,9 @@ class SystemSnapshot:
             user_s=elapsed.user_ms / 1000.0,
             system_io_s=elapsed.system_io_ms / 1000.0,
             io_inputs=disk_delta.blocks_read,
-            file_accesses=accesses,
+            file_accesses=files.read_calls,
             record_lookups=store.record_lookups - self._lookups,
-            bytes_from_file=bytes_read,
+            bytes_from_file=files.bytes_delivered,
             buffer_stats=buffer_stats,
             results=results if keep_results else [],
             degraded_queries=sum(1 for r in results if r.degraded),

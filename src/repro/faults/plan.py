@@ -41,9 +41,10 @@ and the redo log untouched.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
+from ..counters import Counters
 from . import state as _state
 
 #: Event kind -> operation channel it triggers on.
@@ -97,7 +98,7 @@ class FaultEvent:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Counters):
     """What a plan actually did, per kind."""
 
     transient_reads: int = 0
@@ -107,10 +108,6 @@ class FaultStats:
     write_latencies: int = 0
     disk_fulls: int = 0
 
-    _FIELDS = (
-        "transient_reads", "bit_flips", "read_latencies",
-        "torn_writes", "write_latencies", "disk_fulls",
-    )
     _BY_KIND = {
         "transient-read": "transient_reads",
         "bit-flip": "bit_flips",
@@ -126,10 +123,7 @@ class FaultStats:
 
     @property
     def total(self) -> int:
-        return sum(getattr(self, name) for name in self._FIELDS)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return sum(self.as_dict().values())
 
 
 class FaultPlan:

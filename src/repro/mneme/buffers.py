@@ -23,6 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
+from ..counters import Counters
 from ..errors import BufferError_
 
 #: Signature of the modified-segment save callback a pool supplies when it
@@ -31,7 +32,7 @@ SaveCallback = Callable[[Hashable, object], None]
 
 
 @dataclass
-class BufferStats:
+class BufferStats(Counters):
     """Reference counting for one buffer (Table 6's Refs/Hits/Rate)."""
 
     refs: int = 0
@@ -42,17 +43,6 @@ class BufferStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.refs if self.refs else 0.0
-
-    def copy(self) -> "BufferStats":
-        return BufferStats(self.refs, self.hits, self.insertions, self.evictions)
-
-    def __sub__(self, other: "BufferStats") -> "BufferStats":
-        return BufferStats(
-            self.refs - other.refs,
-            self.hits - other.hits,
-            self.insertions - other.insertions,
-            self.evictions - other.evictions,
-        )
 
 
 class Buffer(ABC):

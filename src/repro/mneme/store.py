@@ -18,6 +18,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..counters import Counters
 from ..errors import (
     BadBlockError,
     ChecksumError,
@@ -38,12 +39,12 @@ _META_MAGIC = b"MMET"
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Counters):
     """What the fault-tolerant read path did for one Mneme file.
 
-    Surfaced the same way :class:`~repro.simdisk.disk.DiskStats` and
-    :class:`~repro.mneme.buffers.BufferStats` are: copyable and
-    subtractable, so harnesses snapshot-and-diff per measured run.
+    A :class:`~repro.counters.Counters` ledger like
+    :class:`~repro.simdisk.disk.DiskStats`, so harnesses snapshot and
+    diff it per measured run.
     """
 
     read_faults: int = 0          #: segment reads that raised BadBlockError
@@ -52,22 +53,6 @@ class ResilienceStats:
     retry_wait_ms: float = 0.0    #: simulated backoff charged to the clock
     read_repairs: int = 0         #: segments rewritten from the redo log
     unrecovered_reads: int = 0    #: reads given up on (error surfaced)
-
-    _FIELDS = (
-        "read_faults", "checksum_failures", "retries",
-        "retry_wait_ms", "read_repairs", "unrecovered_reads",
-    )
-
-    def copy(self) -> "ResilienceStats":
-        return ResilienceStats(*(getattr(self, name) for name in self._FIELDS))
-
-    def __sub__(self, other: "ResilienceStats") -> "ResilienceStats":
-        return ResilienceStats(
-            *(getattr(self, name) - getattr(other, name) for name in self._FIELDS)
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 class MnemeFile:

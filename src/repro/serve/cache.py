@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..counters import Counters
 from ..errors import CacheInconsistencyError, ConfigError
 from ..inquery.engine import QueryResult
 
@@ -81,7 +82,7 @@ def clone_result(result: QueryResult, query_text: Optional[str] = None) -> Query
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters over the cache's lifetime (reset only with the cache)."""
 
     lookups: int = 0
@@ -97,16 +98,12 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejected_degraded": self.rejected_degraded,
-            "invalidations": self.invalidations,
-        }
+        """The fields, with the rounded ``hit_rate`` after ``misses``
+        where every committed serve cell carries it."""
+        row = list(super().as_dict().items())
+        at = 1 + [name for name, _value in row].index("misses")
+        row.insert(at, ("hit_rate", round(self.hit_rate, 4)))
+        return dict(row)
 
 
 class ResultCache:

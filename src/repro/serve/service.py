@@ -175,14 +175,6 @@ class ServiceStats:
     rebalances: int = 0       #: live topology cutovers (shard splits)
     ingests: int = 0          #: mutation batches applied and published
     compactions: int = 0      #: tombstone fold-out + store compaction passes
-    #: Term cache counters, merged over every per-replica cache
-    #: this service ever owned (zeros when term caching is off).
-    term_cache_hits: int = 0
-    term_cache_misses: int = 0
-    term_cache_evictions: int = 0
-    term_cache_bytes: int = 0
-    term_cache_peak_bytes: int = 0
-    term_cache_invalidated: int = 0
     #: Simulated busy milliseconds per shard, summed over every wave
     #: (sharded backends only) — the scheduler's ledger surfaced here.
     shard_busy_ms: Dict[int, float] = field(default_factory=dict)
@@ -204,6 +196,7 @@ class ServiceReport:
     served: List[ServedRequest]
     workers: int
     max_batch: int
+    #: This run's own result-cache counters (``None`` with caching off).
     cache_stats: Optional[CacheStats] = None
     waves: int = 0
     shed: List[ShedRequest] = field(default_factory=list)
@@ -429,28 +422,17 @@ class QueryService:
         return [cache] if cache is not None else []
 
     def term_cache_stats(self) -> TermCacheStats:
-        """Lifetime counters: live caches plus rebalance-retired ones."""
-        merged = merge_stats(self.term_caches())
-        retired = self._retired_term_stats
-        merged.lookups += retired.lookups
-        merged.hits += retired.hits
-        merged.misses += retired.misses
-        merged.insertions += retired.insertions
-        merged.evictions += retired.evictions
-        merged.rejected_oversize += retired.rejected_oversize
-        merged.invalidated_terms += retired.invalidated_terms
-        return merged
+        """Lifetime counters: live caches plus rebalance-retired ones.
 
-    def _sync_term_stats(self) -> None:
-        if self.term_cache_bytes <= 0:
-            return
-        merged = self.term_cache_stats()
-        self.stats.term_cache_hits = merged.hits
-        self.stats.term_cache_misses = merged.misses
-        self.stats.term_cache_evictions = merged.evictions
-        self.stats.term_cache_bytes = merged.bytes
-        self.stats.term_cache_peak_bytes = merged.peak_bytes
-        self.stats.term_cache_invalidated = merged.invalidated_terms
+        ``bytes`` is what the live caches hold now; ``peak_bytes`` is the
+        highest fleet-wide residency any topology reached.
+        """
+        live = merge_stats(self.term_caches())
+        retired = self._retired_term_stats
+        lifetime = retired + live
+        lifetime.bytes = live.bytes
+        lifetime.peak_bytes = max(retired.peak_bytes, live.peak_bytes)
+        return lifetime
 
     def rebalance(self, factor: int = 2):
         """Split every shard into ``factor`` children, live.
@@ -482,7 +464,6 @@ class QueryService:
         )
         self.invalidate_cache("rebalance-cutover")
         self.stats.rebalances += 1
-        self._sync_term_stats()
         return report
 
     @property
@@ -520,7 +501,6 @@ class QueryService:
         for cache in self.term_caches():
             cache.invalidate_terms(report.mutated_terms.get(cache.shard, ()))
         self.stats.ingests += 1
-        self._sync_term_stats()
         return report
 
     def compact(self):
@@ -550,7 +530,6 @@ class QueryService:
             if dead:
                 cache.fold_tombstones(dead)
         self.stats.compactions += 1
-        self._sync_term_stats()
         return summary
 
     # -- normalization -----------------------------------------------------
@@ -658,7 +637,7 @@ class QueryService:
                 else:
                     waiting.append((requests[i], i, None))
             now, _released = self._next_wave(waiting, now, report)
-        return report
+        return self._close(report)
 
     def process_closed(self, traffic: ClosedLoopTraffic) -> ServiceReport:
         """Drive a closed-loop stream: completions pace the users.
@@ -691,18 +670,25 @@ class QueryService:
             now, released = self._next_wave(waiting, now, report)
             for user, free_ms in released:
                 heapq.heappush(ready, (free_ms + traffic.think(user), user))
-        return report
+        return self._close(report)
 
     def _report(self, name: str) -> ServiceReport:
-        """An empty report for one traffic run, filled wave by wave."""
+        """An empty report for one traffic run, filled wave by wave; its
+        ``cache_stats`` is the opening snapshot until :meth:`_close`."""
         return ServiceReport(
             name=name,
             served=[],
             workers=self.workers,
             max_batch=self.max_batch,
-            cache_stats=self.cache.stats if self.cache is not None else None,
+            cache_stats=None if self.cache is None else self.cache.stats.copy(),
             queue_limit=self.queue_limit,
         )
+
+    def _close(self, report: ServiceReport) -> ServiceReport:
+        """Turn the opening snapshot into the run's own cache delta."""
+        if report.cache_stats is not None:
+            report.cache_stats = self.cache.stats - report.cache_stats
+        return report
 
     def _next_wave(
         self, waiting: List[_Waiting], now: float, report: ServiceReport
@@ -822,7 +808,6 @@ class QueryService:
                 deadline_ms=request.deadline_ms,
             )
         wave_end = max(row.completion_ms for row in rows) if rows else start_ms
-        self._sync_term_stats()
         return rows, wave_end  # type: ignore[return-value]
 
     def _evaluate(self, texts: List[str]) -> List[Tuple[QueryResult, float]]:

@@ -61,6 +61,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from ..counters import Counters
 from ..errors import ConfigError
 
 #: Simulated cost of probing the term cache, charged by call sites on
@@ -72,7 +73,7 @@ KINDS = ("arrays", "stream", "blocks")
 
 
 @dataclass
-class TermCacheStats:
+class TermCacheStats(Counters):
     """Counters over the cache's lifetime (reset only with the cache)."""
 
     lookups: int = 0
@@ -88,20 +89,6 @@ class TermCacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejected_oversize": self.rejected_oversize,
-            "invalidated_terms": self.invalidated_terms,
-            "bytes": self.bytes,
-            "peak_bytes": self.peak_bytes,
-        }
 
 
 @dataclass
@@ -265,18 +252,6 @@ class TermCache:
 
 def merge_stats(caches: Iterable[Optional[TermCache]]) -> TermCacheStats:
     """Summed counters across a fleet of caches (absent caches skipped)."""
-    total = TermCacheStats()
-    for cache in caches:
-        if cache is None:
-            continue
-        stats = cache.stats
-        total.lookups += stats.lookups
-        total.hits += stats.hits
-        total.misses += stats.misses
-        total.insertions += stats.insertions
-        total.evictions += stats.evictions
-        total.rejected_oversize += stats.rejected_oversize
-        total.invalidated_terms += stats.invalidated_terms
-        total.bytes += stats.bytes
-        total.peak_bytes += stats.peak_bytes
-    return total
+    return sum(
+        (cache.stats for cache in caches if cache is not None), TermCacheStats()
+    )

@@ -68,19 +68,34 @@ class ShardRunMetrics(RunMetrics):
         return self.wall_s_sum / (len(self.per_shard) * self.wall_s)
 
 
-def _sum_buffer_stats(per_shard: List[RunMetrics]) -> Dict[str, BufferStats]:
-    """Element-wise sum of each shard's per-pool buffer counters."""
-    totals: Dict[str, BufferStats] = {}
-    for metrics in per_shard:
-        for pool, stats in metrics.buffer_stats.items():
-            if pool not in totals:
-                totals[pool] = BufferStats()
-            total = totals[pool]
-            total.refs += stats.refs
-            total.hits += stats.hits
-            total.insertions += stats.insertions
-            total.evictions += stats.evictions
-    return totals
+#: RunMetrics counters of physical work and pruning effect: both sum
+#: across replicas and across shards.
+_SUMMED = (
+    "io_inputs", "file_accesses", "record_lookups", "bytes_from_file",
+    "documents_skipped", "blocks_skipped", "prune_threshold_updates",
+)
+
+
+def _fold(
+    parts: List[RunMetrics], results: List[QueryResult]
+) -> Dict[str, object]:
+    """The ten counters each level of a sharded run adds up.
+
+    Work counters and per-pool buffers sum over ``parts``; degraded and
+    failed-term counts come from the ``results`` the level served (a
+    query degraded on two shards is one degraded merged query).
+    """
+    counters: Dict[str, object] = {
+        name: sum(getattr(part, name) for part in parts) for name in _SUMMED
+    }
+    buffers: Dict[str, BufferStats] = {}
+    for part in parts:
+        for pool, stats in part.buffer_stats.items():
+            buffers[pool] = buffers.get(pool, BufferStats()) + stats
+    counters["buffer_stats"] = buffers
+    counters["degraded_queries"] = sum(1 for r in results if r.degraded)
+    counters["terms_failed"] = sum(r.terms_failed for r in results)
+    return counters
 
 
 def _group_metrics(
@@ -93,7 +108,8 @@ def _group_metrics(
     """Fold one replica group's counter deltas into a shard-level view.
 
     Counters sum across replicas (physical work on real machines);
-    results-derived fields come from the queries the group served.
+    results-derived fields come from the queries the group served, which
+    ``parts[0]`` was measured with.
     """
     return RunMetrics(
         system=parts[0].system,
@@ -102,21 +118,8 @@ def _group_metrics(
         wall_s=sum(p.wall_s for p in parts),
         user_s=sum(p.user_s for p in parts),
         system_io_s=sum(p.system_io_s for p in parts),
-        io_inputs=sum(p.io_inputs for p in parts),
-        file_accesses=sum(p.file_accesses for p in parts),
-        record_lookups=sum(p.record_lookups for p in parts),
-        bytes_from_file=sum(p.bytes_from_file for p in parts),
-        buffer_stats=_sum_buffer_stats(parts),
         results=results if keep_results else [],
-        degraded_queries=sum(1 for r in results if r.degraded),
-        terms_failed=sum(r.terms_failed for r in results),
-        documents_skipped=sum(
-            getattr(r, "documents_skipped", 0) for r in results
-        ),
-        blocks_skipped=sum(getattr(r, "blocks_skipped", 0) for r in results),
-        prune_threshold_updates=sum(
-            getattr(r, "prune_threshold_updates", 0) for r in results
-        ),
+        **_fold(parts, results),
     )
 
 
@@ -158,29 +161,25 @@ def measure_sharded_run(
     )
     outcome = scheduler.run_batch(queries)
     coordinator = sharded.clock.since(coordinator_start)
-    term_stats = None
-    if term_cache_bytes > 0:
-        from ..serve.termcache import merge_stats
+    # Imported lazily: the serve layer imports this package.
+    from ..serve.termcache import merge_stats
 
-        term_stats = merge_stats(
-            cache for _s, _r, cache in scheduler.term_caches()
-        )
+    term_stats = merge_stats(cache for _s, _r, cache in scheduler.term_caches())
 
     per_shard = []
     for shard_id in live:
+        served = outcome.per_shard_results[shard_id]
+        # The group's results ride on its first replica's part, so the
+        # pruning counters derived from them are counted once.
         parts = [
             snapshots[(shard_id, replica_id)].metrics(
-                [], query_set_name=query_set_name,
+                [] if n else served, query_set_name=query_set_name,
                 queries=len(queries), keep_results=False,
             )
-            for replica_id in groups[shard_id]
+            for n, replica_id in enumerate(groups[shard_id])
         ]
         per_shard.append(_group_metrics(
-            parts,
-            outcome.per_shard_results[shard_id],
-            query_set_name,
-            len(queries),
-            keep_results,
+            parts, served, query_set_name, len(queries), keep_results,
         ))
     shard_wall_sum = sum(m.wall_s for m in per_shard)
     results = outcome.results
@@ -191,26 +190,15 @@ def measure_sharded_run(
         wall_s=outcome.critical.wall_ms / 1000.0,
         user_s=outcome.critical.user_ms / 1000.0,
         system_io_s=outcome.critical.system_io_ms / 1000.0,
-        io_inputs=sum(m.io_inputs for m in per_shard),
-        file_accesses=sum(m.file_accesses for m in per_shard),
-        record_lookups=sum(m.record_lookups for m in per_shard),
-        bytes_from_file=sum(m.bytes_from_file for m in per_shard),
-        buffer_stats=_sum_buffer_stats(per_shard),
         results=results if keep_results else [],
-        degraded_queries=sum(1 for r in results if r.degraded),
-        terms_failed=sum(r.terms_failed for r in results),
         # Pruning counters live on the per-shard engine results (the
         # merged coordinator results don't carry them), so the summed
         # view comes from the per-shard metrics.
-        documents_skipped=sum(m.documents_skipped for m in per_shard),
-        blocks_skipped=sum(m.blocks_skipped for m in per_shard),
-        prune_threshold_updates=sum(
-            m.prune_threshold_updates for m in per_shard
-        ),
-        term_cache_hits=term_stats.hits if term_stats else 0,
-        term_cache_misses=term_stats.misses if term_stats else 0,
-        term_cache_evictions=term_stats.evictions if term_stats else 0,
-        term_cache_bytes=term_stats.bytes if term_stats else 0,
+        **_fold(per_shard, results),
+        term_cache_hits=term_stats.hits,
+        term_cache_misses=term_stats.misses,
+        term_cache_evictions=term_stats.evictions,
+        term_cache_bytes=term_stats.bytes,
         wall_s_sum=shard_wall_sum + coordinator.wall_ms / 1000.0,
         coordinator_wall_s=coordinator.wall_ms / 1000.0,
         per_shard=per_shard,

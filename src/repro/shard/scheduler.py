@@ -327,7 +327,7 @@ class ShardScheduler:
             start = machine.clock.snapshot()
             payload = run(choice)
             d = machine.clock.since(start)
-            self._add(delta, d)
+            delta += d
             attempts.append((choice, d))
             if clean(choice, payload):
                 return _TaskResult(payload, choice, delta, attempts, events)
@@ -390,7 +390,7 @@ class ShardScheduler:
             for shard_id, answers in wave.per_shard_results.items():
                 total.per_shard_results[shard_id].extend(answers)
             total.stats.absorb(wave.stats)
-            self._add(total.critical, wave.critical)
+            total.critical += wave.critical
         return total
 
     def _empty_outcome(self) -> WaveOutcome:
@@ -447,7 +447,7 @@ class ShardScheduler:
                 exchange_ms = cost.cpu_ms_per_posting * slots * len(live)
                 sharded.clock.charge_user(exchange_ms)
                 per_query_ms[q] += exchange_ms
-            self._add(critical, sharded.clock.since(coord_start))
+            critical += sharded.clock.since(coord_start)
             # Score runs pinned to whichever replica collected: its
             # memo provider holds the postings, and phase 2 touches
             # no storage, so it cannot fail independently.
@@ -506,7 +506,7 @@ class ShardScheduler:
             outcome.results.append(
                 merge_results(text, outcomes, top_k=self.top_k)
             )
-        self._add(critical, sharded.clock.since(coord_start))
+        critical += sharded.clock.since(coord_start)
         return outcome
 
     def _daat_many(self, shard_id: int, replica_id: int, texts: List[str]):
@@ -519,12 +519,6 @@ class ShardScheduler:
             results.append(engine.run_query(text))
             deltas.append(clock.since(start))
         return results, deltas
-
-    @staticmethod
-    def _add(critical: TimeBreakdown, delta: TimeBreakdown) -> None:
-        critical.user_ms += delta.user_ms
-        critical.system_ms += delta.system_ms
-        critical.io_ms += delta.io_ms
 
     def _wave(
         self,
@@ -562,7 +556,7 @@ class ShardScheduler:
             stats.failovers.extend(outcome.events)
         stats.barriers += 1
         slowest = max(shard_ids, key=lambda i: (deltas[i].wall_ms, i))
-        self._add(critical, deltas[slowest])
+        critical += deltas[slowest]
         return answers, served
 
     def _down_attempted(self, shard_id: int, text: str) -> int:

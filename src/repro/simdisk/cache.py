@@ -14,9 +14,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, Optional
 
+from ..counters import Counters
+
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss accounting for one cache."""
 
     hits: int = 0
@@ -32,17 +34,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         refs = self.references
         return self.hits / refs if refs else 0.0
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.insertions)
-
-    def __sub__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits - other.hits,
-            self.misses - other.misses,
-            self.evictions - other.evictions,
-            self.insertions - other.insertions,
-        )
 
 
 class BlockCache:

@@ -15,12 +15,13 @@ file-system caching.
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..counters import Counters
 from ..errors import BadBlockError, DiskFullError
 from .timing import BLOCK_SIZE, SimClock
 
 
 @dataclass
-class DiskStats:
+class DiskStats(Counters):
     """Transfer counters for one simulated disk."""
 
     blocks_read: int = 0
@@ -39,24 +40,6 @@ class DiskStats:
     @property
     def bytes_written(self) -> int:
         return self.blocks_written * BLOCK_SIZE
-
-    def copy(self) -> "DiskStats":
-        return DiskStats(
-            self.blocks_read,
-            self.blocks_written,
-            self.sequential_reads,
-            self.random_reads,
-            self.failed_reads,
-        )
-
-    def __sub__(self, other: "DiskStats") -> "DiskStats":
-        return DiskStats(
-            self.blocks_read - other.blocks_read,
-            self.blocks_written - other.blocks_written,
-            self.sequential_reads - other.sequential_reads,
-            self.random_reads - other.random_reads,
-            self.failed_reads - other.failed_reads,
-        )
 
 
 class SimDisk:

@@ -18,6 +18,7 @@ what Table 5's ``A`` and ``B`` columns report for the inverted file.
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..counters import Counters
 from ..errors import FileNotFoundInStoreError, FileSystemError
 from .cache import BlockCache
 from .disk import SimDisk
@@ -25,27 +26,13 @@ from .timing import BLOCK_SIZE
 
 
 @dataclass
-class FileStats:
+class FileStats(Counters):
     """Access accounting for one simulated file."""
 
     read_calls: int = 0
     write_calls: int = 0
     bytes_delivered: int = 0
     bytes_written: int = 0
-
-    def copy(self) -> "FileStats":
-        return FileStats(
-            self.read_calls, self.write_calls,
-            self.bytes_delivered, self.bytes_written,
-        )
-
-    def __sub__(self, other: "FileStats") -> "FileStats":
-        return FileStats(
-            self.read_calls - other.read_calls,
-            self.write_calls - other.write_calls,
-            self.bytes_delivered - other.bytes_delivered,
-            self.bytes_written - other.bytes_written,
-        )
 
 
 class SimFile:

@@ -28,6 +28,8 @@ Table 3 corresponds to ``wall = user + system + io``; Table 4 corresponds to
 
 from dataclasses import dataclass, field
 
+from ..counters import Counters
+
 #: Size of one disk transfer block, in bytes.  The paper's ULTRIX file system
 #: reads 8 Kbyte blocks ("I" in Table 5 counts these).
 BLOCK_SIZE = 8192
@@ -63,7 +65,7 @@ class CostModel:
 
 
 @dataclass
-class TimeBreakdown:
+class TimeBreakdown(Counters):
     """Accumulated simulated time, split into the paper's three buckets."""
 
     user_ms: float = 0.0
@@ -79,16 +81,6 @@ class TimeBreakdown:
     def system_io_ms(self) -> float:
         """System CPU plus I/O wait (Table 4)."""
         return self.system_ms + self.io_ms
-
-    def copy(self) -> "TimeBreakdown":
-        return TimeBreakdown(self.user_ms, self.system_ms, self.io_ms)
-
-    def __sub__(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        return TimeBreakdown(
-            self.user_ms - other.user_ms,
-            self.system_ms - other.system_ms,
-            self.io_ms - other.io_ms,
-        )
 
 
 @dataclass

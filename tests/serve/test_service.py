@@ -85,6 +85,19 @@ def test_cache_off_disables_sharing(prepared, config, pool):
     assert report.cache_stats is None
 
 
+def test_report_cache_stats_count_only_their_own_run(prepared, config, pool):
+    text = pool[0]
+    service = QueryService(materialize(prepared, config), max_batch=1)
+    first = service.process(burst([text] * 3), name="first")
+    assert (first.cache_stats.hits, first.cache_stats.misses) == (2, 1)
+    second = service.process(burst([text] * 3 + [pool[1]]), name="second")
+    # The first report is not rewritten by the second run.
+    assert (first.cache_stats.hits, first.cache_stats.misses) == (2, 1)
+    assert (second.cache_stats.hits, second.cache_stats.misses) == (3, 1)
+    assert second.cache_stats is not first.cache_stats
+    assert service.cache.stats.hits == 5
+
+
 def test_repeat_heavy_stream_hits_after_first_wave(prepared, config, pool):
     text = pool[0]
     service = QueryService(materialize(prepared, config), max_batch=1)
@@ -251,6 +264,23 @@ def test_rebalance_mid_stream_is_invisible(
             assert row.result.ranking == taat_reference[row.text], row.text
     assert service.stats.rebalances == 1
     assert service.stats.degraded_served == 0
+
+
+def test_term_cache_lifetime_stats_survive_rebalance(prepared, config, pool):
+    """Retired caches keep their counters and their peak; ``bytes`` is
+    what the cold replacements hold."""
+    service = QueryService(
+        materialize(prepared, config, shards=2), workers=2,
+        term_cache_bytes=64 * 1024,
+    )
+    service.process(burst(pool), name="pre-split")
+    before = service.term_cache_stats()
+    assert before.peak_bytes > 0
+    service.rebalance(factor=2)
+    after = service.term_cache_stats()
+    assert after.peak_bytes == before.peak_bytes
+    assert after.bytes == 0
+    assert (after.lookups, after.hits) == (before.lookups, before.hits)
 
 
 def test_rebalance_requires_sharded_backend(prepared, config):
