@@ -63,6 +63,3 @@ class BenchRunner:
                     )
             self._grids[profile] = grid
         return self._grids[profile]
-
-    def all_grids(self) -> Dict[str, ExperimentGrid]:
-        return {profile: self.grid(profile) for profile in PROFILE_ORDER}

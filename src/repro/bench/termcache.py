@@ -332,20 +332,21 @@ def bench_profile(
     )
     if not shard_identical:
         violations.append("sharded: cache-on rankings differ from cache-off")
-    if shard_on.term_cache_hits == 0:
+    shard_stats = shard_on.term_cache
+    if shard_stats.hits == 0:
         violations.append("sharded: the per-replica caches never hit")
-    if shard_on.term_cache_bytes > budget:
+    if shard_stats.bytes > budget:
         violations.append(
-            f"sharded: resident {shard_on.term_cache_bytes} bytes "
+            f"sharded: resident {shard_stats.bytes} bytes "
             f"exceeded the {budget}-byte budget"
         )
     shard_cell = {
         "identical": shard_identical,
-        "hits": shard_on.term_cache_hits,
-        "misses": shard_on.term_cache_misses,
+        "hits": shard_stats.hits,
+        "misses": shard_stats.misses,
         "record_lookups_off": shard_off.record_lookups,
         "record_lookups_on": shard_on.record_lookups,
-        "resident_bytes": shard_on.term_cache_bytes,
+        "resident_bytes": shard_stats.bytes,
     }
 
     # -- eviction pressure: a budget the working set cannot fit -----------

@@ -222,7 +222,7 @@ def _print_ingest_line(report) -> None:
 
 def _print_term_cache_line(stats) -> None:
     """One line of term cache accounting under a demo run."""
-    if stats is None or stats.lookups == 0:
+    if stats.lookups == 0:
         return
     print(
         f"\nTerm cache: {stats.hits}/{stats.lookups} hits "
@@ -266,6 +266,9 @@ def cmd_demo(args) -> int:
     workload = load_workload(args.profile)
     if args.serve:
         return _demo_serve(args, workload)
+    from .serve.termcache import TermCacheFleet
+
+    fleet = TermCacheFleet(args.term_cache_kb * 1024)
     if args.shards and args.shards > 1:
         sharded = materialize(
             workload.prepared, config_by_name(args.config),
@@ -280,8 +283,7 @@ def cmd_demo(args) -> int:
             _print_ingest_line(pipeline.apply(adds=adds, deletes=deletes))
         scheduler = sharded.scheduler(
             top_k=args.top_k, engine="daat" if args.daat else "taat",
-            prune=args.prune,
-            term_cache_bytes=args.term_cache_kb * 1024,
+            prune=args.prune, term_caches=fleet,
         )
         outcome = scheduler.run_batch(list(args.queries))
         if args.replicas:
@@ -316,12 +318,7 @@ def cmd_demo(args) -> int:
                     f"{sum(r.blocks_skipped for r in shard_results)} block(s) "
                     "skipped across shards"
                 )
-        if args.term_cache_kb > 0:
-            from .serve.termcache import merge_stats
-
-            _print_term_cache_line(merge_stats(
-                cache for _s, _r, cache in scheduler.term_caches()
-            ))
+        _print_term_cache_line(fleet.stats())
         return 0
     system = materialize(workload.prepared, config_by_name(args.config))
     if args.ingest:
@@ -336,10 +333,7 @@ def cmd_demo(args) -> int:
         )
     else:
         engine = RetrievalEngine(system.index, top_k=args.top_k)
-    if args.term_cache_kb > 0:
-        from .serve import TermCache
-
-        engine.term_cache = TermCache(args.term_cache_kb * 1024)
+    engine.term_cache = fleet.cache_for(0, 0, system)
     for query in args.queries:
         result = engine.run_query(query)
         print(f"\nQuery: {query}")
@@ -348,8 +342,7 @@ def cmd_demo(args) -> int:
         for rank, (doc_id, belief) in enumerate(result.ranking, start=1):
             print(f"  {rank:>3d}. doc {doc_id:<8d} belief={belief:.4f}")
         _print_prune_line(result)
-    if engine.term_cache is not None:
-        _print_term_cache_line(engine.term_cache.stats)
+    _print_term_cache_line(fleet.stats())
     return 0
 
 
@@ -419,13 +412,7 @@ def _demo_serve(args, workload) -> int:
             f"({stats.hit_rate:.0%}), "
             f"{len(service.cache)} entrie(s) resident"
         )
-    term_stats = service.term_cache_stats()
-    if term_stats.lookups:
-        print(
-            f"Term cache: {term_stats.hits}/{term_stats.lookups} hits "
-            f"({term_stats.hit_rate:.0%}), {term_stats.bytes} bytes "
-            f"resident (peak {term_stats.peak_bytes})"
-        )
+    _print_term_cache_line(service.term_cache_stats())
     if report.shed:
         print(
             f"Shed {len(report.shed)}/{report.offered} request(s) "

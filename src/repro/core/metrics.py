@@ -19,12 +19,15 @@ mean over six runs (their runs differed by <1% anyway).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..inquery import DEFAULT_TOP_K, MnemeInvertedFile, QueryResult, RetrievalEngine
 from ..mneme import BufferStats
 from ..simdisk import FileStats
 from .prepared import IRSystem
+
+if TYPE_CHECKING:
+    from ..serve.termcache import TermCacheStats
 
 
 @dataclass
@@ -52,14 +55,10 @@ class RunMetrics:
     documents_skipped: int = 0
     blocks_skipped: int = 0
     prune_threshold_updates: int = 0
-    #: Term cache counters (zero when no cache was attached).
-    #: Unlike the fields above these are not results-derived: harnesses
-    #: that attach a cache fill them from its
-    #: :class:`~repro.serve.termcache.TermCacheStats` after the run.
-    term_cache_hits: int = 0
-    term_cache_misses: int = 0
-    term_cache_evictions: int = 0
-    term_cache_bytes: int = 0
+    #: The run's :class:`~repro.serve.termcache.TermCacheStats` (``None``
+    #: when no term cache was attached).  Unlike the fields above it is
+    #: not results-derived: harnesses that attach caches fill it in.
+    term_cache: Optional["TermCacheStats"] = None
 
     @property
     def accesses_per_lookup(self) -> float:

@@ -18,12 +18,12 @@ structure) falls back to the scalar reference implementation, which
 either handles it or raises the canonical error.
 """
 
-from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import IndexError_
+from ..lru import WeightedLRU
 from .vbyte import decode_stream, encode_stream
 
 #: One posting: (document id, sorted within-document positions).
@@ -186,10 +186,8 @@ class DecodeCache:
     """
 
     def __init__(self, max_ints: int = 4_000_000):
-        self._max = max_ints
-        self._held = 0
-        #: record bytes -> (arrays, the weight they were charged)
-        self._entries: "OrderedDict[bytes, Tuple[RecordArrays, int]]" = OrderedDict()
+        #: record bytes -> arrays, weighed by :meth:`_weight`
+        self._lru = WeightedLRU(max_ints)
 
     @staticmethod
     def _weight(arrays: "RecordArrays") -> int:
@@ -209,19 +207,10 @@ class DecodeCache:
 
     def decode(self, record: bytes) -> "RecordArrays":
         """The record's arrays: memoized, or decoded and stored."""
-        entry = self._entries.get(record)
-        if entry is not None:
-            self._entries.move_to_end(record)
-            return entry[0]
-        arrays = decode_record_arrays(record)
-        weight = self._weight(arrays)
-        if weight > self._max:
-            return arrays
-        self._entries[record] = (arrays, weight)
-        self._held += weight
-        while self._held > self._max:
-            _key, (_evicted, evicted_weight) = self._entries.popitem(last=False)
-            self._held -= evicted_weight
+        arrays = self._lru.get(record)
+        if arrays is None:
+            arrays = decode_record_arrays(record)
+            self._lru.put(record, arrays, self._weight(arrays))
         return arrays
 
 

@@ -106,6 +106,7 @@ from ..errors import BadBlockError, PruningUnsupportedError
 from ..inquery.bounds import PrunableSource, belief_bound
 from ..inquery.network import DEFAULT_BELIEF, inquery_idf, left_sum
 from ..inquery.postings import decode_record
+from . import state as _fastpath
 from .codec import dead_column_filter
 
 #: Candidates evaluated between threshold refreshes.  Both drivers
@@ -141,51 +142,46 @@ class PruneOutcome:
     failed: int = 0
 
 
-def _block_decoder(use_fastpath: bool, decode: Callable) -> Callable[[bytes], tuple]:
+def _memo_block_decoder(decode: Callable) -> Callable[[bytes], tuple]:
     """Raw block -> (doc ids, tfs), both ascending by document, unfiltered.
 
     The fast decoder returns the numpy columns of ``decode`` (the
-    engine's memo), which the fast driver slices wholesale; the
-    reference decoder ignores the memo, decodes every block and returns
-    pure-Python lists.  Both carry the same integers, so everything
-    downstream — candidate order, bounds, scores, skip counters — is
-    decoder-independent.  Tombstone filtering is a *separate* step
-    (:func:`_dead_filter`, applied per cursor after every decode) so
-    term-cache tapes stay epoch-raw and reusable.
+    engine's memo), which the fast driver slices wholesale;
+    :func:`_reference_block_decoder` ignores the memo, decodes every
+    block and returns pure-Python lists.  Both carry the same integers,
+    so everything downstream — candidate order, bounds, scores, skip
+    counters — is decoder-independent.  Tombstone filtering is a
+    *separate* step (the dead filter, applied per cursor after every
+    decode) so term-cache tapes stay epoch-raw and reusable.
     """
-    if use_fastpath:
 
-        def decode_fast(raw: bytes):
-            arrays = decode(raw)
-            return arrays.doc_ids, arrays.tf
+    def decode_fast(raw: bytes):
+        arrays = decode(raw)
+        return arrays.doc_ids, arrays.tf
 
-        return decode_fast
-
-    def decode_ref(raw: bytes):
-        postings = decode_record(raw)
-        return [d for d, _p in postings], [len(p) for _d, p in postings]
-
-    return decode_ref
+    return decode_fast
 
 
-def _dead_filter(use_fastpath: bool, dead) -> Optional[Callable]:
+def _reference_block_decoder(raw: bytes):
+    postings = decode_record(raw)
+    return [d for d, _p in postings], [len(p) for _d, p in postings]
+
+
+def _reference_dead_filter(dead) -> Optional[Callable]:
     """(docs, tfs) -> (docs, tfs) with ``dead`` documents dropped.
 
-    Returns ``None`` when there is nothing to filter (the common case:
-    the decoded columns pass through untouched).  This is the single
-    tombstone choke point of the pruned path; the per-block bound
+    The list twin of :func:`~repro.fastpath.codec.dead_column_filter`:
+    ``None`` when there is nothing to filter (the common case: the
+    decoded columns pass through untouched).  The dead filter is the
+    single tombstone choke point of the pruned path; the per-block bound
     sidecars stay keyed to the physical blocks and remain admissible (a
     dead document can only make a bound stale-*high*).
     """
     if not dead:
         return None
-    if use_fastpath:
-        return dead_column_filter(dead)
-
-    dead_set = dead
 
     def filter_ref(docs, tfs):
-        kept = [(d, t) for d, t in zip(docs, tfs) if d not in dead_set]
+        kept = [(d, t) for d, t in zip(docs, tfs) if d not in dead]
         return [d for d, _t in kept], [t for _d, t in kept]
 
     return filter_ref
@@ -894,7 +890,6 @@ def run_pruned(
     avg_len: float,
     clock,
     top_k: int,
-    use_fastpath: bool,
     tombstones: Optional[set] = None,
     term_cache=None,
     *,
@@ -903,9 +898,11 @@ def run_pruned(
     """Top-k evaluation of one flat #sum/#wsum query with MaxScore.
 
     ``entries`` is positional (one slot per query child, ``None`` or
-    df==0 for terms with no evidence).  ``decode`` is the fast driver's
-    raw block -> :class:`~repro.fastpath.codec.RecordArrays` decoder
-    (the engine's memo); the reference driver never uses it.  Raises
+    df==0 for terms with no evidence).  The fast-path switch is read
+    once, here, and picks the driver with its decoder and dead filter.
+    ``decode`` is the fast driver's raw block ->
+    :class:`~repro.fastpath.codec.RecordArrays` decoder (the engine's
+    memo); the reference driver never uses it.  Raises
     :class:`~repro.errors.PruningUnsupportedError` when no safe bound
     exists: a negative #wsum weight (the fold is no longer monotone in
     each belief) or a live term without bound metadata (a record built
@@ -932,12 +929,19 @@ def run_pruned(
     outcome = PruneOutcome(ranking=[])
     failures = [0]
     dead_now = set(tombstones) if tombstones else set()
+    if _fastpath.enabled():
+        decode_block, dead_filter, drive = (
+            _memo_block_decoder(decode), dead_column_filter, _run_fast
+        )
+    else:
+        decode_block, dead_filter, drive = (
+            _reference_block_decoder, _reference_dead_filter, _run_reference
+        )
     evaluator = _Evaluator(
-        _block_decoder(use_fastpath, decode), clock, weights,
-        total_weight, weighted,
+        decode_block, clock, weights, total_weight, weighted,
         lambda: failures.__setitem__(0, failures[0] + 1),
     )
-    base_filter = _dead_filter(use_fastpath, dead_now)
+    base_filter = dead_filter(dead_now)
 
     cursors: Dict[int, _TermCursor] = {}
     for position, entry in live_entries:
@@ -965,9 +969,7 @@ def run_pruned(
             hit = term_cache.get("blocks", entry.term, fingerprint=fingerprint)
             if hit is not None:
                 cursor.tape = hit.payload
-                cursor.dead_filter = _dead_filter(
-                    use_fastpath, hit.dead | dead_now
-                )
+                cursor.dead_filter = dead_filter(hit.dead | dead_now)
             else:
                 tape = {}
                 term_cache.put(
@@ -989,10 +991,7 @@ def run_pruned(
         evaluator, cursors, order, doctable, avg_len, clock,
         top_k, n_positions, outcome,
     )
-    if use_fastpath:
-        _run_fast(state)
-    else:
-        _run_reference(state)
+    drive(state)
 
     # Final selection order matches heapq.nsmallest's (-score, doc) key.
     clock.charge_user(cost.cpu_ms_per_posting * len(state.heap))

@@ -355,7 +355,6 @@ class DocumentAtATimeEngine:
                 avg_len,
                 self.clock,
                 self.top_k,
-                _fastpath.enabled(),
                 tombstones=self.index.tombstones,
                 term_cache=self.term_cache,
                 decode=self._decode_cache.decode,

@@ -81,6 +81,10 @@ class CompactionSummary:
     wall_ms: float = 0.0
     machine_ms: float = 0.0
     groups_verified: int = 0
+    #: Owning shard -> sorted documents whose tombstones this pass
+    #: folded out of the records.  This is exactly the set the term
+    #: caches' entry snapshots must keep filtering.
+    folded_tombstones: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
 
 def _term_stats(document: Document, index) -> Tuple[Dict[str, int], int]:
@@ -332,8 +336,10 @@ class IngestPipeline:
         starts = [(machine, machine.clock.snapshot()) for _s, machine in machines]
         from ..mneme import compact as gc_compact
 
-        for _shard_id, machine in machines:
+        for shard_id, machine in machines:
             index = machine.index
+            if index.tombstones:  # the same set on every replica
+                summary.folded_tombstones[shard_id] = tuple(sorted(index.tombstones))
             summary.tombstones_folded += len(index.tombstones)
             summary.records_rewritten += fold_tombstones(index)
             index.save()

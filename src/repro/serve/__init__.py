@@ -24,8 +24,9 @@ with:
   answers the hot-term repeats the paper's record-caching experiment
   measured, eliding the SimDisk reads and the decode charge (each
   engine's decode memo absorbs the real decode) while keeping rankings
-  bit-identical (``term_cache_bytes`` on the service, the
-  scheduler, or the benches; off by default).
+  bit-identical (``term_cache_bytes`` on the service or the benches;
+  off by default).  A :class:`~repro.serve.termcache.TermCacheFleet`
+  owns every cache of one backend, one per (shard, replica) machine.
 
 Overload is a first-class state rather than an accident: a bounded
 admission queue (``queue_limit``), per-request deadlines expired at
@@ -49,7 +50,7 @@ from .service import (
     ServiceStats,
     ShedRequest,
 )
-from .termcache import TERM_PROBE_MS, TermCache, TermCacheStats, merge_stats
+from .termcache import TERM_PROBE_MS, TermCache, TermCacheFleet, TermCacheStats
 
 __all__ = [
     "CACHE_PROBE_MS",
@@ -64,7 +65,7 @@ __all__ = [
     "ShedRequest",
     "TERM_PROBE_MS",
     "TermCache",
+    "TermCacheFleet",
     "TermCacheStats",
     "clone_result",
-    "merge_stats",
 ]

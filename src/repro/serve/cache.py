@@ -26,13 +26,13 @@ Three rules keep cached serving inside the bit-identity contract:
 
 import copy
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..counters import Counters
 from ..errors import CacheInconsistencyError, ConfigError
 from ..inquery.engine import QueryResult
+from ..lru import WeightedLRU
 
 
 def _frozen_copy(value):
@@ -113,16 +113,17 @@ class ResultCache:
         if capacity < 1:
             raise ConfigError("result cache capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, Tuple[int, QueryResult]]" = OrderedDict()
+        #: key -> (epoch, result), one unit of weight each
+        self._lru = WeightedLRU(capacity)
         self._epoch = 0
         self.stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def __contains__(self, key: str) -> bool:
         """Probe without touching recency or statistics."""
-        return key in self._entries
+        return key in self._lru
 
     @property
     def epoch(self) -> int:
@@ -130,7 +131,7 @@ class ResultCache:
 
     def keys(self):
         """Keys from least to most recently used (eviction order)."""
-        return list(self._entries)
+        return self._lru.keys()
 
     def get(self, key: str, query_text: Optional[str] = None) -> Optional[QueryResult]:
         """The cached result for ``key`` (freshened to MRU), or ``None``.
@@ -139,7 +140,7 @@ class ResultCache:
         query's own spelling.
         """
         self.stats.lookups += 1
-        entry = self._entries.get(key)
+        entry = self._lru.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
@@ -149,7 +150,6 @@ class ResultCache:
                 key=key,
                 reason=f"entry epoch {epoch} survived into epoch {self._epoch}",
             )
-        self._entries.move_to_end(key)
         self.stats.hits += 1
         return clone_result(result, query_text)
 
@@ -163,12 +163,9 @@ class ResultCache:
         if result.degraded or result.completeness < 1.0:
             self.stats.rejected_degraded += 1
             return False
-        self._entries[key] = (self._epoch, clone_result(result))
-        self._entries.move_to_end(key)
+        evicted = self._lru.put(key, (self._epoch, clone_result(result)), 1)
         self.stats.insertions += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self.stats.evictions += len(evicted)
         return True
 
     def invalidate(self, reason: str = "") -> int:
@@ -180,7 +177,7 @@ class ResultCache:
         """
         del reason
         self._epoch += 1
-        dropped = len(self._entries)
-        self._entries.clear()
+        dropped = len(self._lru)
+        self._lru.clear()
         self.stats.invalidations += 1
         return dropped

@@ -96,7 +96,7 @@ from ..inquery.query import count_nodes, parse_query
 from ..shard.system import ShardedIRSystem
 from ..synth.traffic import PRIORITY_RANK, ClosedLoopTraffic, TimedRequest
 from .cache import CacheStats, ResultCache, clone_result
-from .termcache import TermCache, TermCacheStats, merge_stats
+from .termcache import TermCache, TermCacheFleet, TermCacheStats
 
 #: Simulated cost of one cache probe (hash the canonical key, compare).
 CACHE_PROBE_MS = 0.05
@@ -329,8 +329,8 @@ class QueryService:
             raise ConfigError("max_batch must be at least 1")
         if queue_limit < 0:
             raise ConfigError("queue_limit must be non-negative (0 = unbounded)")
-        if term_cache_bytes < 0:
-            raise ConfigError("term_cache_bytes must be non-negative (0 = off)")
+        #: Every term cache the service's engines use (empty when off).
+        self.term_cache_fleet = TermCacheFleet(term_cache_bytes)
         self.backend = backend
         self.engine = engine
         self.top_k = top_k
@@ -353,14 +353,10 @@ class QueryService:
                 backend.clock.reset()
             else:
                 cold_start(backend)
-        self.term_cache_bytes = term_cache_bytes
-        #: Counters of caches retired by rebalance (their replacements
-        #: start cold, but lifetime stats must not go backwards).
-        self._retired_term_stats = TermCacheStats()
         if self.sharded:
             self._scheduler = backend.scheduler(
                 top_k=top_k, engine=engine, prune=prune,
-                term_cache_bytes=term_cache_bytes,
+                term_caches=self.term_cache_fleet,
             )
             index = backend.shards[0].index
         elif engine == "daat":
@@ -378,8 +374,8 @@ class QueryService:
                 use_reservation=backend.config.use_reservation,
             )
             index = backend.index
-        if not self.sharded and term_cache_bytes > 0:
-            self._engine.term_cache = TermCache(term_cache_bytes, shard=0)
+        if not self.sharded:
+            self._engine.term_cache = self.term_cache_fleet.cache_for(0, 0, backend)
         # Normalization must match the backend's: same stop list, same
         # stemmer (every shard shares the global preparation, so shard
         # 0's index speaks for all of them).
@@ -414,25 +410,11 @@ class QueryService:
 
     def term_caches(self) -> List[TermCache]:
         """Every live per-replica term cache (empty when off)."""
-        if self.term_cache_bytes <= 0:
-            return []
-        if self.sharded:
-            return [cache for _s, _r, cache in self._scheduler.term_caches()]
-        cache = getattr(self._engine, "term_cache", None)
-        return [cache] if cache is not None else []
+        return self.term_cache_fleet.caches()
 
     def term_cache_stats(self) -> TermCacheStats:
-        """Lifetime counters: live caches plus rebalance-retired ones.
-
-        ``bytes`` is what the live caches hold now; ``peak_bytes`` is the
-        highest fleet-wide residency any topology reached.
-        """
-        live = merge_stats(self.term_caches())
-        retired = self._retired_term_stats
-        lifetime = retired + live
-        lifetime.bytes = live.bytes
-        lifetime.peak_bytes = max(retired.peak_bytes, live.peak_bytes)
-        return lifetime
+        """Lifetime term-cache counters, retired caches included."""
+        return self.term_cache_fleet.stats()
 
     def rebalance(self, factor: int = 2):
         """Split every shard into ``factor`` children, live.
@@ -451,16 +433,16 @@ class QueryService:
             raise ConfigError("rebalance requires a sharded backend")
         from ..shard.rebalance import split_shards
 
+        report = split_shards(self.backend, factor=factor)
         # Retire the term caches with the topology that filled them:
         # post-split records live on different machines with different
         # storage keys, so the replacements start cold by design.
-        self._retired_term_stats = self.term_cache_stats()
-        report = split_shards(self.backend, factor=factor)
+        self.term_cache_fleet.retire()
         # The old scheduler is epoch-stale by design; build a fresh one
         # against the new topology.
         self._scheduler = self.backend.scheduler(
             top_k=self.top_k, engine=self.engine, prune=self.prune,
-            term_cache_bytes=self.term_cache_bytes,
+            term_caches=self.term_cache_fleet,
         )
         self.invalidate_cache("rebalance-cutover")
         self.stats.rebalances += 1
@@ -498,8 +480,7 @@ class QueryService:
         # only the owning shard's mutated terms drop (deletes are
         # tombstones — the post-fetch filter handles them, nothing to
         # invalidate).
-        for cache in self.term_caches():
-            cache.invalidate_terms(report.mutated_terms.get(cache.shard, ()))
+        self.term_cache_fleet.invalidate(report.mutated_terms)
         self.stats.ingests += 1
         return report
 
@@ -514,21 +495,10 @@ class QueryService:
         :class:`~repro.live.CompactionSummary`.
         """
         self._check_open()
-        # Snapshot the tombstones compaction is about to fold: cached
-        # payloads decoded before the fold still contain those documents
-        # and must keep filtering them after the index's own set empties.
-        folded: Dict[int, set] = {}
-        if self.term_caches():
-            if self.sharded:
-                for shard_id, group in enumerate(self.backend.replica_groups):
-                    folded[shard_id] = set(group[0].index.tombstones)
-            else:
-                folded[0] = set(self.backend.index.tombstones)
         summary = self.ingest_pipeline.compact()
-        for cache in self.term_caches():
-            dead = folded.get(cache.shard)
-            if dead:
-                cache.fold_tombstones(dead)
+        # Cached payloads decoded before the fold still contain the
+        # folded documents and must keep filtering them.
+        self.term_cache_fleet.fold(summary.folded_tombstones)
         self.stats.compactions += 1
         return summary
 

@@ -17,8 +17,11 @@ bytes, so a hit costs no real decode either), the reference path
 through :func:`~repro.inquery.postings.decode_record`.
 
 One :class:`TermCache` serves one replica of one shard (flat systems
-are shard 0).  Entries are keyed by ``(kind, term)`` where ``kind``
-names the read choke point that produced them:
+are shard 0), and one :class:`TermCacheFleet` owns every cache of a
+backend: it creates them, applies ingest and compaction to them, retires
+them with their machine or topology, and counts them.  Entries are keyed
+by ``(kind, term)`` where ``kind`` names the read choke point that
+produced them:
 
 * ``"arrays"`` — the term-at-a-time provider's whole record, flat and
   sharded, on both arms;
@@ -51,25 +54,23 @@ Correctness rules (the observational-identity contract):
   accounting stays honest; the elided work (block reads, decode
   charges, ``record_lookups``) is the measured win.
 
-Eviction is size-weighted LRU under ``byte_budget``, every entry
-charged its encoded length; an entry larger than ``max_entry_fraction``
+Eviction is size-weighted LRU under ``byte_budget``
+(:class:`~repro.lru.WeightedLRU`), every entry charged its encoded
+length; an entry larger than ``max_entry_fraction``
 of the budget is never admitted (a single TIPSTER-scale list would
 otherwise flush the whole cache for one term).
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..counters import Counters
 from ..errors import ConfigError
+from ..lru import WeightedLRU
 
 #: Simulated cost of probing the term cache, charged by call sites on
 #: every lookup (hit or miss).  Small against even one block read.
 TERM_PROBE_MS = 0.002
-
-#: Entry kinds, one per read choke point (documentation).
-KINDS = ("arrays", "stream", "blocks")
 
 
 @dataclass
@@ -94,7 +95,6 @@ class TermCacheStats(Counters):
 @dataclass
 class _Entry:
     payload: object
-    nbytes: int
     dead: frozenset
     fingerprint: Optional[tuple]
 
@@ -122,7 +122,8 @@ class TermCache:
         #: cache so :mod:`repro.inquery` never imports the serve layer.
         self.probe_ms = TERM_PROBE_MS
         self.stats = TermCacheStats()
-        self._entries: "OrderedDict[Tuple[str, object], _Entry]" = OrderedDict()
+        #: (kind, term) -> entry, weighed by its resident bytes
+        self._lru = WeightedLRU(byte_budget, self.max_entry_bytes)
         #: deterministic (op, kind, term) event log for the bench gate;
         #: off by default — it grows without bound.
         self.trace: Optional[List[Tuple[str, str, str]]] = (
@@ -130,11 +131,11 @@ class TermCache:
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def __contains__(self, key) -> bool:
         """Probe without touching recency or statistics."""
-        return key in self._entries
+        return key in self._lru
 
     # -- lookups ---------------------------------------------------------------
 
@@ -148,16 +149,16 @@ class TermCache:
         """
         self.stats.lookups += 1
         key = (kind, term)
-        entry = self._entries.get(key)
+        entry = self._lru.get(key)
         if entry is not None and entry.fingerprint != fingerprint:
-            self._drop(key)
+            self._lru.pop(key)
+            self.stats.bytes = self._lru.held
             entry = None
         if entry is None:
             self.stats.misses += 1
             if self.trace is not None:
                 self.trace.append(("miss", kind, str(term)))
             return None
-        self._entries.move_to_end(key)
         self.stats.hits += 1
         if self.trace is not None:
             self.trace.append(("hit", kind, str(term)))
@@ -180,37 +181,22 @@ class TermCache:
         encoded record size, exactly the footprint the elided fetch
         would have made resident.
         """
-        nbytes = max(1, int(nbytes))
-        if nbytes > self.max_entry_bytes:
+        entry = _Entry(payload=payload, dead=frozenset(dead), fingerprint=fingerprint)
+        evicted = self._lru.put((kind, term), entry, max(1, int(nbytes)))
+        if evicted is None:
             self.stats.rejected_oversize += 1
             return False
-        key = (kind, term)
-        if key in self._entries:
-            self._drop(key)
-        self._entries[key] = _Entry(
-            payload=payload,
-            nbytes=nbytes,
-            dead=frozenset(dead),
-            fingerprint=fingerprint,
-        )
-        self.stats.bytes += nbytes
         self.stats.insertions += 1
+        self.stats.evictions += len(evicted)
         if self.trace is not None:
             self.trace.append(("put", kind, str(term)))
-        # An admitted entry fits the budget on its own, so evicting
-        # older entries always makes room and the new one survives.
-        while self.stats.bytes > self.byte_budget:
-            victim = next(iter(self._entries))
-            self._drop(victim)
-            self.stats.evictions += 1
-            if self.trace is not None:
-                self.trace.append(("evict", victim[0], str(victim[1])))
+            self.trace.extend(
+                ("evict", victim_kind, str(victim_term))
+                for (victim_kind, victim_term), _victim in evicted
+            )
+        self.stats.bytes = self._lru.held
         self.stats.peak_bytes = max(self.stats.peak_bytes, self.stats.bytes)
         return True
-
-    def _drop(self, key) -> None:
-        entry = self._entries.pop(key)
-        self.stats.bytes -= entry.nbytes
 
     # -- index lifecycle hooks -------------------------------------------------
 
@@ -223,11 +209,12 @@ class TermCache:
         wanted = set(terms)
         if not wanted:
             return 0
-        victims = [key for key in self._entries if key[1] in wanted]
+        victims = [key for key in self._lru.keys() if key[1] in wanted]
         for key in victims:
-            self._drop(key)
+            self._lru.pop(key)
             if self.trace is not None:
                 self.trace.append(("invalidate", key[0], str(key[1])))
+        self.stats.bytes = self._lru.held
         self.stats.invalidated_terms += len(victims)
         return len(victims)
 
@@ -242,16 +229,84 @@ class TermCache:
         folded = frozenset(dead)
         if not folded:
             return
-        for entry in self._entries.values():
+        for entry in self._lru.values():
             entry.dead = entry.dead | folded
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._lru.clear()
         self.stats.bytes = 0
 
 
-def merge_stats(caches: Iterable[Optional[TermCache]]) -> TermCacheStats:
-    """Summed counters across a fleet of caches (absent caches skipped)."""
-    return sum(
-        (cache.stats for cache in caches if cache is not None), TermCacheStats()
-    )
+def merge_stats(caches: Iterable[TermCache]) -> TermCacheStats:
+    """Summed counters across caches."""
+    return sum((cache.stats for cache in caches), TermCacheStats())
+
+
+class TermCacheFleet:
+    """Every term cache of one backend, one per (shard, replica) machine.
+
+    A machine's cache is created on first use and retired when the
+    machine is replaced (re-replication) or the topology changes
+    (:meth:`retire`, at a rebalance); retired caches keep counting in
+    :meth:`stats`, so no lifetime counter goes backwards.  A
+    ``byte_budget`` of 0 turns caching off.
+    """
+
+    def __init__(self, byte_budget: int):
+        if byte_budget < 0:
+            raise ConfigError("term_cache_bytes must be non-negative (0 = off)")
+        self.byte_budget = byte_budget
+        #: (shard, replica) -> (cache, the machine it was built for)
+        self._held: Dict[Tuple[int, int], Tuple[TermCache, object]] = {}
+        self._retired = TermCacheStats()
+
+    def cache_for(self, shard: int, replica: int, machine) -> Optional[TermCache]:
+        """The cache of ``machine``, serving ``(shard, replica)``."""
+        if self.byte_budget == 0:
+            return None
+        key = (shard, replica)
+        held = self._held.get(key)
+        if held is None or held[1] is not machine:
+            if held is not None:
+                self._retire([key])
+            held = (TermCache(self.byte_budget, shard=shard), machine)
+            self._held[key] = held
+        return held[0]
+
+    def caches(self) -> List[TermCache]:
+        """The live caches, in (shard, replica) order."""
+        return [self._held[key][0] for key in sorted(self._held)]
+
+    def invalidate(self, mutated_terms_by_shard: Dict[int, Sequence[str]]) -> int:
+        """Ingest: drop each shard's mutated terms from its caches;
+        returns how many entries were dropped."""
+        return sum(
+            cache.invalidate_terms(mutated_terms_by_shard.get(cache.shard, ()))
+            for cache in self.caches()
+        )
+
+    def fold(self, folded_by_shard: Dict[int, Sequence[int]]) -> None:
+        """Compaction: merge each shard's folded tombstones into its
+        caches' entry snapshots (no entries dropped)."""
+        for cache in self.caches():
+            cache.fold_tombstones(folded_by_shard.get(cache.shard, ()))
+
+    def retire(self) -> None:
+        """The topology changed: drop every cache, keeping its counters."""
+        self._retire(list(self._held))
+
+    def _retire(self, keys: List[Tuple[int, int]]) -> None:
+        peak = self.stats().peak_bytes
+        for key in keys:
+            cache, _machine = self._held.pop(key)
+            self._retired += cache.stats
+        self._retired.bytes = 0
+        self._retired.peak_bytes = peak
+
+    def stats(self) -> TermCacheStats:
+        """Lifetime counters.  ``bytes`` is what the live caches hold;
+        ``peak_bytes`` the highest summed peak any set of them reached."""
+        live = merge_stats(self.caches())
+        lifetime = self._retired + live
+        lifetime.peak_bytes = max(self._retired.peak_bytes, live.peak_bytes)
+        return lifetime

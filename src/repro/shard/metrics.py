@@ -153,18 +153,18 @@ def measure_sharded_run(
         for shard_id in live
         for replica_id in groups[shard_id]
     }
+    # Imported lazily: the serve layer imports this package.
+    from ..serve.termcache import TermCacheFleet
+
+    fleet = TermCacheFleet(term_cache_bytes)
     coordinator_start = sharded.clock.snapshot()
     scheduler = sharded.scheduler(
         top_k=top_k, engine=engine, prune=prune,
         replica_policy=replica_policy, policy_seed=policy_seed,
-        term_cache_bytes=term_cache_bytes,
+        term_caches=fleet,
     )
     outcome = scheduler.run_batch(queries)
     coordinator = sharded.clock.since(coordinator_start)
-    # Imported lazily: the serve layer imports this package.
-    from ..serve.termcache import merge_stats
-
-    term_stats = merge_stats(cache for _s, _r, cache in scheduler.term_caches())
 
     per_shard = []
     for shard_id in live:
@@ -195,10 +195,7 @@ def measure_sharded_run(
         # merged coordinator results don't carry them), so the summed
         # view comes from the per-shard metrics.
         **_fold(per_shard, results),
-        term_cache_hits=term_stats.hits,
-        term_cache_misses=term_stats.misses,
-        term_cache_evictions=term_stats.evictions,
-        term_cache_bytes=term_stats.bytes,
+        term_cache=fleet.stats() if term_cache_bytes else None,
         wall_s_sum=shard_wall_sum + coordinator.wall_ms / 1000.0,
         coordinator_wall_s=coordinator.wall_ms / 1000.0,
         per_shard=per_shard,

@@ -165,6 +165,10 @@ class ShardScheduler:
     because per-shard top-k is bit-identical to per-shard exhaustive
     evaluation, the merged ranking is too.
 
+    ``term_caches`` is an optional
+    :class:`~repro.serve.termcache.TermCacheFleet` that attaches one
+    term cache to each (shard, replica) engine.
+
     ``replica_policy`` picks which healthy replica serves a round:
     ``"primary"`` always takes the lowest healthy id, ``"spread"``
     hashes ``(policy_seed, round, shard)`` over the healthy set so load
@@ -184,7 +188,7 @@ class ShardScheduler:
         prune: str = "off",
         replica_policy: str = "primary",
         policy_seed: int = 0,
-        term_cache_bytes: int = 0,
+        term_caches=None,
     ):
         if engine not in ("taat", "daat"):
             raise ConfigError(f"unknown shard engine {engine!r}")
@@ -207,53 +211,18 @@ class ShardScheduler:
         # mirror transparently gets a fresh engine on first use.
         self._taat: Dict[Tuple[int, int], ShardTaatRunner] = {}
         self._daat: Dict[Tuple[int, int], DocumentAtATimeEngine] = {}
-        # Term caches, one per (shard, replica), validated the
-        # same way: a cache survives failover back to a healthy mirror
-        # (the machine object is unchanged) but a re-replicated or
-        # re-split machine starts cold.  0 bytes = caching off.
-        self.term_cache_bytes = term_cache_bytes
-        self._term_caches: Dict[Tuple[int, int], Tuple[object, object]] = {}
+        # Term caches come from the fleet, which hands out one per
+        # (shard, replica) machine: a cache survives failover back to a
+        # healthy mirror but a re-replicated machine starts cold.
+        self.term_caches = term_caches
 
     # -- per-replica engines ---------------------------------------------------
 
     def _term_cache(self, shard_id: int, replica_id: int):
-        if self.term_cache_bytes <= 0:
+        if self.term_caches is None:
             return None
         machine = self.sharded.replica(shard_id, replica_id)
-        key = (shard_id, replica_id)
-        held = self._term_caches.get(key)
-        if held is None or held[1] is not machine:
-            # Imported lazily: the serve layer imports this module, so a
-            # top-level import would be circular.
-            from ..serve.termcache import TermCache
-
-            held = (TermCache(self.term_cache_bytes, shard=shard_id), machine)
-            self._term_caches[key] = held
-        return held[0]
-
-    def term_caches(self) -> List[Tuple[int, int, object]]:
-        """Every live (shard id, replica id, cache), in id order."""
-        return [
-            (shard, replica, held[0])
-            for (shard, replica), held in sorted(self._term_caches.items())
-            if held[1] is self.sharded.replica(shard, replica)
-        ]
-
-    def invalidate_terms(self, shard_id: int, terms) -> int:
-        """Ingest hook: drop mutated terms on the owning shard's caches."""
-        dropped = 0
-        for shard, _replica, cache in self.term_caches():
-            if shard == shard_id:
-                dropped += cache.invalidate_terms(terms)
-        return dropped
-
-    def fold_term_tombstones(self, dead_by_shard: Dict[int, set]) -> None:
-        """Compaction hook: merge each shard's folded tombstone set into
-        its caches' entry snapshots (no entries dropped)."""
-        for shard, _replica, cache in self.term_caches():
-            dead = dead_by_shard.get(shard)
-            if dead:
-                cache.fold_tombstones(dead)
+        return self.term_caches.cache_for(shard_id, replica_id, machine)
 
     def _taat_runner(self, shard_id: int, replica_id: int) -> ShardTaatRunner:
         machine = self.sharded.replica(shard_id, replica_id)

@@ -117,9 +117,6 @@ class ShardedIRSystem:
             self._check_replica(shard_id, replica_id)
             self._replica_down.discard((shard_id, replica_id))
 
-    def is_down(self, shard_id: int) -> bool:
-        return shard_id in self._down
-
     def healthy_replicas(self, shard_id: int) -> List[int]:
         """Replica ids of ``shard_id`` not marked down, lowest first."""
         self._check_shard(shard_id)
@@ -199,14 +196,14 @@ class ShardedIRSystem:
         prune: str = "off",
         replica_policy: str = "primary",
         policy_seed: int = 0,
-        term_cache_bytes: int = 0,
+        term_caches=None,
     ):
         from .scheduler import ShardScheduler
 
         return ShardScheduler(
             self, top_k=top_k, engine=engine, prune=prune,
             replica_policy=replica_policy, policy_seed=policy_seed,
-            term_cache_bytes=term_cache_bytes,
+            term_caches=term_caches,
         )
 
     # -- re-replication -------------------------------------------------------

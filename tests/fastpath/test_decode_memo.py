@@ -29,7 +29,7 @@ from repro.inquery import DocumentAtATimeEngine, RetrievalEngine
 from repro.inquery.daat import daat_queries
 from repro.inquery.engine import _FastIndexProvider
 from repro.live import IngestPipeline, LiveCorpus
-from repro.serve.termcache import TermCache
+from repro.serve.termcache import TermCacheFleet
 from repro.synth import (
     CollectionProfile,
     QueryProfile,
@@ -100,8 +100,8 @@ def test_eviction_is_least_recently_used():
     cache.decode(b)
     cache.decode(a)  # b is now the oldest
     cache.decode(c)
-    assert list(cache._entries) == [a, c]
-    assert cache._held == 16
+    assert cache._lru.keys() == [a, c]
+    assert cache._lru.held == 16
 
 
 def test_entry_is_charged_for_what_it_keeps_alive():
@@ -111,10 +111,10 @@ def test_entry_is_charged_for_what_it_keeps_alive():
     # Deferred positions keep the whole decoded stream (2 + 2 df + ctf
     # integers, which the gap column views) beside doc_ids, the copied
     # tf column and pos_starts.
-    assert cache._held == (2 + 2 * 3 + 6) + 3 * 3
-    assert cache._held >= arrays.ctf + 3 * arrays.df  # the built form
+    assert cache._lru.held == (2 + 2 * 3 + 6) + 3 * 3
+    assert cache._lru.held >= arrays.ctf + 3 * arrays.df  # the built form
     arrays.positions  # building frees the stream; the charge stays
-    assert cache._held == 14 + 9
+    assert cache._lru.held == 14 + 9
 
 
 def test_oversize_record_is_decoded_but_not_kept():
@@ -124,8 +124,8 @@ def test_oversize_record_is_decoded_but_not_kept():
     kept = cache.decode(small)
     arrays = cache.decode(big)
     assert arrays.to_postings() == [(d, (1, 2, 3)) for d in range(1, 20)]
-    assert cache._held <= 20
-    assert list(cache._entries) == [small]
+    assert cache._lru.held <= 20
+    assert cache._lru.keys() == [small]
     assert cache.decode(small) is kept
 
 
@@ -231,13 +231,14 @@ class _Serving:
         self.prune = prune
         self.fresh = fresh
         self.sharded = hasattr(backend, "replica_groups")
+        self.fleet = TermCacheFleet(BUDGET if cached else 0)
         if self.sharded:
             self.scheduler = backend.scheduler(
                 top_k=TOP_K, engine="daat", prune=prune,
-                term_cache_bytes=BUDGET if cached else 0,
+                term_caches=self.fleet,
             )
         else:
-            self.cache = TermCache(BUDGET) if cached else None
+            self.cache = self.fleet.cache_for(0, 0, backend)
             self.engine = self._engine()
 
     def _engine(self):
@@ -251,17 +252,13 @@ class _Serving:
         if self.sharded:
             if self.fresh:
                 # The scheduler rebuilds its per-replica engines on
-                # demand; the term caches live on the scheduler.
+                # demand; the term caches live in the fleet.
                 self.scheduler._daat.clear()
             return self.scheduler.run_wave([text]).results[0]
         return (self._engine() if self.fresh else self.engine).run_query(text)
 
     def on_ingest(self, report):
-        if self.sharded:
-            for shard_id, terms in report.mutated_terms.items():
-                self.scheduler.invalidate_terms(shard_id, terms)
-        elif self.cache is not None:
-            self.cache.invalidate_terms(report.mutated_terms.get(0, ()))
+        self.fleet.invalidate(report.mutated_terms)
 
 
 def _observe(result):

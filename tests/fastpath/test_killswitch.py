@@ -23,6 +23,7 @@ from repro.inquery import (
     RetrievalEngine,
 )
 from repro.inquery.matches import best_window, term_match_positions
+from repro.serve.termcache import TermCacheFleet
 from repro.shard import materialize_sharded
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
 from repro.synth import CollectionProfile, SyntheticCollection
@@ -96,19 +97,17 @@ def _poison(set_attribute=setattr):
         set_attribute(*_owner(module, name), boom)
 
 
-def _sharded_wave(term_cache_bytes=0):
-    """A 2-shard TAAT wave over every leaf kind; returns the scheduler."""
+def _sharded_wave(term_caches=None):
+    """A 2-shard TAAT wave over every leaf kind."""
     a, b = term_string(0), term_string(1)
     sharded = materialize_sharded(
         prepare_collection(SyntheticCollection(TINY)),
         config_by_name("mneme-cache"), n_shards=2,
     )
-    scheduler = sharded.scheduler(term_cache_bytes=term_cache_bytes)
-    outcome = scheduler.run_wave(
+    outcome = sharded.scheduler(term_caches=term_caches).run_wave(
         [f"#sum( {a} {b} )", f"#phrase( {a} {b} )", f"#uw5( {a} {b} )"]
     )
     assert outcome.results[0].ranking
-    return scheduler
 
 
 def _run_everything():
@@ -182,12 +181,11 @@ def test_sharded_wave_runs_on_the_array_kernels(monkeypatch):
     for fast in (True, False):
         del decodes[:]
         with use_fastpath(fast):
-            scheduler = _sharded_wave(term_cache_bytes=1 << 20)
+            fleet = TermCacheFleet(1 << 20)
+            _sharded_wave(term_caches=fleet)
         assert bool(decodes) is fast
         kinds = {
-            key[0]
-            for _shard, _replica, cache in scheduler.term_caches()
-            for key in cache._entries
+            key[0] for cache in fleet.caches() for key in cache._lru.keys()
         }
         assert kinds == {"arrays"}
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import materialize
 from repro.inquery import DEFAULT_TOP_K, DocumentAtATimeEngine, RetrievalEngine
 from repro.live import IngestPipeline
-from repro.serve.termcache import TermCache
+from repro.serve.termcache import TermCacheFleet
 
 BUDGET = 1 << 20
 
@@ -39,31 +39,39 @@ def _observe(result):
     )
 
 
-class _FlatHarness:
+class _Harness:
+    """The service's lifecycle discipline over the harness's fleets."""
+
+    def on_ingest(self, report):
+        for fleet in self.fleets:
+            fleet.invalidate(report.mutated_terms)
+
+    def on_compact(self, summary):
+        for fleet in self.fleets:
+            fleet.fold(summary.folded_tombstones)
+
+    @property
+    def lookups(self):
+        return sum(fleet.stats().lookups for fleet in self.fleets)
+
+
+class _FlatHarness(_Harness):
     """One flat backend; a cached engine pair beside cache-free reads."""
 
     def __init__(self, backend, config):
         self.backend = backend
-        self.cache = TermCache(BUDGET)
+        self.fleets = [TermCacheFleet(BUDGET)]
+        cache = self.fleets[0].cache_for(0, 0, backend)
         self.taat = RetrievalEngine(
             backend.index, top_k=DEFAULT_TOP_K,
             use_reservation=config.use_reservation,
         )
-        self.taat.term_cache = self.cache
+        self.taat.term_cache = cache
         self.daat = DocumentAtATimeEngine(
             backend.index, top_k=DEFAULT_TOP_K, prune="auto"
         )
-        self.daat.term_cache = self.cache
+        self.daat.term_cache = cache
         self.config = config
-
-    def on_ingest(self, report):
-        self.cache.invalidate_terms(report.mutated_terms.get(0, ()))
-
-    def tombstone_snapshot(self):
-        return {0: set(self.backend.index.tombstones)}
-
-    def on_compact(self, folded):
-        self.cache.fold_tombstones(folded.get(0, ()))
 
     def cached(self, queries, daat_queries):
         return (
@@ -84,43 +92,21 @@ class _FlatHarness:
             + [_observe(daat.run_query(t)) for t in daat_queries]
         )
 
-    @property
-    def lookups(self):
-        return self.cache.stats.lookups
 
-
-class _ShardedHarness:
+class _ShardedHarness(_Harness):
     """One sharded backend; a persistent cached scheduler beside
     per-step cache-free schedulers."""
 
     def __init__(self, backend, config):
         self.backend = backend
+        self.fleets = [TermCacheFleet(BUDGET), TermCacheFleet(BUDGET)]
         self.scheduler = backend.scheduler(
-            top_k=DEFAULT_TOP_K, engine="taat", term_cache_bytes=BUDGET
+            top_k=DEFAULT_TOP_K, engine="taat", term_caches=self.fleets[0]
         )
         self.daat_scheduler = backend.scheduler(
             top_k=DEFAULT_TOP_K, engine="daat", prune="auto",
-            term_cache_bytes=BUDGET,
+            term_caches=self.fleets[1],
         )
-
-    def on_ingest(self, report):
-        for shard_id, terms in report.mutated_terms.items():
-            self.scheduler.invalidate_terms(shard_id, terms)
-            self.daat_scheduler.invalidate_terms(shard_id, terms)
-
-    def tombstone_snapshot(self):
-        return {
-            shard_id: set(
-                self.backend.replica(
-                    shard_id, self.backend.healthy_replicas(shard_id)[0]
-                ).index.tombstones
-            )
-            for shard_id in self.backend.live_shards
-        }
-
-    def on_compact(self, folded):
-        self.scheduler.fold_term_tombstones(folded)
-        self.daat_scheduler.fold_term_tombstones(folded)
 
     def cached(self, queries, daat_queries):
         taat = self.scheduler.run_wave(list(queries)).results
@@ -135,16 +121,6 @@ class _ShardedHarness:
             top_k=DEFAULT_TOP_K, engine="daat", prune="auto"
         ).run_wave(list(daat_queries)).results
         return [_observe(r) for r in taat] + [_observe(r) for r in daat]
-
-    @property
-    def lookups(self):
-        return sum(
-            cache.stats.lookups
-            for _s, _r, cache in self.scheduler.term_caches()
-        ) + sum(
-            cache.stats.lookups
-            for _s, _r, cache in self.daat_scheduler.term_caches()
-        )
 
 
 def run_interleaving(
@@ -176,9 +152,7 @@ def run_interleaving(
                 pipeline.apply(deletes=corpus.documents_for(live[:1]))
             )
         elif op == "compact":
-            folded = harness.tombstone_snapshot()
-            pipeline.compact()
-            harness.on_compact(folded)
+            harness.on_compact(pipeline.compact())
         else:
             queried = True
             assert harness.cached(queries, daat_queries) == harness.fresh(

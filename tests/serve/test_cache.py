@@ -108,9 +108,9 @@ def test_stale_epoch_entry_raises_inconsistency():
     # Simulate a corrupted survivor: an entry whose stamp predates the
     # current epoch (invalidate() itself clears the table, so this can
     # only happen through a bug — and must never be served silently).
-    epoch, result = cache._entries["a"]
+    epoch, result = cache._lru.get("a")
     cache._epoch += 1
-    cache._entries["a"] = (epoch, result)
+    cache._lru.put("a", (epoch, result), 1)
     with pytest.raises(CacheInconsistencyError) as excinfo:
         cache.get("a")
     assert excinfo.value.key == "a"

@@ -283,6 +283,25 @@ def test_term_cache_lifetime_stats_survive_rebalance(prepared, config, pool):
     assert (after.lookups, after.hits) == (before.lookups, before.hits)
 
 
+def test_term_cache_lifetime_stats_survive_rereplicate(prepared, config, pool):
+    """A re-replicated machine's cache retires with its counters: the
+    second pass adds its lookups to the first pass's instead of
+    replacing them."""
+    backend = materialize(prepared, config, shards=2, replicas=1)
+    service = QueryService(
+        backend, workers=2, use_cache=False, term_cache_bytes=64 * 1024,
+    )
+    service.process(burst(pool[:8]), name="before")
+    before = service.term_cache_stats()
+    backend.mark_down(0, 0)
+    backend.rereplicate(0, 0)
+    assert service.term_cache_stats() == before
+    service.process(burst(pool[:8]), name="after")
+    after = service.term_cache_stats()
+    assert after.lookups == 2 * before.lookups
+    assert after.peak_bytes >= before.peak_bytes
+
+
 def test_rebalance_requires_sharded_backend(prepared, config):
     service = QueryService(materialize(prepared, config))
     with pytest.raises(ConfigError):
