@@ -101,8 +101,7 @@ def _mixed_run(
     """One mixed read/write scenario; returns (cell, violations, trace)."""
     violations: List[str] = []
     service = QueryService(backend, engine="taat", workers=2)
-    pipeline = service.ingest_pipeline
-    sharded = pipeline.sharded
+    sharded = service.sharded
     label = "sharded" if sharded else "flat"
     latencies: List[float] = []
     trace: dict = {"epochs": []}

@@ -151,10 +151,12 @@ def _daat_run(
     }
 
 
-def _check_budget(label: str, cache, budget: int, violations: List[str]):
-    if cache is not None and cache.stats.peak_bytes > budget:
+def _check_budget(label: str, stats, budget: int, violations: List[str]):
+    # A fleet's peak_bytes is its highest single cache's, so this holds
+    # every cache to its own budget.
+    if stats.peak_bytes > budget:
         violations.append(
-            f"{label}: peak resident {cache.stats.peak_bytes} bytes "
+            f"{label}: peak resident {stats.peak_bytes} bytes "
             f"exceeded the {budget}-byte budget"
         )
 
@@ -215,7 +217,7 @@ def _mixed_run(
     if stats.lookups == 0:
         violations.append("mixed: the term cache was never probed")
     for cache in caches:
-        _check_budget("mixed", cache, budget, violations)
+        _check_budget("mixed", cache.stats, budget, violations)
     return {
         "cell": {
             "epochs": len(plan),
@@ -268,7 +270,7 @@ def bench_profile(
             f"flat: cache elided no record lookups "
             f"({off['record_lookups']} -> {on['record_lookups']})"
         )
-    _check_budget("flat", cache, budget, violations)
+    _check_budget("flat", cache.stats, budget, violations)
     p50_ratio = (
         on["p50_ms"] / off["p50_ms"] if off["p50_ms"] > 0 else 1.0
     )
@@ -307,7 +309,7 @@ def bench_profile(
         )
     if pruned_on["cache"].stats.hits == 0:
         violations.append("pruned: the block-tape cache never hit")
-    _check_budget("pruned", pruned_on["cache"], budget, violations)
+    _check_budget("pruned", pruned_on["cache"].stats, budget, violations)
     pruned_cell = {
         "identical": pruned_identical,
         "hits": pruned_on["cache"].stats.hits,
@@ -335,11 +337,7 @@ def bench_profile(
     shard_stats = shard_on.term_cache
     if shard_stats.hits == 0:
         violations.append("sharded: the per-replica caches never hit")
-    if shard_stats.bytes > budget:
-        violations.append(
-            f"sharded: resident {shard_stats.bytes} bytes "
-            f"exceeded the {budget}-byte budget"
-        )
+    _check_budget("sharded", shard_stats, budget, violations)
     shard_cell = {
         "identical": shard_identical,
         "hits": shard_stats.hits,
@@ -363,7 +361,7 @@ def bench_profile(
             f"small-budget: the {small_budget}-byte budget forced no "
             "evictions — the pressure phase is vacuous"
         )
-    _check_budget("small-budget", small["cache"], small_budget, violations)
+    _check_budget("small-budget", small["cache"].stats, small_budget, violations)
     small_cell = {
         "budget_bytes": small_budget,
         "identical": small["rankings"] == off["rankings"],

@@ -268,13 +268,13 @@ def cmd_demo(args) -> int:
         return _demo_serve(args, workload)
     from .serve.termcache import TermCacheFleet
 
-    fleet = TermCacheFleet(args.term_cache_kb * 1024)
     if args.shards and args.shards > 1:
         sharded = materialize(
             workload.prepared, config_by_name(args.config),
             shards=args.shards, partitioner=args.partitioner,
             replicas=args.replicas,
         )
+        fleet = TermCacheFleet(args.term_cache_kb * 1024, sharded)
         if args.ingest:
             from .live import IngestPipeline
 
@@ -321,6 +321,7 @@ def cmd_demo(args) -> int:
         _print_term_cache_line(fleet.stats())
         return 0
     system = materialize(workload.prepared, config_by_name(args.config))
+    fleet = TermCacheFleet(args.term_cache_kb * 1024, system)
     if args.ingest:
         from .live import IngestPipeline
 
@@ -333,7 +334,7 @@ def cmd_demo(args) -> int:
         )
     else:
         engine = RetrievalEngine(system.index, top_k=args.top_k)
-    engine.term_cache = fleet.cache_for(0, 0, system)
+    engine.term_cache = fleet.cache_for(0, 0)
     for query in args.queries:
         result = engine.run_query(query)
         print(f"\nQuery: {query}")

@@ -183,6 +183,19 @@ class IRSystem:
     def name(self) -> str:
         return self.config.name
 
+    # A sharded system's topology view: a flat system is shard 0's one
+    # machine and owns every document.
+    def machines(self) -> Dict[Tuple[int, int], "IRSystem"]:
+        return {(0, 0): self}
+
+    def replica(self, shard_id: int, replica_id: int) -> "IRSystem":
+        if (shard_id, replica_id) != (0, 0):
+            raise ConfigError(f"a flat system has no replica {shard_id}/{replica_id}")
+        return self
+
+    def shard_of_doc(self, doc_id: int) -> int:
+        return 0
+
 
 def materialize(
     prepared: PreparedCollection,

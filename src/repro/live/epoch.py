@@ -13,14 +13,14 @@ A query is pinned to the epoch current at admission, and the contract
 (gated by ``repro.bench.ingest``) is that its results are bit-identical
 to a stop-the-world rebuild of the corpus as of that epoch.  The
 manager keeps, per epoch, the frozen set of live document ids — exactly
-the input such a rebuild needs — plus per-shard epoch counters so a
-sharded deployment can report which shards moved in a publication.
+the input such a rebuild needs — and which shards the publication
+touched.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, IndexError_
+from ..errors import IndexError_
 
 
 @dataclass(frozen=True)
@@ -38,33 +38,28 @@ class EpochRecord:
 class EpochManager:
     """Monotonic index epochs over one live system's corpus state.
 
-    ``n_shards`` is 1 for a flat system.  ``shard_epochs[s]`` counts the
-    publications that touched shard ``s``; the global ``epoch`` counts
-    every publication.  History is kept for every epoch (bounded by the
-    run length of an ingest workload), because the fresh-rebuild
-    comparator needs the live-document set of *past* epochs — a pinned
-    query may be checked long after later batches published.
+    ``epoch`` counts every publication; each :class:`EpochRecord` names
+    the shards it touched.  The manager holds no topology of its own, so
+    a rebalance between publications changes nothing here.  History is
+    kept for every epoch (bounded by the run length of an ingest
+    workload), because the fresh-rebuild comparator needs the
+    live-document set of *past* epochs — a pinned query may be checked
+    long after later batches published.
     """
 
-    n_shards: int = 1
     _epoch: int = 0
     _live: set = field(default_factory=set)
     _history: Dict[int, EpochRecord] = field(default_factory=dict)
-    shard_epochs: List[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_shards < 1:
-            raise ConfigError(f"n_shards must be >= 1, got {self.n_shards}")
-        if not self.shard_epochs:
-            self.shard_epochs = [0] * self.n_shards
         self._history[0] = EpochRecord(
             epoch=0, live_docs=frozenset(self._live)
         )
 
     @classmethod
-    def for_corpus(cls, doc_ids: Iterable[int], n_shards: int = 1) -> "EpochManager":
+    def for_corpus(cls, doc_ids: Iterable[int]) -> "EpochManager":
         """Epoch 0 over an already-materialized base corpus."""
-        return cls(n_shards=n_shards, _live=set(doc_ids))
+        return cls(_live=set(doc_ids))
 
     @property
     def epoch(self) -> int:
@@ -119,12 +114,6 @@ class EpochManager:
         self._live.update(added)
         self._live.difference_update(deleted)
         self._epoch += 1
-        for shard_id in shards_touched:
-            if not 0 <= shard_id < self.n_shards:
-                raise ConfigError(
-                    f"shard {shard_id} out of range for {self.n_shards} shards"
-                )
-            self.shard_epochs[shard_id] += 1
         record = EpochRecord(
             epoch=self._epoch,
             live_docs=frozenset(self._live),

@@ -87,104 +87,112 @@ class CompactionSummary:
     folded_tombstones: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
 
-def _term_stats(document: Document, index) -> Tuple[Dict[str, int], int]:
+def _term_stats(document: Document, index) -> Dict[str, int]:
     """Per-term frequency of a document under the index's normalization."""
     by_term: Dict[str, int] = {}
-    kept = 0
     for token in document.term_stream(tokenize):
         normalized = normalize_term(token, index.stopwords, index.stem_fn)
-        if normalized is None:
-            continue
-        by_term[normalized] = by_term.get(normalized, 0) + 1
-        kept += 1
-    return by_term, kept
+        if normalized is not None:
+            by_term[normalized] = by_term.get(normalized, 0) + 1
+    return by_term
+
+
+def _shift_global_stats(indexes, document: Document, tfs, sign: int) -> None:
+    """The statistics-only half of a mutation, on the shards that do not
+    own ``document``: its document-table row and its share of every
+    term's global df/ctf, added (``sign`` 1) or taken away (-1)."""
+    kept = sum(tfs.values())
+    for index in indexes:
+        if sign > 0:
+            index.doctable.add(document.doc_id, kept, document.name)
+        else:
+            index.doctable.remove(document.doc_id)
+        index.stats.documents += sign
+        index.stats.postings += sign * kept
+        for term, tf in tfs.items():
+            entry = index.dictionary.lookup(term)
+            if entry is not None:
+                entry.df += sign
+                entry.ctf += sign * tf
+
+
+def _seed_stats(elsewhere: list):
+    """Where a term new to the owner's dictionary starts: the global
+    ``(df, ctf)`` as any other shard's index carries it, or ``None``.
+
+    Build-time serving views bake global statistics into every shard
+    that stores a term and this pipeline keeps them global under
+    mutation, so the first entry found is authoritative.  The owner's
+    batch has not reached the other shards yet, while every earlier
+    owner's has: exactly the count before this mutation.
+    """
+
+    def seed(term: str) -> Optional[Tuple[int, int]]:
+        for index in elsewhere:
+            entry = index.dictionary.lookup(term)
+            if entry is not None:
+                return entry.df, entry.ctf
+        return None
+
+    return seed
+
+
+def _elsewhere(groups: Dict[int, List[object]], owner: int) -> list:
+    """The indexes of every machine outside ``owner``'s replica group."""
+    return [
+        machine.index
+        for shard_id, group in groups.items() if shard_id != owner
+        for machine in group
+    ]
 
 
 class IngestPipeline:
     """Applies mutation batches to a flat or sharded live system.
 
     ``backend`` is an :class:`~repro.core.prepared.IRSystem` or a
-    :class:`~repro.shard.system.ShardedIRSystem`; the pipeline detects
-    which by the presence of replica groups.  ``verify_replicas``
-    block-compares every replica group's platter after each published
-    epoch (and after compaction) — the mirrors-stay-byte-identical
-    contract — at the cost of a full in-memory comparison per batch.
+    :class:`~repro.shard.system.ShardedIRSystem`; the pipeline reads its
+    machines from ``backend.machines()`` at every batch (a flat system
+    is the one shard 0 machine), so a rebalance or a re-replication
+    between batches needs no notice.  After each published epoch (and
+    after compaction) every replica group's platters are block-compared
+    — the mirrors-stay-byte-identical contract.
     """
 
-    def __init__(self, backend, verify_replicas: bool = True):
+    def __init__(self, backend):
         self.backend = backend
-        self.sharded = hasattr(backend, "replica_groups")
-        self.verify_replicas = verify_replicas
-        if self.sharded:
-            n_shards = backend.n_shards
-            doc_ids = backend.replica_groups[0][0].index.doctable.doc_ids()
-            # Every shard carries the global document table, so any one
-            # machine names the whole corpus.
-            self.epochs = EpochManager.for_corpus(doc_ids, n_shards=n_shards)
-        else:
-            self.epochs = EpochManager.for_corpus(
-                backend.index.doctable.doc_ids()
-            )
+        # Every machine carries the global document table, so any one
+        # names the whole corpus.
+        self.epochs = EpochManager.for_corpus(
+            backend.machines()[(0, 0)].index.doctable.doc_ids()
+        )
 
     # -- machine plumbing -----------------------------------------------------
 
-    def _machines(self) -> List[Tuple[int, object]]:
-        """Every (shard id, machine) pair; flat systems are shard 0."""
-        if not self.sharded:
-            return [(0, self.backend)]
-        return [
-            (shard_id, machine)
-            for shard_id, group in enumerate(self.backend.replica_groups)
-            for machine in group
-        ]
+    def _groups(self) -> Dict[int, List[object]]:
+        """Shard id -> the machines of its replica group, as of now."""
+        groups: Dict[int, List[object]] = {}
+        for (shard_id, _replica_id), machine in self.backend.machines().items():
+            groups.setdefault(shard_id, []).append(machine)
+        return groups
 
-    def _verify_groups(self) -> int:
+    def _verify_groups(self, groups: Dict[int, List[object]]) -> int:
         """Block-compare every replica group's platters; returns groups
         checked.  Divergence means a mutation was applied asymmetrically
         — a bug, surfaced as :class:`ReplicaFailedError`."""
-        if not self.sharded:
-            return 0
-        verified = 0
-        for shard_id, group in enumerate(self.backend.replica_groups):
-            reference = group[0]
-            for replica_id, mirror in enumerate(group[1:], start=1):
+        for shard_id, (reference, *mirrors) in groups.items():
+            for replica_id, mirror in enumerate(mirrors, start=1):
                 if mirror.fs.disk._blocks != reference.fs.disk._blocks:
                     raise ReplicaFailedError(
                         shard_id, replica_id,
                         reason="replica platter diverged after ingest",
                     )
-            if len(group) > 1:
-                verified += 1
-        return verified
+        return sum(len(group) > 1 for group in groups.values())
 
     # -- mutations ------------------------------------------------------------
 
-    def _seed_stats(self, owner: int):
-        """Where a term new to ``owner``'s dictionary starts: the global
-        ``(df, ctf)`` as any *other* shard carries it, or ``None``.
-
-        Build-time serving views bake global statistics into every
-        shard that stores a term and this pipeline keeps them global
-        under mutation, so the first entry found is authoritative.  The
-        owner's batch has not reached the other shards yet, while every
-        earlier owner's has: exactly the count before this mutation.
-        """
-        others = [
-            group[0].index.dictionary
-            for shard_id, group in enumerate(self.backend.replica_groups)
-            if shard_id != owner
-        ]
-
-        def seed(term: str) -> Optional[Tuple[int, int]]:
-            for dictionary in others:
-                entry = dictionary.lookup(term)
-                if entry is not None:
-                    return entry.df, entry.ctf
-            return None
-
-        return seed
-
-    def _apply_adds(self, adds: Sequence[Document]) -> Dict[int, set]:
+    def _apply_adds(
+        self, groups: Dict[int, List[object]], adds: Sequence[Document]
+    ) -> Dict[int, set]:
         """Route a batch of adds; returns owning shard id -> terms whose
         records the batch rewrote — the term-cache invalidation set.
 
@@ -193,67 +201,34 @@ class IngestPipeline:
         table, global df/ctf), owner by owner, so a later owner seeds
         new terms from counts that already include the earlier ones.
         """
-        if not adds:
-            return {}
-        if not self.sharded:
-            term_tfs = add_documents_incremental(self.backend.index, adds)
-            return {0: set().union(*term_tfs)}
-        groups = self.backend.replica_groups
         batches: Dict[int, List[Document]] = {}
         for document in adds:
-            owner = self.backend.partitioner.shard_of(document.doc_id)
+            owner = self.backend.shard_of_doc(document.doc_id)
             batches.setdefault(owner, []).append(document)
         # The whole batch is checked before any shard is written.
         for owner, batch in batches.items():
             check_addable(groups[owner][0].index, batch)
         mutated: Dict[int, set] = {}
         for owner, batch in sorted(batches.items()):
-            seed = self._seed_stats(owner)
+            elsewhere = _elsewhere(groups, owner)
+            seed = _seed_stats(elsewhere)
             for machine in groups[owner]:
                 term_tfs = add_documents_incremental(machine.index, batch, seed)
             mutated[owner] = set().union(*term_tfs)
-            elsewhere = [
-                machine.index
-                for shard_id, group in enumerate(groups) if shard_id != owner
-                for machine in group
-            ]
-            for index in elsewhere:
-                for document, tfs in zip(batch, term_tfs):
-                    kept = sum(tfs.values())
-                    index.doctable.add(document.doc_id, kept, document.name)
-                    index.stats.documents += 1
-                    index.stats.postings += kept
-                    for term, tf in tfs.items():
-                        entry = index.dictionary.lookup(term)
-                        if entry is not None:
-                            entry.df += 1
-                            entry.ctf += tf
+            for document, tfs in zip(batch, term_tfs):
+                _shift_global_stats(elsewhere, document, tfs, 1)
         return mutated
 
-    def _apply_delete(self, document: Document) -> int:
+    def _apply_delete(
+        self, groups: Dict[int, List[object]], document: Document
+    ) -> int:
         """Route one tombstone delete; returns the owning shard id."""
-        if not self.sharded:
-            tombstone_document_incremental(self.backend.index, document)
-            return 0
-        owner = self.backend.partitioner.shard_of(document.doc_id)
-        by_term, kept = _term_stats(
-            document, self.backend.replica_groups[owner][0].index
-        )
-        for machine in self.backend.replica_groups[owner]:
+        owner = self.backend.shard_of_doc(document.doc_id)
+        elsewhere = _elsewhere(groups, owner)
+        tfs = _term_stats(document, groups[owner][0].index) if elsewhere else {}
+        for machine in groups[owner]:
             tombstone_document_incremental(machine.index, document)
-        for shard_id, group in enumerate(self.backend.replica_groups):
-            if shard_id == owner:
-                continue
-            for machine in group:
-                index = machine.index
-                index.doctable.remove(document.doc_id)
-                index.stats.documents -= 1
-                index.stats.postings -= kept
-                for term, tf in by_term.items():
-                    entry = index.dictionary.lookup(term)
-                    if entry is not None:
-                        entry.df -= 1
-                        entry.ctf -= tf
+        _shift_global_stats(elsewhere, document, tfs, -1)
         return owner
 
     def apply(
@@ -272,16 +247,17 @@ class IngestPipeline:
         A query admitted before this returns sees the previous epoch's
         corpus exactly; one admitted after sees the new corpus exactly.
         """
-        machines = self._machines()
-        starts = [(machine, machine.clock.snapshot()) for _s, machine in machines]
-        mutated = self._apply_adds(adds)
+        groups = self._groups()
+        machines = [machine for group in groups.values() for machine in group]
+        starts = [(machine, machine.clock.snapshot()) for machine in machines]
+        mutated = self._apply_adds(groups, adds)
         touched = set(mutated)
         for document in deletes:
-            touched.add(self._apply_delete(document))
+            touched.add(self._apply_delete(groups, document))
 
         next_epoch = self.epochs.epoch + 1
         wal_marked = False
-        for _shard_id, machine in machines:
+        for machine in machines:
             machine.index.save()
             mfile = getattr(machine.index.store, "mfile", None)
             if mfile is not None and mfile.wal is not None:
@@ -291,11 +267,11 @@ class IngestPipeline:
         record: EpochRecord = self.epochs.publish(
             added=[d.doc_id for d in adds],
             deleted=[d.doc_id for d in deletes],
-            shards_touched=sorted(touched) if self.sharded else (0,),
+            shards_touched=sorted(touched),
         )
         assert record.epoch == next_epoch
 
-        groups_verified = self._verify_groups() if self.verify_replicas else 0
+        groups_verified = self._verify_groups(groups)
         elapsed = [machine.clock.since(start) for machine, start in starts]
         return IngestReport(
             epoch=record.epoch,
@@ -325,18 +301,18 @@ class IngestPipeline:
         pruning.  Rewrites and the segment-streaming compactor are
         deterministic, so replica platters stay byte-identical.
         """
-        machines = self._machines()
-        for _shard_id, machine in machines:
+        machines = self.backend.machines()
+        for machine in machines.values():
             if getattr(machine.index.store, "mfile", None) is None:
                 raise ConfigError(
                     "compaction requires a Mneme backend "
                     f"(got {machine.config.backend!r})"
                 )
         summary = CompactionSummary()
-        starts = [(machine, machine.clock.snapshot()) for _s, machine in machines]
+        starts = [(machine, machine.clock.snapshot()) for machine in machines.values()]
         from ..mneme import compact as gc_compact
 
-        for shard_id, machine in machines:
+        for (shard_id, _replica_id), machine in machines.items():
             index = machine.index
             if index.tombstones:  # the same set on every replica
                 summary.folded_tombstones[shard_id] = tuple(sorted(index.tombstones))
@@ -346,9 +322,7 @@ class IngestPipeline:
             report = gc_compact(index.store.mfile)
             summary.bytes_reclaimed += report.bytes_reclaimed
             summary.segments_copied += report.segments_copied
-        summary.groups_verified = (
-            self._verify_groups() if self.verify_replicas else 0
-        )
+        summary.groups_verified = self._verify_groups(self._groups())
         elapsed = [machine.clock.since(start) for machine, start in starts]
         summary.wall_ms = max((e.wall_ms for e in elapsed), default=0.0)
         summary.machine_ms = sum(e.wall_ms for e in elapsed)

@@ -330,7 +330,7 @@ class QueryService:
         if queue_limit < 0:
             raise ConfigError("queue_limit must be non-negative (0 = unbounded)")
         #: Every term cache the service's engines use (empty when off).
-        self.term_cache_fleet = TermCacheFleet(term_cache_bytes)
+        self.term_cache_fleet = TermCacheFleet(term_cache_bytes, backend)
         self.backend = backend
         self.engine = engine
         self.top_k = top_k
@@ -339,26 +339,22 @@ class QueryService:
         self.max_batch = max_batch
         self.queue_limit = queue_limit
         self.sharded = isinstance(backend, ShardedIRSystem)
+        machines = backend.machines()
         if cold:
             # Serve from the paper's cold state: caches purged, clocks
             # zeroed — otherwise build-time buffer residency would leak
             # into the first requests' latencies (and shield a faulted
-            # disk from ever being read).
-            if self.sharded:
-                # Every replica, not just primaries: a failover must not
-                # land on a machine still warm from the build.
-                for group in backend.replica_groups:
-                    for machine in group:
-                        cold_start(machine)
-                backend.clock.reset()
-            else:
-                cold_start(backend)
+            # disk from ever being read).  Every replica, not just
+            # primaries: a failover must not land on a machine still
+            # warm from the build.
+            for machine in machines.values():
+                cold_start(machine)
+            backend.clock.reset()
         if self.sharded:
             self._scheduler = backend.scheduler(
                 top_k=top_k, engine=engine, prune=prune,
                 term_caches=self.term_cache_fleet,
             )
-            index = backend.shards[0].index
         elif engine == "daat":
             self._engine = DocumentAtATimeEngine(
                 backend.index,
@@ -366,19 +362,18 @@ class QueryService:
                 use_reservation=backend.config.use_reservation,
                 prune=prune,
             )
-            index = backend.index
         else:
             self._engine = RetrievalEngine(
                 backend.index,
                 top_k=top_k,
                 use_reservation=backend.config.use_reservation,
             )
-            index = backend.index
         if not self.sharded:
-            self._engine.term_cache = self.term_cache_fleet.cache_for(0, 0, backend)
+            self._engine.term_cache = self.term_cache_fleet.cache_for(0, 0)
         # Normalization must match the backend's: same stop list, same
-        # stemmer (every shard shares the global preparation, so shard
-        # 0's index speaks for all of them).
+        # stemmer (every shard shares the global preparation, so any
+        # machine's index speaks for all of them).
+        index = machines[(0, 0)].index
         self._stopwords = index.stopwords
         self._stem_fn = index.stem_fn
         self._cost = backend.clock.cost
@@ -434,12 +429,10 @@ class QueryService:
         from ..shard.rebalance import split_shards
 
         report = split_shards(self.backend, factor=factor)
-        # Retire the term caches with the topology that filled them:
-        # post-split records live on different machines with different
-        # storage keys, so the replacements start cold by design.
-        self.term_cache_fleet.retire()
-        # The old scheduler is epoch-stale by design; build a fresh one
-        # against the new topology.
+        # The cutover replaced every machine, so the fleet retires every
+        # term cache on its next read of the topology and the
+        # replacements start cold.  The old scheduler is epoch-stale by
+        # design; build a fresh one against the new topology.
         self._scheduler = self.backend.scheduler(
             top_k=self.top_k, engine=self.engine, prune=self.prune,
             term_caches=self.term_cache_fleet,

@@ -19,7 +19,8 @@ through :func:`~repro.inquery.postings.decode_record`.
 One :class:`TermCache` serves one replica of one shard (flat systems
 are shard 0), and one :class:`TermCacheFleet` owns every cache of a
 backend: it creates them, applies ingest and compaction to them, retires
-them with their machine or topology, and counts them.  Entries are keyed
+each with its machine (read off the backend's topology), and counts
+them.  Entries are keyed
 by ``(kind, term)`` where ``kind`` names the read choke point that
 produced them:
 
@@ -61,7 +62,7 @@ of the budget is never admitted (a single TIPSTER-scale list would
 otherwise flush the whole cache for one term).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..counters import Counters
@@ -245,37 +246,49 @@ def merge_stats(caches: Iterable[TermCache]) -> TermCacheStats:
 class TermCacheFleet:
     """Every term cache of one backend, one per (shard, replica) machine.
 
-    A machine's cache is created on first use and retired when the
-    machine is replaced (re-replication) or the topology changes
-    (:meth:`retire`, at a rebalance); retired caches keep counting in
-    :meth:`stats`, so no lifetime counter goes backwards.  A
+    The fleet keeps no copy of the topology; it reads
+    ``backend.machines()``, where machine identity is each slot's
+    version.  A machine's cache is created on first use.  A cache whose
+    machine was replaced (re-replication, a rebalance cutover) retires
+    before the fleet next lists, invalidates, folds or counts its
+    caches, so no ingest or compaction reaches it, and keeps counting
+    in :meth:`stats`, so no lifetime counter goes backwards.  A
     ``byte_budget`` of 0 turns caching off.
     """
 
-    def __init__(self, byte_budget: int):
+    def __init__(self, byte_budget: int, backend):
         if byte_budget < 0:
             raise ConfigError("term_cache_bytes must be non-negative (0 = off)")
         self.byte_budget = byte_budget
+        self.backend = backend
         #: (shard, replica) -> (cache, the machine it was built for)
         self._held: Dict[Tuple[int, int], Tuple[TermCache, object]] = {}
-        self._retired = TermCacheStats()
+        #: final counters of every retired cache, in retirement order
+        self._retired: List[TermCacheStats] = []
 
-    def cache_for(self, shard: int, replica: int, machine) -> Optional[TermCache]:
-        """The cache of ``machine``, serving ``(shard, replica)``."""
+    def cache_for(self, shard: int, replica: int) -> Optional[TermCache]:
+        """The cache of the machine at ``(shard, replica)`` now.  Only
+        this slot is checked; the fleet-wide calls sweep every slot."""
         if self.byte_budget == 0:
             return None
-        key = (shard, replica)
-        held = self._held.get(key)
+        slot = (shard, replica)
+        machine = self.backend.replica(shard, replica)
+        held = self._held.get(slot)
         if held is None or held[1] is not machine:
             if held is not None:
-                self._retire([key])
+                self._retire(slot)
             held = (TermCache(self.byte_budget, shard=shard), machine)
-            self._held[key] = held
+            self._held[slot] = held
         return held[0]
 
     def caches(self) -> List[TermCache]:
-        """The live caches, in (shard, replica) order."""
-        return [self._held[key][0] for key in sorted(self._held)]
+        """The live caches, in (shard, replica) order, after retiring
+        every cache whose machine has left the topology."""
+        machines = self.backend.machines()
+        for slot, (_cache, machine) in list(self._held.items()):
+            if machines.get(slot) is not machine:
+                self._retire(slot)
+        return [self._held[slot][0] for slot in sorted(self._held)]
 
     def invalidate(self, mutated_terms_by_shard: Dict[int, Sequence[str]]) -> int:
         """Ingest: drop each shard's mutated terms from its caches;
@@ -291,22 +304,15 @@ class TermCacheFleet:
         for cache in self.caches():
             cache.fold_tombstones(folded_by_shard.get(cache.shard, ()))
 
-    def retire(self) -> None:
-        """The topology changed: drop every cache, keeping its counters."""
-        self._retire(list(self._held))
-
-    def _retire(self, keys: List[Tuple[int, int]]) -> None:
-        peak = self.stats().peak_bytes
-        for key in keys:
-            cache, _machine = self._held.pop(key)
-            self._retired += cache.stats
-        self._retired.bytes = 0
-        self._retired.peak_bytes = peak
+    def _retire(self, slot: Tuple[int, int]) -> None:
+        cache, _machine = self._held.pop(slot)
+        self._retired.append(replace(cache.stats, bytes=0))
 
     def stats(self) -> TermCacheStats:
-        """Lifetime counters.  ``bytes`` is what the live caches hold;
-        ``peak_bytes`` the highest summed peak any set of them reached."""
-        live = merge_stats(self.caches())
-        lifetime = self._retired + live
-        lifetime.peak_bytes = max(self._retired.peak_bytes, live.peak_bytes)
+        """Lifetime counters, retired caches included.  ``bytes`` is what
+        the live caches hold; ``peak_bytes`` the highest any one cache
+        held (each has its own budget)."""
+        every = self._retired + [cache.stats for cache in self.caches()]
+        lifetime = sum(every, TermCacheStats())
+        lifetime.peak_bytes = max((stats.peak_bytes for stats in every), default=0)
         return lifetime

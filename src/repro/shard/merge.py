@@ -63,16 +63,14 @@ def merge_results(
     text: str,
     outcomes: List[ShardOutcome],
     top_k: int = DEFAULT_TOP_K,
-    doc_home: Optional[Dict[int, int]] = None,
 ) -> ShardedQueryResult:
     """Merge per-shard query results into the collection-wide ranking.
 
-    ``doc_home`` (doc id -> shard id) attributes merged top-k entries to
-    shards for the contribution breakdown; when omitted, attribution
-    falls back to which outcome's ranking carried the document.
+    Each merged top-k entry is attributed, for the contribution
+    breakdown, to the shard whose ranking carried it.
     """
     candidates: List[Tuple[int, float]] = []
-    home: Dict[int, int] = {} if doc_home is None else doc_home
+    home: Dict[int, int] = {}
     looked_up = 0
     attempted = 0
     failed = 0
@@ -86,9 +84,8 @@ def merge_results(
             continue
         served_by[outcome.shard_id] = outcome.replica_id
         candidates.extend(outcome.result.ranking)
-        if doc_home is None:
-            for doc_id, _belief in outcome.result.ranking:
-                home[doc_id] = outcome.shard_id
+        for doc_id, _belief in outcome.result.ranking:
+            home[doc_id] = outcome.shard_id
         looked_up += outcome.result.terms_looked_up
         attempted += outcome.result.terms_attempted
         failed += outcome.result.terms_failed
@@ -97,9 +94,7 @@ def merge_results(
     )
     contributions: Dict[int, int] = {}
     for doc_id, _belief in ranking:
-        shard_id = home.get(doc_id)
-        if shard_id is not None:
-            contributions[shard_id] = contributions.get(shard_id, 0) + 1
+        contributions[home[doc_id]] = contributions.get(home[doc_id], 0) + 1
     return ShardedQueryResult(
         query=text,
         ranking=ranking,

@@ -132,8 +132,6 @@ def measure_sharded_run(
     cold: bool = True,
     keep_results: bool = True,
     prune: str = "off",
-    replica_policy: str = "primary",
-    policy_seed: int = 0,
     term_cache_bytes: int = 0,
 ) -> ShardRunMetrics:
     """Run a query set through the shard scheduler and measure everything."""
@@ -156,12 +154,10 @@ def measure_sharded_run(
     # Imported lazily: the serve layer imports this package.
     from ..serve.termcache import TermCacheFleet
 
-    fleet = TermCacheFleet(term_cache_bytes)
+    fleet = TermCacheFleet(term_cache_bytes, sharded)
     coordinator_start = sharded.clock.snapshot()
     scheduler = sharded.scheduler(
-        top_k=top_k, engine=engine, prune=prune,
-        replica_policy=replica_policy, policy_seed=policy_seed,
-        term_caches=fleet,
+        top_k=top_k, engine=engine, prune=prune, term_caches=fleet,
     )
     outcome = scheduler.run_batch(queries)
     coordinator = sharded.clock.since(coordinator_start)

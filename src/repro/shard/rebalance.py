@@ -3,36 +3,42 @@
 A split refines the partitioner (:meth:`Partitioner.refine`): every new
 shard's documents come from exactly one old shard, so re-partitioning
 never moves a document between surviving shards — each old platter
-streams into ``factor`` child platters and nothing else changes.  The
-streaming is *live*: records are fetched from a healthy replica of each
-old shard through its ordinary store (charged to that machine's
-simulated clock, buffers and all — the survivor pays for the copy while
-it keeps serving queries), routed by the refined partitioner, and
-re-encoded into child :class:`~repro.shard.partition.ShardPrepared`
-slices with exactly the bookkeeping
-:func:`~repro.shard.partition.partition_prepared` uses.
+streams into ``factor`` child platters.  The streaming is *live*: every
+stored record of each old shard is fetched from a healthy replica
+through its ordinary store (charged to that machine's simulated clock,
+buffers and all — the survivor pays for the copy while it keeps serving
+queries).  The streamed records are the corpus as served now, ingested
+batches and tombstones included: dead postings are dropped, each term's
+postings are joined into one live preparation, and
+:func:`~repro.shard.partition.partition_prepared` slices it for the
+children exactly as a fresh build would.
 
 Because record decode/encode and build order are deterministic, the
-child platters are **byte-identical** to a stop-the-world rebuild at the
-refined shard count — the failover gate asserts this, which is what
-makes the mid-traffic split observationally invisible: any query served
-after the cutover ranks exactly as it would on a fresh N·factor system.
+child platters are **byte-identical** to a stop-the-world rebuild of the
+live corpus at the refined shard count — the failover gate asserts this
+with nothing ingested, which is what makes the mid-traffic split
+observationally invisible: any query served after the cutover ranks
+exactly as it would on a fresh N·factor system.
 
 The cutover itself (:meth:`ShardedIRSystem.cutover`) swaps partitioner,
-replica groups, and prepared slices in one step at a wave boundary and
-bumps the topology epoch; schedulers built against the old topology
-refuse to run (:class:`~repro.errors.RebalanceInProgressError`) instead
-of silently mixing layouts, and the serving layer invalidates its result
-cache on the epoch bump.
+replica groups, prepared slices and the live preparation in one step at
+a wave boundary and bumps the topology epoch; schedulers built against
+the old topology refuse to run
+(:class:`~repro.errors.RebalanceInProgressError`) instead of silently
+mixing layouts, and the serving layer invalidates its result cache on
+the epoch bump.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..core.prepared import materialize
-from ..errors import BadBlockError, ConfigError, ReplicaFailedError
-from ..inquery import decode_record, encode_record, uncompressed_size
-from .partition import ShardPrepared
+import numpy as np
+
+from ..core.prepared import PreparedCollection, materialize
+from ..errors import BadBlockError, ReplicaFailedError
+from ..fastpath.build import decode_collection, encode_collection
+from ..inquery import DocTable, IndexStats
+from .partition import partition_prepared
 from .system import ShardedIRSystem
 
 
@@ -69,57 +75,34 @@ class SplitReport:
         }
 
 
-def _route_docs(
-    sharded: ShardedIRSystem, new_part, factor: int
-) -> List[ShardPrepared]:
-    """Build the children's document-side bookkeeping, verifying that the
-    refined partitioner really refines the current one for every doc."""
-    new_n = new_part.n_shards
-    children = [
-        ShardPrepared(shard_id=c, n_shards=new_n, doc_ids=[], records=[])
-        for c in range(new_n)
-    ]
-    for doc_id, length in sharded.prepared.doctable.lengths.items():
-        child = new_part.shard_of(doc_id)
-        parent = sharded.partitioner.parent_of(child, factor)
-        if parent != sharded.partitioner.shard_of(doc_id):
-            raise ConfigError(
-                f"partitioner refinement violated: doc {doc_id} moves from "
-                f"shard {sharded.partitioner.shard_of(doc_id)} to child "
-                f"{child} of shard {parent}"
-            )
-        children[child].doc_ids.append(doc_id)
-        children[child].doctable.add(doc_id, length)
-        children[child].stats.documents += 1
-    return children
-
-
 def _stream_shard(
     sharded: ShardedIRSystem,
     shard_id: int,
-    new_part,
-    children: List[ShardPrepared],
+    term_ids: Dict[str, int],
     report: SplitReport,
-) -> None:
-    """Stream one old shard's records from a surviving replica into its
-    children, retrying the next healthy replica if the source dies."""
-    prepared = sharded.prepared
+) -> List[Tuple[str, bytes]]:
+    """Stream one old shard's ``(term, record)`` pairs from a surviving
+    replica, retrying the next healthy replica if the source dies.
+
+    Records go in ``term_ids`` order, then terms the corpus gained by
+    ingest in term order: the order their collection-wide ids take.
+    """
     sources = list(sharded.healthy_replicas(shard_id))
     last_error = None
     for source_id in sources:
         source = sharded.replica(shard_id, source_id)
-        routed: List[List[tuple]] = []  # per record: (term_id, child slices)
+        stored = sorted(
+            (term_ids.get(entry.term, len(term_ids) + 1), entry.term,
+             entry.storage_key)
+            for entry in source.index.dictionary.entries()
+            if entry.storage_key
+        )
         start = source.clock.snapshot()
         try:
-            for term_id, _record in sharded.shard_prepared[shard_id].records:
-                term = prepared.terms[term_id - 1]
-                entry = source.index.term_entry(term)
-                data = source.index.store.fetch(entry.storage_key)
-                slices: Dict[int, list] = {}
-                for posting in decode_record(data):
-                    child = new_part.shard_of(posting[0])
-                    slices.setdefault(child, []).append(posting)
-                routed.append((term_id, slices))
+            records = [
+                (term, source.index.store.fetch(key))
+                for _order, term, key in stored
+            ]
         except BadBlockError as error:
             # This survivor is dying too: mark it, try the next one.
             last_error = error
@@ -127,31 +110,76 @@ def _stream_shard(
             continue
         report.source_replicas[shard_id] = source_id
         report.stream_ms[shard_id] = source.clock.since(start).wall_ms
-        for term_id, slices in routed:
-            for child_id in sorted(slices):
-                postings = slices[child_id]
-                child = children[child_id]
-                encoded = encode_record(postings)
-                child.records.append((term_id, encoded))
-                child.df[term_id] = len(postings)
-                child.ctf[term_id] = sum(len(p) for _d, p in postings)
-                child.stats.records += 1
-                child.stats.postings += sum(len(p) for _d, p in postings)
-                child.stats.compressed_bytes += len(encoded)
-                child.stats.uncompressed_bytes += uncompressed_size(postings)
-                child.stats.record_sizes.append(len(encoded))
-                report.postings_moved += len(postings)
-            report.records_streamed += 1
-        return
+        report.records_streamed += len(records)
+        return records
     raise ReplicaFailedError(
         shard_id, sources[-1] if sources else 0,
         reason=f"no healthy replica survived to stream the split: {last_error}",
     )
 
 
-def split_shards(
-    sharded: ShardedIRSystem, factor: int = 2, verify_replicas: bool = True
-) -> SplitReport:
+def _live_collection(
+    sharded: ShardedIRSystem,
+    streamed: List[Tuple[str, bytes]],
+    term_ids: Dict[str, int],
+) -> PreparedCollection:
+    """The corpus the machines serve now, as one preparation.
+
+    ``streamed`` holds every old shard's records.  Terms of the
+    preparation keep their ids (``term_ids``); a term an ingest added (a
+    shard dictionary numbers it locally) gets the next free one, in term
+    order.  Postings of tombstoned documents (no longer in the document
+    table) are dropped and each term's postings are joined across
+    shards, so the result is what preparing the live corpus from scratch
+    yields: with nothing ingested, the build's own preparation, record
+    for record.
+    """
+    prepared = sharded.prepared
+    term_ids = dict(term_ids)
+    for term in sorted({term for term, _record in streamed} - term_ids.keys()):
+        term_ids[term] = len(term_ids) + 1
+    doctable = DocTable(dict(sharded.machines()[(0, 0)].index.doctable.lengths))
+    ids, docs, positions = decode_collection(
+        [(term_ids[term], record) for term, record in streamed]
+    )
+    live = np.isin(docs, np.fromiter(doctable.lengths, dtype=np.int64))
+    ids, docs, positions = ids[live], docs[live], positions[live]
+    # Each (term, document) pair comes from one shard with its positions
+    # in order, so a stable sort on (term, doc) is the indexing sort.
+    order = np.lexsort((docs, ids))
+    encoded = encode_collection(ids[order], docs[order], positions[order])
+    stored = encoded.ranks.tolist()  # term ids, in record order
+    top_rank = max(prepared.term_id_of_rank, default=0)
+    rank_of = {
+        term_id: prepared.rank_of_term_id.get(term_id, top_rank + term_id)
+        for term_id in stored
+    }
+    return PreparedCollection(
+        name=prepared.name,
+        collection=prepared.collection,
+        records=[
+            (term_id, record)
+            for term_id, (_n, record) in zip(stored, encoded.records)
+        ],
+        term_id_of_rank={rank: term_id for term_id, rank in rank_of.items()},
+        rank_of_term_id=rank_of,
+        df=dict(zip(stored, encoded.df.tolist())),
+        ctf=dict(zip(stored, encoded.ctf.tolist())),
+        doctable=doctable,
+        stats=IndexStats(
+            documents=len(doctable),
+            postings=int(encoded.ctf.sum()),
+            records=len(stored),
+            compressed_bytes=encoded.compressed_bytes,
+            uncompressed_bytes=encoded.uncompressed_bytes,
+            record_sizes=encoded.record_sizes.tolist(),
+        ),
+        max_tf=dict(zip(stored, encoded.max_tf.tolist())),
+        terms=list(term_ids),
+    )
+
+
+def split_shards(sharded: ShardedIRSystem, factor: int = 2) -> SplitReport:
     """Split every shard into ``factor`` children and cut over atomically.
 
     The old system keeps serving until the cutover (the caller picks the
@@ -173,29 +201,34 @@ def split_shards(
             records_streamed=0,
             postings_moved=0,
         )
-        children = _route_docs(sharded, new_part, factor)
-        for shard_id in range(sharded.n_shards):
-            _stream_shard(sharded, shard_id, new_part, children, report)
+        term_ids = {term: n for n, term in enumerate(sharded.prepared.terms, 1)}
+        streamed = [
+            record
+            for shard_id in range(sharded.n_shards)
+            for record in _stream_shard(sharded, shard_id, term_ids, report)
+        ]
+        live = _live_collection(sharded, streamed, term_ids)
+        report.postings_moved = sum(live.df.values())
+        children = partition_prepared(live, new_part)
 
         groups = []
         for child in children:
-            view = child.serving_view(sharded.prepared)
+            view = child.serving_view(live)
             primary = materialize(view, sharded.config)
             group = [primary]
             for replica_id in range(1, replicas + 1):
                 mirror = materialize(view, sharded.config)
-                if verify_replicas:
-                    if mirror.fs.disk._blocks != primary.fs.disk._blocks:
-                        raise ReplicaFailedError(
-                            child.shard_id, replica_id,
-                            reason="split mirror diverged from child primary",
-                        )
-                    report.mirrors_verified += 1
+                if mirror.fs.disk._blocks != primary.fs.disk._blocks:
+                    raise ReplicaFailedError(
+                        child.shard_id, replica_id,
+                        reason="split mirror diverged from child primary",
+                    )
+                report.mirrors_verified += 1
                 group.append(mirror)
             groups.append(group)
     except Exception:
         sharded.abort_rebalance()
         raise
-    sharded.cutover(new_part, groups, children)
+    sharded.cutover(new_part, groups, children, live)
     report.epoch = sharded.epoch
     return report

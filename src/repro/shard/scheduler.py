@@ -20,16 +20,13 @@ Determinism is by shard-order execution:
 
 **Replica routing and failover.**  A replicated shard carries R mirror
 machines with byte-identical platters (see :mod:`.system`).  Each
-shard's task picks one healthy replica per round — deterministically the
-lowest id (``replica_policy="primary"``), or a seeded hash of
-``(seed, round, shard)`` over the healthy set (``"spread"``) — and runs
-the phase there.  If the attempt comes back *degraded* (a
-``BadBlockError`` ate evidence: a dead disk, a torn record), the task
-marks that replica failed, abandons its pending state, and retries the
-next healthy replica — all inside the same barrier, charged sequentially
-to simulated time, so one replica failure costs latency but never
-correctness: the served ranking is the one a healthy single-disk system
-would produce.  Only when *every* replica of a shard has failed does the
+shard's task runs the phase on its lowest-id healthy replica.  If the
+attempt comes back *degraded* (a ``BadBlockError`` ate evidence: a dead
+disk, a torn record), the task marks that replica failed, abandons its
+pending state, and retries the next healthy replica — all inside the
+same barrier, charged sequentially to simulated time, so one replica
+failure costs latency but never correctness: the served ranking is the
+one a healthy single-disk system would produce.  Only when *every* replica of a shard has failed does the
 task keep the last degraded answer — the PR 3/4 degraded path — so a
 replicated system degrades exactly like an unreplicated one once
 redundancy is exhausted, and never raises mid-query.
@@ -65,7 +62,6 @@ from ..inquery import (
 )
 from ..simdisk.timing import TimeBreakdown
 from .merge import ShardOutcome, ShardedQueryResult, merge_results
-from .partition import _mix64
 from .system import ShardedIRSystem
 from .taat import ShardTaatRunner
 
@@ -166,13 +162,8 @@ class ShardScheduler:
     evaluation, the merged ranking is too.
 
     ``term_caches`` is an optional
-    :class:`~repro.serve.termcache.TermCacheFleet` that attaches one
-    term cache to each (shard, replica) engine.
-
-    ``replica_policy`` picks which healthy replica serves a round:
-    ``"primary"`` always takes the lowest healthy id, ``"spread"``
-    hashes ``(policy_seed, round, shard)`` over the healthy set so load
-    spreads across mirrors while staying a pure function of the inputs.
+    :class:`~repro.serve.termcache.TermCacheFleet` over the same backend
+    that attaches one term cache to each (shard, replica) engine.
 
     The scheduler captures the backend's topology ``epoch`` at
     construction; running it after a rebalance cutover raises
@@ -186,8 +177,6 @@ class ShardScheduler:
         top_k: int = DEFAULT_TOP_K,
         engine: str = "taat",
         prune: str = "off",
-        replica_policy: str = "primary",
-        policy_seed: int = 0,
         term_caches=None,
     ):
         if engine not in ("taat", "daat"):
@@ -196,14 +185,10 @@ class ShardScheduler:
             raise ConfigError(
                 "dynamic pruning requires the document-at-a-time engine"
             )
-        if replica_policy not in ("primary", "spread"):
-            raise ConfigError(f"unknown replica policy {replica_policy!r}")
         self.sharded = sharded
         self.top_k = top_k
         self.engine = engine
         self.prune = prune
-        self.replica_policy = replica_policy
-        self.policy_seed = policy_seed
         self.epoch = sharded.epoch
         self._rounds = 0
         # Engines are cached per (shard, replica) and validated against
@@ -221,8 +206,7 @@ class ShardScheduler:
     def _term_cache(self, shard_id: int, replica_id: int):
         if self.term_caches is None:
             return None
-        machine = self.sharded.replica(shard_id, replica_id)
-        return self.term_caches.cache_for(shard_id, replica_id, machine)
+        return self.term_caches.cache_for(shard_id, replica_id)
 
     def _taat_runner(self, shard_id: int, replica_id: int) -> ShardTaatRunner:
         machine = self.sharded.replica(shard_id, replica_id)
@@ -249,17 +233,7 @@ class ShardScheduler:
         engine.term_cache = self._term_cache(shard_id, replica_id)
         return engine
 
-    # -- replica choice and failover -------------------------------------------
-
-    def _choose(self, shard_id: int, round_no: int, healthy: List[int]) -> int:
-        if self.replica_policy == "spread" and len(healthy) > 1:
-            mixed = _mix64(
-                ((self.policy_seed & 0xFFFFFFFF) << 32)
-                ^ (round_no << 8)
-                ^ shard_id
-            )
-            return healthy[mixed % len(healthy)]
-        return healthy[0]
+    # -- failover --------------------------------------------------------------
 
     def _failover_task(
         self,
@@ -285,10 +259,9 @@ class ShardScheduler:
         events: List[Dict[str, object]] = []
         tried: set = set()
         while True:
-            healthy = [
+            choice = next(
                 r for r in sharded.healthy_replicas(shard_id) if r not in tried
-            ]
-            choice = self._choose(shard_id, round_no, healthy)
+            )
             if events and events[-1]["to_replica"] is None:
                 events[-1]["to_replica"] = choice
             tried.add(choice)
@@ -348,7 +321,7 @@ class ShardScheduler:
         """Serve ``queries`` one round each: a fold over waves of one.
 
         Every query pays its own barriers (no wave amortization), with
-        failover, replica routing, the df exchange and every simulated
+        failover, the df exchange and every simulated
         charge exactly where :meth:`run_wave` has them.
         """
         total = self._empty_outcome()

@@ -52,6 +52,11 @@ class ShardedIRSystem:
     so a single dead disk downgrades one mirror, not the shard.
     ``epoch`` counts topology cutovers (shard splits): schedulers capture
     it at construction and refuse to run across a cutover.
+
+    :meth:`machines` is the one topology view that holders of
+    per-machine state read instead of keeping copies.  :meth:`rereplicate`
+    and :meth:`cutover` replace machine objects, so machine identity at
+    a slot is that slot's version.
     """
 
     config: SystemConfig
@@ -85,6 +90,15 @@ class ShardedIRSystem:
     def shards(self) -> List[IRSystem]:
         """The primary machine of every shard (legacy single-replica view)."""
         return [group[0] for group in self.replica_groups]
+
+    def machines(self) -> Dict[Tuple[int, int], IRSystem]:
+        """The current ``{(shard, replica): machine}`` map, in
+        (shard, replica) order."""
+        return {
+            (shard_id, replica_id): machine
+            for shard_id, group in enumerate(self.replica_groups)
+            for replica_id, machine in enumerate(group)
+        }
 
     def replica(self, shard_id: int, replica_id: int) -> IRSystem:
         self._check_replica(shard_id, replica_id)
@@ -194,15 +208,12 @@ class ShardedIRSystem:
         top_k: int = DEFAULT_TOP_K,
         engine: str = "taat",
         prune: str = "off",
-        replica_policy: str = "primary",
-        policy_seed: int = 0,
         term_caches=None,
     ):
         from .scheduler import ShardScheduler
 
         return ShardScheduler(
             self, top_k=top_k, engine=engine, prune=prune,
-            replica_policy=replica_policy, policy_seed=policy_seed,
             term_caches=term_caches,
         )
 
@@ -221,7 +232,9 @@ class ShardedIRSystem:
         swap.
 
         Raises :class:`RebalanceInProgressError` during a split and
-        :class:`ReplicaFailedError` when no healthy source remains.
+        :class:`ReplicaFailedError` when no healthy source remains or
+        the rebuild diverges from the source — as it does once an
+        ingest or a compaction has changed the group since its build.
         """
         if self._rebalancing:
             raise RebalanceInProgressError(
@@ -283,16 +296,20 @@ class ShardedIRSystem:
         partitioner: Partitioner,
         replica_groups: List[List[IRSystem]],
         shard_prepared: List[ShardPrepared],
+        prepared: PreparedCollection,
     ) -> None:
         """Atomically switch to a new topology (called at a wave boundary).
 
-        Health state resets — the new machines are all freshly built and
-        verified — and ``epoch`` bumps so any scheduler still holding
-        the old topology refuses to run against the new one.
+        ``prepared`` is the corpus the new machines were built from (the
+        live one: it includes every ingested batch).  Health state
+        resets — the new machines are all freshly built and verified —
+        and ``epoch`` bumps so any scheduler still holding the old
+        topology refuses to run against the new one.
         """
         self.partitioner = partitioner
         self.replica_groups = replica_groups
         self.shard_prepared = shard_prepared
+        self.prepared = prepared
         self._down = set()
         self._replica_down = set()
         self._rebalancing = False
@@ -347,7 +364,6 @@ def materialize_sharded(
     partitioner: Union[str, Partitioner] = "hash",
     fault_plans=None,
     replicas: int = 0,
-    verify_replicas: bool = True,
 ) -> ShardedIRSystem:
     """Partition a prepared collection and build one machine per shard.
 
@@ -391,14 +407,13 @@ def materialize_sharded(
         reference = group[0] if build_plan is None else None
         for replica_id in range(1, replicas + 1):
             mirror = materialize(view, config)
-            if verify_replicas and reference is not None:
-                if mirror.fs.disk._blocks != reference.fs.disk._blocks:
-                    raise ReplicaFailedError(
-                        sp.shard_id, replica_id,
-                        reason="mirror platter diverged from primary at build",
-                    )
             if reference is None:
                 reference = mirror
+            elif mirror.fs.disk._blocks != reference.fs.disk._blocks:
+                raise ReplicaFailedError(
+                    sp.shard_id, replica_id,
+                    reason="mirror platter diverged from primary at build",
+                )
             plan = plans.get((sp.shard_id, replica_id))
             if plan is not None:
                 mirror.fs.disk.attach_fault_plan(plan)

@@ -231,14 +231,14 @@ class _Serving:
         self.prune = prune
         self.fresh = fresh
         self.sharded = hasattr(backend, "replica_groups")
-        self.fleet = TermCacheFleet(BUDGET if cached else 0)
+        self.fleet = TermCacheFleet(BUDGET if cached else 0, backend)
         if self.sharded:
             self.scheduler = backend.scheduler(
                 top_k=TOP_K, engine="daat", prune=prune,
                 term_caches=self.fleet,
             )
         else:
-            self.cache = self.fleet.cache_for(0, 0, backend)
+            self.cache = self.fleet.cache_for(0, 0)
             self.engine = self._engine()
 
     def _engine(self):

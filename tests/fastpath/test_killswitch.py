@@ -97,17 +97,20 @@ def _poison(set_attribute=setattr):
         set_attribute(*_owner(module, name), boom)
 
 
-def _sharded_wave(term_caches=None):
-    """A 2-shard TAAT wave over every leaf kind."""
+def _sharded_wave(term_cache_bytes=0):
+    """A 2-shard TAAT wave over every leaf kind; returns the wave's
+    term-cache fleet."""
     a, b = term_string(0), term_string(1)
     sharded = materialize_sharded(
         prepare_collection(SyntheticCollection(TINY)),
         config_by_name("mneme-cache"), n_shards=2,
     )
-    outcome = sharded.scheduler(term_caches=term_caches).run_wave(
+    fleet = TermCacheFleet(term_cache_bytes, sharded)
+    outcome = sharded.scheduler(term_caches=fleet).run_wave(
         [f"#sum( {a} {b} )", f"#phrase( {a} {b} )", f"#uw5( {a} {b} )"]
     )
     assert outcome.results[0].ranking
+    return fleet
 
 
 def _run_everything():
@@ -181,8 +184,7 @@ def test_sharded_wave_runs_on_the_array_kernels(monkeypatch):
     for fast in (True, False):
         del decodes[:]
         with use_fastpath(fast):
-            fleet = TermCacheFleet(1 << 20)
-            _sharded_wave(term_caches=fleet)
+            fleet = _sharded_wave(term_cache_bytes=1 << 20)
         assert bool(decodes) is fast
         kinds = {
             key[0] for cache in fleet.caches() for key in cache._lru.keys()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError, IndexError_
+from repro.errors import IndexError_
 from repro.live import EpochManager
 
 
@@ -47,16 +47,14 @@ def test_unpublished_epoch_is_an_error():
 
 
 def test_shard_epochs_count_only_touched_shards():
-    manager = EpochManager.for_corpus([1, 2], n_shards=3)
-    assert manager.shard_epochs == [0, 0, 0]
+    # Each record names the shards its publication touched; the manager
+    # keeps no shard count, so any shard id a topology has is accepted.
+    manager = EpochManager.for_corpus([1, 2])
+    assert manager.record(0).shards_touched == ()
     manager.publish(added=[3], shards_touched=[1])
-    manager.publish(added=[4], shards_touched=[0, 1])
-    assert manager.shard_epochs == [1, 2, 0]
-    assert manager.epoch == 2
-    with pytest.raises(ConfigError):
-        manager.publish(added=[5], shards_touched=[3])
-
-
-def test_n_shards_must_be_positive():
-    with pytest.raises(ConfigError):
-        EpochManager(n_shards=0)
+    manager.publish(added=[4], shards_touched=[1, 0, 1])
+    manager.publish(added=[5], shards_touched=[3])
+    assert [manager.record(e).shards_touched for e in (1, 2, 3)] == [
+        (1,), (0, 1), (3,)
+    ]
+    assert manager.epoch == 3

@@ -213,3 +213,38 @@ def test_closed_service_refuses_mutations(prepared, corpus, config):
         service.ingest(adds=add_docs)
     with pytest.raises(ServiceUnavailableError):
         service.compact()
+
+
+def test_ingest_after_rebalance_publishes_on_the_new_topology(
+    prepared, corpus, config, queries
+):
+    # A split after an ingest carries the ingested corpus to the
+    # children, and the pipeline reads the topology at every batch, so
+    # the next batch routes to the four children and publishes whole.
+    service = QueryService(
+        materialize(prepared, config, shards=2, replicas=1), workers=2
+    )
+    requests = [
+        TimedRequest(text=t, arrival_ms=0.0, seq=i)
+        for i, t in enumerate(queries)
+    ]
+
+    def served():
+        run = service.process(requests)
+        return {row.text: row.result.ranking for row in run.served}
+
+    for step, (add_docs, delete_docs) in enumerate(batches(corpus, n=2)):
+        report = service.ingest(adds=add_docs, deletes=delete_docs)
+        assert report.epoch == step + 1
+        assert report.groups_verified == service.backend.n_shards
+        documents = corpus.documents_for(
+            service.ingest_pipeline.epochs.live_docs()
+        )
+        reference = reference_rankings(config, documents, queries)
+        assert served() == reference
+        if step == 0:
+            service.rebalance(2)
+            assert service.backend.n_shards == 4
+            assert served() == reference
+    assert service.stats.ingests == 2
+    assert service.cache.stats.invalidations == 3

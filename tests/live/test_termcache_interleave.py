@@ -60,8 +60,8 @@ class _FlatHarness(_Harness):
 
     def __init__(self, backend, config):
         self.backend = backend
-        self.fleets = [TermCacheFleet(BUDGET)]
-        cache = self.fleets[0].cache_for(0, 0, backend)
+        self.fleets = [TermCacheFleet(BUDGET, backend)]
+        cache = self.fleets[0].cache_for(0, 0)
         self.taat = RetrievalEngine(
             backend.index, top_k=DEFAULT_TOP_K,
             use_reservation=config.use_reservation,
@@ -99,7 +99,9 @@ class _ShardedHarness(_Harness):
 
     def __init__(self, backend, config):
         self.backend = backend
-        self.fleets = [TermCacheFleet(BUDGET), TermCacheFleet(BUDGET)]
+        self.fleets = [
+            TermCacheFleet(BUDGET, backend), TermCacheFleet(BUDGET, backend)
+        ]
         self.scheduler = backend.scheduler(
             top_k=DEFAULT_TOP_K, engine="taat", term_caches=self.fleets[0]
         )

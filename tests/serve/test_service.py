@@ -1,5 +1,7 @@
 """The service contract: waves, sharing, hits, degradation, lifecycle."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import materialize
@@ -295,7 +297,11 @@ def test_term_cache_lifetime_stats_survive_rereplicate(prepared, config, pool):
     before = service.term_cache_stats()
     backend.mark_down(0, 0)
     backend.rereplicate(0, 0)
-    assert service.term_cache_stats() == before
+    # The replaced machine's cache retires at once: every counter stays,
+    # only its resident bytes leave the live total.
+    retired = service.term_cache_stats()
+    assert retired.bytes < before.bytes
+    assert dataclasses.replace(retired, bytes=before.bytes) == before
     service.process(burst(pool[:8]), name="after")
     after = service.term_cache_stats()
     assert after.lookups == 2 * before.lookups

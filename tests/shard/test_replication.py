@@ -131,36 +131,6 @@ def test_failover_trace_is_deterministic(prepared, config, query_sets):
     assert run() == run()
 
 
-def test_spread_policy_keeps_rankings_identical(
-    prepared, config, query_sets, reference_rankings
-):
-    query_set = query_sets[0]
-    sharded = materialize_sharded(prepared, config, n_shards=2, replicas=2)
-    spread = measure_sharded_run(
-        sharded, query_set.queries, query_set_name=query_set.name,
-        replica_policy="spread", policy_seed=7,
-    )
-    assert _rankings(spread) == reference_rankings[query_set.name]
-    assert spread.degraded_queries == 0
-    # The routing is a pure function of (seed, round, shard).
-    again = measure_sharded_run(
-        sharded, query_set.queries, query_set_name=query_set.name,
-        replica_policy="spread", policy_seed=7,
-    )
-    assert again.served_by == spread.served_by
-    # And it actually spreads: some round lands off the primary.
-    assert any(
-        replica != 0 for round in spread.served_by
-        for replica in round.values()
-    )
-
-
-def test_unknown_replica_policy_rejected(prepared, config):
-    sharded = materialize_sharded(prepared, config, n_shards=2, replicas=1)
-    with pytest.raises(ConfigError):
-        sharded.scheduler(replica_policy="nearest")
-
-
 # -- composition with the degraded path (satellite: double kill) -----------
 
 def test_double_kill_falls_back_to_degraded_path(
