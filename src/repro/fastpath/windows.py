@@ -2,15 +2,30 @@
 
 The reference implementations — ``_match_count`` in
 :mod:`repro.inquery.network` (the ``#phrase``/``#odN``/``#uwN``
-position merge) and ``best_window`` in :mod:`repro.inquery.matches`
-(the snippet window scan) — walk Python position lists element by
-element.  These kernels compute the identical results with bulk numpy
-operations: same match counts (duplicate positions and window size 1
-included), same best-window tuple (first-maximum tie-breaking
-included).
+position merge, one document at a time) and ``best_window`` in
+:mod:`repro.inquery.matches` (the snippet window scan) — walk Python
+position lists element by element.  These kernels compute the
+identical results with bulk numpy operations: same match counts
+(duplicate positions and window size 1 included), same best-window
+tuple (first-maximum tie-breaking included).
+
+:func:`match_counts_for_docs` matches every candidate document of an
+operator in one merge.  Each term's positions in the common documents
+are gathered into one column and packed into int64 keys ``slot *
+stride + position``, where ``slot`` is the document's index in
+``common``.  Positions are token offsets, so they span ``[0, span]``
+with ``span`` the largest gathered one.  The window is first clamped to
+span + 1: no two positions of one document are further apart than the
+span, so every window at least that wide matches exactly what span + 1
+does, and the clamp keeps ``key + window`` inside int64 however large
+``#odN`` or ``#uwN`` is.  ``stride`` is span + window + 1, so a key of
+another document is always more than a window away: the per-document
+merges — the ordered chain (``#phrase`` is its one-position case) and
+the unordered neighbour test — run unchanged on the packed keys, and
+the surviving first-term keys' slots are then counted.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,87 +34,63 @@ def _as_array(positions: Sequence[int]) -> np.ndarray:
     return np.asarray(positions, dtype=np.int64)
 
 
-def match_count(
-    position_lists: Sequence[Sequence[int]], ordered: bool, window: int
-) -> int:
-    """Co-occurrence matches of several terms within one document.
-
-    Bit-for-bit the reference
-    :func:`repro.inquery.network._match_count` — including its
-    ``set()`` deduplication on the phrase branch and duplicate counting
-    on the ordered/unordered branches.
-    """
-    lists = [_as_array(positions) for positions in position_lists]
-    if any(a.size == 0 for a in lists):
-        return 0
-    if ordered and window <= 1:
-        # Exact phrase: strictly adjacent positions, in order.  The
-        # reference iterates sorted(set(first)) — deduplicate.
-        first = np.unique(lists[0])
-        ok = np.ones(first.size, dtype=bool)
-        for offset, positions in enumerate(lists[1:]):
-            ok &= np.isin(first + (offset + 1), positions)
-        return int(np.count_nonzero(ok))
-    if ordered:
-        # Ordered window (#odN): increasing positions, each gap <=
-        # window.  Every occurrence of the first term (duplicates
-        # included) starts one candidate chain.
-        current = np.sort(lists[0])
-        ok = np.ones(current.size, dtype=bool)
-        for positions in lists[1:]:
-            rest = np.sort(positions)
-            # First element strictly after `current`...
-            nxt = np.searchsorted(rest, current, side="right")
-            has = nxt < rest.size
-            candidate = rest[np.minimum(nxt, rest.size - 1)]
-            # ...must fall within the window.  Failed lanes keep a
-            # stale `current`; their ok bit is already False.
-            ok &= has & (candidate <= current + window)
-            current = candidate
-        return int(np.count_nonzero(ok))
-    # Unordered (#uwN): an occurrence of the first term counts if every
-    # other term has some position within `window` of it.
-    anchors = lists[0]
-    ok = np.ones(anchors.size, dtype=bool)
-    for positions in lists[1:]:
-        rest = np.sort(positions)
-        right = np.searchsorted(rest, anchors, side="left")
-        near = np.zeros(anchors.size, dtype=bool)
-        has_right = right < rest.size
-        near[has_right] = (
-            rest[right[has_right]] - anchors[has_right] <= window
-        )
-        has_left = right > 0
-        near[has_left] |= (
-            anchors[has_left] - rest[right[has_left] - 1] <= window
-        )
-        ok &= near
-    return int(np.count_nonzero(ok))
+def _gather(arrays, common: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slots, positions)`` of one term's postings in ``common``."""
+    idx = np.searchsorted(arrays.doc_ids, common)
+    tf = arrays.tf[idx]
+    ends = np.cumsum(tf)
+    # Position i of the gather belongs to slot s and sits at
+    # pos_starts[s] + (i - first gathered index of s).
+    shift = np.repeat(arrays.pos_starts[idx] - (ends - tf), tf)
+    slots = np.repeat(np.arange(common.size, dtype=np.int64), tf)
+    return slots, arrays.positions[shift + np.arange(shift.size)]
 
 
 def match_counts_for_docs(
     term_arrays: Sequence, common: np.ndarray, ordered: bool, window: int
 ) -> np.ndarray:
-    """Per-document match counts over the terms' common documents.
+    """Per-document match counts (int64) over the terms' common documents.
 
     ``term_arrays`` are :class:`~repro.fastpath.codec.RecordArrays`;
-    ``common`` the sorted intersection of their document ids.
+    ``common`` the sorted intersection of their document ids.  Entry
+    ``i`` is bit-for-bit the reference
+    :func:`repro.inquery.network._match_count` on document
+    ``common[i]`` — including its ``set()`` deduplication on the phrase
+    branch and duplicate counting on the ordered/unordered branches.
     """
-    starts = []
-    ends = []
-    for arrays in term_arrays:
-        idx = np.searchsorted(arrays.doc_ids, common)
-        start = arrays.pos_starts[idx]
-        starts.append(start)
-        ends.append(start + arrays.tf[idx])
-    counts = np.empty(common.size, dtype=np.int64)
-    for i in range(common.size):
-        lists = [
-            arrays.positions[starts[t][i]:ends[t][i]]
-            for t, arrays in enumerate(term_arrays)
-        ]
-        counts[i] = match_count(lists, ordered=ordered, window=window)
-    return counts
+    gathered = [_gather(arrays, common) for arrays in term_arrays]
+    if any(positions.size == 0 for _slots, positions in gathered):
+        return np.zeros(common.size, dtype=np.int64)
+    span = max(int(positions.max()) for _slots, positions in gathered)
+    # The reference's exact-phrase branch is the ordered chain with a
+    # one-position window over the first term's *distinct* positions.
+    phrase = ordered and window <= 1
+    window = 1 if phrase else min(window, span + 1)
+    stride = span + window + 1
+    keys = [slots * stride + positions for slots, positions in gathered]
+    anchors = np.unique(keys[0]) if phrase else np.sort(keys[0])
+    ok = np.ones(anchors.size, dtype=bool)
+    current = anchors
+    for rest in keys[1:]:
+        rest = np.sort(rest)
+        if ordered:
+            # #odN: the first key strictly after `current` must fall
+            # within the window.  Failed lanes carry a stale `current`;
+            # their ok bit is already False.
+            nxt = np.searchsorted(rest, current, side="right")
+            following = rest[np.minimum(nxt, rest.size - 1)]
+            ok &= (nxt < rest.size) & (following <= current + window)
+            current = following
+        else:
+            # #uwN: the nearest key on either side within the window.
+            right = np.searchsorted(rest, anchors)
+            after = rest[np.minimum(right, rest.size - 1)]
+            before = rest[np.maximum(right - 1, 0)]
+            ok &= (np.abs(after - anchors) <= window) | (
+                np.abs(anchors - before) <= window
+            )
+    slots = anchors[ok] // stride
+    return np.bincount(slots, minlength=common.size).astype(np.int64, copy=False)
 
 
 def record_positions_for_doc(record: bytes, doc_id: int) -> Optional[Tuple[int, ...]]:
