@@ -65,7 +65,6 @@ def _saturation_traffic(
     capacity_4w = 4 * 1000.0 / mean_cost  # queries/second, roughly
     return TrafficProfile(
         name=f"{profile_name}-saturate",
-        mode="open",
         n_requests=n_requests,
         rate_qps=OVERLOAD_FACTOR * capacity_4w,
         repeat_rate=0.0,  # no repeats: the cache cannot absorb the load
@@ -173,7 +172,6 @@ def bench_profile(
     # -- no control: the same traffic with an unbounded FIFO queue -------
     uncontrolled_traffic = TrafficProfile(
         name=f"{profile_name}-uncontrolled",
-        mode="open",
         n_requests=n_requests,
         rate_qps=traffic.rate_qps,
         repeat_rate=traffic.repeat_rate,

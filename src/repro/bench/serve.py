@@ -73,7 +73,6 @@ def bench_profile(
     # -- repeat-heavy traffic, cache on vs. off over identical requests --
     traffic = TrafficProfile(
         name=f"{profile_name}-repeat-heavy",
-        mode="open",
         n_requests=n_requests,
         # Offered load ~60% of a 2-worker service's capacity, so queueing
         # is visible but the cache-off baseline still drains.
@@ -111,7 +110,6 @@ def bench_profile(
         daat_ref, _ = cold_reference(prepared, config, flat_pool, "daat")
         daat_traffic = TrafficProfile(
             name=f"{profile_name}-daat",
-            mode="open",
             n_requests=min(n_requests, 2 * len(flat_pool)),
             rate_qps=0.0,
             repeat_rate=0.5,
@@ -130,7 +128,6 @@ def bench_profile(
     if profile_name in SCALING_PROFILES:
         burst = TrafficProfile(
             name=f"{profile_name}-burst",
-            mode="open",
             n_requests=min(len(pool), 80),
             rate_qps=0.0,  # everything arrives at t=0: pure overload
             repeat_rate=0.0,

@@ -18,20 +18,22 @@ self-contained and deterministic):
   after the gate name goes unchanged to the one driver in
   :mod:`repro.bench.gate` (shared flags, ``--check``, exit status).
 
-``demo`` additionally accepts ``--shards N`` (with ``--partitioner``) to
-serve the queries from an N-machine document-partitioned build instead
-of a single disk; rankings are identical by construction, so the knob
-exists to demonstrate the per-shard provenance it prints.  With
-``--serve`` the queries go through the full
+``demo`` serves its queries through the
 :class:`~repro.serve.service.QueryService` front door (admission waves,
-result cache) and each answer is annotated with its cache outcome.
-``--rate`` spreads the demo queries over a seeded Poisson arrival
-stream instead of one burst, and ``--deadline`` gives each request a
-relative deadline budget — requests the service sheds are printed with
-their verdict instead of a ranking (both require ``--serve``).
+result cache) and annotates each answer with its cache outcome.
+``--shards N`` (with ``--partitioner``, ``--replicas``) serves from an
+N-machine document-partitioned build instead of a single disk; rankings
+are identical by construction, so the knob exists to demonstrate the
+per-shard provenance it prints.  ``--rate`` spreads the demo queries
+over a seeded Poisson arrival stream instead of one burst, and
+``--deadline`` gives each request a relative deadline budget — requests
+the service sheds are printed with their verdict instead of a ranking.
 ``--ingest N`` applies a live mutation batch first — N fresh documents
 added, N//3 of the lowest live ids tombstone-deleted, one epoch
 published — so the demo queries run against the mutated corpus.
+
+A typed library error (:class:`~repro.errors.ReproError`) raised by a
+command is printed as one ``error:`` line on stderr with exit status 2.
 """
 
 import argparse
@@ -61,7 +63,9 @@ from .core import (
     materialize,
     measure_run,
 )
-from .inquery import DEFAULT_TOP_K, DocumentAtATimeEngine, RetrievalEngine
+from .errors import ReproError
+from .inquery import DEFAULT_TOP_K
+from .serve import QueryService
 from .synth import PROFILES
 
 ALL_CONFIGS = ("btree", "mneme-nocache", "mneme-cache", "mneme-linked")
@@ -110,17 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(failover is automatic and observationally invisible)",
     )
     demo.add_argument(
-        "--serve", action="store_true",
-        help="route the queries through the QueryService (waves + cache)",
-    )
-    demo.add_argument(
         "--rate", type=float, default=0.0, metavar="QPS",
-        help="with --serve: Poisson arrival rate in simulated queries/s "
+        help="Poisson arrival rate in simulated queries/s "
              "(default 0 = all queries arrive at t=0)",
     )
     demo.add_argument(
         "--deadline", type=float, default=0.0, metavar="MS",
-        help="with --serve: per-request deadline budget in simulated ms "
+        help="per-request deadline budget in simulated ms "
              "(default 0 = no deadline; expired requests are shed)",
     )
     demo.add_argument(
@@ -244,122 +244,25 @@ def _print_prune_line(result) -> None:
 
 
 def cmd_demo(args) -> int:
-    if args.prune != "off" and not args.daat:
-        print("--prune requires --daat (document-at-a-time)", file=sys.stderr)
-        return 2
-    if (args.rate or args.deadline) and not args.serve:
-        print("--rate/--deadline require --serve", file=sys.stderr)
-        return 2
-    if args.rate < 0 or args.deadline < 0:
-        print("--rate and --deadline must be non-negative", file=sys.stderr)
-        return 2
-    if args.replicas and not (args.shards and args.shards > 1):
-        print("--replicas requires --shards N (N > 1)", file=sys.stderr)
-        return 2
     if args.ingest < 0:
         print("--ingest must be non-negative", file=sys.stderr)
         return 2
-    if args.term_cache_kb < 0:
-        print("--term-cache-kb must be non-negative", file=sys.stderr)
-        return 2
+    from .synth.traffic import TrafficProfile, open_loop_requests
+
+    # The demo queries in their given order, no repeats: one burst at
+    # t=0, or a seeded Poisson spread so --deadline has queueing to
+    # bite on.
+    requests = open_loop_requests(args.queries, TrafficProfile(
+        name="demo", n_requests=len(args.queries), rate_qps=args.rate,
+        repeat_rate=0.0, deadline_ms=args.deadline,
+    ))
     print(f"Building {args.profile!r} on {args.config!r} ...")
     workload = load_workload(args.profile)
-    if args.serve:
-        return _demo_serve(args, workload)
-    from .serve.termcache import TermCacheFleet
-
-    if args.shards and args.shards > 1:
-        sharded = materialize(
-            workload.prepared, config_by_name(args.config),
-            shards=args.shards, partitioner=args.partitioner,
-            replicas=args.replicas,
-        )
-        fleet = TermCacheFleet(args.term_cache_kb * 1024, sharded)
-        if args.ingest:
-            from .live import IngestPipeline
-
-            pipeline = IngestPipeline(sharded)
-            adds, deletes = _ingest_batch(args.profile, pipeline, args.ingest)
-            _print_ingest_line(pipeline.apply(adds=adds, deletes=deletes))
-        scheduler = sharded.scheduler(
-            top_k=args.top_k, engine="daat" if args.daat else "taat",
-            prune=args.prune, term_caches=fleet,
-        )
-        outcome = scheduler.run_batch(list(args.queries))
-        if args.replicas:
-            print(
-                f"Replicated x{args.replicas}: replica health "
-                f"{sharded.replica_health()}"
-            )
-        for q, result in enumerate(outcome.results):
-            print(f"\nQuery: {result.query}")
-            if not result.ranking:
-                print("  (no matching documents)")
-            for rank, (doc_id, belief) in enumerate(result.ranking, start=1):
-                home = sharded.shard_of_doc(doc_id)
-                print(f"  {rank:>3d}. doc {doc_id:<8d} belief={belief:.4f}"
-                      f"  (shard {home})")
-            contributions = ", ".join(
-                f"{shard}:{count}"
-                for shard, count in sorted(result.shard_contributions.items())
-            )
-            print(f"  top-{args.top_k} contributions by shard: {contributions}")
-            shard_results = [
-                outcome.per_shard_results[i][q]
-                for i in sorted(outcome.per_shard_results)
-                if q < len(outcome.per_shard_results[i])
-            ]
-            if any(getattr(r, "pruned", False) for r in shard_results):
-                print(
-                    "  pruned: "
-                    f"{sum(r.documents_scored for r in shard_results)} doc(s) "
-                    "scored, "
-                    f"{sum(r.documents_skipped for r in shard_results)} skipped, "
-                    f"{sum(r.blocks_skipped for r in shard_results)} block(s) "
-                    "skipped across shards"
-                )
-        _print_term_cache_line(fleet.stats())
-        return 0
-    system = materialize(workload.prepared, config_by_name(args.config))
-    fleet = TermCacheFleet(args.term_cache_kb * 1024, system)
-    if args.ingest:
-        from .live import IngestPipeline
-
-        pipeline = IngestPipeline(system)
-        adds, deletes = _ingest_batch(args.profile, pipeline, args.ingest)
-        _print_ingest_line(pipeline.apply(adds=adds, deletes=deletes))
-    if args.daat:
-        engine = DocumentAtATimeEngine(
-            system.index, top_k=args.top_k, prune=args.prune
-        )
-    else:
-        engine = RetrievalEngine(system.index, top_k=args.top_k)
-    engine.term_cache = fleet.cache_for(0, 0)
-    for query in args.queries:
-        result = engine.run_query(query)
-        print(f"\nQuery: {query}")
-        if not result.ranking:
-            print("  (no matching documents)")
-        for rank, (doc_id, belief) in enumerate(result.ranking, start=1):
-            print(f"  {rank:>3d}. doc {doc_id:<8d} belief={belief:.4f}")
-        _print_prune_line(result)
-    _print_term_cache_line(fleet.stats())
-    return 0
-
-
-def _demo_serve(args, workload) -> int:
-    """``demo --serve``: the queries through the full service front door."""
-    from .serve import QueryService
-    from .synth.traffic import TimedRequest
-
-    if args.shards and args.shards > 1:
-        backend = materialize(
-            workload.prepared, config_by_name(args.config),
-            shards=args.shards, partitioner=args.partitioner,
-            replicas=args.replicas,
-        )
-    else:
-        backend = materialize(workload.prepared, config_by_name(args.config))
+    backend = materialize(
+        workload.prepared, config_by_name(args.config),
+        shards=args.shards or None, partitioner=args.partitioner,
+        replicas=args.replicas,
+    )
     service = QueryService(
         backend,
         engine="daat" if args.daat else "taat",
@@ -372,33 +275,28 @@ def _demo_serve(args, workload) -> int:
             args.profile, service.ingest_pipeline, args.ingest
         )
         _print_ingest_line(service.ingest(adds=adds, deletes=deletes))
-    if args.rate > 0:
-        # A seeded Poisson spread of the demo queries, so --deadline has
-        # queueing to bite on; deterministic for a given query list.
-        import numpy as np
-
-        gaps = np.random.default_rng(17).exponential(
-            1000.0 / args.rate, size=len(args.queries)
+    if args.replicas:
+        print(
+            f"Replicated x{args.replicas}: replica health "
+            f"{backend.replica_health()}"
         )
-        arrivals = [float(arrival) for arrival in np.cumsum(gaps)]
-    else:
-        arrivals = [0.0] * len(args.queries)
-    requests = [
-        TimedRequest(
-            text=query,
-            arrival_ms=arrival,
-            deadline_ms=arrival + args.deadline if args.deadline > 0 else None,
-            seq=seq,
-        )
-        for seq, (query, arrival) in enumerate(zip(args.queries, arrivals))
-    ]
     report = service.process(requests, name="demo")
     for row in report.served:
         print(f"\nQuery: {row.text}  [{row.outcome}, {row.latency_ms:.3f}ms]")
         if not row.result.ranking:
             print("  (no matching documents)")
         for rank, (doc_id, belief) in enumerate(row.result.ranking, start=1):
-            print(f"  {rank:>3d}. doc {doc_id:<8d} belief={belief:.4f}")
+            home = (
+                f"  (shard {backend.shard_of_doc(doc_id)})"
+                if service.sharded else ""
+            )
+            print(f"  {rank:>3d}. doc {doc_id:<8d} belief={belief:.4f}{home}")
+        if service.sharded:
+            contributions = ", ".join(
+                f"{shard}:{count}"
+                for shard, count in sorted(row.result.shard_contributions.items())
+            )
+            print(f"  top-{args.top_k} contributions by shard: {contributions}")
         _print_prune_line(row.result)
     for row in report.shed:
         print(
@@ -556,8 +454,8 @@ def cmd_evaluate(args) -> int:
         return 2
     query_set = workload.query_sets[args.set_index]
     system = materialize(workload.prepared, config_by_name(args.config))
-    engine = RetrievalEngine(system.index, top_k=args.top_k)
-    results = engine.run_batch(query_set.queries)
+    service = QueryService(system, top_k=args.top_k)
+    results = [service.serve_one(query) for query in query_set.queries]
     relevance = relevance_from_postings(
         query_set.term_ranks, workload.prepared.docs_of_rank
     )
@@ -602,32 +500,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] in GATES:
         return gate_main(argv)
     args = build_parser().parse_args(argv)
-    if args.command == "profiles":
-        return cmd_profiles()
-    if args.command == "demo":
-        return cmd_demo(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    if args.command == "tables":
-        return cmd_tables(args.numbers)
-    if args.command == "figures":
-        return cmd_figures(args.numbers)
-    if args.command == "report":
-        from .bench import write_full_report
+    try:
+        if args.command == "profiles":
+            return cmd_profiles()
+        if args.command == "demo":
+            return cmd_demo(args)
+        if args.command == "compare":
+            return cmd_compare(args)
+        if args.command == "tables":
+            return cmd_tables(args.numbers)
+        if args.command == "figures":
+            return cmd_figures(args.numbers)
+        if args.command == "report":
+            from .bench import write_full_report
 
-        text = write_full_report(
-            BenchRunner(),
-            path=args.output,
-            include_figure3=not args.skip_figure3,
-        )
-        print(text)
-        return 0
-    if args.command == "informetrics":
-        return cmd_informetrics(args)
-    if args.command == "evaluate":
-        return cmd_evaluate(args)
-    if args.command == "validate":
-        return cmd_validate(args)
+            text = write_full_report(
+                BenchRunner(),
+                path=args.output,
+                include_figure3=not args.skip_figure3,
+            )
+            print(text)
+            return 0
+        if args.command == "informetrics":
+            return cmd_informetrics(args)
+        if args.command == "evaluate":
+            return cmd_evaluate(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

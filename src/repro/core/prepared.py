@@ -216,11 +216,17 @@ def materialize(
     and Table 2 buffers) and a
     :class:`~repro.shard.system.ShardedIRSystem` is returned instead;
     ``partitioner`` selects the document partitioning scheme ("hash" or
-    "range"), ``replicas`` adds that many byte-identical mirror machines
-    per shard, and ``fault_plan`` may then be a per-shard list or a
-    mapping keyed by shard id / ``(shard, replica)``.
+    "range") and ``replicas`` adds that many byte-identical mirror
+    machines per shard.  A sharded build takes no ``fault_plan``: fault
+    one of its machines after the build with
+    :meth:`~repro.shard.system.ShardedIRSystem.fault_shard`.
     """
     if shards is not None:
+        if fault_plan is not None:
+            raise ConfigError(
+                "a sharded build takes no fault_plan; attach one after the "
+                "build with ShardedIRSystem.fault_shard"
+            )
         from ..shard import materialize_sharded
 
         return materialize_sharded(
@@ -228,7 +234,6 @@ def materialize(
             config,
             n_shards=shards,
             partitioner=partitioner,
-            fault_plans=fault_plan,
             replicas=replicas,
         )
     if replicas:

@@ -75,7 +75,6 @@ the index mutates (the incremental-update paths are the canonical
 callers).
 """
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -92,9 +91,9 @@ from ..errors import (
 from ..inquery.daat import DocumentAtATimeEngine
 from ..inquery.engine import DEFAULT_TOP_K, QueryResult, RetrievalEngine
 from ..inquery.normalize import normalize_tree, render_canonical
-from ..inquery.query import count_nodes, parse_query
+from ..inquery.query import QueryNode, count_nodes, parse_query
 from ..shard.system import ShardedIRSystem
-from ..synth.traffic import PRIORITY_RANK, ClosedLoopTraffic, TimedRequest
+from ..synth.traffic import PRIORITY_RANK, TimedRequest
 from .cache import CacheStats, ResultCache, clone_result
 from .termcache import TermCache, TermCacheFleet, TermCacheStats
 
@@ -262,12 +261,6 @@ class ServiceReport:
         return digest
 
 
-#: A request waiting for a wave: ``(request, seq, user)`` — ``seq`` is the
-#: stream position that breaks schedule ties, ``user`` the closed-loop
-#: user to re-arm (``None`` on an open-loop stream).
-_Waiting = Tuple[TimedRequest, int, Optional[int]]
-
-
 def _priority_rank(priority: str) -> int:
     rank = PRIORITY_RANK.get(priority)
     if rank is None:
@@ -288,8 +281,8 @@ class QueryService:
     query-evaluation parallelism (independent of the shard fan-out
     inside one evaluation); ``max_batch`` caps a wave.  Pass
     ``use_cache=False`` for an honest no-cache baseline (also disables
-    in-wave sharing), or supply a prebuilt ``cache`` to share one
-    across services.
+    in-wave sharing); otherwise the service owns a
+    :class:`~repro.serve.cache.ResultCache` of ``cache_size`` entries.
 
     ``queue_limit`` bounds the admission queue (0 = unbounded, the
     historical behavior); see the module docstring for the shedding
@@ -298,8 +291,7 @@ class QueryService:
     ``prune`` (document-at-a-time only) turns on dynamic top-k pruning
     in the backend engines.  Pruned results are bit-identical to
     exhaustive ones, so the cache key deliberately does *not*
-    discriminate on it — a pruned service can share a cache with an
-    exhaustive one.
+    discriminate on it.
     """
 
     def __init__(
@@ -309,7 +301,6 @@ class QueryService:
         top_k: int = DEFAULT_TOP_K,
         workers: int = 1,
         max_batch: int = 8,
-        cache: Optional[ResultCache] = None,
         use_cache: bool = True,
         cache_size: int = 512,
         cold: bool = True,
@@ -377,11 +368,7 @@ class QueryService:
         self._stopwords = index.stopwords
         self._stem_fn = index.stem_fn
         self._cost = backend.clock.cost
-        self.cache = (
-            cache
-            if cache is not None
-            else (ResultCache(cache_size) if use_cache else None)
-        )
+        self.cache = ResultCache(cache_size) if use_cache else None
         self.stats = ServiceStats()
         self._open = True
 
@@ -499,11 +486,10 @@ class QueryService:
 
     def key_of(self, text: str) -> str:
         """The cache key: engine/top-k discriminator + canonical tree."""
-        key, _overhead = self._normalize(text)
+        key, _overhead = self._normalize(parse_query(text))
         return key
 
-    def _normalize(self, text: str) -> Tuple[str, float]:
-        tree = parse_query(text)
+    def _normalize(self, tree: QueryNode) -> Tuple[str, float]:
         overhead = (
             self._cost.cpu_ms_per_query_node * count_nodes(tree) + CACHE_PROBE_MS
         )
@@ -543,10 +529,13 @@ class QueryService:
         ``deadline_ms`` is absolute on the service clock (the request
         arrives at t=0); a deadline already in the past raises
         :class:`~repro.errors.DeadlineExceededError` — the verdict a
-        stream run records in its shed ledger instead.
+        stream run records in its shed ledger instead.  A malformed
+        text raises :class:`~repro.errors.QueryError` before anything
+        is counted.
         """
         self._check_open()
         _priority_rank(priority)
+        tree = parse_query(text)
         if deadline_ms is not None and deadline_ms < 0.0:
             self.stats.shed_deadline += 1
             raise DeadlineExceededError(
@@ -557,7 +546,7 @@ class QueryService:
             text=text, arrival_ms=0.0, priority=priority, deadline_ms=deadline_ms
         )
         self.stats.admitted += 1
-        rows, _wave_end = self._serve_wave([request], 0.0)
+        rows, _wave_end = self._serve_wave([request], 0.0, {text: tree})
         return rows[0].result
 
     def process(
@@ -565,20 +554,36 @@ class QueryService:
     ) -> ServiceReport:
         """Serve an open-loop request stream to completion.
 
-        The schedule — wave composition, shed set, every latency — is a
-        pure function of the request trace and the service knobs: ties
-        are broken by input position, expiry is checked on the
-        simulated clock, and nothing samples randomness.
+        Every priority is checked and every distinct text parsed before
+        anything is admitted, so a malformed request raises
+        (:class:`~repro.errors.ConfigError` /
+        :class:`~repro.errors.QueryError`) with the counters, the cache
+        and the backend untouched.  The schedule — wave composition,
+        shed set, every latency — is a pure function of the request
+        trace and the service knobs: ties are broken by input position,
+        expiry is checked on the simulated clock, and nothing samples
+        randomness.
         """
         self._check_open()
+        trees: Dict[str, QueryNode] = {}
+        for request in requests:
+            _priority_rank(request.priority)
+            if request.text not in trees:
+                trees[request.text] = parse_query(request.text)
         order = sorted(
             range(len(requests)), key=lambda i: (requests[i].arrival_ms, i)
         )
-        for i in order:
-            _priority_rank(requests[i].priority)
-        report = self._report(name)
-        #: Admitted, not yet in a wave: ``(request, seq, user)`` entries.
-        waiting: List[_Waiting] = []
+        report = ServiceReport(
+            name=name,
+            served=[],
+            workers=self.workers,
+            max_batch=self.max_batch,
+            queue_limit=self.queue_limit,
+        )
+        opening = None if self.cache is None else self.cache.stats.copy()
+        #: Admitted, not yet in a wave: ``(request, seq)`` entries, where
+        #: ``seq`` is the stream position that breaks schedule ties.
+        waiting: List[Tuple[TimedRequest, int]] = []
         now = 0.0
         cursor = 0
         while cursor < len(order) or waiting:
@@ -598,106 +603,43 @@ class QueryService:
                         report.shed,
                     )
                 else:
-                    waiting.append((requests[i], i, None))
-            now, _released = self._next_wave(waiting, now, report)
-        return self._close(report)
-
-    def process_closed(self, traffic: ClosedLoopTraffic) -> ServiceReport:
-        """Drive a closed-loop stream: completions pace the users.
-
-        Deadlines and priorities apply exactly as in :meth:`process`; a
-        user whose request expires re-thinks from the shed time (the
-        client saw its deadline blow and re-issues later).  The queue
-        bound is not applied — a closed loop's backlog is already
-        bounded by ``concurrency``.
-        """
-        self._check_open()
-        traffic.reset()
-        ready: List[Tuple[float, int]] = [
-            (traffic.first_arrival(user), user)
-            for user in range(traffic.concurrency)
-        ]
-        heapq.heapify(ready)
-        report = self._report(traffic.profile.name)
-        waiting: List[_Waiting] = []
-        now = 0.0
-        while ready or waiting:
-            if not waiting:
-                now = max(now, ready[0][0])
-            while ready and ready[0][0] <= now:
-                arrival, user = heapq.heappop(ready)
-                request = traffic.next_request(arrival)
-                if request is None:
-                    continue  # budget spent: retire this user
-                waiting.append((request, request.seq, user))
-            now, released = self._next_wave(waiting, now, report)
-            for user, free_ms in released:
-                heapq.heappush(ready, (free_ms + traffic.think(user), user))
-        return self._close(report)
-
-    def _report(self, name: str) -> ServiceReport:
-        """An empty report for one traffic run, filled wave by wave; its
-        ``cache_stats`` is the opening snapshot until :meth:`_close`."""
-        return ServiceReport(
-            name=name,
-            served=[],
-            workers=self.workers,
-            max_batch=self.max_batch,
-            cache_stats=None if self.cache is None else self.cache.stats.copy(),
-            queue_limit=self.queue_limit,
-        )
-
-    def _close(self, report: ServiceReport) -> ServiceReport:
-        """Turn the opening snapshot into the run's own cache delta."""
-        if report.cache_stats is not None:
-            report.cache_stats = self.cache.stats - report.cache_stats
+                    waiting.append((requests[i], i))
+            # Wave formation: lazily expire what is already past its
+            # deadline, then serve the best (priority, arrival, seq)
+            # prefix of up to max_batch; the rest keeps waiting.
+            live: List[Tuple[TimedRequest, int]] = []
+            for request, seq in waiting:
+                if request.deadline_ms is not None and request.deadline_ms < now:
+                    self._shed(request, now, "deadline", report.shed)
+                else:
+                    live.append((request, seq))
+            live.sort(key=lambda entry: (
+                _priority_rank(entry[0].priority), entry[0].arrival_ms, entry[1]
+            ))
+            wave, waiting = live[: self.max_batch], live[self.max_batch:]
+            if wave:
+                self.stats.admitted += len(wave)
+                rows, wave_end = self._serve_wave(
+                    [request for request, _seq in wave], now, trees
+                )
+                report.served.extend(rows)
+                report.waves += 1
+                now = max(now, wave_end)
+        if opening is not None:
+            report.cache_stats = self.cache.stats - opening
         return report
-
-    def _next_wave(
-        self, waiting: List[_Waiting], now: float, report: ServiceReport
-    ) -> Tuple[float, List[Tuple[Optional[int], float]]]:
-        """One wave-formation step, shared by both traffic drivers.
-
-        Lazily expires what is already past its deadline, takes the
-        best ``(priority, arrival, seq)`` prefix of up to ``max_batch``
-        and serves it; ``waiting`` keeps the rest.  Returns the service
-        time after the wave and, for every request that left the queue,
-        ``(user, ms at which it was shed or completed)`` — expired ones
-        first, then the wave in schedule order.
-        """
-        released: List[Tuple[Optional[int], float]] = []
-        live: List[_Waiting] = []
-        for entry in waiting:
-            request, _seq, user = entry
-            if request.deadline_ms is not None and request.deadline_ms < now:
-                self._shed(request, now, "deadline", report.shed)
-                released.append((user, now))
-            else:
-                live.append(entry)
-        live.sort(key=lambda entry: (
-            _priority_rank(entry[0].priority), entry[0].arrival_ms, entry[1]
-        ))
-        wave = live[: self.max_batch]
-        waiting[:] = live[self.max_batch:]
-        if not wave:
-            return now, released
-        self.stats.admitted += len(wave)
-        rows, wave_end = self._serve_wave([entry[0] for entry in wave], now)
-        report.served.extend(rows)
-        report.waves += 1
-        released.extend(
-            (entry[2], row.completion_ms) for entry, row in zip(wave, rows)
-        )
-        return max(now, wave_end), released
 
     # -- one wave ----------------------------------------------------------
 
     def _serve_wave(
-        self, wave: List[TimedRequest], start_ms: float
+        self, wave: List[TimedRequest], start_ms: float,
+        trees: Dict[str, QueryNode],
     ) -> Tuple[List[ServedRequest], float]:
         self.stats.waves += 1
         self.stats.requests += len(wave)
-        plans = [(request,) + self._normalize(request.text) for request in wave]
+        plans = [
+            (request,) + self._normalize(trees[request.text]) for request in wave
+        ]
         rows: List[Optional[ServedRequest]] = [None] * len(wave)
         first_of_key: Dict[str, int] = {}
         owner_of: Dict[int, int] = {}   # wave index -> evaluation owner index

@@ -194,8 +194,8 @@ class ShardedIRSystem:
     def fault_shard(self, shard_id: int, plan, replica_id: int = 0) -> None:
         """Attach a serving-time fault plan to one replica's disk.
 
-        Build-time faults go through ``materialize(...,
-        fault_plan=...)``; this is the chaos harness's post-build hook —
+        A sharded build takes no fault plan, so this is the one way to
+        fault a sharded system — the chaos harness's post-build hook:
         e.g. ``fault_shard(0, FaultPlan.dead_disk())`` kills shard 0's
         primary from the next query on, and ``replica_id=1`` targets the
         first mirror instead.  Pass ``None`` to detach.
@@ -316,53 +316,11 @@ class ShardedIRSystem:
         self.epoch += 1
 
 
-def _per_shard_plans(
-    fault_plans, n_shards: int, replicas: int = 0
-) -> Dict[Tuple[int, int], object]:
-    """Normalize the ``fault_plans`` argument to ``(shard, replica)`` keys.
-
-    Accepts ``None``, a sequence (one plan per shard primary, padded), a
-    mapping from shard id *or* ``(shard, replica)`` tuple to plan, or a
-    single plan — which is attached to shard 0's primary, the
-    conventional victim of one-shard chaos runs.
-    """
-    plans: Dict[Tuple[int, int], object] = {}
-    if fault_plans is None:
-        return plans
-    if isinstance(fault_plans, dict):
-        for key, plan in fault_plans.items():
-            if isinstance(key, tuple):
-                shard_id, replica_id = key
-            else:
-                shard_id, replica_id = key, 0
-            if not 0 <= shard_id < n_shards:
-                raise ConfigError(f"fault plan for unknown shard {shard_id}")
-            if not 0 <= replica_id <= replicas:
-                raise ConfigError(
-                    f"fault plan for unknown replica {replica_id} of "
-                    f"shard {shard_id} (R={replicas})"
-                )
-            plans[(shard_id, replica_id)] = plan
-        return plans
-    if isinstance(fault_plans, (list, tuple)):
-        if len(fault_plans) > n_shards:
-            raise ConfigError(
-                f"{len(fault_plans)} fault plans for {n_shards} shards"
-            )
-        for shard_id, plan in enumerate(fault_plans):
-            if plan is not None:
-                plans[(shard_id, 0)] = plan
-        return plans
-    plans[(0, 0)] = fault_plans
-    return plans
-
-
 def materialize_sharded(
     prepared: PreparedCollection,
     config: SystemConfig,
     n_shards: int,
     partitioner: Union[str, Partitioner] = "hash",
-    fault_plans=None,
     replicas: int = 0,
 ) -> ShardedIRSystem:
     """Partition a prepared collection and build one machine per shard.
@@ -377,12 +335,12 @@ def materialize_sharded(
     engine.
 
     ``replicas=R`` additionally builds R mirror machines per shard from
-    the same slice.  Mirrors are built *clean* (serving-time fault plans
-    from ``fault_plans[(shard, r)]`` attach after the build) and each
-    clean-built platter is verified byte-identical against the group's
-    reference before the system is returned; a divergence raises
-    :class:`ReplicaFailedError` — it would mean the build is
+    the same slice, and each mirror's platter is verified byte-identical
+    against the primary's before the system is returned; a divergence
+    raises :class:`ReplicaFailedError` — it would mean the build is
     nondeterministic, which breaks the failover bit-identity contract.
+    Every machine is built fault-free; serving-time faults attach after
+    the build through :meth:`ShardedIRSystem.fault_shard`.
     """
     if replicas < 0:
         raise ConfigError(f"replicas must be >= 0, got {replicas}")
@@ -394,29 +352,18 @@ def materialize_sharded(
         raise ConfigError(
             f"partitioner is for {partitioner.n_shards} shards, asked for {n_shards}"
         )
-    plans = _per_shard_plans(fault_plans, n_shards, replicas)
     shard_prepared = partition_prepared(prepared, partitioner)
     replica_groups: List[List[IRSystem]] = []
     for sp in shard_prepared:
         view = sp.serving_view(prepared)
-        build_plan = plans.get((sp.shard_id, 0))
-        group = [materialize(view, config, fault_plan=build_plan)]
-        # The reference platter for byte-identity is a clean build; a
-        # primary with a build-time fault plan (torn writes etc.) is
-        # exempt from verification, mirrors then verify among themselves.
-        reference = group[0] if build_plan is None else None
+        group = [materialize(view, config)]
         for replica_id in range(1, replicas + 1):
             mirror = materialize(view, config)
-            if reference is None:
-                reference = mirror
-            elif mirror.fs.disk._blocks != reference.fs.disk._blocks:
+            if mirror.fs.disk._blocks != group[0].fs.disk._blocks:
                 raise ReplicaFailedError(
                     sp.shard_id, replica_id,
                     reason="mirror platter diverged from primary at build",
                 )
-            plan = plans.get((sp.shard_id, replica_id))
-            if plan is not None:
-                mirror.fs.disk.attach_fault_plan(plan)
             group.append(mirror)
         replica_groups.append(group)
     return ShardedIRSystem(

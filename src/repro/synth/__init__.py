@@ -21,7 +21,6 @@ from .queries import (
     relevance_from_postings,
 )
 from .traffic import (
-    ClosedLoopTraffic,
     TimedRequest,
     TrafficProfile,
     open_loop_requests,
@@ -30,7 +29,6 @@ from .vocab import term_rank, term_string, term_strings
 from .zipf import ZipfSampler, rank_frequency_constant, zipf_mandelbrot_weights
 
 __all__ = [
-    "ClosedLoopTraffic",
     "CollectionProfile",
     "InformetricProfile",
     "PROFILES",

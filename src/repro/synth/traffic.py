@@ -9,19 +9,13 @@ off.  With probability ``repeat_rate`` a request re-issues a query the
 stream already served (drawn uniformly from its own history, so popular
 queries compound); otherwise it takes the next query from the pool.
 
-Two standard load shapes are provided:
-
-* **open loop** (:func:`open_loop_requests`): arrivals are a Poisson
-  process at ``rate_qps`` *simulated* queries per second — requests
-  arrive whether or not the service keeps up, so queueing delay shows
-  up in the latency distribution.  ``rate_qps = 0`` degenerates to a
-  burst: every request arrives at t=0 (the overload shape the worker
-  scaling gate uses).
-* **closed loop** (:class:`ClosedLoopTraffic`): ``concurrency``
-  simulated users each issue a request, wait for its completion, think
-  for an exponential ``think_ms``, and repeat — the service's own
-  completion times pace the stream, so the generator is driven by
-  :meth:`~repro.serve.service.QueryService.process_closed`.
+The load shape is an **open loop** (:func:`open_loop_requests`):
+arrivals are a Poisson process at ``rate_qps`` *simulated* queries per
+second — requests arrive whether or not the service keeps up, so
+queueing delay shows up in the latency distribution.  ``rate_qps = 0``
+degenerates to a burst: every request arrives at t=0 (the overload
+shape the worker scaling gate uses).  The stream is served by
+:meth:`~repro.serve.service.QueryService.process`.
 
 Overload knobs
 --------------
@@ -62,13 +56,10 @@ class TrafficProfile:
     """Shape parameters of one request stream."""
 
     name: str
-    mode: str = "open"          #: "open" (Poisson) | "closed" (think-time)
     n_requests: int = 200
-    #: Open loop: mean arrival rate in simulated queries/second;
-    #: 0 means a burst (all requests arrive at t=0).
+    #: Mean arrival rate in simulated queries/second; 0 means a burst
+    #: (all requests arrive at t=0).
     rate_qps: float = 50.0
-    concurrency: int = 4        #: closed loop: simulated users
-    think_ms: float = 20.0      #: closed loop: mean think time
     #: Probability a request repeats an earlier query verbatim.
     repeat_rate: float = 0.5
     #: Relative deadline budget for interactive requests, in simulated
@@ -101,11 +92,7 @@ class TimedRequest:
     seq: int = 0
 
 
-def _validate(profile: TrafficProfile, pool: Sequence[str], mode: str) -> None:
-    if profile.mode != mode:
-        raise ConfigError(
-            f"profile {profile.name!r} is {profile.mode!r} traffic, not {mode!r}"
-        )
+def _validate(profile: TrafficProfile, pool: Sequence[str]) -> None:
     if profile.n_requests < 1:
         raise ConfigError("traffic needs at least one request")
     if not 0.0 <= profile.repeat_rate < 1.0:
@@ -122,144 +109,44 @@ def _validate(profile: TrafficProfile, pool: Sequence[str], mode: str) -> None:
         raise ConfigError("traffic needs a non-empty query pool")
 
 
-class _QueryChooser:
-    """The repetition knob: history re-issue vs. next pool query."""
-
-    def __init__(
-        self, pool: Sequence[str], repeat_rate: float, rng: np.random.Generator
-    ):
-        self._pool = list(pool)
-        self._repeat_rate = repeat_rate
-        self._rng = rng
-        self._history: List[str] = []
-        self._cursor = 0
-
-    def next(self) -> str:
-        if self._history and self._rng.random() < self._repeat_rate:
-            text = self._history[int(self._rng.integers(len(self._history)))]
-        else:
-            text = self._pool[self._cursor % len(self._pool)]
-            self._cursor += 1
-        self._history.append(text)
-        return text
-
-
-class _ClassStamper:
-    """Draws a request's priority class and computes its deadline.
-
-    The class draw shares the stream's generator (one seed, one
-    stream), but is skipped entirely when ``batch_fraction`` is 0 so
-    profiles without the overload knobs reproduce their historical
-    random streams exactly.
-    """
-
-    def __init__(self, profile: TrafficProfile, rng: np.random.Generator):
-        self._profile = profile
-        self._rng = rng
-
-    def stamp(self, arrival_ms: float):
-        profile = self._profile
-        if profile.batch_fraction > 0 and (
-            self._rng.random() < profile.batch_fraction
-        ):
-            priority = "batch"
-            budget = profile.batch_deadline_ms
-        else:
-            priority = "interactive"
-            budget = profile.deadline_ms
-        deadline = arrival_ms + budget if budget > 0 else None
-        return priority, deadline
-
-
 def open_loop_requests(
     pool: Sequence[str], profile: TrafficProfile
 ) -> List[TimedRequest]:
-    """A Poisson request stream: texts with arrival times, ready to serve."""
-    _validate(profile, pool, "open")
+    """A Poisson request stream: texts with arrival times, ready to serve.
+
+    One generator draws, in this order: every inter-arrival gap, then
+    per request the repeat coin (once there is a history), the history
+    pick on a repeat, and the class coin (only when ``batch_fraction``
+    is nonzero).  The order is the stream's identity — every committed
+    stream and digest depends on it.
+    """
+    _validate(profile, pool)
     rng = np.random.default_rng(profile.seed)
-    chooser = _QueryChooser(pool, profile.repeat_rate, rng)
-    stamper = _ClassStamper(profile, rng)
     if profile.rate_qps > 0:
         gaps = rng.exponential(1000.0 / profile.rate_qps, size=profile.n_requests)
         arrivals = np.cumsum(gaps)
     else:
         arrivals = np.zeros(profile.n_requests)
+    history: List[str] = []
+    cursor = 0
     requests: List[TimedRequest] = []
     for seq, arrival in enumerate(arrivals):
-        text = chooser.next()
-        priority, deadline = stamper.stamp(float(arrival))
+        if history and rng.random() < profile.repeat_rate:
+            text = history[int(rng.integers(len(history)))]
+        else:
+            text = pool[cursor % len(pool)]
+            cursor += 1
+        history.append(text)
+        if profile.batch_fraction > 0 and rng.random() < profile.batch_fraction:
+            priority, budget = "batch", profile.batch_deadline_ms
+        else:
+            priority, budget = "interactive", profile.deadline_ms
+        arrival_ms = float(arrival)
         requests.append(TimedRequest(
-            text=text,
-            arrival_ms=float(arrival),
-            priority=priority,
-            deadline_ms=deadline,
-            seq=seq,
-        ))
-    return requests
-
-
-class ClosedLoopTraffic:
-    """A think-time stream paced by the service's completions.
-
-    The service pulls from this object: :meth:`next_request` hands out
-    the next request stamped with its class and deadline (``None`` once
-    the budget is spent, retiring that user), and :meth:`think` draws
-    the exponential pause before a user re-issues.  :meth:`reset`
-    rewinds to the same deterministic stream.
-    """
-
-    def __init__(self, pool: Sequence[str], profile: TrafficProfile):
-        _validate(profile, pool, "closed")
-        if profile.concurrency < 1:
-            raise ConfigError("closed-loop traffic needs at least one user")
-        if profile.think_ms < 0:
-            raise ConfigError("think_ms must be non-negative")
-        self.profile = profile
-        self._pool = list(pool)
-        self.reset()
-
-    @property
-    def concurrency(self) -> int:
-        return self.profile.concurrency
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self.profile.seed)
-        self._chooser = _QueryChooser(
-            self._pool, self.profile.repeat_rate, self._rng
-        )
-        self._stamper = _ClassStamper(self.profile, self._rng)
-        self._issued = 0
-
-    def first_arrival(self, user: int) -> float:
-        """Stagger user start-up so waves are not artificially lockstep."""
-        return self.think(user)
-
-    def think(self, user: int) -> float:
-        if self.profile.think_ms <= 0:
-            return 0.0
-        return float(self._rng.exponential(self.profile.think_ms))
-
-    def next_request(self, arrival_ms: float) -> Optional[TimedRequest]:
-        """The next request, arriving at ``arrival_ms`` on the service clock.
-
-        Stamps the class draw and the class's absolute deadline; returns
-        ``None`` once the stream's budget is spent (retiring the user).
-        """
-        if self._issued >= self.profile.n_requests:
-            return None
-        seq = self._issued
-        self._issued += 1
-        text = self._chooser.next()
-        priority, deadline = self._stamper.stamp(arrival_ms)
-        return TimedRequest(
             text=text,
             arrival_ms=arrival_ms,
             priority=priority,
-            deadline_ms=deadline,
+            deadline_ms=arrival_ms + budget if budget > 0 else None,
             seq=seq,
-        )
-
-    def next_text(self) -> Optional[str]:
-        """The next query text alone (legacy callers; same stream)."""
-        request = self.next_request(0.0)
-        return request.text if request is not None else None
+        ))
+    return requests

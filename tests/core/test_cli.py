@@ -30,6 +30,61 @@ def test_demo_no_matches(capsys):
     assert "no matching documents" in capsys.readouterr().out
 
 
+
+def _rankings(out):
+    """The ``doc ... belief=...`` lines, without the shard annotation."""
+    return [
+        line.split("  (shard ")[0]
+        for line in out.splitlines() if "belief=" in line
+    ]
+
+
+def test_demo_sharded_rankings_match_the_flat_demo(capsys):
+    query = "#sum( wb wc )"
+    assert main(["demo", "--profile", "cacm-s", query]) == 0
+    flat = capsys.readouterr().out
+    assert main([
+        "demo", "--profile", "cacm-s", "--shards", "2", "--replicas", "1", query,
+    ]) == 0
+    sharded = capsys.readouterr().out
+    assert "replica health" in sharded and "(shard " in sharded
+    assert "top-10 contributions by shard:" in sharded
+    assert _rankings(flat) and _rankings(sharded) == _rankings(flat)
+
+
+def test_demo_ingest_publishes_before_serving(capsys):
+    assert main(["demo", "--profile", "cacm-s", "--ingest", "3", "wa"]) == 0
+    out = capsys.readouterr().out
+    assert "Ingest: epoch 1 published (+3/-1 docs" in out
+    assert out.index("Ingest:") < out.index("Query:")
+
+
+def test_demo_daat_pruned(capsys):
+    assert main([
+        "demo", "--profile", "cacm-s", "--daat", "--prune", "auto",
+        "#sum( wa wb )",
+    ]) == 0
+    assert "pruned:" in capsys.readouterr().out
+
+
+def test_demo_deadline_sheds(capsys):
+    assert main([
+        "demo", "--profile", "cacm-s", "--rate", "5", "--deadline", "0.001",
+        "wa", "wb", "wc",
+    ]) == 0
+    assert "SHED: deadline" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["#sum( wa"],
+    ["--prune", "auto", "wa"],
+], ids=["malformed-query", "prune-without-daat"])
+def test_demo_reports_a_typed_error_in_one_line(argv, capsys):
+    assert main(["demo", "--profile", "cacm-s", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
 def test_compare_prints_three_configs(capsys):
     assert main(["compare", "--profile", "cacm-s", "--set", "0"]) == 0
     out = capsys.readouterr().out

@@ -17,7 +17,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.serve import QueryService, ServiceMetrics
-from repro.synth.traffic import ClosedLoopTraffic, TimedRequest, TrafficProfile
+from repro.synth.traffic import TimedRequest
 
 
 def burst(texts, **kwargs):
@@ -178,21 +178,6 @@ def test_per_class_accounting(prepared, config, pool):
     cell = metrics.as_dict()
     assert cell["per_class"]["interactive"]["admitted"] == interactive.admitted
     assert cell["offered"] == 4
-
-
-def test_closed_loop_deadlines_shed_and_conserve(prepared, config, pool):
-    profile = TrafficProfile(
-        name="closed-overload", mode="closed", n_requests=16,
-        concurrency=6, think_ms=0.0, repeat_rate=0.0,
-        deadline_ms=0.01, seed=19,
-    )
-    traffic = ClosedLoopTraffic(pool, profile)
-    service = QueryService(materialize(prepared, config), max_batch=1)
-    report = service.process_closed(traffic)
-    assert report.shed, "six no-think users on a one-query wave must expire"
-    assert all(row.reason == "deadline" for row in report.shed)
-    # Conservation: every issued request is either served or ledgered.
-    assert len(report.served) + len(report.shed) == profile.n_requests
 
 
 def test_sharded_busy_accounting_surfaces_in_stats(prepared, config, pool):

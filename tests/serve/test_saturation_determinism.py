@@ -18,7 +18,6 @@ from repro.synth.traffic import TrafficProfile, open_loop_requests
 
 OVERLOAD = TrafficProfile(
     name="tiny-saturate",
-    mode="open",
     n_requests=48,
     rate_qps=400.0,          # far past the tiny collection's capacity
     repeat_rate=0.25,

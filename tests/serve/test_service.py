@@ -6,10 +6,11 @@ import pytest
 
 from repro.core import materialize
 from repro.core.metrics import cold_start
-from repro.errors import ConfigError, ServiceUnavailableError
+from repro.errors import ConfigError, QueryError, ServiceUnavailableError
 from repro.faults.plan import FaultPlan
 from repro.inquery import RetrievalEngine
-from repro.serve import QueryService, ResultCache
+import repro.serve.service as service_module
+from repro.serve import QueryService, ServiceStats
 from repro.synth.traffic import TimedRequest
 
 
@@ -188,15 +189,6 @@ def test_invalidate_cache_forces_reevaluation(prepared, config, pool):
     assert service.cache.epoch == 1
 
 
-def test_shared_cache_across_services(prepared, config, pool):
-    shared = ResultCache(capacity=16)
-    first = QueryService(materialize(prepared, config), cache=shared)
-    first.serve_one(pool[0])
-    second = QueryService(materialize(prepared, config), cache=shared)
-    second.serve_one(pool[0])
-    assert shared.stats.hits == 1
-
-
 def test_wave_admission_respects_arrivals(prepared, config, pool):
     service = QueryService(materialize(prepared, config), max_batch=8)
     late = 10_000_000.0  # far past any plausible first-wave completion
@@ -220,6 +212,38 @@ def test_key_of_agrees_across_spellings(prepared, config, pool):
     text = pool[0]
     assert service.key_of(text) == service.key_of(text.upper())
     assert service.key_of(text) != service.key_of(pool[1])
+
+
+def test_malformed_request_is_refused_before_anything_is_admitted(
+    prepared, config, pool
+):
+    backend = materialize(prepared, config)
+    service = QueryService(backend, max_batch=2)
+    clock = backend.clock.snapshot()
+    texts = pool[:3] + ["#sum( wa"] + pool[3:4]
+    with pytest.raises(QueryError):
+        service.process(burst(texts))
+    with pytest.raises(QueryError):
+        service.serve_one("#sum( wa")
+    assert service.stats == ServiceStats()
+    assert len(service.cache) == 0
+    assert backend.clock.snapshot() == clock
+
+
+def test_each_distinct_text_is_parsed_once_per_run(
+    prepared, config, pool, monkeypatch
+):
+    service = QueryService(materialize(prepared, config), max_batch=2)
+    parsed = []
+    real_parse = service_module.parse_query
+    monkeypatch.setattr(
+        service_module, "parse_query",
+        lambda text: parsed.append(text) or real_parse(text),
+    )
+    texts = [pool[0], pool[1], pool[0], pool[2], pool[1], pool[0]]
+    report = service.process(burst(texts))
+    assert len(report.served) == len(texts)
+    assert sorted(parsed) == sorted(set(texts))
 
 
 # -- live rebalancing (shard split under the service) ----------------------

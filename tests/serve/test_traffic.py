@@ -1,11 +1,9 @@
-"""The synthetic traffic layer: determinism, repetition, both loop shapes."""
+"""The synthetic traffic layer: determinism, repetition, burst shape."""
 
 import pytest
 
-from repro.core import materialize
 from repro.errors import ConfigError
-from repro.serve import QueryService
-from repro.synth import ClosedLoopTraffic, TrafficProfile, open_loop_requests
+from repro.synth import TrafficProfile, open_loop_requests
 
 POOL = [f"#sum(t{i:04d} t{i + 1:04d})" for i in range(0, 40, 2)]
 
@@ -70,37 +68,3 @@ def test_traffic_validation():
         open_loop_requests(POOL, TrafficProfile(name="none", n_requests=0))
     with pytest.raises(ConfigError):
         open_loop_requests(POOL, TrafficProfile(name="rr", repeat_rate=1.0))
-    with pytest.raises(ConfigError):
-        open_loop_requests(POOL, TrafficProfile(name="closed", mode="closed"))
-    with pytest.raises(ConfigError):
-        ClosedLoopTraffic(POOL, TrafficProfile(name="open", mode="open"))
-    with pytest.raises(ConfigError):
-        ClosedLoopTraffic(
-            POOL,
-            TrafficProfile(name="users", mode="closed", concurrency=0),
-        )
-
-
-def test_closed_loop_budget_and_reset():
-    profile = TrafficProfile(
-        name="closed", mode="closed", n_requests=9, concurrency=3, seed=7
-    )
-    traffic = ClosedLoopTraffic(POOL, profile)
-    first = [traffic.next_text() for _ in range(10)]
-    assert first[9] is None
-    assert sum(1 for text in first if text is not None) == 9
-    traffic.reset()
-    second = [traffic.next_text() for _ in range(10)]
-    assert first == second
-
-
-def test_closed_loop_serving_end_to_end(prepared, config, pool):
-    profile = TrafficProfile(
-        name="closed-e2e", mode="closed", n_requests=12,
-        concurrency=3, think_ms=5.0, repeat_rate=0.5, seed=13,
-    )
-    traffic = ClosedLoopTraffic(pool, profile)
-    service = QueryService(materialize(prepared, config), workers=2)
-    report = service.process_closed(traffic)
-    assert len(report.served) == 12
-    assert all(row.completion_ms >= row.arrival_ms for row in report.served)

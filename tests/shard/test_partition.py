@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import materialize
 from repro.errors import ConfigError
+from repro.faults.plan import FaultPlan
 from repro.inquery import decode_record, encode_record
 from repro.shard import (
     HashPartitioner,
@@ -152,3 +153,8 @@ def test_materialize_delegates_to_sharded(prepared, config):
     assert sharded.n_shards == 2
     assert sharded.partitioner.scheme == "range"
     assert sharded.name == f"{config.name}x2"
+
+
+def test_sharded_build_refuses_a_fault_plan(prepared, config):
+    with pytest.raises(ConfigError, match="fault_shard"):
+        materialize(prepared, config, fault_plan=FaultPlan(), shards=2)

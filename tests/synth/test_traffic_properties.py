@@ -3,9 +3,8 @@
 One seed, one stream: the arrival/class/deadline triple of every
 request is a pure function of the profile, which is what lets the
 serving layer call its shed set deterministic.  Hypothesis explores
-the profile space for both load shapes (open-loop Poisson including
-the ``rate_qps=0`` burst, and closed-loop think-time streams) and the
-validation boundaries.
+the profile space of the open-loop Poisson stream (including the
+``rate_qps=0`` burst) and the validation boundaries.
 """
 
 import pytest
@@ -16,7 +15,6 @@ from repro.errors import ConfigError
 from repro.synth.traffic import (
     PRIORITIES,
     PRIORITY_RANK,
-    ClosedLoopTraffic,
     TimedRequest,
     TrafficProfile,
     open_loop_requests,
@@ -27,7 +25,6 @@ POOL = [f"#sum(t{i:04d} t{i + 1:04d})" for i in range(0, 60, 2)]
 open_profiles = st.builds(
     TrafficProfile,
     name=st.just("prop"),
-    mode=st.just("open"),
     n_requests=st.integers(min_value=1, max_value=120),
     rate_qps=st.one_of(
         st.just(0.0), st.floats(min_value=1.0, max_value=500.0)
@@ -42,27 +39,6 @@ open_profiles = st.builds(
     ),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-
-closed_profiles = st.builds(
-    TrafficProfile,
-    name=st.just("prop-closed"),
-    mode=st.just("closed"),
-    n_requests=st.integers(min_value=1, max_value=60),
-    concurrency=st.integers(min_value=1, max_value=6),
-    think_ms=st.one_of(
-        st.just(0.0), st.floats(min_value=0.1, max_value=50.0)
-    ),
-    repeat_rate=st.floats(min_value=0.0, max_value=0.95),
-    deadline_ms=st.one_of(
-        st.just(0.0), st.floats(min_value=0.5, max_value=200.0)
-    ),
-    batch_fraction=st.floats(min_value=0.0, max_value=1.0),
-    batch_deadline_ms=st.one_of(
-        st.just(0.0), st.floats(min_value=0.5, max_value=400.0)
-    ),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-
 
 @settings(max_examples=60, deadline=None)
 @given(profile=open_profiles)
@@ -106,52 +82,6 @@ def test_open_loop_class_fractions_are_exact_extremes(profile):
         assert all(r.priority == "batch" for r in requests)
 
 
-@settings(max_examples=40, deadline=None)
-@given(profile=closed_profiles, data=st.data())
-def test_closed_loop_same_seed_same_stream(profile, data):
-    """Replaying the same arrival sequence replays the exact stream."""
-    arrivals = data.draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e4),
-            min_size=profile.n_requests,
-            max_size=profile.n_requests,
-        ),
-        label="arrivals",
-    )
-    traffic = ClosedLoopTraffic(POOL, profile)
-    first = [traffic.next_request(arrival) for arrival in arrivals]
-    traffic.reset()
-    second = [traffic.next_request(arrival) for arrival in arrivals]
-    assert first == second
-    for arrival, request in zip(arrivals, first):
-        assert request is not None
-        assert request.arrival_ms == arrival
-        assert request.priority in PRIORITIES
-        budget = (
-            profile.batch_deadline_ms
-            if request.priority == "batch"
-            else profile.deadline_ms
-        )
-        if budget > 0:
-            assert request.deadline_ms == arrival + budget
-        else:
-            assert request.deadline_ms is None
-    assert traffic.next_request(0.0) is None  # budget spent: retired
-
-
-@settings(max_examples=40, deadline=None)
-@given(profile=closed_profiles)
-def test_closed_loop_think_times_reproduce(profile):
-    traffic = ClosedLoopTraffic(POOL, profile)
-    first = [traffic.think(user) for user in range(profile.concurrency)]
-    traffic.reset()
-    second = [traffic.think(user) for user in range(profile.concurrency)]
-    assert first == second
-    assert all(pause >= 0.0 for pause in first)
-    if profile.think_ms == 0.0:
-        assert set(first) == {0.0}
-
-
 def test_priority_rank_orders_interactive_first():
     assert PRIORITY_RANK["interactive"] < PRIORITY_RANK["batch"]
     assert tuple(sorted(PRIORITY_RANK, key=PRIORITY_RANK.get)) == PRIORITIES
@@ -188,21 +118,6 @@ def test_open_loop_parameter_bounds(kwargs):
     profile = TrafficProfile(name="bad", **kwargs)
     with pytest.raises(ConfigError):
         open_loop_requests(POOL, profile)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(concurrency=0),
-        dict(think_ms=-1.0),
-        dict(batch_fraction=2.0),
-        dict(deadline_ms=-0.5),
-    ],
-)
-def test_closed_loop_parameter_bounds(kwargs):
-    profile = TrafficProfile(name="bad", mode="closed", **kwargs)
-    with pytest.raises(ConfigError):
-        ClosedLoopTraffic(POOL, profile)
 
 
 def test_timed_request_defaults_are_backward_compatible():
