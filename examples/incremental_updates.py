@@ -9,7 +9,9 @@ tractable.  This example:
 
 1. indexes a small collection on Mneme (with a write-ahead log),
 2. adds a document incrementally and searches for it,
-3. removes a document and shows its postings are gone,
+3. deletes a document — a tombstone the engines filter at once, made
+   physical by folding the tombstones into the records — and shows its
+   postings are gone,
 4. grows a huge inverted list as a *linked object* (the paper's
    future-work feature) and compares the write traffic against
    relocating a contiguous object,
@@ -24,8 +26,9 @@ from repro.inquery import (
     IndexBuilder,
     MnemeInvertedFile,
     RetrievalEngine,
-    add_document_incremental,
-    remove_document_incremental,
+    add_documents_incremental,
+    fold_tombstones,
+    tombstone_document_incremental,
 )
 from repro.mneme import (
     ChunkedLargeObjectPool,
@@ -60,14 +63,16 @@ def main() -> None:
     # -- incremental addition ------------------------------------------------
     new_doc = Document(5, "case-005",
                        "trade secret dispute over buffer management software")
-    add_document_incremental(index, new_doc)
+    add_documents_incremental(index, [new_doc])
     result = engine.run_query("#and( buffer management )")
     print(f"\nAfter adding case-005, '#and( buffer management )' retrieves: "
           f"{[index.doctable.names[d] for d in result.doc_ids()]}")
     assert 5 in result.doc_ids()
 
     # -- incremental deletion -------------------------------------------------
-    rewritten = remove_document_incremental(index, 2)
+    tombstone_document_incremental(index, BASE_DOCUMENTS[1])
+    assert 2 not in engine.run_query("patent infringement").doc_ids()
+    rewritten = fold_tombstones(index)
     print(f"Removed case-002; {rewritten} inverted lists rewritten.")
     assert 2 not in engine.run_query("patent infringement").doc_ids()
 

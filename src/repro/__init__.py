@@ -38,7 +38,6 @@ from .core import (
     materialize,
     measure_run,
     prepare_collection,
-    run_grid,
     table2_buffer_sizes,
 )
 from .errors import ReproError
@@ -74,7 +73,6 @@ __all__ = [
     "measure_run",
     "prepare_collection",
     "quick_system",
-    "run_grid",
     "table2_buffer_sizes",
     "__version__",
 ]

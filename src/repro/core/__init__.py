@@ -17,7 +17,6 @@ from .experiment import (
     Workload,
     build_systems,
     load_workload,
-    run_grid,
 )
 from .metrics import RunMetrics, cold_start, improvement, measure_run
 from .prepared import (
@@ -68,6 +67,5 @@ __all__ = [
     "percentile",
     "prepare_collection",
     "relative_spread",
-    "run_grid",
     "table2_buffer_sizes",
 ]

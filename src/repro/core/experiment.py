@@ -7,7 +7,7 @@ from.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..synth import (
     PROFILES,
@@ -18,7 +18,7 @@ from ..synth import (
 )
 from ..errors import ConfigError
 from .config import CONFIG_NAMES, config_by_name
-from .metrics import RunMetrics, measure_run
+from .metrics import RunMetrics
 from .prepared import IRSystem, PreparedCollection, materialize, prepare_collection
 
 
@@ -101,32 +101,3 @@ class ExperimentGrid:
 
     def metric(self, query_set: str, config: str) -> RunMetrics:
         return self.cells[query_set][config]
-
-
-def run_grid(
-    profile_name: str,
-    config_names: Sequence[str] = CONFIG_NAMES,
-    systems: Optional[Dict[str, IRSystem]] = None,
-    keep_results: bool = False,
-    **overrides,
-) -> ExperimentGrid:
-    """Run every query set of a collection on every configuration.
-
-    Each (set, config) cell is measured from a cold start, exactly as
-    the paper chilled the file system between runs.
-    """
-    workload = load_workload(profile_name)
-    if systems is None:
-        systems = build_systems(workload.prepared, config_names, **overrides)
-    grid = ExperimentGrid(collection=profile_name)
-    for query_set in workload.query_sets:
-        grid.cells[query_set.name] = {}
-        for config_name in config_names:
-            metrics = measure_run(
-                systems[config_name],
-                query_set.queries,
-                query_set_name=query_set.name,
-                keep_results=keep_results,
-            )
-            grid.cells[query_set.name][config_name] = metrics
-    return grid

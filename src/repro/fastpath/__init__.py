@@ -18,7 +18,7 @@ Layout:
 * :mod:`~repro.fastpath.network` — the vectorized inference network;
 * :mod:`~repro.fastpath.daat`    — windowed document-at-a-time scoring;
 * :mod:`~repro.fastpath.prune`   — MaxScore top-k pruning (both drivers);
-* :mod:`~repro.fastpath.windows` — proximity/snippet position-window kernels;
+* :mod:`~repro.fastpath.windows` — proximity position-window kernels;
 * :mod:`~repro.fastpath.build`   — whole-collection bulk record encoding.
 """
 

@@ -1,13 +1,11 @@
 """Vectorized position-window matching for proximity operators.
 
-The reference implementations — ``_match_count`` in
-:mod:`repro.inquery.network` (the ``#phrase``/``#odN``/``#uwN``
-position merge, one document at a time) and ``best_window`` in
-:mod:`repro.inquery.matches` (the snippet window scan) — walk Python
-position lists element by element.  These kernels compute the
-identical results with bulk numpy operations: same match counts
-(duplicate positions and window size 1 included), same best-window
-tuple (first-maximum tie-breaking included).
+The reference implementation — ``_match_count`` in
+:mod:`repro.inquery.network`, the ``#phrase``/``#odN``/``#uwN``
+position merge one document at a time — walks Python position lists
+element by element.  This kernel computes the identical match counts
+with bulk numpy operations, duplicate positions and window size 1
+included.
 
 :func:`match_counts_for_docs` matches every candidate document of an
 operator in one merge.  Each term's positions in the common documents
@@ -25,13 +23,9 @@ the unordered neighbour test — run unchanged on the packed keys, and
 the surviving first-term keys' slots are then counted.
 """
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-
-def _as_array(positions: Sequence[int]) -> np.ndarray:
-    return np.asarray(positions, dtype=np.int64)
 
 
 def _gather(arrays, common: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,79 +85,3 @@ def match_counts_for_docs(
             )
     slots = anchors[ok] // stride
     return np.bincount(slots, minlength=common.size).astype(np.int64, copy=False)
-
-
-def record_positions_for_doc(record: bytes, doc_id: int) -> Optional[Tuple[int, ...]]:
-    """One document's positions from an encoded record, or ``None``.
-
-    The array analogue of ``dict(decode_record(record)).get(doc_id)``
-    — it decodes columnar and slices one document instead of
-    materializing every posting tuple.
-    """
-    from .codec import decode_record_arrays
-
-    arrays = decode_record_arrays(record)
-    idx = int(np.searchsorted(arrays.doc_ids, doc_id))
-    if idx >= arrays.df or int(arrays.doc_ids[idx]) != doc_id:
-        return None
-    start = int(arrays.pos_starts[idx])
-    return tuple(arrays.positions[start:start + int(arrays.tf[idx])].tolist())
-
-
-def best_window(
-    by_term: Dict[str, Sequence[int]], window: int
-) -> Tuple[int, int, int]:
-    """The ``window``-token span covering the most distinct terms.
-
-    Identical to the reference sliding scan in
-    :mod:`repro.inquery.matches` — events ordered by ``(position,
-    term)``, the *first* window reaching the maximum distinct count
-    wins, and no matches yield ``(0, window, 0)``.
-    """
-    terms = sorted(by_term)
-    sizes = [len(by_term[term]) for term in terms]
-    total = sum(sizes)
-    if total == 0:
-        return 0, window, 0
-    positions = np.empty(total, dtype=np.int64)
-    term_ids = np.empty(total, dtype=np.int64)
-    offset = 0
-    for term_id, term in enumerate(terms):
-        chunk = _as_array(by_term[term])
-        positions[offset:offset + chunk.size] = chunk
-        term_ids[offset:offset + chunk.size] = term_id
-        offset += chunk.size
-    # Event order (position, term): term ids follow the terms' sort
-    # order, so this lexsort reproduces the reference tuple sort.
-    order = np.lexsort((term_ids, positions))
-    positions = positions[order]
-    term_ids = term_ids[order]
-    n = total
-
-    # Left edge of the window ending at each event.
-    left = np.searchsorted(positions, positions - window + 1, side="left")
-    # prev[i]: index of the previous event with the same term (-1 if none).
-    prev = np.full(n, -1, dtype=np.int64)
-    for term_id in range(len(terms)):
-        idx = np.nonzero(term_ids == term_id)[0]
-        prev[idx[1:]] = idx[:-1]
-    # Event i is a repeat inside the window ending at r exactly when
-    # l_r <= prev[i] and i <= r; since left is non-decreasing that is
-    # the index range [i, first r with l_r > prev[i]).
-    repeat_until = np.searchsorted(left, prev, side="right")
-    has_prev = prev >= 0
-    event_idx = np.arange(n)
-    active = has_prev & (repeat_until > event_idx)
-    delta = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(delta, event_idx[active], 1)
-    np.add.at(delta, repeat_until[active], -1)
-    repeats = np.cumsum(delta[:n])
-    distinct = event_idx - left + 1 - repeats
-
-    best = int(distinct.max())
-    if best <= 1:
-        start = int(positions[0])
-        return start, start + window, 1
-    r = int(np.argmax(distinct))  # first window reaching the maximum
-    start = int(positions[left[r]])
-    return start, start + window, best

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the simulated storage stack.
 
-The subsystem has three pieces:
+The subsystem has two pieces:
 
 * :class:`FaultPlan` / :class:`FaultEvent` — a seeded schedule of disk
   faults (transient read errors, at-rest bit flips, torn writes, latency
@@ -8,9 +8,10 @@ The subsystem has three pieces:
   :class:`~repro.simdisk.disk.SimDisk`;
 * :class:`RetryPolicy` — the bounded-backoff retry the Mneme read path
   applies before giving up, with every wait charged to the simulated
-  clock;
-* :mod:`repro.faults.state` — the ``REPRO_FAULTS`` kill switch that
-  disarms attached plans entirely.
+  clock.
+
+Detaching the plan (``SimDisk.attach_fault_plan(None)``, or
+``ShardedIRSystem.fault_shard(i, None)``) is the one way to disarm it.
 
 Degraded serving on top of these lives in the engines
 (:mod:`repro.inquery.engine`, :mod:`repro.inquery.daat`); the end-to-end
@@ -19,7 +20,6 @@ chaos harness is :mod:`repro.bench.chaos`.
 
 from .plan import CHANNELS, FaultEvent, FaultPlan, FaultStats
 from .retry import RetryPolicy
-from .state import enabled, set_enabled, use_faults
 
 __all__ = [
     "CHANNELS",
@@ -27,7 +27,4 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "RetryPolicy",
-    "enabled",
-    "set_enabled",
-    "use_faults",
 ]

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..counters import Counters
-from . import state as _state
 
 #: Event kind -> operation channel it triggers on.
 CHANNELS: Dict[str, str] = {
@@ -161,8 +160,6 @@ class FaultPlan:
         return self._observe("alloc", None)
 
     def _observe(self, channel: str, block_no: Optional[int]) -> Optional[FaultEvent]:
-        if not _state.enabled():
-            return None
         if (
             block_no is not None
             and self.eligible_blocks is not None

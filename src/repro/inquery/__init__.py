@@ -12,7 +12,6 @@ from .bounds import (
     belief_bound,
     decode_chunk_bounds,
     encode_chunk_bounds,
-    tf_weight_bound,
 )
 from .daat import DAATResult, DocumentAtATimeEngine
 from .dictionary import HashDictionary, TermEntry
@@ -25,16 +24,13 @@ from .evalir import (
     evaluate_ranking,
     evaluate_run,
 )
-from .matches import best_window, term_match_positions
 from .indexer import (
     CollectionIndex,
     IndexBuilder,
     IndexStats,
-    add_document_incremental,
     add_documents_incremental,
     check_addable,
     fold_tombstones,
-    remove_document_incremental,
     tombstone_document_incremental,
 )
 from .invfile import (
@@ -64,11 +60,9 @@ from .postings import (
     decode_record,
     drop_documents,
     encode_record,
-    join_chunk_records,
     join_columns,
     merge_records,
     split_columns,
-    split_postings,
     uncompressed_size,
     vbyte_decode,
     vbyte_encode,
@@ -103,11 +97,9 @@ __all__ = [
     "LinkedMnemeInvertedFile",
     "PostingStream",
     "WholeRecordStream",
-    "join_chunk_records",
     "join_columns",
     "merge_streams",
     "split_columns",
-    "split_postings",
     "BeliefTable",
     "BufferSizes",
     "CollectionIndex",
@@ -118,7 +110,6 @@ __all__ = [
     "belief_bound",
     "decode_chunk_bounds",
     "encode_chunk_bounds",
-    "tf_weight_bound",
     "DocTable",
     "Document",
     "HashDictionary",
@@ -145,9 +136,7 @@ __all__ = [
     "TermEntry",
     "TermNode",
     "TermProvider",
-    "add_document_incremental",
     "add_documents_incremental",
-    "best_window",
     "canonical_query_key",
     "check_addable",
     "count_nodes",
@@ -165,10 +154,8 @@ __all__ = [
     "parse_query",
     "query_terms",
     "drop_documents",
-    "remove_document_incremental",
     "render_canonical",
     "stem",
-    "term_match_positions",
     "tokenize",
     "tombstone_document_incremental",
     "uncompressed_size",

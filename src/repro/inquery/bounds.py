@@ -45,11 +45,6 @@ from .network import DEFAULT_BELIEF
 from .postings import vbyte_decode, vbyte_encode
 
 
-def tf_weight_bound(max_tf: int) -> float:
-    """Upper bound on ``tf / (tf + 0.5 + 1.5 * dl / avg)`` for tf <= max_tf."""
-    return max_tf / (max_tf + 0.5)
-
-
 def belief_bound(max_tf: int, idf: float) -> float:
     """Admissible ceiling on the term belief of any document in a record.
 
@@ -104,13 +99,6 @@ def decode_chunk_bounds(data: bytes) -> Tuple[List[int], List[int], List[int]]:
         last_docs.append(previous)
         max_tfs.append(max_tf)
     return oids, last_docs, max_tfs
-
-
-def chunk_stats(slices) -> Tuple[List[int], List[int]]:
-    """(last document id, max tf) per chunk from split posting slices."""
-    last_docs = [postings[-1][0] for postings in slices]
-    max_tfs = [max(len(p) for _d, p in postings) for postings in slices]
-    return last_docs, max_tfs
 
 
 # -- block-structured record access --------------------------------------------

@@ -468,23 +468,18 @@ def add_documents_incremental(
     return term_tfs
 
 
-def add_document_incremental(index: CollectionIndex, document: Document) -> None:
-    """Add one document: :func:`add_documents_incremental` of a batch of one."""
-    add_documents_incremental(index, [document])
-
-
 def tombstone_document_incremental(index: CollectionIndex, document: Document) -> int:
     """Delete one document *logically*: mark it dead, touch no records.
 
-    This is the cheap-delete half of the paper's incremental-update
-    story: instead of rewriting every record that mentions the document
-    (``remove_document_incremental``), the doc id joins the index's
-    tombstone set and the engines filter it out at postings-decode time.
-    The caller supplies the :class:`Document` (synthetic corpora can
-    regenerate it deterministically) so the per-term ``df``/``ctf``
-    dictionary statistics — which DAAT and the pruning engine read
-    instead of decoded postings — can be adjusted exactly without a
-    single record fetch.  ``max_tf`` and the chunk-bound sidecars are
+    This is the delete half of the paper's incremental-update story:
+    instead of rewriting every record that mentions the document, the
+    doc id joins the index's tombstone set and the engines filter it
+    out at postings-decode time.  The caller supplies the
+    :class:`Document` (synthetic corpora can regenerate it
+    deterministically) so the per-term ``df``/``ctf`` dictionary
+    statistics — which DAAT and the pruning engine read instead of
+    decoded postings — can be adjusted exactly without a single record
+    fetch.  ``max_tf`` and the chunk-bound sidecars are
     left stale-*high*, which is admissible: an overestimated ceiling can
     never over-prune.  Compaction (``fold_tombstones``) later rewrites
     the records and recomputes exact bounds.
@@ -527,11 +522,12 @@ def fold_tombstones(index: CollectionIndex) -> int:
     """Rewrite every record that still carries a tombstoned posting.
 
     The physical half of the tombstone delete, run at compaction time:
-    records are fetched, filtered, and written back (the same record
-    path as ``remove_document_incremental``), exact ``max_tf`` and chunk
-    bounds are recomputed from the kept postings, and the tombstone set
-    empties — after which the deleted doc ids may be reused.  Records
-    are visited in storage-key order, which is the order the store laid
+    records are fetched, filtered, and written back, and the tombstone
+    set empties — after which the deleted doc ids may be reused.  The
+    drop reads every kept tf, so a rewritten entry's ``max_tf`` and
+    chunk bounds become exact — including for a record whose bound was
+    previously unknown (this *upgrades* it to prunable).  Records are
+    visited in storage-key order, which is the order the store laid
     them out in, so each physical segment is read and parsed once
     instead of once per record that hashes near it in the dictionary.
     Returns the number of records rewritten.
@@ -541,52 +537,17 @@ def fold_tombstones(index: CollectionIndex) -> int:
     rewritten = 0
     stored = [e for e in index.dictionary.entries() if e.storage_key != 0]
     for entry in sorted(stored, key=lambda e: e.storage_key):
-        removed_df, _removed_ctf = _drop_from_record(index, entry, index.tombstones)
-        if removed_df:
-            rewritten += 1
-    index.tombstones = set()
-    index.store.flush()
-    return rewritten
-
-
-def _drop_from_record(index: CollectionIndex, entry, doomed) -> Tuple[int, int]:
-    """Rewrite ``entry``'s record without the ``doomed`` documents.
-
-    Returns the df and ctf removed; a record that holds none of them is
-    left untouched.  The drop reads every kept tf, so the entry's
-    ``max_tf`` becomes exact — including for a record whose bound was
-    previously unknown (this *upgrades* it to prunable).
-    """
-    dropped = drop_documents(index.store.fetch(entry.storage_key), doomed)
-    if dropped is None:
-        return 0, 0
-    kept, removed_df, removed_ctf, max_tf = dropped
-    entry.max_tf = max_tf
-    entry.storage_key = index.store.update_record(entry.storage_key, kept)
-    entry.bounds_key = index.store.refresh_bounds(entry.storage_key, entry.bounds_key)
-    return removed_df, removed_ctf
-
-
-def remove_document_incremental(index: CollectionIndex, doc_id: int) -> int:
-    """Delete one document from every record that mentions it.
-
-    Returns the number of records rewritten.  Record shrinkage "creates
-    holes in the inverted lists" (Section 2); here the pools absorb the
-    slack.  Terms whose record becomes empty keep a zero-df dictionary
-    entry (INQUERY term ids are never reused).
-    """
-    if doc_id not in index.doctable:
-        raise IndexError_(f"unknown document id {doc_id}")
-    rewritten = 0
-    for entry in index.dictionary.entries():
-        if entry.df == 0 or entry.storage_key == 0:
+        dropped = drop_documents(
+            index.store.fetch(entry.storage_key), index.tombstones
+        )
+        if dropped is None:
             continue
-        removed_df, removed_ctf = _drop_from_record(index, entry, (doc_id,))
-        if removed_df:
-            entry.df -= removed_df
-            entry.ctf -= removed_ctf
-            rewritten += 1
-    index.doctable.remove(doc_id)
-    index.stats.documents -= 1
+        kept, entry.max_tf = dropped
+        entry.storage_key = index.store.update_record(entry.storage_key, kept)
+        entry.bounds_key = index.store.refresh_bounds(
+            entry.storage_key, entry.bounds_key
+        )
+        rewritten += 1
+    index.tombstones = set()
     index.store.flush()
     return rewritten

@@ -300,41 +300,46 @@ def _column_bounds_py(record: bytes, df: int) -> Tuple[int, int, int, int]:
 # since a tf does not depend on its neighbours and each document's
 # position run starts absolute.  For input that is exactly what
 # ``encode_record`` writes, the output is ``encode_record`` of the
-# spliced postings byte for byte.  Any other input goes to the
-# posting-list reference, which raises the canonical error.
+# spliced postings byte for byte.  The store only splices records this
+# program wrote (doc ids persist as u32, Mneme segments are
+# CRC-checked), so any other input raises.
 
 
 def _columns(record: bytes):
-    """A record's integer layout, read off its bytes, or ``None``.
+    """A record's integer layout, read off its bytes.
 
     Returns ``(ends, doc_ids, tf, pos_first)``: the byte index of every
     integer's last byte (integer ``k`` starts at ``ends[k-1] + 1``), the
     absolute document ids, the tfs, and each document's first position
     as an integer index into the position column (``df + 1`` entries,
-    the last ``ctf``).  ``None`` marks a record the splice must not
-    copy: not exactly ``encode_record`` of its decoded postings (empty,
-    truncated or trailing bytes, a terminator count other than
-    ``2 + 2 df + ctf``, an over-long v-byte, a zero tf, tfs that do not
-    sum to ``ctf``, a repeated document or position), or document ids
-    of 63 bits or more.
+    the last ``ctf``).
+
+    Raises
+    ------
+    IndexError_
+        If the record is not exactly ``encode_record`` of its decoded
+        postings (empty, truncated or trailing bytes, a terminator count
+        other than ``2 + 2 df + ctf``, an over-long v-byte, a zero tf,
+        tfs that do not sum to ``ctf``, a repeated document or
+        position), or holds document ids of 63 bits or more.
     """
     raw = np.frombuffer(record, dtype=np.uint8)
     last = raw < 0x80
     ends = np.flatnonzero(last)
     if ends.size < 2 or not last[-1]:
-        return None
+        raise IndexError_("record is empty or ends inside a v-byte integer")
     df, pos = vbyte_decode(record, 0)
     ctf, _pos = vbyte_decode(record, pos)
     if df == 0 or ends.size != 2 + 2 * df + ctf:
-        return None
+        raise IndexError_(
+            f"record holds {ends.size} integers, not the {2 + 2 * df + ctf} "
+            f"its header (df {df}, ctf {ctf}) names"
+        )
     # Canonical v-bytes: no integer ends in a zero group after a
     # continuation byte.
     if (raw[1:][~last[:-1]] == 0).any():
-        return None
-    try:
-        values = decode_at(raw, ends[2:2 + 2 * df], int(ends[1]) + 1)
-    except IndexError_:
-        return None
+        raise IndexError_("record holds an over-long v-byte integer")
+    values = decode_at(raw, ends[2:2 + 2 * df], int(ends[1]) + 1)
     gaps, tf = values[:df], values[df:]
     if (
         (gaps[1:] == 0).any()
@@ -343,7 +348,10 @@ def _columns(record: bytes):
         or tf.max() > ctf
         or int(tf.sum()) != ctf
     ):
-        return None
+        raise IndexError_(
+            "record holds a repeated or out-of-range document id, or tfs "
+            f"that are not positive and summing to its ctf {ctf}"
+        )
     tf = tf.astype(np.int64)
     pos_first = np.zeros(df + 1, dtype=np.int64)
     np.cumsum(tf, out=pos_first[1:])
@@ -352,17 +360,22 @@ def _columns(record: bytes):
     zero = raw[ends[2 + 2 * df:]] == 0
     zero[pos_first[:-1]] = False
     if zero.any():
-        return None
+        raise IndexError_("record holds a repeated position")
     return ends, np.cumsum(gaps.astype(np.int64)), tf, pos_first
 
 
-def _splice(pieces) -> Optional[bytes]:
+def _splice(pieces) -> bytes:
     """One record from document ranges of column-read records.
 
     ``pieces`` are ``(record, columns, first, stop)``: documents
     ``first`` to ``stop - 1`` of ``record``, whose :func:`_columns` is
-    ``columns``.  Returns ``None`` if a piece does not start after the
-    previous piece's last document.
+    ``columns``.
+
+    Raises
+    ------
+    IndexError_
+        If a piece does not start after the previous piece's last
+        document.
     """
     docs, tfs, positions = bytearray(), [], []
     df = ctf = 0
@@ -370,7 +383,9 @@ def _splice(pieces) -> Optional[bytes]:
     for record, (ends, doc_ids, _tf, pos_first), first, stop in pieces:
         first_doc = int(doc_ids[first])
         if first_doc <= last_doc:
-            return None
+            raise IndexError_(
+                f"postings out of order: doc {first_doc} after {last_doc}"
+            )
         size = doc_ids.size
         p_first, p_stop = int(pos_first[first]), int(pos_first[stop])
         # Integer k starts at byte ends[k - 1] + 1; document i's gap is
@@ -404,24 +419,19 @@ def split_columns(
     """Split a record into self-contained chunks of about ``target_bytes``.
 
     Returns the chunk records and each chunk's last document id and
-    max tf.  Boundaries follow :func:`split_postings`' estimate, read
-    off the doc and tf columns, so each chunk equals ``encode_record``
-    of its :func:`split_postings` slice.
+    max tf.  Every chunk is a mini-record with an absolute first
+    document id, so a reader can decode any chunk without its
+    neighbours — the property that makes linked-object storage of
+    large inverted lists streamable for document-at-a-time evaluation.
+    A chunk takes documents while a 4-byte header estimate plus, per
+    document, the v-byte lengths of its id and tf and two bytes per
+    position fit in the target, and always takes at least one.
     """
     if target_bytes < 16:
         raise IndexError_("chunk target too small to hold a posting")
     columns = _columns(record)
-    if columns is None:
-        slices = split_postings(decode_record(record), target_bytes)
-        return (
-            [encode_record(piece) for piece in slices],
-            [piece[-1][0] for piece in slices],
-            [max(len(p) for _d, p in piece) for piece in slices],
-        )
     _ends, doc_ids, tf, _pos_first = columns
     df = doc_ids.size
-    # split_postings' greedy rule: a chunk takes postings while its
-    # 4-byte header estimate plus their entries fit in the target.
     used = np.zeros(df + 1, dtype=np.int64)
     np.cumsum(_vbyte_lengths(doc_ids) + _vbyte_lengths(tf) + 2 * tf, out=used[1:])
     bounds = [0]
@@ -439,50 +449,33 @@ def split_columns(
 
 def join_columns(chunks: Sequence[bytes]) -> bytes:
     """Reassemble chunk records into one record: the splice inverse of
-    :func:`split_columns`, equal to :func:`join_chunk_records`."""
-    layouts = [_columns(chunk) for chunk in chunks]
-    if chunks and None not in layouts:
-        joined = _splice([
-            (chunk, columns, 0, columns[1].size)
-            for chunk, columns in zip(chunks, layouts)
-        ])
-        if joined is not None:
-            return joined
-    return join_chunk_records(chunks)
+    :func:`split_columns`."""
+    return _splice([
+        (chunk, columns, 0, columns[1].size)
+        for chunk, columns in zip(chunks, map(_columns, chunks))
+    ])
 
 
 def drop_documents(
     record: bytes, doomed: Iterable[int]
-) -> Optional[Tuple[bytes, int, int, int]]:
+) -> Optional[Tuple[bytes, int]]:
     """Remove every posting for a document in ``doomed``.
 
     Returns ``None`` when the record holds none of them, else the kept
-    record, the df and ctf removed, and the kept postings' max tf (0
-    when none is kept).  The kept documents' runs are spliced together.
+    record and the kept postings' max tf (0 when none is kept).  The
+    kept documents' runs are spliced together.
     """
-    doomed = set(doomed)
-    hits = _doomed_indices(record, doomed)
+    hits = _doomed_indices(record, set(doomed))
     if not hits:
         return None
     columns = _columns(record)
-    if columns is None:
-        postings = decode_record(record)
-        kept = [(d, p) for d, p in postings if d not in doomed]
-        removed = [p for d, p in postings if d in doomed]
-        return (
-            encode_record(kept),
-            len(removed),
-            sum(map(len, removed)),
-            max((len(p) for _d, p in kept), default=0),
-        )
     _ends, doc_ids, tf, _pos_first = columns
     kept_tf = np.delete(tf, hits)
-    removed = (len(hits), int(tf[hits].sum()))
     if not kept_tf.size:
-        return encode_record([]), *removed, 0
+        return encode_record([]), 0
     runs = zip([0] + [h + 1 for h in hits], hits + [doc_ids.size])
     kept = _splice([(record, columns, a, b) for a, b in runs if a < b])
-    return kept, *removed, int(kept_tf.max())
+    return kept, int(kept_tf.max())
 
 
 def _doomed_indices(record: bytes, doomed: set) -> List[int]:
@@ -512,48 +505,8 @@ def _doomed_indices(record: bytes, doomed: set) -> List[int]:
 def column_stats(record: bytes) -> Tuple[int, int]:
     """A chunk record's last document id and max tf, read off its doc
     and tf columns."""
-    columns = _columns(record)
-    if columns is None:
-        postings = decode_record(record)
-        return postings[-1][0], max(len(p) for _d, p in postings)
-    _ends, doc_ids, tf, _pos_first = columns
+    _ends, doc_ids, tf, _pos_first = _columns(record)
     return int(doc_ids[-1]), int(tf.max())
-
-
-def split_postings(
-    postings: Sequence[Posting], target_bytes: int
-) -> List[List[Posting]]:
-    """Partition postings into slices of roughly ``target_bytes`` each.
-
-    Every slice is encoded as a self-contained mini-record (absolute
-    first document id), so a reader can decode any slice without its
-    neighbours — the property that makes linked-object storage of large
-    inverted lists streamable for document-at-a-time evaluation.
-    """
-    if target_bytes < 16:
-        raise IndexError_("chunk target too small to hold a posting")
-    slices: List[List[Posting]] = []
-    current: List[Posting] = []
-    used = 4  # mini-record header estimate (df + ctf)
-    for doc_id, positions in postings:
-        entry = vbyte_length(doc_id) + vbyte_length(len(positions)) + len(positions) * 2
-        if current and used + entry > target_bytes:
-            slices.append(current)
-            current = []
-            used = 4
-        current.append((doc_id, positions))
-        used += entry
-    if current or not slices:
-        slices.append(current)
-    return slices
-
-
-def join_chunk_records(chunks: Sequence[bytes]) -> bytes:
-    """Reassemble mini-record chunks into one contiguous record."""
-    postings: List[Posting] = []
-    for chunk in chunks:
-        postings.extend(decode_record(chunk))
-    return encode_record(postings)
 
 
 def uncompressed_size(postings: Sequence[Posting]) -> int:

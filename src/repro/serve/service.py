@@ -88,7 +88,7 @@ from ..errors import (
     ServiceUnavailableError,
     ShardUnavailableError,
 )
-from ..inquery.daat import DocumentAtATimeEngine
+from ..inquery.daat import DocumentAtATimeEngine, _flatten
 from ..inquery.engine import DEFAULT_TOP_K, QueryResult, RetrievalEngine
 from ..inquery.normalize import normalize_tree, render_canonical
 from ..inquery.query import QueryNode, count_nodes, parse_query
@@ -489,6 +489,13 @@ class QueryService:
         key, _overhead = self._normalize(parse_query(text))
         return key
 
+    def _parse(self, text: str) -> QueryNode:
+        """``text``'s tree, refused up front if the engine cannot run it."""
+        tree = parse_query(text)
+        if self.engine == "daat":
+            _flatten(tree)
+        return tree
+
     def _normalize(self, tree: QueryNode) -> Tuple[str, float]:
         overhead = (
             self._cost.cpu_ms_per_query_node * count_nodes(tree) + CACHE_PROBE_MS
@@ -530,12 +537,12 @@ class QueryService:
         arrives at t=0); a deadline already in the past raises
         :class:`~repro.errors.DeadlineExceededError` — the verdict a
         stream run records in its shed ledger instead.  A malformed
-        text raises :class:`~repro.errors.QueryError` before anything
-        is counted.
+        text, or one the engine cannot evaluate, raises
+        :class:`~repro.errors.QueryError` before anything is counted.
         """
         self._check_open()
         _priority_rank(priority)
-        tree = parse_query(text)
+        tree = self._parse(text)
         if deadline_ms is not None and deadline_ms < 0.0:
             self.stats.shed_deadline += 1
             raise DeadlineExceededError(
@@ -554,8 +561,9 @@ class QueryService:
     ) -> ServiceReport:
         """Serve an open-loop request stream to completion.
 
-        Every priority is checked and every distinct text parsed before
-        anything is admitted, so a malformed request raises
+        Every priority is checked and every distinct text parsed (and
+        shape-checked for the engine) before anything is admitted, so a
+        malformed request raises
         (:class:`~repro.errors.ConfigError` /
         :class:`~repro.errors.QueryError`) with the counters, the cache
         and the backend untouched.  The schedule — wave composition,
@@ -569,7 +577,7 @@ class QueryService:
         for request in requests:
             _priority_rank(request.priority)
             if request.text not in trees:
-                trees[request.text] = parse_query(request.text)
+                trees[request.text] = self._parse(request.text)
         order = sorted(
             range(len(requests)), key=lambda i: (requests[i].arrival_ms, i)
         )

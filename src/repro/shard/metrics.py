@@ -60,13 +60,6 @@ class ShardRunMetrics(RunMetrics):
     #: Failover events in deterministic round/shard order (see scheduler).
     failovers: List[Dict[str, object]] = field(default_factory=list)
 
-    @property
-    def parallel_efficiency(self) -> float:
-        """``wall_s_sum / (N * wall_s)``: 1.0 is perfect scaling."""
-        if self.wall_s <= 0 or not self.per_shard:
-            return 0.0
-        return self.wall_s_sum / (len(self.per_shard) * self.wall_s)
-
 
 #: RunMetrics counters of physical work and pruning effect: both sum
 #: across replicas and across shards.

@@ -81,9 +81,6 @@ class Partitioner:
         if factor < 2:
             raise ConfigError(f"split factor must be >= 2, got {factor}")
 
-    def describe(self) -> dict:
-        return {"scheme": self.scheme, "shards": self.n_shards}
-
 
 class HashPartitioner(Partitioner):
     """Deterministic hash partitioning: uniform load, no locality.
@@ -143,9 +140,6 @@ class RangePartitioner(Partitioner):
         if not 0 <= child_shard < self.n_shards * factor:
             raise ConfigError(f"no child shard {child_shard}")
         return child_shard // factor
-
-    def describe(self) -> dict:
-        return {**super().describe(), "n_docs": self.n_docs}
 
 
 def make_partitioner(scheme: str, n_shards: int, n_docs: int) -> Partitioner:

@@ -12,7 +12,6 @@ from .disk import DiskStats, SimDisk
 from .filesystem import FileStats, SimFile, SimFileSystem
 from .image import load_image, save_image
 from .timing import BLOCK_SIZE, CostModel, SimClock, TimeBreakdown
-from .trace import AccessTracer, TraceEvent, TraceSummary
 
 __all__ = [
     "BLOCK_SIZE",
@@ -28,7 +27,4 @@ __all__ = [
     "SimFile",
     "SimFileSystem",
     "TimeBreakdown",
-    "AccessTracer",
-    "TraceEvent",
-    "TraceSummary",
 ]

@@ -69,12 +69,7 @@ class SimDisk:
         #: Set of block numbers deliberately corrupted by failure-injection
         #: tests; reading one raises :class:`~repro.errors.BadBlockError`.
         self.bad_blocks: set = set()
-        self._tracer = None
         self._fault_plan = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach an :class:`~repro.simdisk.trace.AccessTracer` (or None)."""
-        self._tracer = tracer
 
     def attach_fault_plan(self, plan) -> None:
         """Attach a :class:`~repro.faults.plan.FaultPlan` (or None).
@@ -169,8 +164,6 @@ class SimDisk:
             self._clock.charge_io(fault.extra_ms)
         self.stats.blocks_read += 1
         self._head = block_no
-        if self._tracer is not None:
-            self._tracer.record("read", block_no, sequential)
         data = self._blocks.get(block_no)
         if data is None:
             return bytes(BLOCK_SIZE)
@@ -202,8 +195,6 @@ class SimDisk:
             self._clock.charge_io(fault.extra_ms)
         self.stats.blocks_written += 1
         self._head = block_no
-        if self._tracer is not None:
-            self._tracer.record("write", block_no, sequential)
         self._blocks[block_no] = bytes(data)
         self.bad_blocks.discard(block_no)
 

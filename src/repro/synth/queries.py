@@ -55,9 +55,6 @@ class QuerySet:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def distinct_terms(self) -> Set[int]:
-        return {rank for ranks in self.term_ranks for rank in ranks}
-
 
 _STYLES = ("natural", "boolean", "phrase", "weighted")
 

@@ -15,8 +15,9 @@ from repro.inquery import (
     LinkedMnemeInvertedFile,
     MnemeInvertedFile,
     RetrievalEngine,
-    add_document_incremental,
-    remove_document_incremental,
+    add_documents_incremental,
+    fold_tombstones,
+    tombstone_document_incremental,
 )
 from repro.core import check_system
 from repro.mneme import RedoLog, compact, recover
@@ -79,10 +80,12 @@ def test_full_lifecycle(collection):
         Document(1002, tokens=[term_string(0)] * 4 + ["brandnew"]),
     ]
     for doc in new_docs:
-        add_document_incremental(index, doc)
-        add_document_incremental(reference, doc)
-    remove_document_incremental(index, 7)
-    remove_document_incremental(reference, 7)
+        add_documents_incremental(index, [doc])
+        add_documents_incremental(reference, [doc])
+    (doomed,) = [d for d in collection.iter_documents() if d.doc_id == 7]
+    for live in (index, reference):
+        tombstone_document_incremental(live, doomed)
+        fold_tombstones(live)
     assert rankings(index) == rankings(reference)
     assert 1001 in RetrievalEngine(index).run_query("brandnew").doc_ids()
 

@@ -40,11 +40,18 @@ class TestCleanSystems:
             assert report.ok, (name, [str(i) for i in report.issues])
 
     def test_clean_after_updates(self):
-        from repro.inquery import add_document_incremental, remove_document_incremental
+        from repro.inquery import (
+            add_documents_incremental,
+            fold_tombstones,
+            tombstone_document_incremental,
+        )
 
         index = small_mneme_index()
-        add_document_incremental(index, Document(99, tokens=["shared", "fresh"]))
-        remove_document_incremental(index, 3)
+        add_documents_incremental(index, [Document(99, tokens=["shared", "fresh"])])
+        tombstone_document_incremental(
+            index, Document(3, tokens=["t3", "shared", "u3"])
+        )
+        fold_tombstones(index)
         report = check_system(index)
         assert report.ok, [str(i) for i in report.issues]
 

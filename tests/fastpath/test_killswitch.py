@@ -22,7 +22,6 @@ from repro.inquery import (
     MnemeInvertedFile,
     RetrievalEngine,
 )
-from repro.inquery.matches import best_window, term_match_positions
 from repro.serve.termcache import TermCacheFleet
 from repro.shard import materialize_sharded
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
@@ -45,8 +44,6 @@ TINY = CollectionProfile(
 KERNELS = [
     ("repro.fastpath.daat", "score_streams"),
     ("repro.fastpath.windows", "match_counts_for_docs"),
-    ("repro.fastpath.windows", "record_positions_for_doc"),
-    ("repro.fastpath.windows", "best_window"),
     ("repro.fastpath.codec", "decode_record_arrays"),
     ("repro.fastpath.codec", "DecodeCache.decode"),
     ("repro.fastpath.network", "term_beliefs"),
@@ -128,8 +125,6 @@ def _run_everything():
     engine.run_query("#od3( apple cherry )")
     engine.run_query("#uw5( banana date )")
     engine.run_query(COMPOSED)
-    term_match_positions(index, "#sum( apple banana )", 1)
-    best_window(index, "#sum( apple banana )", 1, window=3)
     _sharded_wave()
 
 

@@ -10,7 +10,8 @@ the one layout byte for byte: the scalar reference, the vector codec,
 the bulk collection encoder, the append path of ``merge_records`` and
 the chain splices (``split_columns``, ``join_columns``,
 ``drop_documents``), which must equal the posting-list transcode they
-replaced — value for value, and error message for error message.
+replaced (:mod:`tests.transcode`) on every record ``encode_record``
+writes, and refuse every other record with the typed error.
 """
 
 import random
@@ -30,7 +31,6 @@ from repro.fastpath.codec import (
     encode_record_fast,
 )
 from repro.errors import IndexError_
-from repro.inquery.bounds import chunk_stats
 from repro.inquery.postings import (
     _column_bounds,
     _column_bounds_py,
@@ -40,16 +40,15 @@ from repro.inquery.postings import (
     decode_record,
     drop_documents,
     encode_record,
-    join_chunk_records,
     join_columns,
     merge_records,
     split_columns,
-    split_postings,
     vbyte_encode,
     vbyte_length,
 )
 
 from ..interleaved import encode_interleaved
+from ..transcode import chunk_stats, join_chunk_records, split_postings
 
 
 def _postings(rng, df, max_tf, span, first=0):
@@ -172,14 +171,6 @@ def test_column_bounds_find_the_columns_and_the_last_document(postings):
     assert _column_bounds(record, df) == expected
 
 
-def _outcome(action):
-    """What ``action()`` returns, or the message of the IndexError_ it raises."""
-    try:
-        return "returned", action()
-    except IndexError_ as error:
-        return "raised", str(error)
-
-
 def _record(df, ctf, gaps, tfs, positions):
     """A record written integer by integer, well-formed or not."""
     out = bytearray()
@@ -188,7 +179,7 @@ def _record(df, ctf, gaps, tfs, positions):
     return bytes(out)
 
 
-#: Records only the reference can read, each with a document to drop:
+#: Records ``encode_record`` never writes, each with a document to drop:
 #: truncated, trailing bytes, a zero tf, a repeated document, a repeated
 #: position, tfs that miss the ctf, an over-long v-byte.
 MALFORMED = [
@@ -255,36 +246,85 @@ def test_drop_documents_is_decode_filter_encode(postings, data, fast):
         assert dropped is None
         return
     assert dropped == (
-        encode_record(kept),
-        len(removed),
-        sum(map(len, removed)),
-        max((len(p) for _d, p in kept), default=0),
+        encode_record(kept), max((len(p) for _d, p in kept), default=0)
     )
 
 
 @pytest.mark.parametrize("record, doomed", MALFORMED)
 @pytest.mark.parametrize("fast", [False, True])
 def test_splices_fail_as_the_reference_does(record, doomed, fast):
+    # The store splices only records it wrote, so each splice refuses
+    # these with the typed error, including the ones the posting-list
+    # reference would read and write back canonically.
     good = encode_record([(1, (3,))])
     late = encode_record([(9, (1,)), (12, (2,))])
     with use_fastpath(fast):
-        for target in (16, 4096):
-            assert _outcome(lambda: split_columns(record, target)) == _outcome(
-                lambda: _split_reference(record, target)
-            )
-        for chunks in ([record], [good, record], [record, late]):
-            assert _outcome(lambda: join_columns(chunks)) == _outcome(
-                lambda: join_chunk_records(chunks)
-            )
-        kept = _outcome(lambda: drop_documents(record, {doomed}))
-        reference = _outcome(lambda: encode_record(
-            [(d, p) for d, p in decode_record(record) if d != doomed]
-        ))
-        assert kept[0] == reference[0]
-        if kept[0] == "returned":
-            assert kept[1][0] == reference[1]
-        else:
-            assert kept[1] == reference[1]
+        for splice in (
+            lambda: split_columns(record, 16),
+            lambda: split_columns(record, 4096),
+            lambda: join_columns([record]),
+            lambda: join_columns([good, record]),
+            lambda: join_columns([record, late]),
+            lambda: drop_documents(record, {doomed}),
+            lambda: column_stats(record),
+        ):
+            with pytest.raises(IndexError_):
+                splice()
+
+
+def _integers(postings):
+    """A record's integers column by column: doc gaps, tfs, position gaps."""
+    docs = [doc for doc, _p in postings]
+    gaps = [docs[0]] + [b - a for a, b in zip(docs, docs[1:])]
+    tfs = [len(p) for _d, p in postings]
+    position_gaps = [
+        b - a if i else b
+        for _d, p in postings
+        for i, (a, b) in enumerate(zip((0,) + p, p))
+    ]
+    return gaps, tfs, position_gaps
+
+
+@given(
+    postings=postings_lists(),
+    flaw=st.sampled_from(["over-long v-byte", "trailing bytes", "zero tf"]),
+    data=st.data(),
+    fast=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_decodable_record_the_store_never_writes_is_refused(
+    postings, flaw, data, fast
+):
+    if not postings:
+        return
+    record = encode_record(postings)
+    if flaw == "over-long v-byte":
+        # One integer re-encoded with a redundant zero continuation group.
+        ends = [i for i, byte in enumerate(record) if byte < 0x80]
+        end = data.draw(st.sampled_from(ends))
+        bad = record[:end] + bytes([record[end] | 0x80, 0]) + record[end + 1:]
+        assert _decode_record_py(bad) == postings
+    elif flaw == "trailing bytes":
+        tail = data.draw(st.binary(min_size=1, max_size=3))
+        bad = record + tail
+        assert _decode_record_py(bad) == postings
+    else:
+        # One more document, one past the last, with no positions.
+        gaps, tfs, position_gaps = _integers(postings)
+        bad = _record(
+            len(postings) + 1, len(position_gaps), gaps + [1], tfs + [0],
+            position_gaps,
+        )
+        assert _decode_record_py(bad) == postings + [(postings[-1][0] + 1, ())]
+    with use_fastpath(fast):
+        for splice in (
+            lambda: split_columns(bad, data.draw(st.integers(16, 4096))),
+            lambda: join_columns([bad]),
+            lambda: drop_documents(bad, {postings[0][0]}),
+            lambda: column_stats(bad),
+        ):
+            with pytest.raises(IndexError_):
+                splice()
 
 
 def test_a_repeated_document_across_chunks_fails_the_join():

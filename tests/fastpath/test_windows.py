@@ -5,11 +5,9 @@
 document of its batch — the phrase branch's ``set()`` deduplication,
 the ordered/unordered branches' duplicate counting, window size 1,
 windows wider than any document, and no match leaking across the
-packed-key boundary between neighbouring documents — and
-:func:`repro.fastpath.windows.best_window` must reproduce the
-reference sliding scan in :mod:`repro.inquery.matches`, including its
-first-maximum tie-breaking.  Checked over random position lists at the
-kernel level, and end-to-end through the real index code paths.
+packed-key boundary between neighbouring documents.  Checked over
+random position lists at the kernel level, and end-to-end through the
+query service.
 """
 
 import pytest
@@ -21,13 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import config_by_name, materialize, prepare_collection
 from repro.fastpath import use_fastpath
 from repro.fastpath.codec import RecordArrays
-from repro.fastpath.windows import best_window as best_window_fast
 from repro.fastpath.windows import match_counts_for_docs
-from repro.inquery import Document, IndexBuilder, MnemeInvertedFile
-from repro.inquery.matches import best_window, term_match_positions
 from repro.inquery.network import _match_count
 from repro.serve import QueryService
-from repro.simdisk import SimClock, SimDisk, SimFileSystem
 from repro.synth import CollectionProfile, SyntheticCollection
 from repro.synth.traffic import TimedRequest
 from repro.synth.vocab import term_string
@@ -187,107 +181,3 @@ def test_huge_window_serves_identically_on_both_arms(prepared, op, exponent):
         assert served.result.ranking
         rankings.append(served.result.ranking)
     assert rankings[0] == rankings[1]
-
-
-# -- best_window vs. the reference sliding scan -----------------------------
-
-
-def reference_best_window(by_term, window):
-    # The reference scan from repro.inquery.matches, verbatim, so the
-    # kernel can be fuzzed on inputs (duplicate positions) the indexed
-    # path cannot produce.
-    events = sorted(
-        (position, term)
-        for term, positions in by_term.items()
-        for position in positions
-    )
-    if not events:
-        return 0, window, 0
-    best = (events[0][0], events[0][0] + window, 1)
-    left = 0
-    inside = {}
-    for right, (position, term) in enumerate(events):
-        inside[term] = inside.get(term, 0) + 1
-        while events[left][0] < position - window + 1:
-            left_term = events[left][1]
-            inside[left_term] -= 1
-            if not inside[left_term]:
-                del inside[left_term]
-            left += 1
-        distinct = len(inside)
-        if distinct > best[2]:
-            start = events[left][0]
-            best = (start, start + window, distinct)
-    return best
-
-
-by_term_st = st.dictionaries(
-    st.sampled_from(["alpha", "beta", "gamma", "delta"]),
-    st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=8),
-    min_size=0,
-    max_size=4,
-)
-
-
-@given(by_term=by_term_st, window=st.integers(min_value=1, max_value=12))
-@settings(max_examples=300, deadline=None)
-def test_best_window_matches_reference(by_term, window):
-    assert best_window_fast(by_term, window) == reference_best_window(
-        by_term, window
-    )
-
-
-@given(
-    by_term=st.dictionaries(
-        st.sampled_from(["a", "b", "c"]),
-        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8),
-        min_size=1,
-        max_size=3,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_best_window_duplicates_window_one(by_term):
-    # Duplicate positions and the degenerate one-token window.
-    assert best_window_fast(by_term, 1) == reference_best_window(by_term, 1)
-
-
-# -- end-to-end through the real index code paths ---------------------------
-
-VOCAB = [f"t{i}" for i in range(6)]
-
-corpus_st = st.lists(
-    st.lists(st.sampled_from(VOCAB), min_size=1, max_size=30),
-    min_size=1,
-    max_size=8,
-)
-
-
-def build(corpus):
-    fs = SimFileSystem(SimDisk(SimClock()), cache_blocks=64)
-    store = MnemeInvertedFile(fs)
-    builder = IndexBuilder(fs, store, stem_fn=str)
-    for doc_id, tokens in enumerate(corpus, start=1):
-        builder.add_document(Document(doc_id, tokens=tokens))
-    return builder.finalize()
-
-
-@given(
-    corpus=corpus_st,
-    terms=st.lists(st.sampled_from(VOCAB + ["zzz"]), min_size=1, max_size=4),
-    window=st.integers(min_value=1, max_value=10),
-    doc_id=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_matches_dispatch_identical(corpus, terms, window, doc_id):
-    # The public helpers must return identical results with the fast
-    # path on and off — real records, real storage accesses.
-    index = build(corpus)
-    query = "#sum( " + " ".join(terms) + " )"
-    with use_fastpath(False):
-        ref_positions = term_match_positions(index, query, doc_id)
-        ref_window = best_window(index, query, doc_id, window=window)
-    with use_fastpath(True):
-        fast_positions = term_match_positions(index, query, doc_id)
-        fast_window = best_window(index, query, doc_id, window=window)
-    assert fast_positions == ref_positions
-    assert fast_window == ref_window

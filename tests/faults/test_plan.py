@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.faults import FaultEvent, FaultPlan, enabled, set_enabled, use_faults
+from repro.errors import BadBlockError
+from repro.faults import FaultEvent, FaultPlan
+from repro.simdisk import SimClock, SimDisk
 
 
 def test_event_validation():
@@ -89,16 +91,18 @@ def test_seeded_stuck_reads_exceed_the_retry_budget():
 
 
 def test_kill_switch_disables_counting_and_firing():
+    # Detaching the plan is the one way to disarm it: a detached plan
+    # neither counts nor fires, and re-attaching it arms it again.
+    disk = SimDisk(SimClock())
+    block = disk.allocate()
     plan = FaultPlan([FaultEvent("transient-read", at_op=0)])
-    previous = set_enabled(False)
-    try:
-        assert not enabled()
-        assert plan.observe_read(1) is None
-        assert plan.ops["read"] == 0
-    finally:
-        set_enabled(previous)
-    with use_faults(True):
-        assert plan.observe_read(1) is not None
+    disk.attach_fault_plan(plan)
+    disk.attach_fault_plan(None)
+    disk.read_block(block)
+    assert plan.ops["read"] == 0
+    disk.attach_fault_plan(plan)
+    with pytest.raises(BadBlockError):
+        disk.read_block(block)
 
 
 def test_seeded_scales_down_when_horizon_is_small():

@@ -193,7 +193,7 @@ class TestLinkedUpdates:
         assert last_docs[-1] == 201 and max(max_tfs) == 2
 
     def test_incremental_document_add_on_linked_backend(self):
-        from repro.inquery import add_document_incremental
+        from repro.inquery import add_documents_incremental
 
         fs = SimFileSystem(SimDisk(SimClock()), cache_blocks=256)
         store = LinkedMnemeInvertedFile(fs, medium_max_bytes=64, chunk_bytes=96)
@@ -201,7 +201,7 @@ class TestLinkedUpdates:
         for doc_id in range(1, 50):
             builder.add_document(Document(doc_id, tokens=["hot", f"v{doc_id}"]))
         index = builder.finalize()
-        add_document_incremental(index, Document(99, tokens=["hot", "fresh"]))
+        add_documents_incremental(index, [Document(99, tokens=["hot", "fresh"])])
         entry = index.term_entry("hot")
         postings = decode_record(store.fetch(entry.storage_key))
         assert 99 in dict(postings)

@@ -7,7 +7,7 @@ from repro.inquery import (
     HashDictionary,
     MnemeInvertedFile,
     RetrievalEngine,
-    add_document_incremental,
+    add_documents_incremental,
     decode_record,
 )
 from repro.mneme import RedoLog, recover
@@ -32,8 +32,8 @@ def reopen(index):
 
 def test_incremental_add_is_durable_without_explicit_flush():
     index = build_index("mneme")
-    add_document_incremental(
-        index, Document(11, "d11", "durability matters for incremental updates")
+    add_documents_incremental(
+        index, [Document(11, "d11", "durability matters for incremental updates")]
     )
     index.save()  # persists the dictionary/doctable; records were already flushed
     fresh = reopen(index)
@@ -56,7 +56,7 @@ def test_incremental_add_reaches_the_wal():
     builder.add_document(Document(1, "a", "contract dispute over licensing"))
     index = builder.finalize()
     records_after_build = len(wal.records()[0])
-    add_document_incremental(index, Document(2, "b", "another dispute entirely"))
+    add_documents_incremental(index, [Document(2, "b", "another dispute entirely")])
     records_after_add = len(wal.records()[0])
     assert records_after_add > records_after_build
 

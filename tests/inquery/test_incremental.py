@@ -3,7 +3,8 @@
 The paper's classic INQUERY requires re-indexing the whole collection
 for a single-document change; the object store makes per-record update
 feasible.  These tests check the incremental path gives the same index
-state as rebuilding from scratch.
+state as rebuilding from scratch.  A delete is a tombstone, made
+physical by ``fold_tombstones``.
 """
 
 import pytest
@@ -12,9 +13,10 @@ from repro.errors import IndexError_
 from repro.inquery import (
     Document,
     RetrievalEngine,
-    add_document_incremental,
+    add_documents_incremental,
     decode_record,
-    remove_document_incremental,
+    fold_tombstones,
+    tombstone_document_incremental,
 )
 
 from .conftest import DOCS, build_index
@@ -24,14 +26,14 @@ NEW_DOC = Document(11, "d11", "buffer caching improves inverted file record retr
 
 
 def test_incremental_add_updates_records(any_index):
-    add_document_incremental(any_index, NEW_DOC)
+    add_documents_incremental(any_index, [NEW_DOC])
     entry = any_index.term_entry("buffer")
     postings = decode_record(any_index.store.fetch(entry.storage_key))
     assert 11 in dict(postings)
 
 
 def test_incremental_add_searchable(any_index):
-    add_document_incremental(any_index, NEW_DOC)
+    add_documents_incremental(any_index, [NEW_DOC])
     engine = RetrievalEngine(any_index)
     result = engine.run_query("#and( buffer caching )")
     assert 11 in result.doc_ids()[:3]
@@ -39,7 +41,7 @@ def test_incremental_add_searchable(any_index):
 
 def test_incremental_add_new_terms(any_index):
     doc = Document(12, text="zyzzyva zyzzyva appears nowhere else")
-    add_document_incremental(any_index, doc)
+    add_documents_incremental(any_index, [doc])
     entry = any_index.term_entry("zyzzyva")
     assert entry is not None
     assert entry.df == 1
@@ -48,12 +50,12 @@ def test_incremental_add_new_terms(any_index):
 
 def test_incremental_add_duplicate_id_rejected(any_index):
     with pytest.raises(IndexError_):
-        add_document_incremental(any_index, Document(1, text="dup"))
+        add_documents_incremental(any_index, [Document(1, text="dup")])
 
 
 def test_incremental_matches_full_rebuild():
     incremental = build_index("mneme")
-    add_document_incremental(incremental, NEW_DOC)
+    add_documents_incremental(incremental, [NEW_DOC])
 
     from repro.inquery import IndexBuilder, MnemeInvertedFile
     from repro.simdisk import SimClock, SimDisk, SimFileSystem
@@ -77,7 +79,8 @@ def test_incremental_matches_full_rebuild():
 
 
 def test_remove_document(any_index):
-    rewritten = remove_document_incremental(any_index, 5)
+    tombstone_document_incremental(any_index, DOCS[4])
+    rewritten = fold_tombstones(any_index)
     assert rewritten > 0
     assert 5 not in any_index.doctable
     entry = any_index.term_entry("disk")  # only d5 mentions disk
@@ -89,15 +92,16 @@ def test_remove_document(any_index):
 
 def test_remove_unknown_rejected(any_index):
     with pytest.raises(IndexError_):
-        remove_document_incremental(any_index, 999)
+        tombstone_document_incremental(any_index, Document(999, text="ghost"))
 
 
 def test_add_then_remove_restores_state(any_index):
     import copy
 
     df_before = {e.term: (e.df, e.ctf) for e in any_index.dictionary.entries()}
-    add_document_incremental(any_index, NEW_DOC)
-    remove_document_incremental(any_index, NEW_DOC.doc_id)
+    add_documents_incremental(any_index, [NEW_DOC])
+    tombstone_document_incremental(any_index, NEW_DOC)
+    fold_tombstones(any_index)
     for entry in any_index.dictionary.entries():
         if entry.term in df_before:
             assert (entry.df, entry.ctf) == df_before[entry.term]

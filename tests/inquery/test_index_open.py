@@ -55,12 +55,12 @@ def test_open_restores_scalar_stats():
 
 
 def test_open_then_update_then_reopen():
-    from repro.inquery import add_document_incremental
+    from repro.inquery import add_documents_incremental
 
     original = build("mneme")
     fs = original.fs
     first = CollectionIndex.open(fs, MnemeInvertedFile(fs), stopwords=DEFAULT_STOPWORDS)
-    add_document_incremental(first, Document(9, "d", "buffers hold segments"))
+    add_documents_incremental(first, [Document(9, "d", "buffers hold segments")])
     first.save()
     second = CollectionIndex.open(fs, MnemeInvertedFile(fs), stopwords=DEFAULT_STOPWORDS)
     assert 9 in second.doctable

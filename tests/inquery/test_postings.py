@@ -132,11 +132,11 @@ class TestRecordUpdate:
 
     def test_remove_document(self):
         base = encode_record([(1, (0,)), (5, (2,)), (9, (4,))])
-        out, removed_df, removed_ctf, max_tf = drop_documents(base, [5])
+        out, max_tf = drop_documents(base, [5])
         assert decode_record(out) == [(1, (0,)), (9, (4,))]
-        assert (removed_df, removed_ctf, max_tf) == (1, 1, 1)
+        assert max_tf == 1
         assert drop_documents(base, [4, 6]) is None
 
     def test_remove_all_documents(self):
         base = encode_record([(1, (0,))])
-        assert drop_documents(base, [1]) == (encode_record([]), 1, 1, 0)
+        assert drop_documents(base, [1]) == (encode_record([]), 0)

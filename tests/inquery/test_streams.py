@@ -6,11 +6,11 @@ from repro.inquery import (
     ChunkedRecordStream,
     WholeRecordStream,
     encode_record,
-    join_chunk_records,
     merge_streams,
-    split_postings,
 )
 from repro.errors import IndexError_
+
+from ..transcode import join_chunk_records, split_postings
 
 
 POSTINGS = [(d, (0, d % 5 + 1)) for d in range(1, 101, 3)]

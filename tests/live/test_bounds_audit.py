@@ -4,17 +4,16 @@ The pruning engine trusts two per-term ceilings: the dictionary's
 ``max_tf`` and the chunk-bounds sidecar.  The audit of every mutation
 path concluded:
 
-* ``add_document_incremental`` max-merges the new document's tf into a
+* ``add_documents_incremental`` max-merges the new documents' tfs into a
   *known* bound and refreshes the sidecar from the rewritten record, so
   the bound stays exact-or-high.  An *unknown* bound (``max_tf == 0``)
   stays unknown — it must never be "upgraded" from one document's tf,
   which would be an under-estimate.
-* ``remove_document_incremental`` decodes every affected record anyway,
-  so it recomputes the exact ceiling and refreshes the sidecar.
 * ``tombstone_document_incremental`` touches no record, leaving bounds
   stale-HIGH over the filtered postings — admissible by construction
   (a too-high bound can only under-prune, never over-prune).
-* ``fold_tombstones`` restores exact bounds.
+* ``fold_tombstones`` decodes every affected record anyway, so it
+  restores exact bounds and refreshes the sidecar.
 
 These tests pin each of those conclusions: after any mutation mix, the
 stored bound dominates the true live maximum, and pruned rankings stay
@@ -26,9 +25,8 @@ import pytest
 from repro.inquery import (
     Document,
     DocumentAtATimeEngine,
-    add_document_incremental,
+    add_documents_incremental,
     fold_tombstones,
-    remove_document_incremental,
     tombstone_document_incremental,
 )
 from repro.inquery.postings import decode_record
@@ -69,10 +67,10 @@ def test_mutation_mix_keeps_bounds_admissible(linked):
     documents = docs()
     index = build(documents, linked=linked)
     # Interleave every mutation kind.
-    add_document_incremental(index, Document(7, tokens=["t0", "t0", "t0", "t1"]))
+    add_documents_incremental(index, [Document(7, tokens=["t0", "t0", "t0", "t1"])])
     tombstone_document_incremental(index, documents[0])  # doc 1 had t0 x3
-    add_document_incremental(index, Document(8, tokens=["t6", "t2"]))
-    remove_document_incremental(index, 4)                # doc 4 had t6 x3
+    add_documents_incremental(index, [Document(8, tokens=["t6", "t2"])])
+    tombstone_document_incremental(index, documents[3])  # doc 4 had t6 x3
     assert_bounds_admissible(index)
     assert_pruning_exact(index)
     # Folding restores *exact* ceilings, still bit-identical.
@@ -108,7 +106,7 @@ def test_incremental_add_never_invents_a_bound():
     index = build(documents)
     victim = index.dictionary.lookup("t0")
     victim.max_tf = 0  # simulate a legacy index with no recorded bound
-    add_document_incremental(index, Document(7, tokens=["t0"]))
+    add_documents_incremental(index, [Document(7, tokens=["t0"])])
     assert index.dictionary.lookup("t0").max_tf == 0
     assert_pruning_exact(index)
 
@@ -116,7 +114,8 @@ def test_incremental_add_never_invents_a_bound():
 def test_remove_recomputes_exact_bounds():
     documents = docs()
     index = build(documents)
-    remove_document_incremental(index, 1)  # decode-rewrite path
+    tombstone_document_incremental(index, documents[0])
+    fold_tombstones(index)  # decode-rewrite path
     for term in ("t0", "t1", "t2"):
         entry = index.dictionary.lookup(term)
         assert entry.max_tf == live_max_tf(index, term), term

@@ -19,7 +19,7 @@ from repro.inquery import (
     LinkedMnemeInvertedFile,
     MnemeInvertedFile,
     RetrievalEngine,
-    add_document_incremental,
+    add_documents_incremental,
     fold_tombstones,
     tombstone_document_incremental,
 )
@@ -152,7 +152,7 @@ def test_delete_validation():
             live, Document(2, tokens=["t1"])
         )
     with pytest.raises(IndexError_):  # tombstoned ids are not reusable
-        add_document_incremental(live, Document(1, tokens=["t5"]))
+        add_documents_incremental(live, [Document(1, tokens=["t5"])])
 
 
 def test_tombstones_survive_save_and_open():

@@ -27,11 +27,13 @@ from repro.inquery import (
     fold_tombstones,
     tombstone_document_incremental,
 )
-from repro.inquery.bounds import chunk_stats, decode_chunk_bounds
+from repro.inquery.bounds import decode_chunk_bounds
 from repro.inquery.postings import decode_record
 from repro.mneme import chunk_ids, split_global
 from repro.mneme.linked import _unpack_chunk
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
+
+from ..transcode import chunk_stats
 
 BATCH = 12
 

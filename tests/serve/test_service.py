@@ -230,6 +230,24 @@ def test_malformed_request_is_refused_before_anything_is_admitted(
     assert backend.clock.snapshot() == clock
 
 
+def test_a_query_the_engine_cannot_run_is_refused_before_anything_is_admitted(
+    prepared, config, daat_pool
+):
+    # The document-at-a-time engine covers flat #sum/#wsum queries
+    # only: a nested one parses, but is refused with the malformed ones.
+    backend = materialize(prepared, config)
+    service = QueryService(backend, engine="daat", max_batch=2)
+    clock = backend.clock.snapshot()
+    texts = daat_pool[:3] + ["#and( wa wb )"] + daat_pool[3:4]
+    with pytest.raises(QueryError):
+        service.process(burst(texts))
+    with pytest.raises(QueryError):
+        service.serve_one("#and( wa wb )")
+    assert service.stats == ServiceStats()
+    assert len(service.cache) == 0
+    assert backend.clock.snapshot() == clock
+
+
 def test_each_distinct_text_is_parsed_once_per_run(
     prepared, config, pool, monkeypatch
 ):
