@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..errors import IndexError_
 from ..fastpath import state as _fastpath
 from ..simdisk import SimFileSystem
-from .dictionary import HashDictionary
+from .dictionary import HashDictionary, TermEntry
 from .documents import Document, DocTable
 from .interleaved import to_columnar
 from .invfile import InvertedFileStore
@@ -411,9 +411,15 @@ def add_documents_incremental(
     document is tokenized once, postings are grouped by term, and every
     distinct term costs one grow-a-record call
     (:meth:`~repro.inquery.invfile.InvertedFileStore.append_postings`,
-    which may relocate the record — the dictionary entry follows) and
-    one bound refresh, however many of the batch's documents mention
-    it.  One ``store.flush()`` at the end writes the open segments and
+    which reads the record once and may relocate it — the dictionary
+    entry follows) and one bound refresh, however many of the batch's
+    documents mention it.  Dictionary entries are looked up or added in
+    term order (term ids do not depend on the store); records that
+    already exist then grow in storage-key order, the order the store
+    laid them out in, so each physical segment is loaded once per batch
+    instead of once per record that hashes near it; fresh records are
+    created after them, in term order.  One ``store.flush()`` at the
+    end writes the open segments and
     tables out (through the write-ahead log, when one is attached):
     nothing earlier would survive a crash anyway, since recovery
     discards whatever follows the last epoch marker.
@@ -433,6 +439,8 @@ def add_documents_incremental(
             by_term.setdefault(term, []).append((document.doc_id, tuple(positions)))
         term_tfs.append(tfs)
     store = index.store
+    grown: List[Tuple[TermEntry, List[Posting]]] = []
+    fresh: List[Tuple[TermEntry, List[Posting]]] = []
     for term, postings in sorted(by_term.items()):
         postings.sort()
         entry = index.dictionary.lookup(term)
@@ -441,6 +449,9 @@ def add_documents_incremental(
             seed = seed_stats(term) if seed_stats is not None else None
             if seed is not None:
                 entry.df, entry.ctf = seed
+        (fresh if entry.storage_key == 0 else grown).append((entry, postings))
+    grown.sort(key=lambda item: item[0].storage_key)
+    for entry, postings in grown + fresh:
         fresh_record = entry.storage_key == 0
         # Bound maintenance is a max-merge — but only when the old bound
         # was known.  A record inherited from a pre-bounds index carries
@@ -482,7 +493,9 @@ def tombstone_document_incremental(index: CollectionIndex, document: Document) -
     fetch.  ``max_tf`` and the chunk-bound sidecars are
     left stale-*high*, which is admissible: an overestimated ceiling can
     never over-prune.  Compaction (``fold_tombstones``) later rewrites
-    the records and recomputes exact bounds.
+    the records and recomputes exact bounds.  Nothing is written to the
+    store: the change lives in the dictionary, document table and
+    tombstone set until the epoch's ``index.save`` flushes them.
 
     Returns the number of distinct terms whose statistics were adjusted.
     """
@@ -514,7 +527,6 @@ def tombstone_document_incremental(index: CollectionIndex, document: Document) -
     index.tombstones.add(doc_id)
     index.stats.documents -= 1
     index.stats.postings -= kept
-    index.store.flush()
     return len(by_term)
 
 
@@ -529,7 +541,9 @@ def fold_tombstones(index: CollectionIndex) -> int:
     previously unknown (this *upgrades* it to prunable).  Records are
     visited in storage-key order, which is the order the store laid
     them out in, so each physical segment is read and parsed once
-    instead of once per record that hashes near it in the dictionary.
+    instead of once per record that hashes near it in the dictionary,
+    and the fetched bytes go on to the rewrite, so each record is read
+    once.
     Returns the number of records rewritten.
     """
     if not index.tombstones:
@@ -537,13 +551,14 @@ def fold_tombstones(index: CollectionIndex) -> int:
     rewritten = 0
     stored = [e for e in index.dictionary.entries() if e.storage_key != 0]
     for entry in sorted(stored, key=lambda e: e.storage_key):
-        dropped = drop_documents(
-            index.store.fetch(entry.storage_key), index.tombstones
-        )
+        record = index.store.fetch(entry.storage_key)
+        dropped = drop_documents(record, index.tombstones)
         if dropped is None:
             continue
         kept, entry.max_tf = dropped
-        entry.storage_key = index.store.update_record(entry.storage_key, kept)
+        entry.storage_key = index.store.update_record(
+            entry.storage_key, kept, record
+        )
         entry.bounds_key = index.store.refresh_bounds(
             entry.storage_key, entry.bounds_key
         )

@@ -101,8 +101,15 @@ class InvertedFileStore:
         """Store a new record, returning its storage key."""
         raise NotImplementedError
 
-    def update_record(self, key: int, data: bytes) -> int:
-        """Replace a record; returns the (possibly new) storage key."""
+    def update_record(
+        self, key: int, data: bytes, old: Optional[bytes] = None
+    ) -> int:
+        """Replace a record; returns the (possibly new) storage key.
+
+        ``old`` is the record's current bytes when the caller has just
+        fetched them, so a store that decides by the old size does not
+        read the record a second time.
+        """
         raise NotImplementedError
 
     def rewrite_in_place(self, key: int, transform: Callable[[bytes], bytes]) -> None:
@@ -123,12 +130,14 @@ class InvertedFileStore:
 
         The store's one grow-a-record entry point: one call per term per
         ingest batch.  Returns the (possibly new) storage key and bound
-        sidecar key.  The default rewrites the record whole — fetch,
-        :func:`~repro.inquery.postings.merge_records`, write back,
-        refresh the sidecar; backends that store records in pieces
-        override it to touch only the piece that grows.
+        sidecar key.  The default rewrites the record whole — one fetch,
+        :func:`~repro.inquery.postings.merge_records`, write back (the
+        fetched bytes decide modify-or-re-home, so the record is read
+        once), refresh the sidecar; backends that store records in
+        pieces override it to touch only the piece that grows.
         """
-        key = self.update_record(key, merge_records(self.fetch(key), postings))
+        old = self.fetch(key)
+        key = self.update_record(key, merge_records(old, postings), old)
         return key, self.refresh_bounds(key, bounds_key)
 
     def stream_postings(self, key: int) -> PostingStream:
@@ -212,7 +221,9 @@ class BTreeInvertedFile(InvertedFileStore):
         self.tree.insert(term_id, data)
         return term_id
 
-    def update_record(self, key: int, data: bytes) -> int:
+    def update_record(
+        self, key: int, data: bytes, old: Optional[bytes] = None
+    ) -> int:
         self.tree.replace(key, data)
         return key
 
@@ -339,7 +350,9 @@ class MnemeInvertedFile(InvertedFileStore):
         oid = self._pool_for(data).create(data)
         return self.store.global_id(self.mfile, oid)
 
-    def update_record(self, key: int, data: bytes) -> int:
+    def update_record(
+        self, key: int, data: bytes, old: Optional[bytes] = None
+    ) -> int:
         """Modify in place when the pool allows it, else re-home the record.
 
         Growing past a pool's limits relocates the record to the right
@@ -347,9 +360,9 @@ class MnemeInvertedFile(InvertedFileStore):
         management is the pool's concern).
         """
         _file_no, oid = split_global(key)
-        old = self.mfile.fetch(oid)
-        same_category = self._pool_for(old) is self._pool_for(data)
-        if same_category:
+        if old is None:
+            old = self.mfile.fetch(oid)
+        if self._pool_for(old) is self._pool_for(data):
             try:
                 self.mfile.modify(oid, data)
                 return key
@@ -483,11 +496,14 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
         _file_no, oid = split_global(key)
         return ChunkedRecordStream(iter_linked(self.large, oid))
 
-    def update_record(self, key: int, data: bytes) -> int:
+    def update_record(
+        self, key: int, data: bytes, old: Optional[bytes] = None
+    ) -> int:
         if not self._is_large_key(key):
-            old = self.mfile.fetch(split_global(key)[1])
-            if self._pool_for(old) is not self.large and self._pool_for(data) is not self.large:
-                return super().update_record(key, data)
+            # A small or medium object is below the large category, so
+            # only the new size can send the record to a chain.
+            if self._pool_for(data) is not self.large:
+                return super().update_record(key, data, old)
             # Crossing into the large category: re-home as a chain.
             self.mfile.delete(split_global(key)[1])
             return self._create_chain(data)

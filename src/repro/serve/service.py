@@ -261,6 +261,12 @@ class ServiceReport:
         return digest
 
 
+def _no_live_shards(error: ShardUnavailableError) -> ServiceUnavailableError:
+    return ServiceUnavailableError(
+        f"no live shards behind the service ({error.reason or error})"
+    )
+
+
 def _priority_rank(priority: str) -> int:
     rank = PRIORITY_RANK.get(priority)
     if rank is None:
@@ -381,6 +387,14 @@ class QueryService:
     def _check_open(self) -> None:
         if not self._open:
             raise ServiceUnavailableError("service has been shut down")
+
+    def _check_live(self) -> None:
+        """Raise unless some shard of the backend can still answer."""
+        if self.sharded:
+            try:
+                self.backend.live_shards
+            except ShardUnavailableError as error:
+                raise _no_live_shards(error) from error
 
     def invalidate_cache(self, reason: str = "") -> int:
         """The index changed: bump the cache epoch, dropping all entries."""
@@ -538,11 +552,14 @@ class QueryService:
         :class:`~repro.errors.DeadlineExceededError` — the verdict a
         stream run records in its shed ledger instead.  A malformed
         text, or one the engine cannot evaluate, raises
-        :class:`~repro.errors.QueryError` before anything is counted.
+        :class:`~repro.errors.QueryError`, and a backend with no live
+        shard :class:`~repro.errors.ServiceUnavailableError`, before
+        anything is counted.
         """
         self._check_open()
         _priority_rank(priority)
         tree = self._parse(text)
+        self._check_live()
         if deadline_ms is not None and deadline_ms < 0.0:
             self.stats.shed_deadline += 1
             raise DeadlineExceededError(
@@ -561,16 +578,18 @@ class QueryService:
     ) -> ServiceReport:
         """Serve an open-loop request stream to completion.
 
-        Every priority is checked and every distinct text parsed (and
-        shape-checked for the engine) before anything is admitted, so a
-        malformed request raises
+        Every priority is checked, every distinct text parsed (and
+        shape-checked for the engine) and the backend checked for a live
+        shard before anything is admitted, so a malformed request or a
+        dead backend raises
         (:class:`~repro.errors.ConfigError` /
-        :class:`~repro.errors.QueryError`) with the counters, the cache
-        and the backend untouched.  The schedule — wave composition,
-        shed set, every latency — is a pure function of the request
-        trace and the service knobs: ties are broken by input position,
-        expiry is checked on the simulated clock, and nothing samples
-        randomness.
+        :class:`~repro.errors.QueryError` /
+        :class:`~repro.errors.ServiceUnavailableError`) with the
+        counters, the cache and the backend untouched.  The schedule —
+        wave composition, shed set, every latency — is a pure function
+        of the request trace and the service knobs: ties are broken by
+        input position, expiry is checked on the simulated clock, and
+        nothing samples randomness.
         """
         self._check_open()
         trees: Dict[str, QueryNode] = {}
@@ -578,6 +597,7 @@ class QueryService:
             _priority_rank(request.priority)
             if request.text not in trees:
                 trees[request.text] = self._parse(request.text)
+        self._check_live()
         order = sorted(
             range(len(requests)), key=lambda i: (requests[i].arrival_ms, i)
         )
@@ -732,9 +752,7 @@ class QueryService:
             try:
                 outcome = self._scheduler.run_wave(texts)
             except ShardUnavailableError as error:
-                raise ServiceUnavailableError(
-                    f"no live shards behind the service ({error.reason or error})"
-                ) from error
+                raise _no_live_shards(error) from error
             self.stats.barriers += outcome.stats.barriers
             self.stats.busy_ms += sum(outcome.per_query_ms)
             self.stats.failovers += len(outcome.stats.failovers)

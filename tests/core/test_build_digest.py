@@ -12,11 +12,13 @@ optimised; the simulated machine it produces must not change.  For
   digest after a cold start, one ingest batch and a few queries — the
   first-touch reads of auxiliary-table pages an ingest is charged for.
 
-The committed digests were produced by the reference implementation
-before the bulk build paths existed.  Run this file under
+The committed ``build`` digests were produced by the reference
+implementation before the bulk build paths existed.  Run this file under
 ``REPRO_FASTPATH=0`` too: both arms must reach the same bytes.
-Regenerate (only for an intended format change) with
-``PYTHONPATH=src python tests/core/test_build_digest.py``.
+Regenerate with ``PYTHONPATH=src python tests/core/test_build_digest.py``
+only for an intended format change, or, for the ``use`` half alone, an
+intended change to how ingest writes; every ``build`` entry must come
+out byte-identical, and the ``use`` rankings hash with it.
 """
 
 import hashlib

@@ -9,7 +9,10 @@ numbers that repeat exactly:
   chunks or forty — and the sidecar afterwards equals one rebuilt from
   the chunks on disk;
 * folding tombstones visits records in storage order, so a physical
-  segment is read once, not once per record that happens to sit in it.
+  segment is read once, not once per record that happens to sit in it;
+* an ingest batch grows existing records in storage order too, and
+  reads each grown record once;
+* a tombstone delete writes nothing to the disk.
 """
 
 from collections import Counter
@@ -38,14 +41,20 @@ from ..transcode import chunk_stats
 BATCH = 12
 
 
-def chained_index(n_docs):
-    """One hot term in every document: a chain of ~``n_docs / 30`` chunks."""
+def linked_index(n_docs, tokens):
+    """``tokens(doc_id)`` for documents 1..``n_docs``, on a linked store
+    that chains every record over 256 bytes in 96-byte chunks."""
     fs = SimFileSystem(SimDisk(SimClock()), cache_blocks=256)
     store = LinkedMnemeInvertedFile(fs, medium_max_bytes=256, chunk_bytes=96)
     builder = IndexBuilder(fs, store, stem_fn=str)
     for doc_id in range(1, n_docs + 1):
-        builder.add_document(Document(doc_id, tokens=["hot", f"w{doc_id}"]))
+        builder.add_document(Document(doc_id, tokens=tokens(doc_id)))
     return builder.finalize()
+
+
+def chained_index(n_docs):
+    """One hot term in every document: a chain of ~``n_docs / 30`` chunks."""
+    return linked_index(n_docs, lambda doc_id: ["hot", f"w{doc_id}"])
 
 
 def assert_sidecar_matches_chain(store, entry):
@@ -61,9 +70,9 @@ def assert_sidecar_matches_chain(store, entry):
     return chunks, slices
 
 
-def large_pool_traffic(store, action):
-    """Calls ``action`` makes on the large pool, by operation."""
-    pool, calls = store.large, Counter()
+def pool_traffic(pool, action):
+    """Calls ``action`` makes on one Mneme pool, by operation."""
+    calls = Counter()
 
     def counted(name, original):
         def call(*args):
@@ -94,8 +103,8 @@ def test_growing_a_chain_touches_its_tail_and_sidecar_only(n_docs):
     batch = [
         Document(n_docs + j, tokens=["hot", f"new{j}"]) for j in range(1, BATCH + 1)
     ]
-    calls = large_pool_traffic(
-        store, lambda: add_documents_incremental(index, batch)
+    calls = pool_traffic(
+        store.large, lambda: add_documents_incremental(index, batch)
     )
     # The tail is fetched and rewritten; twelve postings overflow it into
     # at most one new chunk; nothing is deleted.  No term depends on N.
@@ -110,31 +119,108 @@ def test_growing_a_chain_touches_its_tail_and_sidecar_only(n_docs):
         list(range(1, n_docs + BATCH + 1))
 
 
-def test_fold_reads_each_segment_once(prepared):
+def test_growing_an_unchained_record_fetches_it_once():
+    # "warm" in every tenth document: a medium record, not a chain.
+    index = linked_index(
+        100, lambda doc_id: [f"w{doc_id}"] + ["warm"] * (doc_id % 10 == 0)
+    )
+    store, entry = index.store, index.term_entry("warm")
+    key = entry.storage_key
+    assert store._pool_for(store.fetch(key)) is store.medium
+
+    calls = pool_traffic(store.medium, lambda: add_documents_incremental(
+        index, [Document(101, tokens=["warm", "warm", "new"])]
+    ))
+    # The bytes append_postings fetched decide modify-or-re-home: the
+    # record is read once, and modified where it lies.
+    assert calls["fetch"] == 1 and calls["modify"] == 1
+    assert entry.storage_key == key and entry.df == 11
+
+
+def small_segment_system(prepared):
     """Small segments and the Table 2 buffers they imply: far more
     segments than the buffers hold, so visiting order decides the reads."""
     config = config_by_name(
         "mneme-cache", medium_segment_bytes=512, medium_max_bytes=256
     )
-    system = materialize(prepared, config)
-    index, mfile = system.index, system.index.store.mfile
+    return materialize(prepared, config)
+
+
+def segment_reads(mfile, action, note=None):
+    """``action``'s result and the offsets of the segments it read
+    (each paired with ``note()`` when given)."""
+    reads = []
+    read_segment = mfile.read_segment
+
+    def counted(offset, length):
+        reads.append(offset if note is None else (offset, note()))
+        return read_segment(offset, length)
+
+    mfile.read_segment = counted
+    try:
+        return action(), reads
+    finally:
+        del mfile.read_segment
+
+
+def test_fold_reads_each_segment_once(prepared):
+    system = small_segment_system(prepared)
+    index = system.index
     documents = {d.doc_id: d for d in prepared.collection.iter_documents()}
     for doc_id in (3, 17, 40, 77):
         tombstone_document_incremental(index, documents[doc_id])
     cold_start(system)
 
-    reads = []
-    read_segment = mfile.read_segment
-
-    def counted(offset, length):
-        reads.append(offset)
-        return read_segment(offset, length)
-
-    mfile.read_segment = counted
-    try:
-        rewritten = fold_tombstones(index)
-    finally:
-        del mfile.read_segment
+    rewritten, reads = segment_reads(
+        index.store.mfile, lambda: fold_tombstones(index)
+    )
     segments = len(set(reads))
     assert segments > 20 and rewritten > 0
     assert len(reads) <= segments + rewritten
+
+
+def test_ingest_reads_each_segment_once(prepared, corpus):
+    system = small_segment_system(prepared)
+    index, store = system.index, system.index.store
+    cold_start(system)
+    pools = (store.small, store.medium, store.large)
+    creating = [False]
+
+    def flagged(create):
+        def call(data):
+            creating[0] = True
+            try:
+                return create(data)
+            finally:
+                creating[0] = False
+        return call
+
+    for pool in pools:
+        pool.create = flagged(pool.create)
+    batch = corpus.new_documents(BATCH, after=len(prepared.collection))
+    try:
+        _tfs, reads = segment_reads(
+            store.mfile,
+            lambda: add_documents_incremental(index, batch),
+            note=lambda: creating[0],
+        )
+    finally:
+        for pool in pools:
+            del pool.create
+    # Growing records reads each segment at most once.  The only other
+    # reads come from creates (a relocated or fresh record re-opening
+    # its pool's last segment), which the grow may read again later.
+    grown = [offset for offset, in_create in reads if not in_create]
+    assert len(set(offset for offset, _ in reads)) > 20
+    assert len(grown) == len(set(grown))
+
+
+def test_a_tombstone_delete_writes_no_disk_block(prepared, config):
+    system = materialize(prepared, config)
+    index, disk = system.index, system.fs.disk
+    documents = {d.doc_id: d for d in prepared.collection.iter_documents()}
+    written = disk.stats.blocks_written
+    for doc_id in (3, 17, 40, 77):
+        tombstone_document_incremental(index, documents[doc_id])
+    assert disk.stats.blocks_written == written
+    assert index.tombstones == {3, 17, 40, 77}

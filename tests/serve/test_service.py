@@ -248,6 +248,25 @@ def test_a_query_the_engine_cannot_run_is_refused_before_anything_is_admitted(
     assert backend.clock.snapshot() == clock
 
 
+def test_a_dead_backend_is_refused_before_anything_is_admitted(
+    prepared, config, pool
+):
+    # Every shard down: the typed error comes before admission, not
+    # from the first wave's evaluation.
+    backend = materialize(prepared, config, shards=2, replicas=1)
+    backend.mark_down(0)
+    backend.mark_down(1)
+    service = QueryService(backend, engine="taat", max_batch=2)
+    clock = backend.clock.snapshot()
+    with pytest.raises(ServiceUnavailableError):
+        service.process(burst(pool[:3]))
+    with pytest.raises(ServiceUnavailableError):
+        service.serve_one(pool[0])
+    assert service.stats == ServiceStats()
+    assert len(service.cache) == 0
+    assert backend.clock.snapshot() == clock
+
+
 def test_each_distinct_text_is_parsed_once_per_run(
     prepared, config, pool, monkeypatch
 ):
