@@ -18,6 +18,7 @@ structure) falls back to the scalar reference implementation, which
 either handles it or raises the canonical error.
 """
 
+from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +66,7 @@ class RecordArrays:
         arrays.doc_ids = _frozen(doc_ids)
         arrays.tf = _frozen(tf)
         arrays._positions = arrays._pos_starts = None
-        arrays._gaps = gaps
+        arrays._gaps = _frozen(gaps)
         arrays._ctf = int(gaps.size)
         return arrays
 
@@ -130,22 +131,66 @@ def _positions_from_gaps(gaps, tf, pos_starts) -> np.ndarray:
     return running - np.repeat(bases, tf)
 
 
-def filter_record_arrays(arrays: "RecordArrays", dead: set) -> "RecordArrays":
-    """Drop tombstoned documents from a decoded record.
+def dead_array(dead) -> np.ndarray:
+    """A tombstone set as the probe kernel takes it: sorted, int64."""
+    return _frozen(np.fromiter(sorted(dead), dtype=np.int64, count=len(dead)))
 
-    Returns a fresh :class:`RecordArrays` holding only the live
-    documents (the input, which may be cache-shared, is untouched).
-    Equivalent to filtering the reference posting list by doc id.
+
+def find_sorted(column: np.ndarray, probes: np.ndarray):
+    """Where each of ``probes`` sits in the strictly increasing
+    ``column`` (``searchsorted``), and whether it is there."""
+    at = column.searchsorted(probes)
+    found = at < column.size
+    found[found] = column[at[found]] == probes[found]
+    return at, found
+
+
+def _live_mask(doc_ids: np.ndarray, dead_sorted: np.ndarray) -> Optional[np.ndarray]:
+    """The keep-mask of ``doc_ids`` against ``dead_sorted``, or ``None``
+    when no dead document is in the column.
+
+    Two binary searches bound the tombstones inside the column's id
+    range and one ``searchsorted`` places just those, so a read pays
+    O(log dead + k log df) for the k tombstones in range; only a hit
+    costs O(df), for the mask.
     """
-    if not dead or arrays.doc_ids.size == 0:
-        return arrays
-    keep = ~np.isin(arrays.doc_ids, np.fromiter(dead, dtype=np.int64))
-    if keep.all():
+    if not doc_ids.size or not dead_sorted.size:
+        return None
+    lo = dead_sorted.searchsorted(doc_ids[0])
+    hi = dead_sorted.searchsorted(doc_ids[-1], "right")
+    if lo == hi:
+        return None
+    at, found = find_sorted(doc_ids, dead_sorted[lo:hi])
+    if not found.any():
+        return None
+    keep = np.ones(doc_ids.size, dtype=bool)
+    keep[at[found]] = False
+    return keep
+
+
+def filter_record_arrays(arrays: "RecordArrays", dead_sorted: np.ndarray) -> "RecordArrays":
+    """Drop the documents in ``dead_sorted`` (see :func:`dead_array`)
+    from a decoded record.
+
+    A record with no dead document comes back as the same object.
+    Otherwise the live documents come back as a fresh
+    :class:`RecordArrays` (the input, which may be cache-shared, is
+    untouched); a deferred input stays deferred, its position-gap column
+    filtered by whole documents, since each document's run starts
+    absolute.  Equivalent to filtering the reference posting list by
+    doc id.
+    """
+    keep = _live_mask(arrays.doc_ids, dead_sorted)
+    if keep is None:
         return arrays
     doc_ids = arrays.doc_ids[keep]
     tf = arrays.tf[keep]
-    positions = arrays.positions[np.repeat(keep, arrays.tf)]
-    return RecordArrays(doc_ids, tf, positions, _exclusive_cumsum(tf))
+    keep_positions = np.repeat(keep, arrays.tf)
+    if arrays._gaps is not None:
+        return RecordArrays.deferred(doc_ids, tf, arrays._gaps[keep_positions])
+    return RecordArrays(
+        doc_ids, tf, arrays.positions[keep_positions], _exclusive_cumsum(tf)
+    )
 
 
 def dead_column_filter(dead) -> Optional[Callable]:
@@ -156,11 +201,11 @@ def dead_column_filter(dead) -> Optional[Callable]:
     """
     if not dead:
         return None
-    dead_arr = np.fromiter(sorted(dead), dtype=np.int64)
+    dead_sorted = dead_array(dead)
 
     def filter_columns(doc_ids, tf):
-        keep = ~np.isin(doc_ids, dead_arr)
-        if keep.all():
+        keep = _live_mask(doc_ids, dead_sorted)
+        if keep is None:
             return doc_ids, tf
         return doc_ids[keep], tf[keep]
 
@@ -183,11 +228,30 @@ class DecodeCache:
     memory rather than entry count; a record heavier than the whole
     budget is decoded but not kept.  Cached :class:`RecordArrays` are
     shared, so their columns are read-only.
+
+    :meth:`decode_live` memoizes the tombstone filter the same way,
+    keyed by (record bytes, tombstone set): within one epoch a record
+    read again is neither decoded nor filtered again.  Its entries
+    share the budget, and they go when their tombstone set falls out of
+    the few most recent ones.
     """
 
+    #: A :meth:`decode_live` entry for a record no tombstone hits: the
+    #: record's own arrays serve it, so the entry keeps nothing alive.
+    _CLEAN = object()
+
+    #: Tombstone sets whose filter entries are kept.  An epoch reads
+    #: under two: the index's, and a term-cache hit's (the index's plus
+    #: the documents compaction folded out after the hit's record was
+    #: cached).
+    _DEAD_SETS = 4
+
     def __init__(self, max_ints: int = 4_000_000):
-        #: record bytes -> arrays, weighed by :meth:`_weight`
+        #: record bytes -> arrays, and (record bytes, tombstone set) ->
+        #: live arrays or ``_CLEAN``; weighed by :meth:`_weight`
         self._lru = WeightedLRU(max_ints)
+        #: recent tombstone sets, oldest first -> their probe arrays
+        self._dead_sets: "OrderedDict[frozenset, np.ndarray]" = OrderedDict()
 
     @staticmethod
     def _weight(arrays: "RecordArrays") -> int:
@@ -212,6 +276,44 @@ class DecodeCache:
             arrays = decode_record_arrays(record)
             self._lru.put(record, arrays, self._weight(arrays))
         return arrays
+
+    def decode_live(self, record: bytes, dead) -> "RecordArrays":
+        """The record's arrays without the documents in ``dead``.
+
+        Decodes through :meth:`decode` first, so the raw entry's recency
+        and the decode calls are the same as without the filter memo.
+        """
+        arrays = self.decode(record)
+        if not dead:
+            return arrays
+        dead_key, dead_sorted = self._dead_set(dead)
+        key = (record, dead_key)
+        live = self._lru.get(key)
+        if live is None:
+            live = filter_record_arrays(arrays, dead_sorted)
+            if live is arrays:
+                self._lru.put(key, self._CLEAN, 1)
+            else:
+                self._lru.put(key, live, self._weight(live))
+        return arrays if live is self._CLEAN else live
+
+    def _dead_set(self, dead):
+        """``dead``'s entry among the recent tombstone sets, made most
+        recent; a new set evicts the oldest and its filter entries."""
+        sets = self._dead_sets
+        # Set equality compares sizes first, so a miss is cheap.
+        key = next((known for known in reversed(sets) if known == dead), None)
+        if key is None:
+            if len(sets) == self._DEAD_SETS:
+                stale, _probe = sets.popitem(last=False)
+                for entry in self._lru.keys():
+                    if type(entry) is tuple and entry[1] is stale:
+                        self._lru.pop(entry)
+            key = frozenset(dead)
+            sets[key] = dead_array(key)
+        else:
+            sets.move_to_end(key)
+        return key, sets[key]
 
 
 def _scalar():

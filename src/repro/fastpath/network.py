@@ -44,7 +44,7 @@ from .beliefs import (
     scatter_leaf,
     term_beliefs,
 )
-from .codec import RecordArrays
+from .codec import RecordArrays, find_sorted
 
 
 def _counted(arrays) -> LeafSlot:
@@ -135,7 +135,7 @@ class FastInferenceNetwork(InferenceNetwork):
             term_arrays.append(arrays)
         common = term_arrays[0].doc_ids
         for arrays in term_arrays[1:]:
-            common = common[np.isin(common, arrays.doc_ids, assume_unique=True)]
+            common = common[find_sorted(arrays.doc_ids, common)[1]]
         counts = match_counts_for_docs(term_arrays, common, ordered, window)
         matched = counts > 0
         provider.charge_combine(sum(arrays.df for arrays in term_arrays))

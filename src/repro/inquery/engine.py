@@ -198,18 +198,18 @@ class _FastIndexProvider(_IndexProvider):
     #: The owning engine's :class:`~repro.fastpath.codec.DecodeCache`,
     #: shared across its queries (the DAAT engine decodes its stream
     #: chunks and MaxScore blocks through its own).  Keyed by record
-    #: *content*, so an updated record never hits stale arrays.  It
-    #: elides only real decode time: fetches, charges and term-cache
-    #: traffic are the reference provider's.
+    #: *content*, so an updated record never hits stale arrays; the
+    #: tombstone-filtered arrays are memoized beside them, keyed by
+    #: (record, tombstone set).  It elides only real decode and filter
+    #: time: fetches, charges and term-cache traffic are the reference
+    #: provider's.
     decode_cache: "_codec.DecodeCache"
 
     def postings_arrays(self, term: str):
         return self._memoized(term, self._decode_arrays)
 
     def _decode_arrays(self, record: bytes, dead):
-        arrays = self.decode_cache.decode(record)
-        if dead:
-            arrays = _codec.filter_record_arrays(arrays, dead)
+        arrays = self.decode_cache.decode_live(record, dead)
         # `sum(len(p))` over the reference postings == ctf.
         return arrays, arrays.ctf
 

@@ -12,9 +12,13 @@ Three rules keep cached serving inside the bit-identity contract:
   was computed; replaying it after the faults clear would serve stale
   damage, so it is evaluated fresh every time and counted in
   ``rejected_degraded``.
-* **Isolation** — entries are deep-copied on the way in and on the way
-  out.  A caller mutating a served ranking can never corrupt the
-  cached copy, and two hits never alias each other.
+* **Isolation** — entries are copied on the way in and on the way out
+  (:func:`clone_result`), but only the mutable containers: the ranking
+  list and the dict fields (a sharded result's ``shard_contributions``
+  and ``served_by``), one level deep.  Their items are immutable —
+  ``(doc, belief)`` tuples of an int and a float, ints, strs — so
+  they are shared.  A caller mutating a served ranking or dict can
+  never corrupt the cached copy, and two hits never alias each other.
 * **Epochs** — the service bumps :meth:`ResultCache.invalidate` when
   the index changes underneath it (incremental add/remove, rebuild,
   compaction).  The bump clears the table *and* advances the epoch
@@ -25,7 +29,6 @@ Three rules keep cached serving inside the bit-identity contract:
 """
 
 import copy
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,47 +38,24 @@ from ..inquery.engine import QueryResult
 from ..lru import WeightedLRU
 
 
-def _frozen_copy(value):
-    """Isolated copy of the shapes a result actually carries.
-
-    Results are dataclasses of scalars, strings, and (possibly nested)
-    lists/tuples/dicts of the same — no cycles, no exotic objects — so
-    a structural recursion over exactly those shapes gives the same
-    isolation ``copy.deepcopy`` did without its memo table and
-    per-object dispatch (the cache probes this on every hit and put, a
-    measured hot path).  Scalars and strings are immutable and shared.
-    """
-    if isinstance(value, list):
-        return [_frozen_copy(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_frozen_copy(item) for item in value)
-    if isinstance(value, dict):
-        return {key: _frozen_copy(item) for key, item in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _clone_dataclass(value)
-    return value
-
-
-def _clone_dataclass(obj):
-    duplicate = copy.copy(obj)
-    for spec in dataclasses.fields(obj):
-        setattr(duplicate, spec.name, _frozen_copy(getattr(obj, spec.name)))
-    return duplicate
-
-
 def clone_result(result: QueryResult, query_text: Optional[str] = None) -> QueryResult:
     """An isolated copy of a result, optionally re-labelled.
 
-    ``copy.copy`` + per-field copies keep the runtime class, so a
-    cached :class:`~repro.inquery.daat.DAATResult` or
+    ``copy.copy`` keeps the runtime class, so a cached
+    :class:`~repro.inquery.daat.DAATResult` or
     :class:`~repro.shard.merge.ShardedQueryResult` keeps its extra
     fields — a hit is indistinguishable from the evaluation that
     produced the entry, except for the ``query`` text echoing the
-    *requesting* spelling rather than the first spelling cached.
+    *requesting* spelling rather than the first spelling cached.  Only
+    the list and dict fields are copied, one level deep (the module's
+    isolation rule).
     """
-    duplicate = _clone_dataclass(result)
+    duplicate = copy.copy(result)
+    for name, value in vars(result).items():
+        if type(value) is list:
+            setattr(duplicate, name, list(value))
+        elif type(value) is dict:
+            setattr(duplicate, name, dict(value))
     if query_text is not None and query_text != duplicate.query:
         duplicate.query = query_text
     return duplicate

@@ -138,6 +138,15 @@ def test_decoded_columns_are_read_only():
         arrays.tf[0] = 9
 
 
+def test_deferred_gap_column_is_read_only():
+    record = encode_record_fast([(1, (1, 5)), (3, (2,))])
+    arrays = codec.decode_record_arrays(record)
+    assert arrays._gaps is not None  # positions still deferred
+    with pytest.raises(ValueError):
+        arrays._gaps[0] = 9
+    assert arrays.to_postings() == [(1, (1, 5)), (3, (2,))]
+
+
 # -- every call site hands its kernels read-only columns -------------------------
 
 

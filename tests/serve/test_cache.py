@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core import materialize
 from repro.errors import CacheInconsistencyError, ConfigError
+from repro.fastpath import use_fastpath
+from repro.inquery import DocumentAtATimeEngine, RetrievalEngine
 from repro.inquery.engine import QueryResult
-from repro.serve import ResultCache, clone_result
+from repro.serve import QueryService, ResultCache, clone_result
+from repro.shard.merge import ShardedQueryResult
+from repro.synth.traffic import TimedRequest
 
 
 def complete(query, score=1.0):
@@ -132,3 +137,101 @@ def test_hit_rate_tracks_lookups():
     cache.get("a")
     cache.get("missing")
     assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+# -- isolation: the one-level copy ----------------------------------------------
+
+
+def sharded(query):
+    return ShardedQueryResult(
+        query=query, ranking=[(3, 0.9), (1, 0.4)],
+        shard_contributions={0: 1, 1: 1}, shards_down=(2,), served_by={0: 1, 1: 0},
+    )
+
+
+def _vandalize(result):
+    result.ranking.append((99, 0.0))
+    result.ranking[0] = (7, 7.0)
+    result.shard_contributions[5] = 5
+    result.served_by.clear()
+
+
+def _fields(result):
+    return (result.query, list(result.ranking), dict(result.shard_contributions),
+            result.shards_down, dict(result.served_by))
+
+
+def test_mutating_a_hit_changes_neither_the_entry_nor_later_hits():
+    cache = ResultCache(capacity=4)
+    original = sharded("q")
+    pristine = _fields(original)
+    cache.put("k", original)
+    _vandalize(original)  # the evaluation's own copy, after insert
+    first = cache.get("k")
+    assert type(first) is ShardedQueryResult
+    assert _fields(first) == pristine
+    _vandalize(first)
+    _entry_epoch, entry = cache._lru.get("k")
+    assert _fields(entry) == pristine
+    second = cache.get("k", query_text="other spelling")
+    assert _fields(second)[1:] == pristine[1:]
+    assert second.query == "other spelling"
+    assert second.ranking is not first.ranking
+    assert second.served_by is not entry.served_by
+
+
+def test_mutating_a_shared_row_leaves_the_cache_intact(prepared, config, pool):
+    text = pool[0]
+    service = QueryService(materialize(prepared, config, shards=2), max_batch=4)
+    report = service.process([TimedRequest(text=text, arrival_ms=0.0)] * 3)
+    assert [row.outcome for row in report.served] == ["miss", "shared", "shared"]
+    pristine = _fields(report.served[0].result)
+    for row in report.served:
+        _vandalize(row.result)
+    hit = service.serve_one(text)
+    assert service.stats.cache_hits == 1
+    assert _fields(hit) == pristine
+    _vandalize(hit)
+    assert _fields(service.serve_one(text)) == pristine
+
+
+def _engine_rankings(prepared, config, pool, daat_pool, source):
+    if source == "sharded":
+        service = QueryService(materialize(prepared, config, shards=2))
+        return [service.serve_one(text).ranking for text in pool]
+    system = materialize(prepared, config)
+    if source == "taat":
+        engine = RetrievalEngine(system.index)
+    else:
+        engine = DocumentAtATimeEngine(
+            system.index, prune="require" if source == "pruned" else "off"
+        )
+    texts = pool if source == "taat" else daat_pool
+    return [engine.run_query(text).ranking for text in texts]
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "reference"])
+@pytest.mark.parametrize("source", ["taat", "daat", "pruned", "sharded"])
+def test_rankings_hold_only_int_float_tuples(
+    prepared, config, pool, daat_pool, source, fast
+):
+    """What :func:`clone_result`'s one-level copy relies on: a ranking's
+    items are immutable ``(int, float)`` tuples."""
+    with use_fastpath(fast):
+        rankings = _engine_rankings(prepared, config, pool, daat_pool, source)
+    entries = [entry for ranking in rankings for entry in ranking]
+    assert entries
+    for entry in entries:
+        assert type(entry) is tuple and len(entry) == 2
+        assert type(entry[0]) is int and type(entry[1]) is float
+
+
+def test_clone_result_copies_only_the_containers():
+    original = sharded("q")
+    duplicate = clone_result(original)
+    assert duplicate == original
+    assert duplicate.ranking is not original.ranking
+    assert duplicate.shard_contributions is not original.shard_contributions
+    assert duplicate.served_by is not original.served_by
+    assert all(a is b for a, b in zip(duplicate.ranking, original.ranking))
+    assert duplicate.shards_down is original.shards_down
