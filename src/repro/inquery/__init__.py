@@ -26,6 +26,7 @@ from .evalir import (
 )
 from .indexer import (
     CollectionIndex,
+    DeleteCheck,
     IndexBuilder,
     IndexStats,
     add_documents_incremental,
@@ -103,6 +104,7 @@ __all__ = [
     "BeliefTable",
     "BufferSizes",
     "CollectionIndex",
+    "DeleteCheck",
     "DEFAULT_BELIEF",
     "DEFAULT_STOPWORDS",
     "DEFAULT_TOP_K",

@@ -16,11 +16,19 @@ A whole dictionary (an index build, a load) is assembled by
 :meth:`HashDictionary.from_entries`: numpy hashes every term and works
 out each chain's order, so the result is the dictionary that ``add``
 calls in the same order would have built, down to its saved bytes.
+
+The saved file lists every chain in bucket order, so after its first
+:meth:`HashDictionary.save` a dictionary keeps that image as one packed
+``bytes`` per chain and a later save repacks only the chains changed
+since: ``add`` marks its own chain, ``_grow`` drops the image, and code
+that changes an entry's fields calls :meth:`HashDictionary.touch`.  An
+ingest epoch then pays for the terms it touched, not the vocabulary;
+the file written is byte for byte the full serialization.
 """
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -105,6 +113,11 @@ class HashDictionary:
         self._buckets: List[Optional[TermEntry]] = [None] * initial_buckets
         self._count = 0
         self._next_id = 1  # term id 0 is reserved
+        #: Saved image, one packed chain per bucket (``None`` until the
+        #: first :meth:`save`, and again after a ``_grow``).
+        self._chains: Optional[List[bytes]] = None
+        #: Terms whose chains changed since the image was packed.
+        self._dirty: Set[str] = set()
 
     def __len__(self) -> int:
         return self._count
@@ -142,7 +155,14 @@ class HashDictionary:
         entry.next = self._buckets[index]
         self._buckets[index] = entry
         self._count += 1
+        self.touch(entry)
         return entry
+
+    def touch(self, entry: TermEntry) -> None:
+        """Note that ``entry``'s fields changed: the next :meth:`save`
+        repacks its chain.  Every write to a saved entry must call it."""
+        if self._chains is not None:
+            self._dirty.add(entry.term)
 
     @classmethod
     def from_entries(
@@ -191,6 +211,8 @@ class HashDictionary:
         return {entry.term_id: entry for entry in self.entries()}
 
     def _grow(self) -> None:
+        self._chains = None
+        self._dirty = set()
         old = self._buckets
         self._buckets = [None] * (len(old) * 2)
         self._count = 0
@@ -231,8 +253,22 @@ class HashDictionary:
         Writes the v3 layout (per-term bound metadata, columnar record
         bodies); v1 and v2 files still :meth:`load`.
         """
-        parts = [struct.pack("<III", self._V3_MAGIC, self._count, self._next_id)]
-        for entry in self.entries():
+        chains = self._chains
+        if chains is None:
+            chains = self._chains = list(map(self._pack_chain, self._buckets))
+        elif self._dirty:
+            buckets = _hashes(list(self._dirty)) % len(self._buckets)
+            for bucket in set(buckets.tolist()):
+                chains[bucket] = self._pack_chain(self._buckets[bucket])
+        self._dirty = set()
+        head = struct.pack("<III", self._V3_MAGIC, self._count, self._next_id)
+        file.truncate(0)
+        file.write(0, b"".join([head, *chains]))
+
+    def _pack_chain(self, entry: Optional[TermEntry]) -> bytes:
+        """One bucket's saved records, head first."""
+        parts = []
+        while entry is not None:
             raw = entry.term.encode("utf-8")
             parts.append(
                 self._REC_V2.pack(
@@ -241,8 +277,8 @@ class HashDictionary:
                 )
             )
             parts.append(raw)
-        file.truncate(0)
-        file.write(0, b"".join(parts))
+            entry = entry.next
+        return b"".join(parts)
 
     @classmethod
     def load(cls, file: SimFile) -> "HashDictionary":

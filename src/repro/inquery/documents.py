@@ -34,7 +34,9 @@ class DocTable:
 
     ``lengths`` changes only through :meth:`add` and :meth:`remove`,
     which also maintain what is derived from it: the running
-    ``total_length`` and the fast path's cached doc-id space.
+    ``total_length``, the fast path's cached doc-id space and, after the
+    first :meth:`save`, the saved image (one packed row per document),
+    so a later save packs only the rows added since.
     """
 
     lengths: Dict[int, int] = field(default_factory=dict)
@@ -45,6 +47,10 @@ class DocTable:
     #: :func:`repro.fastpath.beliefs.doc_id_space`; dropped by every
     #: mutation (never by ``len()``: one ingest batch adds and removes).
     id_space: Optional[object] = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    #: Doc id -> saved row (``None`` until the first :meth:`save`).
+    _rows: Optional[Dict[int, bytes]] = field(
         init=False, default=None, repr=False, compare=False
     )
 
@@ -59,6 +65,8 @@ class DocTable:
         self.id_space = None
         if name:
             self.names[doc_id] = name
+        if self._rows is not None:
+            self._rows[doc_id] = self._pack_row(doc_id)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -83,19 +91,26 @@ class DocTable:
         self.total_length -= self.lengths.pop(doc_id, 0)
         self.id_space = None
         self.names.pop(doc_id, None)
+        if self._rows is not None:
+            self._rows.pop(doc_id, None)
 
     # -- persistence -----------------------------------------------------------
 
     _REC = struct.Struct("<IIH")  # doc id, length, name length
 
     def save(self, file: SimFile) -> None:
-        parts = [struct.pack("<I", len(self.lengths))]
-        for doc_id in sorted(self.lengths):
-            raw = self.names.get(doc_id, "").encode("utf-8")
-            parts.append(self._REC.pack(doc_id, self.lengths[doc_id], len(raw)))
-            parts.append(raw)
+        """Write every row in doc-id order (packing only new rows)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {d: self._pack_row(d) for d in self.lengths}
+        parts = [struct.pack("<I", len(rows))]
+        parts.extend(map(rows.__getitem__, sorted(rows)))
         file.truncate(0)
         file.write(0, b"".join(parts))
+
+    def _pack_row(self, doc_id: int) -> bytes:
+        raw = self.names.get(doc_id, "").encode("utf-8")
+        return self._REC.pack(doc_id, self.lengths[doc_id], len(raw)) + raw
 
     @classmethod
     def load(cls, file: SimFile) -> "DocTable":

@@ -473,10 +473,70 @@ def add_documents_incremental(
             entry.max_tf = max(
                 entry.max_tf, max(len(positions) for _doc, positions in postings)
             )
+        index.dictionary.touch(entry)
     index.stats.documents += len(documents)
     index.stats.postings += sum(sum(tfs.values()) for tfs in term_tfs)
     store.flush()
     return term_tfs
+
+
+class DeleteCheck:
+    """A dry run of tombstone deletes, one after another.
+
+    :meth:`check` raises what :func:`tombstone_document_incremental`
+    would raise on the same sequence of deletes, and changes nothing:
+    each document must be live and not tombstoned, its token stream must
+    have its indexed length, and every term it mentions must be in the
+    dictionary with a df the deletes before it have not used up.  A
+    batch checks all its deletes before it writes anything.
+
+    ``after`` stands for adds of the same batch that are not written
+    yet (an ingest applies adds first, and may not delete what it
+    adds).  Adds only add terms and df, so it is asked only when the
+    index as it stands says no: ``after.df(index, term, entry)`` is the
+    df ``term`` will have in ``index`` (``None``: no entry).
+    """
+
+    def __init__(self, after=None):
+        self.after = after
+        self.gone: set = set()  #: documents deleted earlier in the run
+        self.taken: Dict[str, int] = {}  #: term -> earlier deletes of it
+
+    def check(
+        self, index: CollectionIndex, document: Document
+    ) -> List[Tuple[str, int, Optional[TermEntry]]]:
+        """Check one delete and count it; returns ``(term, tf, entry)``
+        for every term it mentions, in term order."""
+        doc_id = document.doc_id
+        length = None if doc_id in self.gone else index.doctable.lengths.get(doc_id)
+        if length is None:
+            raise IndexError_(f"unknown document id {doc_id}")
+        if doc_id in index.tombstones:
+            raise IndexError_(f"document id {doc_id} already tombstoned")
+        by_term = _term_positions(index, document)
+        kept = sum(map(len, by_term.values()))
+        if kept != length:
+            raise IndexError_(
+                f"document {doc_id} token stream does not match the indexed "
+                f"length ({kept} != {length})"
+            )
+        terms = []
+        for term in sorted(by_term):
+            entry = index.dictionary.lookup(term)
+            taken = self.taken.get(term, 0)
+            df = None if entry is None else entry.df
+            if (df is None or df <= taken) and self.after is not None:
+                df = self.after.df(index, term, entry)
+            if df is None or df <= taken:
+                raise IndexError_(
+                    f"document {doc_id} mentions {term!r}, which the "
+                    "dictionary does not carry — wrong document supplied?"
+                )
+            terms.append((term, len(by_term[term]), entry))
+        for term, _tf, _entry in terms:
+            self.taken[term] = self.taken.get(term, 0) + 1
+        self.gone.add(doc_id)
+        return terms
 
 
 def tombstone_document_incremental(index: CollectionIndex, document: Document) -> int:
@@ -495,39 +555,23 @@ def tombstone_document_incremental(index: CollectionIndex, document: Document) -
     never over-prune.  Compaction (``fold_tombstones``) later rewrites
     the records and recomputes exact bounds.  Nothing is written to the
     store: the change lives in the dictionary, document table and
-    tombstone set until the epoch's ``index.save`` flushes them.
+    tombstone set until the epoch's ``index.save`` flushes them.  The
+    whole delete is checked (:class:`DeleteCheck`) before any of it is
+    applied, so a rejected delete changes nothing.
 
     Returns the number of distinct terms whose statistics were adjusted.
     """
-    doc_id = document.doc_id
-    if doc_id not in index.doctable:
-        raise IndexError_(f"unknown document id {doc_id}")
-    if doc_id in index.tombstones:
-        raise IndexError_(f"document id {doc_id} already tombstoned")
-    by_term = {
-        term: len(positions)
-        for term, positions in _term_positions(index, document).items()
-    }
-    kept = sum(by_term.values())
-    if kept != index.doctable.length_of(doc_id):
-        raise IndexError_(
-            f"document {doc_id} token stream does not match the indexed "
-            f"length ({kept} != {index.doctable.length_of(doc_id)})"
-        )
-    for term, tf in sorted(by_term.items()):
-        entry = index.dictionary.lookup(term)
-        if entry is None or entry.df == 0:
-            raise IndexError_(
-                f"document {doc_id} mentions {term!r}, which the "
-                "dictionary does not carry — wrong document supplied?"
-            )
+    terms = DeleteCheck().check(index, document)
+    for _term, tf, entry in terms:
         entry.df -= 1
         entry.ctf -= tf
-    index.doctable.remove(doc_id)
-    index.tombstones.add(doc_id)
+        index.dictionary.touch(entry)
+    kept = index.doctable.length_of(document.doc_id)
+    index.doctable.remove(document.doc_id)
+    index.tombstones.add(document.doc_id)
     index.stats.documents -= 1
     index.stats.postings -= kept
-    return len(by_term)
+    return len(terms)
 
 
 def fold_tombstones(index: CollectionIndex) -> int:
@@ -562,6 +606,7 @@ def fold_tombstones(index: CollectionIndex) -> int:
         entry.bounds_key = index.store.refresh_bounds(
             entry.storage_key, entry.bounds_key
         )
+        index.dictionary.touch(entry)
         rewritten += 1
     index.tombstones = set()
     index.store.flush()

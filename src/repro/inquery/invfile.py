@@ -46,6 +46,7 @@ from ..mneme.linked import _pack_chunk, _unpack_chunk
 from .bounds import PrunableSource, decode_chunk_bounds, encode_chunk_bounds
 from .postings import (
     Posting,
+    append_bounds_memo,
     column_stats,
     join_columns,
     merge_records,
@@ -81,6 +82,10 @@ class InvertedFileStore:
 
     #: Number of record lookups performed (denominator of Table 5's "A").
     record_lookups: int = 0
+
+    #: The append-bounds memo of :meth:`append_postings`
+    #: (:func:`~repro.inquery.postings.append_bounds_memo`).
+    append_bounds = None
 
     def bulk_build(self, records: Iterable[Tuple[int, bytes]]) -> Dict[int, int]:
         """Store records (term-id order) and return term id -> storage key."""
@@ -137,7 +142,8 @@ class InvertedFileStore:
         pieces override it to touch only the piece that grows.
         """
         old = self.fetch(key)
-        key = self.update_record(key, merge_records(old, postings), old)
+        merged = merge_records(old, postings, self.append_bounds)
+        key = self.update_record(key, merged, old)
         return key, self.refresh_bounds(key, bounds_key)
 
     def stream_postings(self, key: int) -> PostingStream:
@@ -201,6 +207,7 @@ class BTreeInvertedFile(InvertedFileStore):
         file = fs.open(file_name) if fs.exists(file_name) else fs.create(file_name)
         self.tree = BTreeKeyedFile(file)
         self.record_lookups = 0
+        self.append_bounds = append_bounds_memo()
 
     def bulk_build(self, records: Iterable[Tuple[int, bytes]]) -> Dict[int, int]:
         keys: Dict[int, int] = {}
@@ -270,6 +277,7 @@ class MnemeInvertedFile(InvertedFileStore):
         self.large = self.mfile.create_pool(LARGE_POOL, self.LARGE_POOL_FACTORY)
         self.mfile.load()
         self.record_lookups = 0
+        self.append_bounds = append_bounds_memo()
         self.cached = buffer_sizes is not None
         if buffer_sizes is not None:
             self.attach_buffers(buffer_sizes)
@@ -549,7 +557,10 @@ class LinkedMnemeInvertedFile(MnemeInvertedFile):
             return super().append_postings(key, postings, bounds_key)
         tail = oids[-1]
         parts, tail_last_docs, tail_max_tfs = split_columns(
-            merge_records(_unpack_chunk(self.large.fetch(tail))[1], postings),
+            merge_records(
+                _unpack_chunk(self.large.fetch(tail))[1], postings,
+                self.append_bounds,
+            ),
             self.chunk_bytes,
         )
         grown = write_linked_chain(self.large, parts[1:]) if parts[1:] else []

@@ -37,6 +37,7 @@ import numpy as np
 from ..errors import IndexError_
 from ..fastpath import codec as _codec, state as _fastpath
 from ..fastpath.vbyte import decode_at
+from ..lru import WeightedLRU
 
 #: One posting: (document id, sorted within-document positions).
 Posting = Tuple[int, Tuple[int, ...]]
@@ -48,7 +49,17 @@ Posting = Tuple[int, Tuple[int, ...]]
 # byte-identical, so a cutover is purely a real-time tuning knob.
 _FAST_DECODE_MIN_BYTES = 384      # posting-list decode, by record bytes
 _FAST_ENCODE_MIN_POSTINGS = 256   # encode, by postings
-_FAST_BOUNDS_MIN_DF = 64          # column bounds (append), by documents
+# Column bounds of an append, by documents.  Only an append-bounds memo
+# miss walks the columns at all (``_try_append_records``), so this
+# cut-over applies to a record's first append in a while, not to every
+# append of a term that grows batch after batch.
+_FAST_BOUNDS_MIN_DF = 64
+
+#: Budget of a store's append-bounds memo (:func:`append_bounds_memo`),
+#: in bytes: each entry weighs its record's length plus
+#: ``_APPEND_BOUNDS_ENTRY`` for the entry itself.  A constant.
+APPEND_BOUNDS_BYTES = 1 << 20
+_APPEND_BOUNDS_ENTRY = 128
 
 
 def vbyte_encode(value: int, out: bytearray) -> None:
@@ -202,7 +213,9 @@ def _decode_record_py(record: bytes) -> List[Posting]:
     return postings
 
 
-def merge_records(base: bytes, extra: Sequence[Posting]) -> bytes:
+def merge_records(
+    base: bytes, extra: Sequence[Posting], bounds: Optional[WeightedLRU] = None
+) -> bytes:
     """Merge new postings into an existing record.
 
     New postings for documents already present replace the old posting
@@ -214,10 +227,11 @@ def merge_records(base: bytes, extra: Sequence[Posting]) -> bytes:
     When every new document id follows the record's last (the common
     append-as-documents-arrive case), the existing columns are copied
     as bytes and only the new postings are encoded onto the end of each,
-    instead of re-encoding the record.
+    instead of re-encoding the record.  ``bounds`` is the store's
+    append-bounds memo (:func:`append_bounds_memo`), if it has one.
     """
     extra = [(doc, tuple(positions)) for doc, positions in extra]
-    appended = _try_append_records(base, extra)
+    appended = _try_append_records(base, extra, bounds)
     if appended is not None:
         return appended
     merged = {doc: positions for doc, positions in decode_record(base)}
@@ -226,7 +240,23 @@ def merge_records(base: bytes, extra: Sequence[Posting]) -> bytes:
     return encode_record(sorted(merged.items()))
 
 
-def _try_append_records(base: bytes, extra: Sequence[Posting]) -> Optional[bytes]:
+def append_bounds_memo() -> WeightedLRU:
+    """An empty append-bounds memo: record bytes -> ``(header_end,
+    docs_end, tfs_end, last_doc)``, what :func:`_column_bounds` returns.
+
+    Keyed by the whole record, an entry is a pure function of its key
+    and can never be stale.  An append fills it arithmetically from its
+    own output and takes (and drops) the entry of the record it grows,
+    so a term that grows batch after batch never walks its columns
+    again.  Bounded by :data:`APPEND_BOUNDS_BYTES`, evicting the least
+    recently appended record first.
+    """
+    return WeightedLRU(APPEND_BOUNDS_BYTES)
+
+
+def _try_append_records(
+    base: bytes, extra: Sequence[Posting], bounds: Optional[WeightedLRU] = None
+) -> Optional[bytes]:
     """Append-only fast path for :func:`merge_records`.
 
     Returns ``None`` whenever the slow path is required — new ids not
@@ -247,20 +277,33 @@ def _try_append_records(base: bytes, extra: Sequence[Posting]) -> Optional[bytes
     header = decode_header(base)
     if header.df == 0:
         return None
-    header_end, docs_end, tfs_end, last_doc = _column_bounds(base, header.df)
+    if bounds is not None and base in bounds:
+        known = bounds.pop(base)
+    else:
+        known = _column_bounds(base, header.df)
+    header_end, docs_end, tfs_end, last_doc = known
     if extra[0][0] <= last_doc:
         return None
     docs, tfs, gaps = _encode_columns(extra, last_doc)
     out = bytearray()
     vbyte_encode(header.df + len(extra), out)
     vbyte_encode(header.ctf + sum(len(positions) for _d, positions in extra), out)
+    new_header_end = len(out)
     out += base[header_end:docs_end]
     out += docs
+    new_docs_end = len(out)
     out += base[docs_end:tfs_end]
     out += tfs
+    new_tfs_end = len(out)
     out += base[tfs_end:]
     out += gaps
-    return bytes(out)
+    record = bytes(out)
+    if bounds is not None:
+        bounds.put(
+            record, (new_header_end, new_docs_end, new_tfs_end, last_new),
+            len(record) + _APPEND_BOUNDS_ENTRY,
+        )
+    return record
 
 
 def _column_bounds(record: bytes, df: int) -> Tuple[int, int, int, int]:

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, ReplicaFailedError
 from ..inquery import (
+    DeleteCheck,
     Document,
     add_documents_incremental,
     check_addable,
@@ -114,6 +115,7 @@ def _shift_global_stats(indexes, document: Document, tfs, sign: int) -> None:
             if entry is not None:
                 entry.df += sign
                 entry.ctf += sign * tf
+                index.dictionary.touch(entry)
 
 
 def _seed_stats(elsewhere: list):
@@ -135,6 +137,51 @@ def _seed_stats(elsewhere: list):
         return None
 
     return seed
+
+
+class _PendingAdds:
+    """A batch's adds as its deletes see them before anything is written
+    (:class:`~repro.inquery.DeleteCheck`'s ``after``), worked out at the
+    first question: a delete that the indexes as they stand accept
+    never asks.
+
+    A term's df grows by the adds that mention it on every machine that
+    has an entry for it, and the owner of an add that mentions a new
+    term creates the entry, seeded with the global df
+    (:func:`_seed_stats`).
+    """
+
+    def __init__(self, pipeline: "IngestPipeline", groups, adds: Sequence[Document]):
+        self._pipeline = pipeline
+        self._groups = groups
+        self._adds = adds
+        self._mentions: Optional[Dict[str, int]] = None  #: term -> adds
+        self._owned: Dict[int, set] = {}  #: shard -> terms its adds mention
+        self._owner_of: Dict[int, int] = {}  #: id(index) -> shard
+
+    def _work_out(self) -> None:
+        self._mentions = {}
+        for shard, group in self._groups.items():
+            for machine in group:
+                self._owner_of[id(machine.index)] = shard
+        for document in self._adds:
+            owner = self._pipeline.backend.shard_of_doc(document.doc_id)
+            tfs = _term_stats(document, self._groups[owner][0].index)
+            self._owned.setdefault(owner, set()).update(tfs)
+            for term in tfs:
+                self._mentions[term] = self._mentions.get(term, 0) + 1
+
+    def df(self, index, term: str, entry) -> Optional[int]:
+        if self._mentions is None:
+            self._work_out()
+        mentions = self._mentions.get(term, 0)
+        if entry is not None:
+            return entry.df + mentions
+        owner = self._owner_of[id(index)]
+        if term not in self._owned.get(owner, ()):
+            return None
+        seed = _seed_stats(_elsewhere(self._groups, owner))(term)
+        return (0 if seed is None else seed[0]) + mentions
 
 
 def _elsewhere(groups: Dict[int, List[object]], owner: int) -> list:
@@ -190,10 +237,43 @@ class IngestPipeline:
 
     # -- mutations ------------------------------------------------------------
 
+    def _batches(self, adds: Sequence[Document]) -> Dict[int, List[Document]]:
+        """Owning shard id -> its share of ``adds``, in batch order."""
+        batches: Dict[int, List[Document]] = {}
+        for document in adds:
+            owner = self.backend.shard_of_doc(document.doc_id)
+            batches.setdefault(owner, []).append(document)
+        return batches
+
+    def _check(
+        self,
+        groups: Dict[int, List[object]],
+        batches: Dict[int, List[Document]],
+        adds: Sequence[Document],
+        deletes: Sequence[Document],
+    ) -> List[Dict[str, int]]:
+        """Raise unless the whole batch applies; writes nothing.
+
+        The adds are checked first, then every delete in order against
+        the indexes as the adds will leave them.  A delete lowers the
+        df of its terms on every machine (the owner's tombstone, the
+        statistics-only half elsewhere), so one :class:`DeleteCheck`
+        counts the whole run.  Returns each delete's term -> tf.
+        """
+        for owner, batch in batches.items():
+            check_addable(groups[owner][0].index, batch)
+        run = DeleteCheck(_PendingAdds(self, groups, adds) if adds else None)
+        tfs = []
+        for document in deletes:
+            owner = self.backend.shard_of_doc(document.doc_id)
+            terms = run.check(groups[owner][0].index, document)
+            tfs.append({term: tf for term, tf, _entry in terms})
+        return tfs
+
     def _apply_adds(
-        self, groups: Dict[int, List[object]], adds: Sequence[Document]
+        self, groups: Dict[int, List[object]], batches: Dict[int, List[Document]]
     ) -> Dict[int, set]:
-        """Route a batch of adds; returns owning shard id -> terms whose
+        """Write checked adds; returns owning shard id -> terms whose
         records the batch rewrote — the term-cache invalidation set.
 
         Each owner's replicas take that owner's documents as one batch;
@@ -201,13 +281,6 @@ class IngestPipeline:
         table, global df/ctf), owner by owner, so a later owner seeds
         new terms from counts that already include the earlier ones.
         """
-        batches: Dict[int, List[Document]] = {}
-        for document in adds:
-            owner = self.backend.shard_of_doc(document.doc_id)
-            batches.setdefault(owner, []).append(document)
-        # The whole batch is checked before any shard is written.
-        for owner, batch in batches.items():
-            check_addable(groups[owner][0].index, batch)
         mutated: Dict[int, set] = {}
         for owner, batch in sorted(batches.items()):
             elsewhere = _elsewhere(groups, owner)
@@ -220,15 +293,14 @@ class IngestPipeline:
         return mutated
 
     def _apply_delete(
-        self, groups: Dict[int, List[object]], document: Document
+        self, groups: Dict[int, List[object]], document: Document, tfs
     ) -> int:
-        """Route one tombstone delete; returns the owning shard id."""
+        """Route one checked tombstone delete (``tfs``: its term -> tf);
+        returns the owning shard id."""
         owner = self.backend.shard_of_doc(document.doc_id)
-        elsewhere = _elsewhere(groups, owner)
-        tfs = _term_stats(document, groups[owner][0].index) if elsewhere else {}
         for machine in groups[owner]:
             tombstone_document_incremental(machine.index, document)
-        _shift_global_stats(elsewhere, document, tfs, -1)
+        _shift_global_stats(_elsewhere(groups, owner), document, tfs, -1)
         return owner
 
     def apply(
@@ -241,19 +313,23 @@ class IngestPipeline:
         Deletes take full :class:`Document`\\ s, not bare ids: the token
         stream lets the tombstone delete adjust per-term dictionary
         statistics exactly without decoding a single record — the cheap
-        delete the tombstone mechanism exists for.  The epoch publishes
+        delete the tombstone mechanism exists for.  The whole batch is
+        checked before anything is written, so a rejected batch changes
+        no machine.  The epoch publishes
         atomically after the whole batch: indexes saved, WAL
         epoch-commit markers appended, then the in-memory epoch bumps.
         A query admitted before this returns sees the previous epoch's
         corpus exactly; one admitted after sees the new corpus exactly.
         """
         groups = self._groups()
+        batches = self._batches(adds)
+        delete_tfs = self._check(groups, batches, adds, deletes)
         machines = [machine for group in groups.values() for machine in group]
         starts = [(machine, machine.clock.snapshot()) for machine in machines]
-        mutated = self._apply_adds(groups, adds)
+        mutated = self._apply_adds(groups, batches)
         touched = set(mutated)
-        for document in deletes:
-            touched.add(self._apply_delete(groups, document))
+        for document, tfs in zip(deletes, delete_tfs):
+            touched.add(self._apply_delete(groups, document, tfs))
 
         next_epoch = self.epochs.epoch + 1
         wal_marked = False

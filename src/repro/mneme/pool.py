@@ -274,8 +274,7 @@ class SmallObjectPool(_PackingPool):
         return [(lo, min(lo + per_ls, len(sizes))) for lo in range(0, len(sizes), per_ls)]
 
     def _filled_segment(self, oids: List[int], datas: Sequence[bytes]):
-        segment = FixedSlotSegment(self.pool_id, logical_segment(oids[0]))
-        segment.slots[:len(datas)] = datas
+        segment = FixedSlotSegment.filled(self.pool_id, logical_segment(oids[0]), datas)
         return segment, self._segs.append(0, SMALL_SEGMENT_BYTES)
 
     def fetch(self, oid: int) -> bytes:

@@ -20,7 +20,9 @@ write detection.
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
+
+import numpy as np
 
 from ..errors import BadBlockError, PoolError
 from .ids import LOGICAL_SEGMENT_OBJECTS
@@ -43,63 +45,74 @@ SMALL_SEGMENT_BYTES = 4096
 _FIXED_SLOTS_SIZE = LOGICAL_SEGMENT_OBJECTS * SMALL_SLOT_BYTES
 _SLOT = struct.Struct(f"<I{SMALL_OBJECT_MAX}s")  # size (or empty marker), payload
 _EMPTY_SLOT = 0xFFFFFFFF
+_EMPTY_BODY = _SLOT.pack(_EMPTY_SLOT, b"") * LOGICAL_SEGMENT_OBJECTS
+_PADDING = b"\x00" * (SMALL_SEGMENT_BYTES - _FIXED_HDR.size - _FIXED_SLOTS_SIZE)
 assert _FIXED_HDR.size + _FIXED_SLOTS_SIZE <= SMALL_SEGMENT_BYTES
 
 
-@dataclass
 class FixedSlotSegment:
-    """One small pool segment: 255 fixed slots, one logical segment."""
+    """One small pool segment: 255 fixed slots, one logical segment.
 
-    pool_id: int
-    logseg: int
-    #: Slot payloads; ``None`` marks a never-used or deleted slot.
-    slots: List[Optional[bytes]] = field(
-        default_factory=lambda: [None] * LOGICAL_SEGMENT_OBJECTS
-    )
+    The slots live as their on-disk body, 255 packed 16-byte slots that
+    :meth:`put` and :meth:`clear` patch in place, so writing a segment
+    back is a header and a CRC, and reading one is a CRC check and one
+    copy.
+    """
+
+    __slots__ = ("pool_id", "logseg", "_body")
+
+    def __init__(self, pool_id: int, logseg: int, body=_EMPTY_BODY):
+        self.pool_id = pool_id
+        self.logseg = logseg
+        self._body = bytearray(body)
+
+    @classmethod
+    def filled(cls, pool_id: int, logseg: int, datas: Sequence[bytes]) -> "FixedSlotSegment":
+        """A segment whose first slots hold ``datas``, the rest empty."""
+        if max(map(len, datas), default=0) > SMALL_OBJECT_MAX:
+            raise PoolError(f"an object exceeds small slot payload {SMALL_OBJECT_MAX}")
+        return cls(pool_id, logseg, b"".join(
+            [_SLOT.pack(len(data), data) for data in datas]
+            + [_EMPTY_BODY[len(datas) * SMALL_SLOT_BYTES:]]
+        ))
 
     def get(self, slot: int) -> bytes:
-        data = self.slots[slot]
-        if data is None:
+        size, payload = _SLOT.unpack_from(self._body, slot * SMALL_SLOT_BYTES)
+        if size == _EMPTY_SLOT:
             raise PoolError(f"slot {slot} of logical segment {self.logseg} is empty")
-        return data
+        return payload[:size]
 
     def put(self, slot: int, data: bytes) -> None:
         if len(data) > SMALL_OBJECT_MAX:
             raise PoolError(
                 f"{len(data)} bytes exceed small slot payload {SMALL_OBJECT_MAX}"
             )
-        self.slots[slot] = bytes(data)
+        _SLOT.pack_into(self._body, slot * SMALL_SLOT_BYTES, len(data), data)
 
     def clear(self, slot: int) -> None:
-        self.slots[slot] = None
+        _SLOT.pack_into(self._body, slot * SMALL_SLOT_BYTES, _EMPTY_SLOT, b"")
 
     @property
     def used(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
+        sizes = np.frombuffer(self._body, dtype="<u4")[::SMALL_SLOT_BYTES // 4]
+        return int(np.count_nonzero(sizes != _EMPTY_SLOT))
 
     def to_bytes(self) -> bytes:
-        body = b"".join(
-            _SLOT.pack(_EMPTY_SLOT, b"") if data is None else _SLOT.pack(len(data), data)
-            for data in self.slots
+        header = _FIXED_HDR.pack(
+            _FIXED_MAGIC, self.pool_id, self.used, zlib.crc32(self._body),
+            self.logseg,
         )
-        crc = zlib.crc32(body)
-        header = _FIXED_HDR.pack(_FIXED_MAGIC, self.pool_id, self.used, crc, self.logseg)
-        payload = header + body
-        return payload + b"\x00" * (SMALL_SEGMENT_BYTES - len(payload))
+        return header + self._body + _PADDING
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FixedSlotSegment":
         magic, pool_id, _used, crc, logseg = _FIXED_HDR.unpack_from(data, 0)
         if magic != _FIXED_MAGIC:
             raise BadBlockError("not a fixed-slot segment")
-        body = data[_FIXED_HDR.size:_FIXED_HDR.size + _FIXED_SLOTS_SIZE]
-        if zlib.crc32(bytes(body)) != crc:
+        body = memoryview(data)[_FIXED_HDR.size:_FIXED_HDR.size + _FIXED_SLOTS_SIZE]
+        if zlib.crc32(body) != crc:
             raise BadBlockError(f"fixed segment for logseg {logseg} fails CRC")
-        slots = [
-            None if size == _EMPTY_SLOT else payload[:size]
-            for size, payload in _SLOT.iter_unpack(body)
-        ]
-        return cls(pool_id=pool_id, logseg=logseg, slots=slots)
+        return cls(pool_id, logseg, body)
 
     @property
     def byte_size(self) -> int:
