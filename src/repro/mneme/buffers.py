@@ -80,6 +80,10 @@ class Buffer(ABC):
         """Whether the segment is resident, without stats or LRU effects."""
 
     @abstractmethod
+    def peek(self, key: Hashable) -> Optional[object]:
+        """Like :meth:`lookup` without stats or LRU effects."""
+
+    @abstractmethod
     def insert(self, key: Hashable, segment: object, size: int, dirty: bool = False) -> None:
         """Make a segment resident (may evict others per policy)."""
 
@@ -155,7 +159,6 @@ class LRUBuffer(Buffer):
         return entry[0]
 
     def peek(self, key: Hashable) -> Optional[object]:
-        """Like :meth:`lookup` without stats or LRU effects (tests)."""
         entry = self._entries.get(key)
         return entry[0] if entry else None
 
@@ -275,6 +278,10 @@ class PartitionedBuffer(Buffer):
         side = self._side.get(key)
         return side is not None and side.resident(key)
 
+    def peek(self, key: Hashable) -> Optional[object]:
+        side = self._side.get(key)
+        return None if side is None else side.peek(key)
+
     def take(self, key: Hashable) -> Optional[object]:
         side = self._side.pop(key, None)
         return side.take(key) if side is not None else None
@@ -333,6 +340,9 @@ class NullBuffer(Buffer):
 
     def resident(self, key: Hashable) -> bool:
         return False
+
+    def peek(self, key: Hashable) -> Optional[object]:
+        return None
 
     def take(self, key: Hashable) -> Optional[object]:
         return None

@@ -528,7 +528,12 @@ class MediumObjectPool(_PackingPool):
         self._open_ordinal = self._segs.append(0, self.segment_bytes)
 
     def _flush_open(self) -> None:
-        """Write the open segment out (padded to full size) and close it."""
+        """Write the open segment out (padded to full size) and close it.
+
+        The written segment stays in the buffer as a clean entry, as one
+        a fetch loaded would, so a later grow in the same batch finds it
+        there instead of reading it back.
+        """
         if self._open is None:
             return
         data = self._open.to_bytes(pad_to=self.segment_bytes)
@@ -538,6 +543,7 @@ class MediumObjectPool(_PackingPool):
             self._segs.set(self._open_ordinal, offset, len(data))
         else:
             self.file.write_segment(offset, data)
+        self.buffer.insert((self.pool_id, self._open_ordinal), self._open, len(data))
         self._open = None
         self._open_ordinal = -1
 
@@ -559,26 +565,24 @@ class MediumObjectPool(_PackingPool):
         """Re-adopt the last written segment if the new object fits it.
 
         A buffered copy takes precedence over the disk copy — it may
-        carry modifications the buffer has not written back yet.  If the
-        buffered segment turns out to be too full to adopt, it is
-        re-inserted dirty so nothing is lost.
+        carry modifications the buffer has not written back yet.  It
+        leaves the buffer only when adopted, so a segment too full to
+        adopt stays buffered, clean or dirty, as it was.
         """
         if not len(self._segs):
             return
         seg_ordinal = len(self._segs) - 1
         key = (self.pool_id, seg_ordinal)
-        segment = self.buffer.take(key)
-        from_buffer = segment is not None
+        segment = self.buffer.peek(key)
         if segment is None:
             offset, length = self._segs.get(seg_ordinal)
             if offset == 0:
                 return
             segment = DirectorySegment.from_bytes(self.file.read_segment(offset, length))
         if segment.byte_size + 12 + incoming_bytes <= self.segment_bytes:
+            self.buffer.take(key)
             self._open = segment
             self._open_ordinal = seg_ordinal
-        elif from_buffer:
-            self.buffer.insert(key, segment, self.segment_bytes, dirty=True)
 
 
 class LargeObjectPool(Pool):

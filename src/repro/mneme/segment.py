@@ -19,8 +19,8 @@ write detection.
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from operator import add, itemgetter
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,65 +119,90 @@ class FixedSlotSegment:
         return SMALL_SEGMENT_BYTES
 
 
-@dataclass
 class DirectorySegment:
-    """A directory-addressed segment for medium and large objects."""
+    """A directory-addressed segment for medium and large objects.
 
-    pool_id: int
-    objects: Dict[int, bytes] = field(default_factory=dict)  # oid -> payload
-    #: Running total of payload bytes, so ``byte_size`` is O(1) — pools
-    #: consult it on every create, which made the dataclass-default
-    #: recount quadratic over a bulk load.
-    _payload_bytes: int = field(init=False, repr=False, compare=False, default=0)
+    A segment read by :meth:`from_bytes` keeps its image and an index of
+    the directory: :meth:`get` slices the one object asked for, and
+    :meth:`to_bytes` returns the image while nothing was put into or
+    removed from the segment.  The first change slices every object out
+    of the image, and from then on the segment repacks them in id order
+    — the bytes a segment built from scratch with the same objects packs
+    to.
+    """
 
-    def __post_init__(self):
-        self._payload_bytes = sum(map(len, self.objects.values()))
+    __slots__ = ("pool_id", "_objects", "_image", "_extents", "_payload_bytes")
+
+    def __init__(self, pool_id: int, objects: Optional[Dict[int, bytes]] = None):
+        self.pool_id = pool_id
+        #: oid -> payload, once the segment is not its image.
+        self._objects: Dict[int, bytes] = dict(objects) if objects else {}
+        #: The bytes the segment was read from, padding cut, while they
+        #: are still its serialization; and oid -> (offset, length) in them.
+        self._image: Optional[bytes] = None
+        self._extents: Dict[int, Tuple[int, int]] = {}
+        #: Running total of payload bytes, so ``byte_size`` is O(1) —
+        #: pools consult it on every create.
+        self._payload_bytes = sum(map(len, self._objects.values()))
 
     def get(self, oid: int) -> bytes:
         try:
-            return self.objects[oid]
+            if self._image is None:
+                return self._objects[oid]
+            offset, length = self._extents[oid]
         except KeyError:
             raise PoolError(f"object {oid} not in this segment") from None
+        return self._image[offset:offset + length]
 
     def put(self, oid: int, data: bytes) -> None:
-        old = self.objects.get(oid)
+        self._slice_objects()
+        old = self._objects.get(oid)
         if old is not None:
             self._payload_bytes -= len(old)
-        self.objects[oid] = bytes(data)
+        self._objects[oid] = bytes(data)
         self._payload_bytes += len(data)
 
     def remove(self, oid: int) -> None:
-        if oid not in self.objects:
+        self._slice_objects()
+        if oid not in self._objects:
             raise PoolError(f"object {oid} not in this segment")
-        self._payload_bytes -= len(self.objects[oid])
-        del self.objects[oid]
+        self._payload_bytes -= len(self._objects.pop(oid))
+
+    def _slice_objects(self) -> None:
+        """Leave the image: hold every object as its own ``bytes``."""
+        if self._image is not None:
+            image = self._image
+            self._objects = {
+                oid: image[offset:offset + length]
+                for oid, (offset, length) in self._extents.items()
+            }
+            self._image, self._extents = None, {}
 
     def __contains__(self, oid: int) -> bool:
-        return oid in self.objects
+        return oid in (self._objects if self._image is None else self._extents)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self._objects if self._image is None else self._extents)
 
     @property
     def byte_size(self) -> int:
         """Serialized size (header + directory + payloads)."""
-        return (
-            _DIR_HDR.size
-            + _DIR_ENTRY.size * len(self.objects)
-            + self._payload_bytes
-        )
+        return _DIR_HDR.size + _DIR_ENTRY.size * len(self) + self._payload_bytes
 
     def to_bytes(self, pad_to: int = 0) -> bytes:
-        entries = []
-        payload = bytearray()
-        base = _DIR_HDR.size + _DIR_ENTRY.size * len(self.objects)
-        for oid in sorted(self.objects):
-            data = self.objects[oid]
-            entries.append(_DIR_ENTRY.pack(oid, base + len(payload), len(data)))
-            payload += data
-        body = b"".join(entries) + bytes(payload)
-        crc = zlib.crc32(body)
-        out = _DIR_HDR.pack(_DIR_MAGIC, self.pool_id, len(self.objects), crc) + body
+        if self._image is not None:
+            out = self._image
+        else:
+            entries = []
+            payload = bytearray()
+            base = _DIR_HDR.size + _DIR_ENTRY.size * len(self._objects)
+            for oid in sorted(self._objects):
+                data = self._objects[oid]
+                entries.append(_DIR_ENTRY.pack(oid, base + len(payload), len(data)))
+                payload += data
+            body = b"".join(entries) + bytes(payload)
+            crc = zlib.crc32(body)
+            out = _DIR_HDR.pack(_DIR_MAGIC, self.pool_id, len(self._objects), crc) + body
         if pad_to and len(out) < pad_to:
             out += b"\x00" * (pad_to - len(out))
         if pad_to and len(out) > pad_to:
@@ -188,7 +213,7 @@ class DirectorySegment:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DirectorySegment":
-        """Parse a segment: header, directory, then every object slice.
+        """Check a segment and index its directory; slice no object.
 
         The object count and the directory are checked against the
         buffer before the CRC (the count is outside it), so a corrupt
@@ -203,13 +228,15 @@ class DirectorySegment:
         directory_end = _DIR_HDR.size + _DIR_ENTRY.size * count
         if directory_end > len(data):
             raise BadBlockError(f"directory of {count} objects overruns the segment")
-        entries = list(_DIR_ENTRY.iter_unpack(data[_DIR_HDR.size:directory_end]))
-        end = max((off + length for _, off, length in entries), default=directory_end)
+        fields = struct.unpack_from(f"<{3 * count}I", data, _DIR_HDR.size)
+        oids, offsets, lengths = fields[0::3], fields[1::3], fields[2::3]
+        end = max(map(add, offsets, lengths), default=directory_end)
         if end > len(data):
             raise BadBlockError("directory entry points past the segment")
-        if zlib.crc32(bytes(data[_DIR_HDR.size:end])) != crc:
+        if zlib.crc32(memoryview(data)[_DIR_HDR.size:end]) != crc:
             raise BadBlockError("directory segment fails CRC")
-        return cls(
-            pool_id=pool_id,
-            objects={oid: data[off:off + length] for oid, off, length in entries},
-        )
+        segment = cls(pool_id)
+        segment._image = bytes(data[:end])
+        segment._extents = dict(zip(oids, zip(offsets, lengths)))
+        segment._payload_bytes = sum(map(itemgetter(1), segment._extents.values()))
+        return segment

@@ -12,8 +12,9 @@ Reads of blocks counted here correspond to the paper's ``I`` statistic
 file-system caching.
 """
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..counters import Counters
 from ..errors import BadBlockError, DiskFullError
@@ -45,9 +46,11 @@ class DiskStats(Counters):
 class SimDisk:
     """A block device backed by an in-memory block map.
 
-    Blocks are allocated by :meth:`allocate` in monotonically increasing
-    order, so files that grow alternately become physically interleaved —
-    the same fragmentation a real allocator would produce.
+    :meth:`allocate` hands out the lowest-numbered block that
+    :meth:`free` returned, and only grows the device when none is free.
+    Files that grow alternately therefore interleave physically, and a
+    file rewritten after a truncate lands in the blocks it gave back —
+    the fragmentation and reuse a real allocator would produce.
 
     Parameters
     ----------
@@ -55,8 +58,8 @@ class SimDisk:
         Shared simulated clock charged for every transfer.
     capacity_blocks:
         Optional block budget; :meth:`allocate` raises
-        :class:`~repro.errors.DiskFullError` once exhausted.  ``None``
-        means unbounded.
+        :class:`~repro.errors.DiskFullError` when the device would have
+        to grow past it.  ``None`` means unbounded.
     """
 
     def __init__(self, clock: SimClock, capacity_blocks: Optional[int] = None):
@@ -64,6 +67,8 @@ class SimDisk:
         self._capacity = capacity_blocks
         self._blocks: Dict[int, bytes] = {}
         self._next_block = 0
+        #: Freed block numbers below ``_next_block``, a min-heap.
+        self._free: List[int] = []
         self._head = -2  # last block transferred; -2 means "nowhere"
         self.stats = DiskStats()
         #: Set of block numbers deliberately corrupted by failure-injection
@@ -90,16 +95,28 @@ class SimDisk:
 
     @property
     def blocks_allocated(self) -> int:
-        """Number of blocks handed out by :meth:`allocate` so far."""
+        """The device's high-water mark: blocks ever handed out.
+
+        Free blocks below the mark still count, so this is the platter
+        the device occupies, not the blocks files hold.
+        """
         return self._next_block
 
+    @property
+    def free_blocks(self) -> List[int]:
+        """Freed block numbers awaiting reuse, ascending."""
+        return sorted(self._free)
+
     def allocate(self, count: int = 1) -> int:
-        """Reserve ``count`` consecutive new blocks, returning the first.
+        """Reserve ``count`` consecutive blocks, returning the first.
+
+        One block comes from the free list when it holds any; a larger
+        request, or an empty free list, grows the device.
 
         Raises
         ------
         DiskFullError
-            If a capacity was configured and would be exceeded.
+            If the device must grow past a configured capacity.
         """
         if count < 1:
             raise ValueError("must allocate at least one block")
@@ -110,6 +127,8 @@ class SimDisk:
                     f"disk full (injected): allocation of {count} blocks"
                     f" refused at block {self._next_block}"
                 )
+        if count == 1 and self._free:
+            return heapq.heappop(self._free)
         if self._capacity is not None and self._next_block + count > self._capacity:
             raise DiskFullError(
                 f"disk full: {self._next_block} of {self._capacity} blocks in use,"
@@ -118,6 +137,14 @@ class SimDisk:
         first = self._next_block
         self._next_block += count
         return first
+
+    def free(self, block_no: int) -> None:
+        """Return a block for reuse; its payload is dropped, so it reads
+        as zeroes until written again."""
+        self._check_block_no(block_no)
+        self._blocks.pop(block_no, None)
+        self.bad_blocks.discard(block_no)
+        heapq.heappush(self._free, block_no)
 
     def read_block(self, block_no: int) -> bytes:
         """Transfer one block from disk, charging seek or sequential cost.

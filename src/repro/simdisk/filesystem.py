@@ -38,8 +38,9 @@ class FileStats(Counters):
 class SimFile:
     """One byte-addressed file on the simulated file system.
 
-    Files grow on demand; blocks are allocated from the shared disk, so
-    files written in alternation interleave physically.
+    Files grow on demand; blocks are allocated from the shared disk
+    (freed blocks first), so files written in alternation interleave
+    physically.
     """
 
     def __init__(self, fs: "SimFileSystem", name: str):
@@ -165,15 +166,24 @@ class SimFile:
             self._fs.cache.invalidate((self.name, file_block))
 
     def truncate(self, size: int = 0) -> None:
-        """Shrink the file; freed blocks are not reused (append-era FS)."""
+        """Shrink the file, giving the blocks past ``size`` back to the
+        disk for reuse; the cut block's tail is zeroed, so growing the
+        file again reads zeroes there."""
         if size < 0:
             raise FileSystemError("negative size")
         if size > self._size:
             raise FileSystemError("truncate cannot grow a file")
-        for file_block in range((size + BLOCK_SIZE - 1) // BLOCK_SIZE, len(self._blocks)):
+        keep = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        for file_block in range(keep, len(self._blocks)):
             self._fs.cache.invalidate((self.name, file_block))
+            self._fs.disk.free(self._blocks[file_block])
+        del self._blocks[keep:]
+        tail = size % BLOCK_SIZE
+        if tail and size < self._size:
+            block = bytearray(self._block_through_cache(keep - 1))
+            block[tail:] = bytes(BLOCK_SIZE - tail)
+            self._write_block(keep - 1, bytes(block))
         self._size = size
-        del self._blocks[(size + BLOCK_SIZE - 1) // BLOCK_SIZE:]
 
     def _block_through_cache(self, file_block: int) -> bytes:
         """Fetch a file block via the FS cache; a miss reads the disk."""
@@ -220,7 +230,10 @@ class SimFileSystem:
         self._files: Dict[str, SimFile] = {}
 
     def create(self, name: str) -> SimFile:
-        """Create a new empty file; replaces any existing file of the name."""
+        """Create a new empty file; replaces (removes) any existing file
+        of the name."""
+        if name in self._files:
+            self.remove(name)
         handle = SimFile(self, name)
         self._files[name] = handle
         return handle
@@ -242,17 +255,17 @@ class SimFileSystem:
         return name in self._files
 
     def remove(self, name: str) -> None:
-        """Delete a file's namespace entry and purge its cached blocks.
+        """Delete a file: purge its cached blocks and give its disk
+        blocks back for reuse.
 
-        Disk blocks are not reclaimed (the simulated device never
-        shrinks), matching how the harness accounts for space: file
-        sizes, not raw device usage.
+        The device does not shrink (``blocks_allocated`` is its
+        high-water mark); later allocations take the freed blocks first.
+        A handle still held on the removed file reads as empty.
         """
         file = self._files.pop(name, None)
         if file is None:
             raise FileNotFoundInStoreError(name)
-        for file_block in range(file.block_count):
-            self.cache.invalidate((name, file_block))
+        file.truncate(0)
 
     def rename(self, old: str, new: str) -> None:
         """Rename a file (replacing any existing file called ``new``)."""

@@ -15,7 +15,9 @@ executes no code:
 
 Block numbers and per-file block tables are preserved exactly, so the
 physical layout — and therefore every seek-model measurement — is
-identical after a round trip.
+identical after a round trip.  The free list is not stored: it is every
+block below ``next_block`` that no file references, so loading rebuilds
+it, and the next allocation is the same as before the save.
 """
 
 import struct
@@ -110,4 +112,8 @@ def load_image(
         file._size = size
         file._blocks = blocks
         fs._files[name] = file
+    # The free list is every block below the mark that no file holds
+    # (an ascending list is already a heap).
+    held = {block_no for _, _, blocks in file_specs for block_no in blocks}
+    disk._free = [block_no for block_no in range(next_block) if block_no not in held]
     return fs

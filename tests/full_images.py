@@ -3,10 +3,11 @@
 :class:`~repro.inquery.HashDictionary` and
 :class:`~repro.inquery.DocTable` keep their saved image and repack only
 what changed since the last save; :class:`~repro.mneme.FixedSlotSegment`
-keeps its slot body packed and patches it in place.  These functions
-are what each replaced — walk the whole structure and pack every
-record — and the image tests compare the saved bytes against them,
-byte for byte.
+keeps its slot body packed and patches it in place;
+:class:`~repro.mneme.DirectorySegment` keeps the image it was read from.
+These functions are what each replaced — walk the whole structure and
+pack every record — and the image tests compare the saved bytes against
+them, byte for byte.
 """
 
 import struct
@@ -19,6 +20,8 @@ _DICT_RECORD = struct.Struct("<IIIQHIQ")
 _DOC_RECORD = struct.Struct("<IIH")
 _FIXED_HEADER = struct.Struct("<4sHHII")
 _SLOT = struct.Struct(f"<I{SMALL_OBJECT_MAX}s")
+_DIR_HEADER = struct.Struct("<4sHHI")
+_DIR_ENTRY = struct.Struct("<III")
 
 
 def dictionary_bytes(dictionary) -> bytes:
@@ -59,3 +62,17 @@ def fixed_segment_bytes(
         b"MSGF", pool_id, used, zlib.crc32(body), logseg
     ) + body
     return payload + b"\x00" * (SMALL_SEGMENT_BYTES - len(payload))
+
+
+def directory_segment_bytes(pool_id: int, objects: dict, pad_to: int = 0) -> bytes:
+    """A medium or large segment holding ``objects`` (oid -> payload):
+    the directory and then the payloads, both in oid order, zero-padded
+    to ``pad_to``."""
+    base = _DIR_HEADER.size + _DIR_ENTRY.size * len(objects)
+    entries, payload = [], b""
+    for oid in sorted(objects):
+        entries.append(_DIR_ENTRY.pack(oid, base + len(payload), len(objects[oid])))
+        payload += objects[oid]
+    body = b"".join(entries) + payload
+    out = _DIR_HEADER.pack(b"MSGD", pool_id, len(objects), zlib.crc32(body)) + body
+    return out + b"\x00" * max(0, pad_to - len(out))

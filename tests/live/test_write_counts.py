@@ -11,8 +11,11 @@ numbers that repeat exactly:
 * folding tombstones visits records in storage order, so a physical
   segment is read once, not once per record that happens to sit in it;
 * an ingest batch grows existing records in storage order too, and
-  reads each grown record once;
-* a tombstone delete writes nothing to the disk.
+  reads each grown record once, and a medium segment it closes stays
+  buffered;
+* a tombstone delete writes nothing to the disk;
+* the blocks an epoch's rewrites and a compaction drop are reused, so
+  live ingest stops growing the disk.
 """
 
 from collections import Counter
@@ -32,8 +35,9 @@ from repro.inquery import (
 )
 from repro.inquery.bounds import decode_chunk_bounds
 from repro.inquery.postings import decode_record
-from repro.mneme import chunk_ids, split_global
+from repro.mneme import LRUBuffer, chunk_ids, split_global
 from repro.mneme.linked import _unpack_chunk
+from repro.serve import QueryService
 from repro.simdisk import SimClock, SimDisk, SimFileSystem
 
 from ..transcode import chunk_stats
@@ -224,3 +228,52 @@ def test_a_tombstone_delete_writes_no_disk_block(prepared, config):
         tombstone_document_incremental(index, documents[doc_id])
     assert disk.stats.blocks_written == written
     assert index.tombstones == {3, 17, 40, 77}
+
+
+def test_a_closed_medium_segment_stays_buffered(prepared, corpus):
+    # 2 KB segments and a medium buffer that holds them all: a segment a
+    # create re-opened, filled and closed is still buffered when a later
+    # grow in the batch fetches a record in it.  (The parent read it
+    # back from disk.)  Under the Table 2 floor of three segments the
+    # buffer may evict it first; that re-read is the buffer policy's.
+    config = config_by_name(
+        "mneme-cache", medium_segment_bytes=2048, medium_max_bytes=1024
+    )
+    system = materialize(prepared, config)
+    store = system.index.store
+    cold_start(system)
+    store.medium.attach_buffer(LRUBuffer(1 << 20))
+    batch = corpus.new_documents(BATCH, after=len(prepared.collection))
+    _tfs, reads = segment_reads(
+        store.mfile, lambda: add_documents_incremental(system.index, batch)
+    )
+    assert reads and len(reads) == len(set(reads))
+
+
+def test_live_ingest_reuses_the_blocks_it_frees(prepared, corpus, config):
+    # Each epoch rewrites the dictionary, document table and tombstone
+    # file, and the compaction replaces the main file and empties the
+    # WAL.  The blocks those drop are reused, so after the compaction
+    # the device stops growing (the parent grew ~10 blocks a batch), and
+    # it ends no larger than the blocks its files hold plus the largest
+    # file.  Right after the compaction the mark still shows the
+    # compaction's own peak (old and new main file and the full WAL).
+    service = QueryService(materialize(prepared, config))
+    fs = service.backend.fs
+    next_id, live = corpus.base_count, sorted(corpus.base_ids)
+
+    def ingest():
+        nonlocal next_id, live
+        adds = corpus.new_documents(6, after=next_id)
+        service.ingest(adds=adds, deletes=corpus.documents_for(live[:2]))
+        next_id, live = next_id + 6, live[2:]
+
+    for _ in range(3):
+        ingest()
+    service.compact()
+    compacted = fs.disk.blocks_allocated
+    for _ in range(3):
+        ingest()
+    held = [fs.open(name).block_count for name in fs.names()]
+    assert fs.disk.blocks_allocated == compacted
+    assert fs.disk.blocks_allocated <= sum(held) + max(held)
