@@ -13,8 +13,8 @@ time:
 * **R=0 control** — the same kill without replication degrades a
   deterministic, nonzero number of queries (PR 3/4 semantics), which is
   the baseline replication is measured against;
-* **re-replication** — a lost mirror rebuilt live from its survivor is
-  byte-identical platter-for-platter, the copy is charged to the
+* **re-replication** — a lost mirror copied live from its survivor is
+  byte-identical platter-for-platter, the copy's scan is charged to the
   source's simulated clock, and the healed group serves with no further
   failovers;
 * **determinism** — two fresh builds through the same kill, failover,
@@ -183,7 +183,7 @@ def bench_profile(
 
     killed, healed, identical, after = heal_run()
     if not identical:
-        violations.append("heal: rebuilt mirror is not byte-identical")
+        violations.append("heal: copied mirror is not byte-identical")
     if healed["source_scan_ms"] <= 0.0:
         violations.append("heal: the copy charged nothing to the source clock")
     if after.failovers or after.degraded_queries:

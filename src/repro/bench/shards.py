@@ -156,7 +156,8 @@ def bench_profile(
                     f"{scheme}/N={n_shards}: pruning never skipped a "
                     "document on any shard"
                 )
-            docs = [len(sp.doc_ids) for sp in sharded.shard_prepared]
+            homes = [sharded.partitioner.shard_of(d) for d in prepared.doctable.lengths]
+            docs = [homes.count(shard) for shard in range(n_shards)]
             row["partitioner"][scheme] = {
                 "taat_wall_s": round(taat_wall, 4),
                 "taat_wall_sum_s": round(taat_wall_sum, 4),

@@ -238,48 +238,10 @@ def materialize(
         )
     if replicas:
         raise ConfigError("replicas require a sharded build (set shards=)")
-    clock = SimClock(cost=config.cost)
-    fs = SimFileSystem(
-        SimDisk(clock),
-        cache_blocks=config.fs_cache_blocks,
-        readahead_blocks=config.readahead_blocks,
-    )
+    fs = fresh_fs(config)
     if fault_plan is not None:
         fs.disk.attach_fault_plan(fault_plan)
-    wal = None
-    if config.use_wal and config.backend != "btree":
-        from ..mneme import RedoLog
-
-        wal = RedoLog(fs.create("invfile.wal"))
-    if config.backend == "btree":
-        store = BTreeInvertedFile(fs)
-    elif config.backend == "mneme-linked":
-        from ..inquery import LinkedMnemeInvertedFile
-
-        store = LinkedMnemeInvertedFile(
-            fs,
-            medium_segment_bytes=config.medium_segment_bytes,
-            medium_max_bytes=config.medium_max_bytes,
-            chunk_bytes=config.chunk_bytes,
-            wal=wal,
-        )
-    else:
-        store = MnemeInvertedFile(
-            fs,
-            medium_segment_bytes=config.medium_segment_bytes,
-            medium_max_bytes=config.medium_max_bytes,
-            wal=wal,
-        )
-    keys = store.bulk_build(iter(prepared.records))
-    # An empty shard of a partitioned build has no records to size
-    # buffers from; it serves nothing, so it needs no cache either.
-    if config.backend.startswith("mneme") and config.cached and prepared.largest_record > 0:
-        store.attach_buffers(
-            table2_buffer_sizes(
-                prepared.largest_record,
-                medium_segment_bytes=config.medium_segment_bytes,
-            )
-        )
+    store, keys = open_store(fs, config, prepared.largest_record, prepared.records)
 
     # Entries go in by ascending rank, as the term-at-a-time ``add``
     # loop this replaced inserted them; chain order and saved bytes
@@ -314,4 +276,56 @@ def materialize(
         stopwords=frozenset(),
         stem_fn=str,  # synthetic terms must not be stemmed
     )
-    return IRSystem(config=config, fs=fs, clock=clock, index=index, prepared=prepared)
+    return IRSystem(config=config, fs=fs, clock=fs.disk.clock, index=index, prepared=prepared)
+
+
+def fresh_fs(config: SystemConfig) -> SimFileSystem:
+    """An empty file system on a fresh disk and clock, set up as ``config`` says."""
+    return SimFileSystem(
+        SimDisk(SimClock(cost=config.cost)),
+        cache_blocks=config.fs_cache_blocks,
+        readahead_blocks=config.readahead_blocks,
+    )
+
+
+def open_store(fs: SimFileSystem, config: SystemConfig, largest_record: int, records=None):
+    """The configured store over ``fs`` (WAL, pools, Table 2 buffers) and
+    its term id -> storage key map: a build bulk-loads ``records`` before
+    the buffers attach; without records, the files on ``fs`` are opened.
+    """
+    wal = None
+    if config.use_wal and config.backend != "btree":
+        from ..mneme import RedoLog
+
+        name = "invfile.wal"
+        wal = RedoLog(fs.open(name) if fs.exists(name) else fs.create(name))
+    if config.backend == "btree":
+        store = BTreeInvertedFile(fs)
+    elif config.backend == "mneme-linked":
+        from ..inquery import LinkedMnemeInvertedFile
+
+        store = LinkedMnemeInvertedFile(
+            fs,
+            medium_segment_bytes=config.medium_segment_bytes,
+            medium_max_bytes=config.medium_max_bytes,
+            chunk_bytes=config.chunk_bytes,
+            wal=wal,
+        )
+    else:
+        store = MnemeInvertedFile(
+            fs,
+            medium_segment_bytes=config.medium_segment_bytes,
+            medium_max_bytes=config.medium_max_bytes,
+            wal=wal,
+        )
+    keys = {} if records is None else store.bulk_build(iter(records))
+    # An empty shard of a partitioned build has no records to size
+    # buffers from; it serves nothing, so it needs no cache either.
+    if config.backend.startswith("mneme") and config.cached and largest_record > 0:
+        store.attach_buffers(
+            table2_buffer_sizes(
+                largest_record,
+                medium_segment_bytes=config.medium_segment_bytes,
+            )
+        )
+    return store, keys

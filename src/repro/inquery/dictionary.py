@@ -12,7 +12,7 @@ than a Python dict, because the dictionary's growth and collision
 behaviour is part of the system being reproduced; the table doubles when
 the load factor passes 4 chained entries per bucket.
 
-A whole dictionary (an index build, a load) is assembled by
+A whole dictionary (a build; a load, in reverse saved order) comes from
 :meth:`HashDictionary.from_entries`: numpy hashes every term and works
 out each chain's order, so the result is the dictionary that ``add``
 calls in the same order would have built, down to its saved bytes.
@@ -281,8 +281,12 @@ class HashDictionary:
         return b"".join(parts)
 
     @classmethod
-    def load(cls, file: SimFile) -> "HashDictionary":
+    def load(cls, file: SimFile, buckets: int = 0) -> "HashDictionary":
         """Rebuild a dictionary from :meth:`save` output (v1, v2 or v3).
+
+        Every chain links in saved order.  ``buckets`` is the saving
+        table's size (machine state the file does not hold); with it, the
+        next :meth:`save` writes the loaded bytes, else the size is a guess.
 
         Entries restored from a v1 file carry ``max_tf == 0`` /
         ``bounds_key == 0`` — no bound metadata — which the engines
@@ -318,8 +322,9 @@ class HashDictionary:
             entries.append(
                 TermEntry(term, term_id, df, ctf, key, max_tf, bounds_key)
             )
+        # ``add`` prepends: reverse saved order links each chain as saved.
         dictionary = cls.from_entries(
-            entries, initial_buckets=max(1024, count // 2)
+            entries[::-1], initial_buckets=buckets or max(1024, count // 2)
         )
         dictionary.version = version
         dictionary._next_id = next_id

@@ -123,12 +123,14 @@ class CollectionIndex:
         store: InvertedFileStore,
         stopwords: Iterable[str] = (),
         stem_fn: Callable[[str], str] = default_stem,
+        buckets: int = 0,
     ) -> "CollectionIndex":
         """Bind a previously saved index: the fresh-process open path.
 
         ``store`` must be constructed over the same file system with the
         same backend configuration the index was built with (backend
         choice is application configuration, as with Mneme pools).
+        ``buckets``: the saving dictionary's table size, if known.
         Per-record sizes are not persisted; the restored ``stats`` holds
         the scalar totals only.
 
@@ -138,7 +140,7 @@ class CollectionIndex:
         the columnar body of the same length, then saves the dictionary
         as v3.
         """
-        dictionary = HashDictionary.load(fs.open("index.dict"))
+        dictionary = HashDictionary.load(fs.open("index.dict"), buckets)
         if dictionary.version < HashDictionary.version:
             _columnar_bodies(dictionary, store)
             dictionary.save(fs.open("index.dict"))

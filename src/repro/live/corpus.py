@@ -19,10 +19,11 @@ checked against the same flat rebuild — the PR-4 invariant (sharded
 bit-identical to single-disk) composes with this one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List
 
 from ..core.config import SystemConfig
+from ..core.prepared import fresh_fs, open_store
 from ..errors import ConfigError, IndexError_
 from ..inquery import (
     DEFAULT_TOP_K,
@@ -31,10 +32,9 @@ from ..inquery import (
     DocumentAtATimeEngine,
     IndexBuilder,
     IndexStats,
-    MnemeInvertedFile,
     RetrievalEngine,
 )
-from ..simdisk import SimClock, SimDisk, SimFileSystem
+from ..simdisk import SimClock, SimFileSystem
 from ..synth import SyntheticCollection
 
 
@@ -105,27 +105,8 @@ def fresh_flat_index(
     """
     if config.backend == "btree":
         raise ConfigError("the rebuild comparator uses the Mneme backend")
-    clock = SimClock(cost=config.cost)
-    fs = SimFileSystem(
-        SimDisk(clock),
-        cache_blocks=config.fs_cache_blocks,
-        readahead_blocks=config.readahead_blocks,
-    )
-    if config.backend == "mneme-linked":
-        from ..inquery import LinkedMnemeInvertedFile
-
-        store = LinkedMnemeInvertedFile(
-            fs,
-            medium_segment_bytes=config.medium_segment_bytes,
-            medium_max_bytes=config.medium_max_bytes,
-            chunk_bytes=config.chunk_bytes,
-        )
-    else:
-        store = MnemeInvertedFile(
-            fs,
-            medium_segment_bytes=config.medium_segment_bytes,
-            medium_max_bytes=config.medium_max_bytes,
-        )
+    fs = fresh_fs(config)
+    store, _keys = open_store(fs, replace(config, cached=False, use_wal=False), 0)
     builder = IndexBuilder(fs, store, stopwords=(), stem_fn=str)
     for document in sorted(documents, key=lambda d: d.doc_id):
         builder.add_document(document)
@@ -141,9 +122,9 @@ def fresh_flat_index(
             stopwords=frozenset(),
             stem_fn=str,
         )
-        return RebuiltSystem(fs=fs, clock=clock, index=index)
+        return RebuiltSystem(fs=fs, clock=fs.disk.clock, index=index)
     index = builder.finalize()
-    return RebuiltSystem(fs=fs, clock=clock, index=index)
+    return RebuiltSystem(fs=fs, clock=fs.disk.clock, index=index)
 
 
 def reference_rankings(

@@ -24,8 +24,8 @@ single-machine stack beneath it:
 Replication rides on the same layer: ``materialize_sharded(...,
 replicas=R)`` builds R byte-identical mirrors per shard, the scheduler
 routes each round to a healthy replica and fails over deterministically
-when one degrades, and :meth:`ShardedIRSystem.rereplicate` rebuilds a
-lost mirror from a survivor on the simulated clock.
+when one degrades, and :meth:`ShardedIRSystem.rereplicate` copies a
+survivor's platter onto a fresh machine on the simulated clock.
 """
 
 from .merge import ShardOutcome, ShardedQueryResult, merge_results

@@ -229,6 +229,6 @@ def split_shards(sharded: ShardedIRSystem, factor: int = 2) -> SplitReport:
     except Exception:
         sharded.abort_rebalance()
         raise
-    sharded.cutover(new_part, groups, children, live)
+    sharded.cutover(new_part, groups, live)
     report.epoch = sharded.epoch
     return report

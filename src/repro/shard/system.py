@@ -15,9 +15,9 @@ machines built from the same :class:`~repro.shard.partition.ShardPrepared`
 slice.  Because every build is deterministic, a mirror's platter is
 byte-identical to the primary's (verified at build time), so the
 scheduler may serve any healthy replica and the rankings cannot tell the
-difference — failover is gated on bit-identity, not best effort.  Lost
-mirrors are rebuilt online (:meth:`ShardedIRSystem.rereplicate`) by
-scanning a surviving replica's platter on the simulated clock.
+difference — failover is gated on bit-identity, not best effort.  A lost
+mirror is replaced online (:meth:`ShardedIRSystem.rereplicate`) by a
+copy of a surviving replica's platter, streamed on the simulated clock.
 
 The coordinator owns a clock of its own (statistics exchange, merge) and
 the administrative up/down state; the scheduler in :mod:`.scheduler`
@@ -28,18 +28,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.config import SystemConfig
-from ..core.prepared import IRSystem, PreparedCollection, materialize
+from ..core.prepared import IRSystem, PreparedCollection, fresh_fs, materialize, open_store
 from ..errors import (
     ConfigError,
     RebalanceInProgressError,
     ReplicaFailedError,
     ShardUnavailableError,
 )
-from ..inquery import DEFAULT_TOP_K
+from ..inquery import DEFAULT_TOP_K, CollectionIndex
 from ..simdisk import SimClock
-
-
-from .partition import Partitioner, ShardPrepared, make_partitioner, partition_prepared
+from ..simdisk.image import image_bytes, restore_image
+from .partition import Partitioner, make_partitioner, partition_prepared
 
 
 @dataclass
@@ -63,7 +62,6 @@ class ShardedIRSystem:
     prepared: PreparedCollection            #: the global (unsharded) preparation
     partitioner: Partitioner
     replica_groups: List[List[IRSystem]]
-    shard_prepared: List[ShardPrepared]
     clock: SimClock = field(default_factory=SimClock)  #: coordinator clock
     epoch: int = 0                          #: bumped by every rebalance cutover
     _down: Set[int] = field(default_factory=set)
@@ -220,21 +218,20 @@ class ShardedIRSystem:
     # -- re-replication -------------------------------------------------------
 
     def rereplicate(self, shard_id: int, replica_id: int) -> Dict[str, object]:
-        """Rebuild a lost replica from a surviving one, online.
+        """Replace a lost replica with a copy of a surviving one, online.
 
-        The replacement machine is materialized from the shard's
-        prepared slice (deterministic, so its platter matches the
-        survivors byte for byte) while the *source* replica is charged a
-        full platter scan on its simulated clock — the cost a live
-        re-replication imposes on a machine that keeps serving queries.
-        The new machine swaps into the replica group and the down-mark
-        clears; byte-identity against the source is verified before the
-        swap.
+        The group's other machines save their indexes first (the first
+        save of a never-mutated group, else the same bytes again), so the
+        survivor's platter holds the whole index.  The survivor is charged
+        a full platter scan on its simulated clock (the cost a live copy
+        imposes on a machine that keeps serving) and a fresh machine a
+        sequential write of the same blocks.  The copy opens its files as
+        recovery does, is verified byte-identical to the source, swaps
+        into the replica group, and the down-mark clears.
 
         Raises :class:`RebalanceInProgressError` during a split and
         :class:`ReplicaFailedError` when no healthy source remains or
-        the rebuild diverges from the source — as it does once an
-        ingest or a compaction has changed the group since its build.
+        the copy diverges from the source.
         """
         if self._rebalancing:
             raise RebalanceInProgressError(
@@ -249,28 +246,39 @@ class ShardedIRSystem:
                 shard_id, replica_id,
                 reason="no healthy source replica to re-replicate from",
             )
+        group = self.replica_groups[shard_id]
+        for machine in group[:replica_id] + group[replica_id + 1:]:
+            machine.index.save()
         source_id = sources[0]
-        source = self.replica_groups[shard_id][source_id]
+        source = group[source_id]
 
         # Charge the survivor a sequential scan of its allocated blocks:
         # live re-replication reads the platter it streams from.
         start = source.clock.snapshot()
-        blocks = 0
-        for block_no in range(source.fs.disk.blocks_allocated):
+        blocks = source.fs.disk.blocks_allocated
+        for block_no in range(blocks):
             source.fs.disk.read_block(block_no)
-            blocks += 1
         scan = source.clock.since(start)
 
-        replacement = materialize(
-            self.shard_prepared[shard_id].serving_view(self.prepared),
-            self.config,
+        fs = restore_image(image_bytes(source.fs), fresh_fs(self.config))
+        cost = self.config.cost
+        if blocks:  # the scan's pattern: one seek, then sequential
+            fs.disk.clock.charge_io(cost.block_write_random_ms
+                                    + cost.block_write_sequential_ms * (blocks - 1))
+        store, _keys = open_store(fs, self.config, source.prepared.largest_record)
+        if self.config.backend != "btree":  # segment CRCs live in memory only
+            store.mfile._crcs = dict(source.index.store.mfile._crcs)
+        index = CollectionIndex.open(
+            fs, store, source.index.stopwords, source.index.stem_fn,
+            source.index.dictionary.bucket_count,
         )
-        if replacement.fs.disk._blocks != source.fs.disk._blocks:
+        if fs.disk._blocks != source.fs.disk._blocks:
             raise ReplicaFailedError(
-                shard_id, replica_id,
-                reason="re-replicated platter diverged from source",
+                shard_id, replica_id, reason="copied platter diverged from source"
             )
-        self.replica_groups[shard_id][replica_id] = replacement
+        group[replica_id] = IRSystem(
+            self.config, fs, fs.disk.clock, index, source.prepared
+        )
         self._replica_down.discard((shard_id, replica_id))
         return {
             "shard": shard_id,
@@ -295,7 +303,6 @@ class ShardedIRSystem:
         self,
         partitioner: Partitioner,
         replica_groups: List[List[IRSystem]],
-        shard_prepared: List[ShardPrepared],
         prepared: PreparedCollection,
     ) -> None:
         """Atomically switch to a new topology (called at a wave boundary).
@@ -308,7 +315,6 @@ class ShardedIRSystem:
         """
         self.partitioner = partitioner
         self.replica_groups = replica_groups
-        self.shard_prepared = shard_prepared
         self.prepared = prepared
         self._down = set()
         self._replica_down = set()
@@ -352,9 +358,8 @@ def materialize_sharded(
         raise ConfigError(
             f"partitioner is for {partitioner.n_shards} shards, asked for {n_shards}"
         )
-    shard_prepared = partition_prepared(prepared, partitioner)
     replica_groups: List[List[IRSystem]] = []
-    for sp in shard_prepared:
+    for sp in partition_prepared(prepared, partitioner):
         view = sp.serving_view(prepared)
         group = [materialize(view, config)]
         for replica_id in range(1, replicas + 1):
@@ -371,5 +376,4 @@ def materialize_sharded(
         prepared=prepared,
         partitioner=partitioner,
         replica_groups=replica_groups,
-        shard_prepared=shard_prepared,
     )

@@ -18,6 +18,8 @@ physical layout — and therefore every seek-model measurement — is
 identical after a round trip.  The free list is not stored: it is every
 block below ``next_block`` that no file references, so loading rebuilds
 it, and the next allocation is the same as before the save.
+:func:`image_bytes` and :func:`restore_image` are the in-memory halves,
+which re-replication uses to copy a platter onto a fresh machine.
 """
 
 import struct
@@ -37,11 +39,17 @@ _BLOCK_NO = struct.Struct("<Q")
 
 
 def save_image(fs: SimFileSystem, path: Union[str, Path]) -> int:
-    """Write the machine's disk and file table to ``path``.
+    """Write the machine's disk and file table to ``path``; returns the
+    image size in bytes."""
+    data = image_bytes(fs)
+    Path(path).write_bytes(data)
+    return len(data)
 
-    Returns the image size in bytes.  Reading block payloads uses
-    :meth:`~repro.simdisk.disk.SimDisk.peek_block`, so saving charges no
-    simulated time.
+
+def image_bytes(fs: SimFileSystem) -> bytes:
+    """The machine's disk and file table as an image.  Reading block
+    payloads uses :meth:`~repro.simdisk.disk.SimDisk.peek_block`, so it
+    charges no simulated time.
     """
     disk = fs.disk
     parts = [_HEADER.pack(_MAGIC, disk.blocks_allocated, len(fs.names()))]
@@ -58,9 +66,7 @@ def save_image(fs: SimFileSystem, path: Union[str, Path]) -> int:
     for block_no in referenced:
         parts.append(_BLOCK_NO.pack(block_no))
         parts.append(disk.peek_block(block_no))
-    data = b"".join(parts)
-    Path(path).write_bytes(data)
-    return len(data)
+    return b"".join(parts)
 
 
 def load_image(
@@ -72,16 +78,19 @@ def load_image(
     empty FS cache — the state a newly booted machine would have — but
     byte-identical files at identical physical block addresses.
     """
-    data = Path(path).read_bytes()
+    clock = clock if clock is not None else SimClock()
+    fs = SimFileSystem(SimDisk(clock), cache_blocks=cache_blocks)
+    return restore_image(Path(path).read_bytes(), fs)
+
+
+def restore_image(data: bytes, fs: SimFileSystem) -> SimFileSystem:
+    """Lay :func:`image_bytes` output onto ``fs`` (empty, a fresh disk)."""
     if len(data) < _HEADER.size or data[:8] != _MAGIC:
-        raise StorageError(f"{path} is not a simulated disk image")
+        raise StorageError("not a simulated disk image")
     _magic, next_block, file_count = _HEADER.unpack_from(data, 0)
     pos = _HEADER.size
-
-    clock = clock if clock is not None else SimClock()
-    disk = SimDisk(clock)
+    disk = fs.disk
     disk._next_block = next_block
-    fs = SimFileSystem(disk, cache_blocks=cache_blocks)
 
     file_specs = []
     for _ in range(file_count):
@@ -104,7 +113,7 @@ def load_image(
         payload = data[pos:pos + BLOCK_SIZE]
         pos += BLOCK_SIZE
         if len(payload) != BLOCK_SIZE:
-            raise StorageError(f"{path}: truncated block {block_no}")
+            raise StorageError(f"image truncated in block {block_no}")
         disk._blocks[block_no] = payload
 
     for name, size, blocks in file_specs:

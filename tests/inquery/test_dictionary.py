@@ -177,14 +177,53 @@ def test_save_load_round_trips_through_the_bulk_path(terms, buckets):
     assert len(loaded) == len(original)
     assert loaded._next_id == original._next_id
     assert sorted(map(_row, loaded.entries())) == sorted(map(_row, original.entries()))
-    # ``load`` is ``add`` in saved order (which reverses each chain, as
-    # it always has): same chains, same bytes.
+    # Without the saving table's size, ``load`` guesses one and links
+    # each chain in saved order: ``add`` in reverse saved order (``add``
+    # prepends), same chains, same bytes.
     replayed = HashDictionary(initial_buckets=max(1024, len(terms) // 2))
-    for entry in original.entries():
+    for entry in reversed(list(original.entries())):
         copy = replayed.add(entry.term, entry.term_id)
         (copy.df, copy.ctf, copy.storage_key, copy.max_tf,
          copy.bounds_key) = _row(entry)[2:]
     assert _saved(loaded) == _saved(replayed)
+
+
+@given(
+    terms=_TERM_SETS,
+    buckets=st.integers(min_value=1, max_value=40),
+    adds=st.lists(st.text(alphabet="abcdéz", min_size=1, max_size=7), max_size=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_reload_with_the_saving_table_size_saves_identical_bytes(terms, buckets, adds):
+    """A dictionary reloaded with its table size is its original: saving
+    writes the loaded bytes, and the same adds, past a ``_grow`` or
+    not, leave both saving identical bytes."""
+    original, _bulk = _build_both(terms, buckets)
+    file = SimFileSystem(SimDisk(SimClock()), cache_blocks=32).create("dict")
+    original.save(file)
+    loaded = HashDictionary.load(file, original.bucket_count)
+    assert loaded.bucket_count == original.bucket_count
+    assert _saved(loaded) == file.read(0, file.size)
+    for term in adds:
+        for d in (original, loaded):
+            entry = d.add(term)
+            entry.df += 1
+            d.touch(entry)
+    assert loaded.bucket_count == original.bucket_count
+    assert _saved(loaded) == _saved(original)
+
+
+def test_reload_grows_like_the_original_past_a_doubling():
+    original = HashDictionary(initial_buckets=2)
+    for i in range(8):  # 4 per bucket: the next add doubles the table
+        original.add(f"t{i}")
+    file = SimFileSystem(SimDisk(SimClock()), cache_blocks=32).create("dict")
+    original.save(file)
+    loaded = HashDictionary.load(file, original.bucket_count)
+    for d in (original, loaded):
+        d.add("grows")
+    assert original.bucket_count == loaded.bucket_count == 4
+    assert _saved(loaded) == _saved(original)
 
 
 def test_bulk_constructor_links_shared_buckets_in_insertion_order():

@@ -6,7 +6,7 @@ observable* — every ranking stays bit-identical to the single-disk
 reference, no query degrades, and the failover itself is recorded in a
 deterministic trace.  Losing *every* replica of a shard falls back to
 the established degraded path (serve partial evidence, never raise),
-and :meth:`ShardedIRSystem.rereplicate` rebuilds a lost mirror
+and :meth:`ShardedIRSystem.rereplicate` copies a lost mirror back
 byte-identical to its survivor while the group keeps serving.
 """
 
