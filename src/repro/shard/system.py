@@ -37,7 +37,7 @@ from ..errors import (
 )
 from ..inquery import DEFAULT_TOP_K, CollectionIndex
 from ..simdisk import SimClock
-from ..simdisk.image import image_bytes, restore_image
+from ..simdisk.image import held_blocks, image_bytes, restore_image
 from .partition import Partitioner, make_partitioner, partition_prepared
 
 
@@ -223,9 +223,10 @@ class ShardedIRSystem:
         The group's other machines save their indexes first (the first
         save of a never-mutated group, else the same bytes again), so the
         survivor's platter holds the whole index.  The survivor is charged
-        a full platter scan on its simulated clock (the cost a live copy
-        imposes on a machine that keeps serving) and a fresh machine a
-        sequential write of the same blocks.  The copy opens its files as
+        a scan of the blocks its files hold on its simulated clock (the
+        cost a live copy imposes on a machine that keeps serving; free
+        blocks are not copied) and a fresh machine a sequential write of
+        the same count.  The copy opens its files as
         recovery does, is verified byte-identical to the source, swaps
         into the replica group, and the down-mark clears.
 
@@ -252,13 +253,14 @@ class ShardedIRSystem:
         source_id = sources[0]
         source = group[source_id]
 
-        # Charge the survivor a sequential scan of its allocated blocks:
-        # live re-replication reads the platter it streams from.
+        # Charge the survivor an ascending scan of the blocks its files
+        # hold: live re-replication reads the platter it streams from.
         start = source.clock.snapshot()
-        blocks = source.fs.disk.blocks_allocated
-        for block_no in range(blocks):
+        held = held_blocks(source.fs)
+        for block_no in held:
             source.fs.disk.read_block(block_no)
         scan = source.clock.since(start)
+        blocks = len(held)
 
         fs = restore_image(image_bytes(source.fs), fresh_fs(self.config))
         cost = self.config.cost

@@ -52,6 +52,11 @@ class SimFile:
         self._prev_last_block = -2  # read-ahead sequential-pattern detector
 
     @property
+    def fs(self) -> "SimFileSystem":
+        """The file system the file lives on."""
+        return self._fs
+
+    @property
     def size(self) -> int:
         """Current length of the file in bytes."""
         return self._size

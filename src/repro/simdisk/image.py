@@ -24,7 +24,7 @@ which re-replication uses to copy a platter onto a fresh machine.
 
 import struct
 from pathlib import Path
-from typing import Union
+from typing import List, Union
 
 from ..errors import StorageError
 from .disk import SimDisk
@@ -44,6 +44,15 @@ def save_image(fs: SimFileSystem, path: Union[str, Path]) -> int:
     data = image_bytes(fs)
     Path(path).write_bytes(data)
     return len(data)
+
+
+def held_blocks(fs: SimFileSystem) -> List[int]:
+    """Every disk block a file holds, ascending: the blocks
+    :func:`image_bytes` copies.  Free blocks below the high-water mark
+    are not among them."""
+    return sorted(
+        block_no for name in fs.names() for block_no in fs.open(name)._blocks
+    )
 
 
 def image_bytes(fs: SimFileSystem) -> bytes:

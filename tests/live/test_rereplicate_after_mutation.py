@@ -156,3 +156,29 @@ def test_copy_keeps_verifying_segment_checksums(
     else:
         assert mfile.wal is not None and mfile.resilience.read_repairs == 1
         assert data == good
+
+
+def test_rereplication_scans_only_the_blocks_files_hold(
+    prepared, corpus, config, queries, references
+):
+    # After an ingest and a compaction the survivor's device has free
+    # blocks below its high-water mark; the copy reads and charges only
+    # the blocks its files hold.
+    live = _Live(
+        prepared, corpus, _config("mneme-linked-wal"), queries, references, config
+    )
+    live.ingest()
+    live.service.compact()
+    source = live.backend.replica(0, 1)
+    disk = source.fs.disk
+    read = []
+    read_block = disk.read_block
+    disk.read_block = lambda block_no: read.append(block_no) or read_block(block_no)
+    live.backend.mark_down(0, 0)
+    report = live.backend.rereplicate(0, 0)
+    held = sorted(
+        block_no for name in source.fs.names()
+        for block_no in source.fs.open(name)._blocks
+    )
+    assert report["blocks_scanned"] == len(held) < disk.blocks_allocated
+    assert read[-len(held):] == held  # the scan is the survivor's last reads

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ObjectNotFoundError
 from repro.mneme import (
+    EPOCH_MARKER_OFFSET,
     ChunkedLargeObjectPool,
     LargeObjectPool,
     MediumObjectPool,
@@ -150,13 +151,21 @@ class TestCompact:
         assert read_linked(f.pool(3), keep) == b"k" * 80000
 
     def test_wal_checkpointed(self, fs):
+        # The old layout's records are dropped; the log restarts as one
+        # sealed copy of every segment of the new main file.
         wal = RedoLog(fs.create("inv.wal"))
         f = build_file(fs, wal=wal)
         f.pool(2).create(b"m" * 500)
         f.flush()
         assert wal.size > 0
         compact(f)
-        assert wal.size == 0
+        records, torn = wal.records()
+        assert not torn
+        assert [offset for offset, _data in records] == sorted(f._crcs) + [
+            EPOCH_MARKER_OFFSET
+        ]
+        for offset, data in records[:-1]:
+            assert f.main.read(offset, len(data)) == data
 
     def test_survives_reopen(self, fs):
         f = build_file(fs)

@@ -292,11 +292,16 @@ def test_a_batch_cut_at_any_record_boundary_recovers_the_previous_epoch():
             adds=corpus.new_documents(6, after=first_id),
             deletes=[corpus.document(delete_id)],
         )
-        return wal.size, main.read(0, main.size)
+        # The sealed generation: the log's base after this publish.
+        (sealed,) = [g.read(0, g.size) for g in wal.generations if g.size]
+        return sealed, main.read(0, main.size)
 
-    sealed_1, main_1 = publish(corpus.base_count, 2)
-    sealed_2, main_2 = publish(corpus.base_count + 6, 5)
-    image = wal._file.read(0, wal.size)
+    # The log as a crash in batch 2 finds it: epoch 1's generation, then
+    # batch 2's open generation, parsed as one stream.
+    generation_1, main_1 = publish(corpus.base_count, 2)
+    generation_2, main_2 = publish(corpus.base_count + 6, 5)
+    image = generation_1 + generation_2
+    sealed_1, sealed_2 = len(generation_1), len(image)
     in_batch_2 = [b for b in _record_boundaries(image) if sealed_1 <= b < sealed_2]
     assert len(in_batch_2) > 10   # a batch is many segment writes, one marker
 
@@ -357,3 +362,60 @@ def test_batch_end_order_is_flush_then_save_then_marker():
     assert "log_write" in events[:first_flush]        # chained records: at once
     assert "log_write" in events[first_flush:events.index("save")]  # open segments
     assert "log_write" not in events[events.index("save"):-2]
+
+
+# -- the first batch after a compaction ------------------------------------
+#
+# The compaction rewrites every segment to a new offset and restarts the
+# log as one sealed copy of the new main file.  The next batch rewrites
+# some of those segments in place before its marker, so a crash inside it
+# must find a committed copy of each to roll back to.
+
+
+def _on_platter(file):
+    """A file's bytes as its disk blocks hold them, without charging."""
+    disk = file.fs.disk
+    image = b"".join(disk.peek_block(block_no) for block_no in file._blocks)
+    return image[:file.size]
+
+
+def test_a_batch_cut_after_a_compaction_recovers_the_compacted_file():
+    system, corpus = _live_system()
+    mfile = system.index.store.mfile
+    wal = mfile.wal
+    pipeline = IngestPipeline(system)
+    pipeline.apply(
+        adds=corpus.new_documents(6, after=corpus.base_count),
+        deletes=[corpus.document(2)],
+    )
+    pipeline.compact()
+    compacted = mfile.main.read(0, mfile.main.size)
+    sealed = b"".join(g.read(0, g.size) for g in wal.generations)
+
+    # A crash around an append finds the main file as it stood before
+    # the append and the log cut just before or just after it.
+    crashes = []
+    log_writes = wal.log_writes
+
+    def noting(writes):
+        before, crashed = wal.generations[-1].size, _on_platter(mfile.main)
+        log_writes(writes)
+        crashes.extend([(before, crashed), (wal.generations[-1].size, crashed)])
+
+    wal.log_writes = noting
+    pipeline.apply(
+        adds=corpus.new_documents(6, after=corpus.base_count + 6),
+        deletes=[corpus.document(5)],
+    )
+    batch = b"".join(g.read(0, g.size) for g in wal.generations)
+    assert len(crashes) > 20  # in-place rewrites, appends, the re-log, the marker
+    for cut, crashed in crashes[:-1]:  # the last cut keeps the marker
+        fs = _fresh_fs()
+        fs.create("wal.base").write(0, sealed)
+        log_file = fs.create("wal")
+        log_file.write(0, batch[:cut])
+        main = fs.create("main")
+        main.write(0, crashed)
+        report = recover_to_epoch(RedoLog(log_file), main)
+        assert main.read(0, len(compacted)) == compacted, cut
+        assert report.epoch == 1 and not report.torn_tail, cut
