@@ -208,6 +208,20 @@ class MnemeFile:
                 continue
             return data
 
+    def verified_copy(self, offset: int, length: int) -> Optional[bytes]:
+        """The segment's bytes from one main-file read if they match its
+        recorded checksum, else ``None`` — never raises and never
+        repairs.  The redo log's seal falls back to it when its own copy
+        of a segment is unreadable."""
+        expected = self._crcs.get(offset)
+        if expected is None or expected[0] != length:
+            return None
+        try:
+            data = self.main.read(offset, length)
+        except BadBlockError:
+            return None
+        return data if zlib.crc32(data) == expected[1] else None
+
     def _backoff(self, attempt: int) -> None:
         """Charge one bounded-backoff wait to the simulated clock."""
         wait = self.retry.wait_before(attempt)
